@@ -8,6 +8,7 @@ from .bethe import (
     bae_residual,
     bethe_energy,
     bethe_vector,
+    collective_energies,
     match_spectrum,
     solve_bae,
     transfer_eigenvalue,

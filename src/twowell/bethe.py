@@ -1,4 +1,4 @@
-"""Bethe-ansatz layer: rapidity equations, multi-start Newton solver,
+"""Bethe-ansatz layer: rapidity equations, a deterministic TQ solver,
 energies, transfer-matrix eigenvalues, Bethe vectors, and matching against
 exact diagonalization.
 
@@ -9,16 +9,31 @@ The equations for N rapidities {v_i} read
 and solutions make prod_i C(v_i)|0> an exact eigenvector of the transfer
 matrix and of the derived Hamiltonian.  The layer is exact in the gauge where
 s and t are proportional (symmetric tunneling); a warning is emitted
-otherwise.  N is assumed small: the solver is plain damped Newton with an
-analytic Jacobian over the 2N real root coordinates, restarted from seeded
-random initial points.
+otherwise.
+
+The solver finds all N+1 solutions without a search.  With q(u) = prod_i
+(u - v_i), the transfer eigenvalue is equivalent to Baxter's TQ relation
+
+    Lambda(u) q(u) = (u^2 - W^2) q(u + eta) + (zeta^2/eta^2) q(u - eta),
+    Lambda(u) = u^2 + u eta N + lambda0,
+
+which is linear in q: on polynomials of degree <= N it is an (N+1)x(N+1)
+eigenproblem for lambda0 (Baxter 1982; Links, Zhou, McKenzie & Gould,
+J. Phys. A 36 (2003) R63).  Its monomial form is ill-conditioned, so the
+eigenvalues come instead from the equivalent real symmetric tridiagonal on the
+collective basis |m, N-m> of the modes A ~ s.a and B ~ t.b
+(`collective_energies`), with lambda0 = alpha N^2 + zeta^2/eta^2 - W^2 - E.
+Each state's roots are the zeros of the TQ null vector at its lambda0,
+polished by damped Newton with an analytic Jacobian.
 """
 
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.optimize import linear_sum_assignment
+from scipy.special import comb
 
 from . import fock
 from .yangbaxter import IntegrableParams, hamiltonian_from_transfer, transfer_matrix
@@ -28,6 +43,7 @@ __all__ = [
     "SolveResult",
     "MatchReport",
     "bae_residual",
+    "collective_energies",
     "solve_bae",
     "bethe_energy",
     "transfer_eigenvalue",
@@ -37,8 +53,10 @@ __all__ = [
 ]
 
 COINCIDENT_TOL = 1e-9
-DEDUP_TOL = 1e-8
-NEWTON_TOL = 1e-12
+# Roots are accepted when the sup-norm equation residual reaches this.  Near
+# a two-string (v_i - v_j ~ -eta) the product form cannot resolve better in
+# double precision, so a stricter tolerance only loses states.
+BAE_TOL = 1e-10
 MAX_NEWTON_ITER = 200
 
 
@@ -105,11 +123,12 @@ def _safe_norms(v, ip):
     return f, float(np.max(np.abs(f)))
 
 
-def _newton(v0, ip, tol=NEWTON_TOL, max_iter=MAX_NEWTON_ITER):
+def _newton(v0, ip, tol=BAE_TOL, max_iter=MAX_NEWTON_ITER):
     """Damped Newton iteration over the 2N real root coordinates.
 
     Returns the converged roots or None.  Steps are damped by Armijo
-    backtracking on the squared residual norm.
+    backtracking on the squared residual norm; once the residual is below
+    `tol`, up to two undamped steps polish toward machine precision.
     """
     v = np.asarray(v0, dtype=complex).copy()
     f, fmax = _safe_norms(v, ip)
@@ -203,7 +222,10 @@ class BetheSolution:
 
 @dataclass
 class SolveResult:
-    """Solutions plus multi-start bookkeeping."""
+    """Solutions in ascending energy, with the count of states tried
+    (`attempts`, N+1), whose roots polished below the residual tolerance
+    (`converged`) and that passed every check (`unique`); `rejected` counts
+    the reasons for the rest."""
 
     solutions: list
     attempts: int
@@ -217,77 +239,101 @@ def is_conjugation_closed(roots, tol: float = 1e-8) -> bool:
     return _multiset_distance(v, _canonical(np.conj(v))) <= tol
 
 
-def solve_bae(
-    ip: IntegrableParams,
-    n_atoms: int,
-    budget: int | None = None,
-    seed: int = 0,
-    compute_vectors: bool = True,
-) -> SolveResult:
-    """Multi-start Newton search for rapidity-equation solutions.
+def collective_energies(ip: IntegrableParams, n_atoms: int) -> np.ndarray:
+    """Ascending energies of the N+1 Bethe states.
 
-    Runs `budget` attempts (default 100 * n_atoms) from seeded random complex
-    starting points of scale max(|W|, |zeta/eta|, 1); converged root multisets
-    are deduplicated at 1e-8, and standard pathologies (coincident roots,
-    pairs at v_i - v_j = -eta, numerically zero Bethe vectors) are rejected.
-    The attempt streams are split per index, so results do not depend on
-    scheduling.  Non-convergence of an attempt is silently discarded.
+    They are the spectrum of the Hamiltonian on the collective basis
+    |m, N-m>, m = 0..N, of the modes A ~ s.a and B ~ t.b: a real symmetric
+    tridiagonal with diagonal
+
+        alpha Na^2 + alpha Nb^2 + (2 alpha - eta^2) Na Nb + eta W (Na - Nb)
+
+    (Na = m, Nb = N - m) and off-diagonal -|zeta| sqrt((m+1)(N-m)).  With s
+    and t proportional |zeta| = |s||t|; otherwise |zeta| still gives the
+    TQ spectrum of the operator-ordered transfer matrix.
     """
     N = int(n_atoms)
     if N < 0:
         raise ValueError(f"n_atoms must be >= 0, got {N}")
-    rejected = {"coincident": 0, "string_pole": 0, "zero_vector": 0, "u_dependence": 0}
-
-    sectors = None
-    if compute_vectors:
-        sectors = [fock.enumerate_sector(ip.n_levels, k) for k in range(N + 1)]
-
+    na = np.arange(N + 1, dtype=float)
+    nb = N - na
+    alpha, eta, W = ip.alpha, ip.eta, ip.omega_sum
+    diag = alpha * na**2 + alpha * nb**2 + (2 * alpha - eta**2) * na * nb + eta * W * (na - nb)
     if N == 0:
-        energy = bethe_energy(np.array([], dtype=complex), ip, 0)
-        sol = BetheSolution(roots=np.array([], dtype=complex), residual=0.0, energy=energy)
-        if compute_vectors:
-            sol.vector = np.array([1.0 + 0.0j])
-            sol.h_residual = _eigen_residual(
-                hamiltonian_from_transfer(ip, sectors[0]).toarray(), sol.vector, energy
-            )
-            lam = transfer_eigenvalue(ip.u, sol.roots, ip)
-            sol.t_residual = _eigen_residual(
-                transfer_matrix(ip.u, ip, sectors[0]).toarray(), sol.vector, lam
-            )
-        return SolveResult(solutions=[sol], attempts=0, converged=1, unique=1, rejected=rejected)
+        return diag
+    off = -abs(ip.zeta) * np.sqrt((na[:-1] + 1.0) * nb[:-1])
+    return eigh_tridiagonal(diag, off, eigvals_only=True)
+
+
+def _tq_matrix(N, eta, W, kappa):
+    """Matrix of q -> (u^2 - W^2) q(u + eta) + kappa q(u - eta) - (u^2 + u eta N) q(u)
+    on the monomials u^0..u^N; its eigenvalues are lambda0.  Degrees N+1 and
+    N+2 cancel and are dropped."""
+    T = np.zeros((N + 3, N + 1))
+    for k in range(N + 1):
+        j = np.arange(k + 1)
+        up = comb(k, j) * eta ** (k - j)  # coefficients of (u + eta)^k
+        down = comb(k, j) * (-eta) ** (k - j)  # of (u - eta)^k
+        T[j + 2, k] += up
+        T[j, k] += kappa * down - W**2 * up
+        T[k + 2, k] -= 1.0
+        T[k + 1, k] -= eta * N
+    return T[: N + 1]
+
+
+def _tq_roots(T, lam):
+    """Zeros of the monic q spanning the null space of T - lam I."""
+    c = np.linalg.svd(T - lam * np.eye(T.shape[0]))[2][-1]
+    return np.roots(c[::-1] / c[-1]).astype(complex)
+
+
+def solve_bae(ip: IntegrableParams, n_atoms: int, compute_vectors: bool = True) -> SolveResult:
+    """All N+1 solutions of the rapidity equations, in ascending energy.
+
+    The energies come from `collective_energies`, each state's roots from
+    the null vector of the TQ operator at lambda0 = alpha N^2 + zeta^2/eta^2
+    - W^2 - E, polished by Newton until the equation residual is at most
+    1e-10.  States whose roots do not reach that residual, or that show a
+    standard pathology (coincident roots, a pair at v_i - v_j = -eta, a
+    u-dependent energy, a numerically zero Bethe vector) are left out and
+    counted in `rejected`.  With `compute_vectors`, each state carries its
+    Bethe vector and its eigen-residuals against H and t(u).
+    """
+    N = int(n_atoms)
+    if N < 0:
+        raise ValueError(f"n_atoms must be >= 0, got {N}")
+    rejected = {"unconverged": 0, "coincident": 0, "string_pole": 0, "zero_vector": 0, "u_dependence": 0}
 
     st_gap = np.linalg.norm(ip.s) * np.linalg.norm(ip.t) - abs(ip.zeta)
-    if st_gap > 1e-10 * max(1.0, abs(ip.zeta)):
+    if N and st_gap > 1e-10 * max(1.0, abs(ip.zeta)):
         warnings.warn(
             "s and t are not proportional: Bethe states target the "
             "operator-ordered transfer matrix, not the symmetric-gauge model",
             stacklevel=2,
         )
 
-    if budget is None:
-        budget = 100 * N
-    scale = max(abs(ip.omega_sum), abs(ip.zeta / ip.eta), 1.0)
+    if compute_vectors:
+        sectors = [fock.enumerate_sector(ip.n_levels, k) for k in range(N + 1)]
+        H = hamiltonian_from_transfer(ip, sectors[N]).toarray()
+        t_at = {}  # evaluation point -> dense t(u) on the N-atom sector
 
-    streams = np.random.SeedSequence(seed).spawn(budget)
-    found = []
+    eta, zeta, W = ip.eta, ip.zeta, ip.omega_sum
+    # u = scale x keeps the monomial coefficients of q of comparable size
+    scale = max(abs(W), abs(zeta / eta), abs(eta) * N, 1.0)
+    T = _tq_matrix(N, eta / scale, W / scale, (zeta / eta / scale) ** 2)
+    lam0 = ip.alpha * N * N + (zeta / eta) ** 2 - W * W - collective_energies(ip, N)
+
     converged = 0
-    for stream in streams:
-        rng = np.random.default_rng(stream)
-        v0 = scale * (rng.standard_normal(N) + 1j * rng.standard_normal(N))
-        v = _newton(v0, ip)
-        if v is None:
-            continue
-        converged += 1
-        found.append(_canonical(v))
-
-    unique = []
-    for v in found:
-        if any(_multiset_distance(v, u) <= DEDUP_TOL for u in unique):
-            continue
-        unique.append(v)
-
     solutions = []
-    for v in unique:
+    for lam in lam0:
+        v = np.array([], dtype=complex)
+        if N:
+            v = _newton(scale * _tq_roots(T, lam / scale**2), ip)
+            if v is None:
+                rejected["unconverged"] += 1
+                continue
+        converged += 1
+        v = _canonical(v)
         gap, pole = _pair_gaps(v, ip.eta)
         if gap < COINCIDENT_TOL:
             rejected["coincident"] += 1
@@ -295,7 +341,7 @@ def solve_bae(
         if pole < COINCIDENT_TOL:
             rejected["string_pole"] += 1
             continue
-        residual = float(np.max(np.abs(_residual(v, ip))))
+        residual = float(np.max(np.abs(_residual(v, ip)), initial=0.0))
         try:
             energy = bethe_energy(v, ip, N)
         except ValueError:
@@ -305,7 +351,7 @@ def solve_bae(
             roots=v,
             residual=residual,
             energy=energy,
-            near_eval_pole=bool(np.min(np.abs(v - ip.u)) < 1e-6),
+            near_eval_pole=bool(v.size and np.min(np.abs(v - ip.u)) < 1e-6),
         )
         if compute_vectors:
             try:
@@ -313,19 +359,16 @@ def solve_bae(
             except ValueError:
                 rejected["zero_vector"] += 1
                 continue
-            H = hamiltonian_from_transfer(ip, sectors[N]).toarray()
             sol.h_residual = _eigen_residual(H, sol.vector, energy)
             u_t = _admissible_eval_point(ip.u, v)
-            lam = transfer_eigenvalue(u_t, v, ip)
-            sol.t_residual = _eigen_residual(
-                transfer_matrix(u_t, ip, sectors[N]).toarray(), sol.vector, lam
-            )
+            if u_t not in t_at:
+                t_at[u_t] = transfer_matrix(u_t, ip, sectors[N]).toarray()
+            sol.t_residual = _eigen_residual(t_at[u_t], sol.vector, transfer_eigenvalue(u_t, v, ip))
         solutions.append(sol)
 
-    solutions.sort(key=lambda s: (s.energy.real, s.energy.imag))
     return SolveResult(
         solutions=solutions,
-        attempts=budget,
+        attempts=N + 1,
         converged=converged,
         unique=len(solutions),
         rejected=rejected,

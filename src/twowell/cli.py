@@ -11,7 +11,8 @@ Verbs:
   identify  map physical couplings to the integrable family, report as JSON
 
 Configs are single JSON documents; numbers are printed with 17 significant
-digits so CSV output is byte-deterministic for a fixed config and seed.
+digits so CSV output is byte-deterministic for a fixed config (and, for
+verify, seed).
 Exit codes: 0 success/all-pass, 1 validation or integrability failure,
 2 numerical-threshold failure.
 """
@@ -381,8 +382,9 @@ def cmd_bae(args) -> int:
     else:
         parsed = ("integrable", default_integrable_params(args.n or 2))
     atoms = _atoms_from(cfg, args, errors)
-    budget = args.budget if args.budget is not None else cfg.get("budget")
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+    for key in ("seed", "budget"):
+        if key in cfg:
+            errors.append(f"config: {key!r} is not accepted: the Bethe solver is deterministic")
     if errors or parsed is None:
         return _fail_validation(errors)
     kind, params = parsed
@@ -421,7 +423,7 @@ def cmd_bae(args) -> int:
         "max_matched_delta": 0.0,
     }
     for N in atoms:
-        result = bethe.solve_bae(ip, N, budget=budget, seed=seed)
+        result = bethe.solve_bae(ip, N)
         sector = fock.enumerate_sector(ip.n_levels, N)
         spectrum = model.eigensolve(
             model.build_hamiltonian(yangbaxter.identify_parameters(ip), sector)
@@ -465,7 +467,7 @@ def cmd_bae(args) -> int:
     csv_text = "\n".join(rows) + "\n"
     report_text = _report_json(
         "bae",
-        {"model": _echo_model("integrable", ip), "n_atoms": atoms, "seed": seed, "budget": budget},
+        {"model": _echo_model("integrable", ip), "n_atoms": atoms},
         {"solutions": sol_json},
         summary,
     )
@@ -545,12 +547,7 @@ def cmd_fig2(args) -> int:
                         "error: --force-bae requires integrable couplings", file=sys.stderr
                     )
                     return 1
-                result = bethe.solve_bae(
-                    report.derived,
-                    N,
-                    budget=args.budget,
-                    seed=0 if args.seed is None else args.seed,
-                )
+                result = bethe.solve_bae(report.derived, N)
                 if not result.solutions:
                     print("error: no rapidity solutions found", file=sys.stderr)
                     return 2
@@ -598,12 +595,10 @@ def cmd_identify(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-def _add_common(p, atoms_default=None):
+def _add_common(p):
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--n", type=int, help="number of on-well levels")
+    p.add_argument("--n", type=int, help="number of on-well levels (>= 1)")
     p.add_argument("--atoms", help="comma-separated total atom numbers")
-    p.add_argument("--seed", type=int, help="random seed (default 0)")
-    p.add_argument("--budget", type=int, help="solver attempts per atom number")
     p.add_argument("--out", help="output path (default: stdout)")
 
 
@@ -616,6 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run algebraic-relation residual suites")
     p.add_argument("--suite", choices=SUITES + ("all",), default="all")
+    p.add_argument("--seed", type=int, help="random seed of the residual draws (default 0)")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 
@@ -644,6 +640,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.n is not None and args.n < 1:
+        return _fail_validation([f"--n must be >= 1, got {args.n}"])
     return args.func(args)
 
 

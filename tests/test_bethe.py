@@ -5,6 +5,7 @@ from twowell.bethe import (
     bae_residual,
     bethe_energy,
     bethe_vector,
+    collective_energies,
     is_conjugation_closed,
     match_spectrum,
     solve_bae,
@@ -70,7 +71,7 @@ def test_residual_permutation_covariance():
 
 def test_solver_single_atom_closed_form():
     ip = default_integrable_params(2)
-    result = solve_bae(ip, 1, seed=3)
+    result = solve_bae(ip, 1)
     assert result.unique == 2
     roots = sorted(sol.roots[0].real for sol in result.solutions)
     assert abs(roots[0] + SQRT5) <= 1e-12
@@ -82,29 +83,87 @@ def test_solver_single_atom_closed_form():
 
 def test_solver_vacuum():
     ip = default_integrable_params(2)
-    result = solve_bae(ip, 0, seed=0)
+    result = solve_bae(ip, 0)
     assert result.unique == 1
     sol = result.solutions[0]
     assert sol.roots.size == 0
     assert abs(sol.energy) <= 1e-14
 
 
-def test_solver_deterministic_for_fixed_seed():
+def test_solver_deterministic():
     ip = default_integrable_params(2)
-    r1 = solve_bae(ip, 2, budget=60, seed=9, compute_vectors=False)
-    r2 = solve_bae(ip, 2, budget=60, seed=9, compute_vectors=False)
-    assert r1.unique == r2.unique
+    r1 = solve_bae(ip, 3, compute_vectors=False)
+    r2 = solve_bae(ip, 3, compute_vectors=False)
+    assert r1.unique == r2.unique == 4
     for a, b in zip(r1.solutions, r2.solutions):
         assert np.array_equal(a.roots, b.roots)
+        assert a.energy == b.energy
 
 
 def test_solver_residuals_below_threshold():
     ip = default_integrable_params(2)
     for N in (1, 2, 3):
-        result = solve_bae(ip, N, seed=5)
+        result = solve_bae(ip, N)
         assert result.solutions
         for sol in result.solutions:
             assert sol.residual <= 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("N", [0, 1, 2, 3, 4])
+def test_solver_finds_all_states(n, N):
+    # n=1, N=3 is where a random multi-start search found 3 of the 4 states
+    ip = default_integrable_params(n)
+    result = solve_bae(ip, N)
+    assert result.attempts == result.converged == result.unique == N + 1
+    assert not any(result.rejected.values())
+    energies = [sol.energy.real for sol in result.solutions]
+    assert energies == sorted(energies)
+    for sol in result.solutions:
+        assert sol.roots.size == N
+        assert sol.residual <= 1e-10
+        assert max(sol.h_residual, sol.t_residual) <= 1e-9
+    spectrum = eigensolve(build_hamiltonian(identify_parameters(ip), enumerate_sector(n, N)))
+    report = match_spectrum(result.solutions, spectrum, tol=1e-8)
+    assert report.n_matched == N + 1
+
+
+def test_solver_random_proportional_couplings():
+    rng = np.random.default_rng(31)
+    for n in (1, 2, 3):
+        s = rng.standard_normal(n)
+        t = rng.uniform(0.5, 2.0) * s
+        ip = IntegrableParams(n, -0.7, rng.uniform(0.5, 1.5, n), s, t, alpha=0.8)
+        for N in (2, 3):
+            result = solve_bae(ip, N)
+            assert result.unique == N + 1
+            assert max(s.residual for s in result.solutions) <= 1e-10
+            assert max(max(s.h_residual, s.t_residual) for s in result.solutions) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_collective_energies_are_ed_levels(n):
+    rng = np.random.default_rng(n)
+    s = rng.standard_normal(n)
+    ips = [
+        default_integrable_params(n),
+        IntegrableParams(n, 1.3, rng.uniform(0.5, 1.5, n), s, rng.uniform(0.5, 2.0) * s, alpha=0.6),
+    ]
+    for ip in ips:
+        for N in range(6):
+            levels = eigensolve(
+                build_hamiltonian(identify_parameters(ip), enumerate_sector(n, N))
+            ).eigenvalues
+            energies = collective_energies(ip, N)
+            assert energies.size == N + 1
+            free = np.ones(levels.size, dtype=bool)
+            for e in energies:
+                gaps = np.where(free, np.abs(levels - e), np.inf)
+                k = int(np.argmin(gaps))
+                assert gaps[k] <= 1e-10
+                free[k] = False
+            if n == 1:  # the collective basis is the whole sector
+                assert not free.any()
 
 
 def test_solver_warns_for_nonproportional_couplings():
@@ -112,12 +171,13 @@ def test_solver_warns_for_nonproportional_couplings():
         2, 1.0, np.ones(2), np.array([1.0, 0.5]), np.array([0.5, 1.0]), alpha=1.0
     )
     with pytest.warns(UserWarning, match="not proportional"):
-        solve_bae(ip, 1, budget=10, seed=0, compute_vectors=False)
+        solve_bae(ip, 1, compute_vectors=False)
 
 
 def test_conjugation_closure_of_solutions():
     ip = default_integrable_params(2)
-    result = solve_bae(ip, 3, seed=5)
+    result = solve_bae(ip, 3)
+    assert result.unique == 4
     for sol in result.solutions:
         assert is_conjugation_closed(sol.roots)
         conj_res = np.max(np.abs(bae_residual(np.conj(sol.roots), ip)))
@@ -168,7 +228,7 @@ def test_transfer_eigenvalue_closed_form():
 
 def test_energy_permutation_invariance():
     ip = default_integrable_params(2)
-    result = solve_bae(ip, 3, seed=5, compute_vectors=False)
+    result = solve_bae(ip, 3, compute_vectors=False)
     roots = result.solutions[0].roots
     e1 = bethe_energy(roots, ip, 3)
     e2 = bethe_energy(roots[::-1], ip, 3)
@@ -211,8 +271,8 @@ def test_vector_vacuum():
 def test_vector_eigen_residuals(n):
     ip = default_integrable_params(n)
     for N in (1, 2, 3):
-        result = solve_bae(ip, N, seed=7)
-        assert result.solutions
+        result = solve_bae(ip, N)
+        assert result.unique == N + 1
         for sol in result.solutions:
             assert sol.h_residual <= 1e-9
             assert sol.t_residual <= 1e-9
@@ -232,7 +292,7 @@ def test_match_single_atom_partition():
     ip = default_integrable_params(2)
     sector = enumerate_sector(2, 1)
     spectrum = eigensolve(build_hamiltonian(identify_parameters(ip), sector))
-    result = solve_bae(ip, 1, seed=3)
+    result = solve_bae(ip, 1)
     report = match_spectrum(result.solutions, spectrum, tol=1e-8)
     assert report.n_matched == 2
     assert report.max_matched_delta <= 1e-10
@@ -254,8 +314,8 @@ def test_match_oracle_equivalence(N):
     ip = default_integrable_params(2)
     sector = enumerate_sector(2, N)
     spectrum = eigensolve(build_hamiltonian(identify_parameters(ip), sector))
-    result = solve_bae(ip, N, seed=11)
+    result = solve_bae(ip, N)
     report = match_spectrum(result.solutions, spectrum, tol=1e-8)
-    assert result.unique >= 1
+    assert result.unique == N + 1
     assert report.n_matched == result.unique
     assert not report.unmatched_solutions

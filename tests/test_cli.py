@@ -115,9 +115,53 @@ def test_bae_rejects_non_integrable_couplings(tmp_path, capsys):
 def test_bae_byte_deterministic(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
-    assert main(["bae", "--atoms", "2", "--seed", "4", "--out", str(out1)]) == 0
-    assert main(["bae", "--atoms", "2", "--seed", "4", "--out", str(out2)]) == 0
+    assert main(["bae", "--atoms", "2,3", "--out", str(out1)]) == 0
+    assert main(["bae", "--atoms", "2,3", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+    _, rows = read_csv(out1)
+    assert len({r[0] for r in rows}) == 3 + 4  # all N+1 states per atom number
+
+
+def test_bae_report_counts_every_state(tmp_path, capsys):
+    out = tmp_path / "bae.csv"
+    assert main(["bae", "--atoms", "1,3", "--out", str(out)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    summary = report["residual_summary"]
+    assert summary["attempts"] == summary["converged"] == summary["unique"] == 2 + 4
+    assert summary["matched"] == 6
+    assert "seed" not in report["config_echo"] and "budget" not in report["config_echo"]
+
+
+@pytest.mark.parametrize("key", ["seed", "budget"])
+def test_bae_rejects_solver_knobs_in_config(tmp_path, capsys, key):
+    cfg = write_config(
+        tmp_path,
+        {
+            "model": {
+                "kind": "integrable", "n_levels": 1, "eta": 1.0, "omega": [1.0],
+                "s": [1.0], "t": [1.0], "alpha": 1.0,
+            },
+            key: 7,
+        },
+    )
+    assert main(["bae", "--config", cfg]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and repr(key) in err[0]
+
+
+@pytest.mark.parametrize("flag", ["--seed", "--budget"])
+def test_bae_has_no_solver_flags(flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["bae", "--atoms", "1", flag, "-1"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("verb", ["spectrum", "bae", "verify"])
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_levels_below_one_rejected(verb, n, capsys):
+    assert main([verb, "--n", n, "--atoms", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--n" in err
 
 
 def test_fig2_single_grid_point(tmp_path):
