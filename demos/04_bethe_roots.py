@@ -12,11 +12,11 @@ from twowell import (
     build_hamiltonian,
     collective_energies,
     default_integrable_params,
-    eigensolve,
     enumerate_sector,
     identify_parameters,
     match_spectrum,
     solve_bae,
+    spectrum,
     transfer_eigenvalue,
 )
 
@@ -27,8 +27,8 @@ print(f"parameters: eta = {ip.eta}, zeta = {ip.zeta:.3f}, W = {ip.omega_sum}, "
 for N in (1, 2, 3):
     result = solve_bae(ip, N)
     sector = enumerate_sector(2, N)
-    spectrum = eigensolve(build_hamiltonian(identify_parameters(ip), sector))
-    report = match_spectrum(result.solutions, spectrum, tol=1e-8)
+    ed = spectrum(build_hamiltonian(identify_parameters(ip), sector))
+    report = match_spectrum(result.solutions, ed, tol=1e-8)
     print(f"\nN = {N}: {result.unique} of {N + 1} Bethe states, "
           f"{report.n_matched} matched to ED (of {report.n_eigenvalues} levels); "
           f"tridiagonal energies {np.round(collective_energies(ip, N), 6)}")

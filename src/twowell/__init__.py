@@ -27,13 +27,16 @@ from .fock import (
     truncated_ladder,
 )
 from .model import (
+    DENSE_BYTES_CAP,
     ConservationReport,
     ModelParams,
     SpectrumResult,
     build_hamiltonian,
+    check_dense_fits,
     conservation_report,
     decoupled_energies,
-    eigensolve,
+    lowest,
+    spectrum,
 )
 from .yangbaxter import (
     IdentificationReport,

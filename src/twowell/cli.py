@@ -3,11 +3,14 @@
 Verbs:
   verify    run the algebraic-relation residual suites (ybe, rll, tcommute,
             charges, hrel, all)
-  spectrum  exact-diagonalization spectrum as CSV
+  spectrum  exact-diagonalization spectrum as CSV: every level of every
+            sector, or an error if a sector's dense matrix would exceed
+            model.DENSE_BYTES_CAP
   bae       solve the rapidity equations, cross-check against the spectrum,
             emit CSV rows and a JSON report
   fig2      ground-state scan E0/mu1 versus mu2/mu1 for the reference
-            non-integrable parameter set, as CSV
+            non-integrable parameter set, as CSV (sparse Lanczos, lowest level
+            only)
   identify  map physical couplings to the integrable family, report as JSON
 
 Configs are single JSON documents; numbers are printed with 17 significant
@@ -20,15 +23,17 @@ Exit codes: 0 success/all-pass, 1 validation or integrability failure,
 import argparse
 import io
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import bethe, fock, model, yangbaxter
+from .fock import Mode
 from .model import ModelParams
 from .yangbaxter import IntegrableParams, default_integrable_params
 
-SPECTRUM_DIM_CAP = 50000
+GRID_POINTS_CAP = 100_000
 SUITES = ("ybe", "rll", "tcommute", "charges", "hrel")
 
 
@@ -337,6 +342,17 @@ def _physical_params(kind, params, errors):
     return yangbaxter.identify_parameters(params)
 
 
+def _dense_errors(n_levels, atoms):
+    """One message per sector whose dense matrix would exceed model.DENSE_BYTES_CAP."""
+    errors = []
+    for N in atoms:
+        try:
+            model.check_dense_fits(fock.dimension(n_levels, N))
+        except ValueError as exc:
+            errors.append(f"sector n={n_levels}, N={N}: {exc}")
+    return errors
+
+
 def cmd_spectrum(args) -> int:
     errors = []
     cfg = _load_json(args.config, errors) if args.config else {}
@@ -350,12 +366,7 @@ def cmd_spectrum(args) -> int:
     kind, params = parsed
     mp = _physical_params(kind, params, errors)
 
-    for N in atoms:
-        d = fock.dimension(mp.n_levels, N)
-        if d > SPECTRUM_DIM_CAP:
-            errors.append(
-                f"sector n={mp.n_levels}, N={N} has dimension {d} > cap {SPECTRUM_DIM_CAP}"
-            )
+    errors = _dense_errors(mp.n_levels, atoms)
     if errors:
         return _fail_validation(errors)
 
@@ -363,7 +374,7 @@ def cmd_spectrum(args) -> int:
     buf.write("n_atoms,index,eigenvalue\n")
     for N in atoms:
         sector = fock.enumerate_sector(mp.n_levels, N)
-        spectrum = model.eigensolve(model.build_hamiltonian(mp, sector))
+        spectrum = model.spectrum(model.build_hamiltonian(mp, sector))
         for i, val in enumerate(spectrum.eigenvalues):
             buf.write(f"{N},{i},{_fmt(val)}\n")
     _write_text(args.out, buf.getvalue())
@@ -388,6 +399,9 @@ def cmd_bae(args) -> int:
     if errors or parsed is None:
         return _fail_validation(errors)
     kind, params = parsed
+    errors = _dense_errors(params.n_levels, atoms)
+    if errors:
+        return _fail_validation(errors)
 
     if kind == "physical":
         report = yangbaxter.validate_model(params)
@@ -425,7 +439,7 @@ def cmd_bae(args) -> int:
     for N in atoms:
         result = bethe.solve_bae(ip, N)
         sector = fock.enumerate_sector(ip.n_levels, N)
-        spectrum = model.eigensolve(
+        spectrum = model.spectrum(
             model.build_hamiltonian(yangbaxter.identify_parameters(ip), sector)
         )
         match = bethe.match_spectrum(result.solutions, spectrum, tol=1e-8)
@@ -506,10 +520,17 @@ def _parse_grid(text, errors):
     except ValueError:
         errors.append(f"invalid grid {text!r}: expected start:stop:step")
         return []
+    if not all(map(math.isfinite, (start, stop, step))):
+        errors.append(f"invalid grid {text!r}: start, stop and step must be finite")
+        return []
     if step <= 0 or stop < start:
         errors.append(f"invalid grid {text!r}: need step > 0 and stop >= start")
         return []
-    count = int(round((stop - start) / step)) + 1
+    span = (stop - start) / step
+    if not span <= GRID_POINTS_CAP - 1:
+        errors.append(f"invalid grid {text!r}: more than {GRID_POINTS_CAP} points")
+        return []
+    count = int(round(span)) + 1
     return [start + k * step for k in range(count) if start + k * step <= stop + 1e-12]
 
 
@@ -518,19 +539,25 @@ def cmd_fig2(args) -> int:
     atoms = _atoms_from({}, args, errors, default=(1, 2, 3, 4))
     grid = _parse_grid(args.grid, errors)
     mu1 = args.mu1
-    if mu1 == 0.0:
-        errors.append("mu1 must be nonzero (output is normalized by it)")
+    if not math.isfinite(mu1) or mu1 == 0.0:
+        errors.append(f"mu1 must be finite and nonzero (output is normalized by it), got {mu1!r}")
+    elif grid and not all(math.isfinite(x * mu1) for x in (grid[0], grid[-1])):
+        errors.append(f"mu2 = (mu2/mu1) * mu1 overflows on the grid {args.grid!r}")
     if errors:
         return _fail_validation(errors)
 
     buf = io.StringIO()
     buf.write("N,mu2_over_mu1,E0_over_mu1\n")
     for N in atoms:
-        sector = fock.enumerate_sector(2, N)
+        if not args.force_bae:
+            # mu2 enters only through -mu2 (N_a2 - N_b2): H(mu2) = H0 + mu2 D
+            sector = fock.enumerate_sector(2, N)
+            H0 = model.build_hamiltonian(scan_params(mu2=0.0, mu1=mu1), sector)
+            n_a2, n_b2 = (fock.number_operator(sector, Mode(w, 2)) for w in "ab")
+            D = n_b2 - n_a2
         for x in grid:
-            mp = scan_params(mu2=x * mu1, mu1=mu1)
             if args.force_bae:
-                report = yangbaxter.validate_model(mp)
+                report = yangbaxter.validate_model(scan_params(mu2=x * mu1, mu1=mu1))
                 if not report.integrable:
                     payload = {
                         "integrable": False,
@@ -553,8 +580,7 @@ def cmd_fig2(args) -> int:
                     return 2
                 e0 = min(sol.energy.real for sol in result.solutions)
             else:
-                spectrum = model.eigensolve(model.build_hamiltonian(mp, sector))
-                e0 = float(spectrum.eigenvalues[0])
+                e0 = float(model.lowest(H0 + (x * mu1) * D).eigenvalues[0])
             buf.write(f"{N},{_fmt(x)},{_fmt(e0 / mu1)}\n")
     _write_text(args.out, buf.getvalue())
     return 0
@@ -595,9 +621,10 @@ def cmd_identify(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
-def _add_common(p):
+def _add_common(p, levels=True):
     p.add_argument("--config", help="JSON config file")
-    p.add_argument("--n", type=int, help="number of on-well levels (>= 1)")
+    if levels:
+        p.add_argument("--n", type=int, help="number of on-well levels (>= 1)")
     p.add_argument("--atoms", help="comma-separated total atom numbers")
     p.add_argument("--out", help="output path (default: stdout)")
 
@@ -624,7 +651,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_bae)
 
     p = sub.add_parser("fig2", help="ground-state scan E0/mu1 vs mu2/mu1 as CSV")
-    _add_common(p)
+    _add_common(p, levels=False)  # the scan set has n = 2
     p.add_argument("--grid", default="0:5:0.05", help="mu2/mu1 grid start:stop:step")
     p.add_argument("--mu1", type=float, default=1.0, help="normalizing potential")
     p.add_argument("--force-bae", action="store_true", dest="force_bae",
@@ -632,7 +659,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fig2)
 
     p = sub.add_parser("identify", help="check couplings against the integrable family")
-    _add_common(p)
+    _add_common(p, levels=False)  # n comes from the config
     p.set_defaults(func=cmd_identify)
 
     return parser
@@ -640,7 +667,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.n is not None and args.n < 1:
+    if getattr(args, "n", None) is not None and args.n < 1:
         return _fail_validation([f"--n must be >= 1, got {args.n}"])
     return args.func(args)
 

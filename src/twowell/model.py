@@ -13,6 +13,11 @@ with p in {a, b}.  Same-well couplings are stored in the symmetric
 general form; for n = 2 the conventional single-count cross coupling
 equals the stored off-diagonal entry (the 1/2 and the double count cancel).
 All couplings share one arbitrary energy unit.
+
+Eigenvalues come from one of two entry points, one per question:
+`spectrum(H)` returns every level by dense diagonalization, after checking
+the dense matrix against DENSE_BYTES_CAP; `lowest(H, k)` returns the k lowest
+levels by sparse Lanczos and never forms a dense matrix when d > k + 1.
 """
 
 from dataclasses import dataclass
@@ -20,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import eigh
+from scipy.linalg import eigh, eigvalsh
 
 from .fock import FockSector, Mode, hopping_operator
 
@@ -30,11 +35,16 @@ __all__ = [
     "ConservationReport",
     "build_hamiltonian",
     "decoupled_energies",
-    "eigensolve",
+    "DENSE_BYTES_CAP",
+    "check_dense_fits",
+    "lowest",
+    "spectrum",
     "conservation_report",
 ]
 
 HERMITICITY_TOL = 1e-12
+# Largest dense matrix `spectrum` will allocate (1 GiB: d = 11585 in float64).
+DENSE_BYTES_CAP = 1 << 30
 
 
 def _as_square(name, value, n):
@@ -155,54 +165,117 @@ def decoupled_energies(params: ModelParams, state) -> tuple[float, float]:
 
 @dataclass
 class SpectrumResult:
-    """Eigenvalues in ascending order, optionally with eigenvector columns."""
+    """Eigenvalues in ascending order, optionally with eigenvector columns.
+
+    `max_residual` is max|H V - V diag(E)| when vectors were computed, else 0.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray | None = None
     max_residual: float = 0.0
 
 
-def _check_hermitian(H: np.ndarray):
-    gap = H - H.conj().T
-    worst = np.max(np.abs(gap))
+def _check_square(H):
+    if len(H.shape) != 2 or H.shape[0] != H.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {H.shape}")
+
+
+def _check_hermitian(H):
+    """Raise unless max|H - H^dag| <= HERMITICITY_TOL; sparse input stays sparse."""
+    if sp.issparse(H):
+        gap = sp.coo_matrix(H - H.conj().T)
+        if gap.nnz == 0:
+            return
+        worst_at = int(np.argmax(np.abs(gap.data)))
+        worst = float(np.abs(gap.data[worst_at]))
+        i, j = int(gap.row[worst_at]), int(gap.col[worst_at])
+    else:
+        gap = np.abs(H - H.conj().T)
+        i, j = np.unravel_index(np.argmax(gap), gap.shape)
+        worst = float(gap[i, j])
     if worst > HERMITICITY_TOL:
-        i, j = np.unravel_index(np.argmax(np.abs(gap)), gap.shape)
         raise ValueError(
             f"matrix is not Hermitian: |H[{i},{j}] - conj(H[{j},{i}])| = {worst:.3e}"
         )
 
 
-def eigensolve(H, want_vectors: bool = False, dense_threshold: int = 2000) -> SpectrumResult:
-    """Spectral decomposition of a Hermitian operator.
-
-    Dense full diagonalization up to `dense_threshold`; above it only the
-    ground state is computed iteratively (deterministic fixed starting
-    vector).  Eigenvalues are always ascending.
-    """
-    dense = H.toarray() if sp.issparse(H) else np.asarray(H)
-    if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {dense.shape}")
-    _check_hermitian(dense)
-    d = dense.shape[0]
-
-    if d <= dense_threshold:
-        if np.iscomplexobj(dense):
-            dense = (dense + dense.conj().T) / 2.0
-        vals, vecs = eigh(dense)
-        spectrum = SpectrumResult(eigenvalues=vals, eigenvectors=vecs if want_vectors else None)
-    else:
-        Hs = sp.csr_matrix(H) if not sp.issparse(H) else H.tocsr()
-        v0 = np.full(d, 1.0 / np.sqrt(d))
-        vals, vecs = spla.eigsh(Hs, k=1, which="SA", v0=v0)
-        spectrum = SpectrumResult(
-            eigenvalues=vals, eigenvectors=vecs if want_vectors else None
+def check_dense_fits(d: int, dtype=np.float64):
+    """Raise ValueError if one dense d x d matrix of `dtype` exceeds DENSE_BYTES_CAP."""
+    need = d * d * np.dtype(dtype).itemsize
+    if need > DENSE_BYTES_CAP:
+        raise ValueError(
+            f"dimension {d} needs a dense {d}x{d} matrix of {need} bytes "
+            f"> DENSE_BYTES_CAP = {DENSE_BYTES_CAP} bytes"
         )
-        vals, vecs = spectrum.eigenvalues, spectrum.eigenvectors
 
-    if spectrum.eigenvectors is not None:
-        resid = dense @ spectrum.eigenvectors - spectrum.eigenvectors * spectrum.eigenvalues
-        spectrum.max_residual = float(np.max(np.abs(resid)))
-    return spectrum
+
+def _residual(H, vals, vecs) -> float:
+    return float(np.max(np.abs(H @ vecs - vecs * vals)))
+
+
+def spectrum(H, want_vectors: bool = False) -> SpectrumResult:
+    """Every eigenvalue of a Hermitian matrix, ascending, by dense diagonalization.
+
+    The only dense path.  The d x d matrix is checked against DENSE_BYTES_CAP
+    before it is allocated (eigenvectors take as much again), and all d
+    eigenvalues are returned.  Eigenvectors and their residual are computed
+    only when `want_vectors` is set.
+    """
+    is_sparse = sp.issparse(H)
+    if not is_sparse:
+        H = np.asarray(H)
+    _check_square(H)
+    check_dense_fits(H.shape[0], np.result_type(H.dtype, np.float64))
+    _check_hermitian(H)
+    # LAPACK reads one triangle; the private copy from toarray() may be overwritten
+    dense = H.toarray() if is_sparse else H
+    if not want_vectors:
+        return SpectrumResult(eigenvalues=eigvalsh(dense, overwrite_a=is_sparse))
+    vals, vecs = eigh(dense, overwrite_a=is_sparse)
+    return SpectrumResult(vals, vecs, _residual(H, vals, vecs))
+
+
+def _start_vector(d: int) -> np.ndarray:
+    # Fixed but unstructured, so that no symmetry of H makes it orthogonal to
+    # the lowest eigenvectors (a uniform vector can be).
+    return np.random.default_rng(0).standard_normal(d)
+
+
+def lowest(H, k: int = 1, want_vectors: bool = False) -> SpectrumResult:
+    """The k lowest eigenvalues of a Hermitian matrix, ascending, by sparse Lanczos.
+
+    Sparse end to end: ARPACK `eigsh(which="SA")` from a fixed start vector,
+    a sparse Hermiticity check and a sparse-matvec residual.  Only where
+    ARPACK cannot run (d <= k + 1) is the matrix diagonalized densely.
+    """
+    H = sp.csr_matrix(H)
+    _check_square(H)
+    d = H.shape[0]
+    if not 1 <= k <= d:
+        raise ValueError(f"need 1 <= k <= {d}, got k={k}")
+    _check_hermitian(H)
+    vecs = None
+    if d <= k + 1:
+        check_dense_fits(d, np.result_type(H.dtype, np.float64))
+        if want_vectors:
+            vals, vecs = eigh(H.toarray(), subset_by_index=(0, k - 1))
+        else:
+            vals = eigvalsh(H.toarray(), subset_by_index=(0, k - 1))
+    elif H.count_nonzero() == 0:  # ARPACK rejects the zero operator
+        vals = np.zeros(k)
+        if want_vectors:
+            vecs = np.eye(d, k, dtype=H.dtype)
+    else:
+        v0 = _start_vector(d).astype(H.dtype)
+        found = spla.eigsh(H, k=k, which="SA", v0=v0, return_eigenvectors=want_vectors)
+        vals = found[0] if want_vectors else found
+        order = np.argsort(vals)
+        vals = vals[order]
+        if want_vectors:
+            vecs = found[1][:, order]
+    if not want_vectors:
+        return SpectrumResult(eigenvalues=vals)
+    return SpectrumResult(vals, vecs, _residual(H, vals, vecs))
 
 
 @dataclass

@@ -10,7 +10,7 @@ import pytest
 from twowell.bethe import match_spectrum, solve_bae
 from twowell.cli import main
 from twowell.fock import dimension, enumerate_sector
-from twowell.model import build_hamiltonian, eigensolve
+from twowell.model import build_hamiltonian, spectrum
 from twowell.yangbaxter import (
     IntegrableParams,
     conserved_charges,
@@ -135,11 +135,11 @@ def test_criterion_5_closed_form_single_atom():
         )
         eig_res = max(max(s.h_residual, s.t_residual) for s in result.solutions)
         sector = enumerate_sector(2, 1)
-        spectrum = eigensolve(build_hamiltonian(identify_parameters(ip), sector))
+        ed = spectrum(build_hamiltonian(identify_parameters(ip), sector))
         ed_gap = float(
             np.max(
                 np.abs(
-                    spectrum.eigenvalues
+                    ed.eigenvalues
                     - np.sort([1 - SQRT5, -1.0, 3.0, 1 + SQRT5])
                 )
             )
@@ -167,8 +167,8 @@ def test_criterion_6_bae_spectrum_equivalence():
     for N in (2, 3):
         result = solve_bae(ip, N)
         sector = enumerate_sector(2, N)
-        spectrum = eigensolve(build_hamiltonian(identify_parameters(ip), sector))
-        report = match_spectrum(result.solutions, spectrum, tol=1e-8)
+        ed = spectrum(build_hamiltonian(identify_parameters(ip), sector))
+        report = match_spectrum(result.solutions, ed, tol=1e-8)
         ok &= result.unique == N + 1
         ok &= report.n_matched == N + 1 and not report.unmatched_solutions
         details.append(

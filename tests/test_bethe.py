@@ -12,7 +12,7 @@ from twowell.bethe import (
     transfer_eigenvalue,
 )
 from twowell.fock import enumerate_sector
-from twowell.model import build_hamiltonian, eigensolve
+from twowell.model import build_hamiltonian, spectrum
 from twowell.yangbaxter import (
     IntegrableParams,
     default_integrable_params,
@@ -123,8 +123,8 @@ def test_solver_finds_all_states(n, N):
         assert sol.roots.size == N
         assert sol.residual <= 1e-10
         assert max(sol.h_residual, sol.t_residual) <= 1e-9
-    spectrum = eigensolve(build_hamiltonian(identify_parameters(ip), enumerate_sector(n, N)))
-    report = match_spectrum(result.solutions, spectrum, tol=1e-8)
+    ed = spectrum(build_hamiltonian(identify_parameters(ip), enumerate_sector(n, N)))
+    report = match_spectrum(result.solutions, ed, tol=1e-8)
     assert report.n_matched == N + 1
 
 
@@ -151,7 +151,7 @@ def test_collective_energies_are_ed_levels(n):
     ]
     for ip in ips:
         for N in range(6):
-            levels = eigensolve(
+            levels = spectrum(
                 build_hamiltonian(identify_parameters(ip), enumerate_sector(n, N))
             ).eigenvalues
             energies = collective_energies(ip, N)
@@ -291,20 +291,20 @@ def test_vector_requires_full_sector_chain():
 def test_match_single_atom_partition():
     ip = default_integrable_params(2)
     sector = enumerate_sector(2, 1)
-    spectrum = eigensolve(build_hamiltonian(identify_parameters(ip), sector))
+    ed = spectrum(build_hamiltonian(identify_parameters(ip), sector))
     result = solve_bae(ip, 1)
-    report = match_spectrum(result.solutions, spectrum, tol=1e-8)
+    report = match_spectrum(result.solutions, ed, tol=1e-8)
     assert report.n_matched == 2
     assert report.max_matched_delta <= 1e-10
-    leftovers = sorted(spectrum.eigenvalues[i] for i in report.unmatched_eigenvalues)
+    leftovers = sorted(ed.eigenvalues[i] for i in report.unmatched_eigenvalues)
     assert np.allclose(leftovers, [-1.0, 3.0], atol=1e-12)
 
 
 def test_match_empty_solution_list():
     ip = default_integrable_params(2)
     sector = enumerate_sector(2, 1)
-    spectrum = eigensolve(build_hamiltonian(identify_parameters(ip), sector))
-    report = match_spectrum([], spectrum, tol=1e-8)
+    ed = spectrum(build_hamiltonian(identify_parameters(ip), sector))
+    report = match_spectrum([], ed, tol=1e-8)
     assert report.n_matched == 0
     assert len(report.unmatched_eigenvalues) == 4
 
@@ -313,9 +313,9 @@ def test_match_empty_solution_list():
 def test_match_oracle_equivalence(N):
     ip = default_integrable_params(2)
     sector = enumerate_sector(2, N)
-    spectrum = eigensolve(build_hamiltonian(identify_parameters(ip), sector))
+    ed = spectrum(build_hamiltonian(identify_parameters(ip), sector))
     result = solve_bae(ip, N)
-    report = match_spectrum(result.solutions, spectrum, tol=1e-8)
+    report = match_spectrum(result.solutions, ed, tol=1e-8)
     assert result.unique == N + 1
     assert report.n_matched == result.unique
     assert not report.unmatched_solutions

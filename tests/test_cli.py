@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from twowell.cli import main
+from twowell import model
+from twowell.cli import GRID_POINTS_CAP, _parse_grid, main
 
 SQRT5 = np.sqrt(5.0)
 
@@ -67,7 +68,38 @@ def test_spectrum_scan_set_has_ten_rows(tmp_path):
 def test_spectrum_refuses_oversized_sector(tmp_path, capsys):
     assert main(["spectrum", "--atoms", "200"]) == 1
     err = capsys.readouterr().err
-    assert "dimension" in err and "50000" in err
+    assert "dimension 1373701" in err and str(model.DENSE_BYTES_CAP) in err
+
+
+def test_bae_refuses_oversized_sector(capsys):
+    assert main(["bae", "--atoms", "1,200"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "N=200" in err[0]
+
+
+def test_spectrum_prints_every_level_above_old_dense_threshold(tmp_path):
+    out = tmp_path / "spectrum.csv"
+    cfg = scan_config(tmp_path, mu2=1.0)
+    assert main(["spectrum", "--config", cfg, "--atoms", "21", "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert [int(r[1]) for r in rows] == list(range(2024))
+    vals = [float(r[2]) for r in rows]
+    assert vals == sorted(vals)
+
+
+def test_spectrum_byte_cap_checked_before_allocation(tmp_path, capsys, monkeypatch):
+    def no_dense(*args, **kwargs):
+        raise AssertionError("dense diagonalization reached")
+
+    monkeypatch.setattr(model, "DENSE_BYTES_CAP", 8 * 20 * 20 - 1)  # d = 20 at N = 3
+    monkeypatch.setattr(model, "spectrum", no_dense)
+    monkeypatch.setattr(model, "build_hamiltonian", no_dense)
+    out = tmp_path / "spectrum.csv"
+    assert main(["spectrum", "--atoms", "1,3", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "N=3" in err[0]
+    assert "DENSE_BYTES_CAP" in err[0]
+    assert not out.exists()
 
 
 def test_spectrum_rows_sorted_per_atom_number(tmp_path):
@@ -175,13 +207,29 @@ def test_fig2_single_grid_point(tmp_path):
 def test_fig2_ground_state_reference_value(tmp_path):
     from twowell.cli import scan_params
     from twowell.fock import enumerate_sector
-    from twowell.model import build_hamiltonian, eigensolve
+    from twowell.model import build_hamiltonian, spectrum
 
     out = tmp_path / "fig2.csv"
     assert main(["fig2", "--grid", "1:1:1", "--atoms", "1", "--out", str(out)]) == 0
     _, rows = read_csv(out)
-    spectrum = eigensolve(build_hamiltonian(scan_params(mu2=1.0), enumerate_sector(2, 1)))
-    assert float(rows[0][2]) == pytest.approx(spectrum.eigenvalues[0], abs=1e-14)
+    ed = spectrum(build_hamiltonian(scan_params(mu2=1.0), enumerate_sector(2, 1)))
+    assert float(rows[0][2]) == pytest.approx(ed.eigenvalues[0], abs=1e-14)
+
+
+def test_fig2_matches_dense_ground_state_per_point(tmp_path):
+    from twowell.cli import scan_params
+    from twowell.fock import enumerate_sector
+    from twowell.model import build_hamiltonian, spectrum
+
+    out = tmp_path / "fig2.csv"
+    assert main(["fig2", "--grid", "0:2:0.4", "--atoms", "0,1,5", "--mu1", "1.5",
+                 "--out", str(out)]) == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 3 * 6
+    for N, x, e0 in rows:
+        params = scan_params(mu2=float(x) * 1.5, mu1=1.5)
+        ref = spectrum(build_hamiltonian(params, enumerate_sector(2, int(N)))).eigenvalues[0]
+        assert float(e0) == pytest.approx(ref / 1.5, rel=1e-12, abs=1e-12)
 
 
 def test_fig2_force_bae_requires_integrability(tmp_path, capsys):
@@ -192,6 +240,44 @@ def test_fig2_force_bae_requires_integrability(tmp_path, capsys):
 def test_fig2_rejects_zero_mu1(capsys):
     assert main(["fig2", "--mu1", "0"]) == 1
     assert "mu1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--mu1", "nan"],
+        ["--mu1", "inf"],
+        ["--mu1=-inf"],
+        ["--grid", "nan:1:1"],
+        ["--grid", "0:inf:1"],
+        ["--grid", "0:1:nan"],
+        ["--grid", "0:1e9:1e-9"],
+        ["--grid=-1e308:1e308:1"],
+        ["--grid", "0:1e300:1e299", "--mu1", "1e10"],
+    ],
+)
+def test_fig2_bad_numbers_give_one_error_line(argv, capsys):
+    assert main(["fig2", "--atoms", "1", *argv]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert captured.out == ""
+
+
+def test_fig2_grid_point_cap(capsys):
+    errors = []
+    assert len(_parse_grid(f"0:{GRID_POINTS_CAP - 1}:1", errors)) == GRID_POINTS_CAP
+    assert errors == []
+    assert main(["fig2", "--atoms", "1", "--grid", f"0:{GRID_POINTS_CAP}:1"]) == 1
+    assert str(GRID_POINTS_CAP) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["fig2", "identify"])
+def test_verbs_without_levels_reject_n(verb, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--n", "3"])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_identify_integrable_roundtrip(tmp_path, capsys):

@@ -1,13 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from twowell.fock import enumerate_sector
+from twowell import model
+from twowell.fock import dimension, enumerate_sector
 from twowell.model import (
     ModelParams,
     build_hamiltonian,
     conservation_report,
     decoupled_energies,
-    eigensolve,
+    lowest,
+    spectrum,
 )
 
 SQRT5 = np.sqrt(5.0)
@@ -117,8 +123,8 @@ def test_diagonal_matches_decoupled_plus_cross():
         cross = na @ params.U_ab @ nb
         assert H[i, i] == pytest.approx(e_a + e_b + cross, rel=1e-14, abs=1e-14)
     # spectrum of the decoupled model is the sorted diagonal
-    spectrum = eigensolve(H)
-    assert np.allclose(spectrum.eigenvalues, np.sort(np.diag(H)), atol=1e-12)
+    result = spectrum(H)
+    assert np.allclose(result.eigenvalues, np.sort(np.diag(H)), atol=1e-12)
 
 
 def test_decoupled_energies_reference_values():
@@ -154,40 +160,143 @@ def test_decoupled_energies_cross_level_term():
 
 def test_eigensolve_closed_form_spectrum():
     sector = enumerate_sector(2, 1)
-    spectrum = eigensolve(build_hamiltonian(closed_form_params(), sector))
+    result = spectrum(build_hamiltonian(closed_form_params(), sector))
     expected = np.sort([1.0 - SQRT5, -1.0, 3.0, 1.0 + SQRT5])
-    assert np.allclose(spectrum.eigenvalues, expected, atol=1e-12)
+    assert np.allclose(result.eigenvalues, expected, atol=1e-12)
 
 
 def test_eigensolve_trivial_cases():
-    spectrum = eigensolve(np.zeros((1, 1)))
-    assert spectrum.eigenvalues == pytest.approx([0.0])
+    result = spectrum(np.zeros((1, 1)))
+    assert result.eigenvalues == pytest.approx([0.0])
     diag = np.diag([3.0, -1.0, 2.0])
-    assert np.allclose(eigensolve(diag).eigenvalues, [-1.0, 2.0, 3.0], atol=0.0)
+    assert np.allclose(spectrum(diag).eigenvalues, [-1.0, 2.0, 3.0], atol=0.0)
 
 
 def test_eigensolve_rejects_non_hermitian():
     bad = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match=r"H\[0,1\]"):
-        eigensolve(bad)
+        spectrum(bad)
 
 
 def test_eigensolve_vector_residuals():
     rng = np.random.default_rng(2)
     sector = enumerate_sector(2, 2)
     H = build_hamiltonian(random_params(rng, 2), sector)
-    spectrum = eigensolve(H, want_vectors=True)
-    assert spectrum.max_residual < 1e-12
+    result = spectrum(H, want_vectors=True)
+    assert result.max_residual < 1e-12
 
 
 def test_iterative_ground_state_agrees_with_dense():
     rng = np.random.default_rng(3)
-    sector = enumerate_sector(2, 3)
-    H = build_hamiltonian(random_params(rng, 2), sector)
-    dense = eigensolve(H)
-    iterative = eigensolve(H, dense_threshold=2)
-    assert iterative.eigenvalues.size == 1
-    assert abs(iterative.eigenvalues[0] - dense.eigenvalues[0]) < 1e-10
+    sectors = [enumerate_sector(2, N) for N in (0, 1, 3)]  # d = 1, 4, 20
+    for sector in sectors:
+        H = build_hamiltonian(random_params(rng, 2), sector)
+        dense = spectrum(H).eigenvalues
+        for k in range(1, min(3, sector.dim) + 1):
+            iterative = lowest(H, k)
+            assert iterative.eigenvalues.size == k
+            assert np.all(np.abs(iterative.eigenvalues - dense[:k]) < 1e-10)
+    # d = k + 1: the dense fallback, where ARPACK cannot run
+    for k in range(1, 4):
+        H = np.diag(np.arange(k + 1, 0, -1, dtype=float))
+        assert np.array_equal(lowest(H, k).eigenvalues, np.arange(1.0, k + 1.0))
+
+
+def test_lowest_vector_residuals():
+    rng = np.random.default_rng(8)
+    H = build_hamiltonian(random_params(rng, 2), enumerate_sector(2, 4))
+    result = lowest(H, 3, want_vectors=True)
+    assert result.eigenvectors.shape == (H.shape[0], 3)
+    assert result.max_residual < 1e-12
+    assert np.allclose(result.eigenvalues, spectrum(H).eigenvalues[:3], atol=1e-10)
+
+
+def test_lowest_rejects_non_hermitian_and_bad_k():
+    bad = np.diag([1.0, 2.0, 3.0, 4.0])
+    bad[2, 1] = 1e-6
+    with pytest.raises(ValueError, match=r"H\[2,1\]"):
+        lowest(bad)
+    with pytest.raises(ValueError, match="k"):
+        lowest(np.eye(3), 4)
+
+
+def test_lowest_finds_ground_state_orthogonal_to_uniform_vector():
+    # hopping-only a1<->b1 (-1) and a2<->b2 (+0.3): the ground state at N = 5
+    # has no overlap with the uniform vector, so a uniform Lanczos start
+    # converges to -4.3 instead of -5
+    params = ModelParams(
+        n_levels=2,
+        U_aa=np.zeros((2, 2)),
+        U_bb=np.zeros((2, 2)),
+        U_ab=np.zeros((2, 2)),
+        mu=np.zeros(2),
+        eps_a=np.zeros(2),
+        eps_b=np.zeros(2),
+        Omega=np.diag([-1.0, 0.3]),
+    )
+    H = build_hamiltonian(params, enumerate_sector(2, 5))
+    assert lowest(H).eigenvalues[0] == pytest.approx(-5.0, abs=1e-12)
+    assert spectrum(H).eigenvalues[0] == pytest.approx(-5.0, abs=1e-12)
+
+
+def test_lowest_zero_operator():
+    assert np.array_equal(lowest(np.zeros((5, 5)), 2).eigenvalues, [0.0, 0.0])
+
+
+@st.composite
+def physical_params(draw):
+    n = draw(st.sampled_from([1, 2, 3]))
+    x = st.floats(-2.0, 2.0, allow_nan=False, allow_subnormal=False)
+
+    def mat():
+        return np.array(draw(st.lists(x, min_size=n * n, max_size=n * n))).reshape(n, n)
+
+    def vec():
+        return draw(st.lists(x, min_size=n, max_size=n))
+
+    U_aa, U_bb = mat(), mat()
+    return ModelParams(
+        n_levels=n,
+        U_aa=U_aa + U_aa.T,
+        U_bb=U_bb + U_bb.T,
+        U_ab=mat(),
+        mu=vec(),
+        eps_a=vec(),
+        eps_b=vec(),
+        Omega=mat(),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=physical_params(), N=st.integers(0, 4))
+def test_lowest_matches_spectrum_property(params, N):
+    H = build_hamiltonian(params, enumerate_sector(params.n_levels, N))
+    assert abs(lowest(H).eigenvalues[0] - spectrum(H).eigenvalues[0]) <= 1e-10
+
+
+def test_lowest_stays_sparse_at_large_dimension():
+    sector = enumerate_sector(2, 60)
+    d = sector.dim
+    assert d == 39711
+    H = build_hamiltonian(random_params(np.random.default_rng(9), 2), sector)
+    tracemalloc.start()
+    try:
+        result = lowest(H, want_vectors=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    dense = 8 * d * d  # 12.6 GB
+    assert peak < dense / 100  # measured: 17 MB, 0.13%
+    assert result.max_residual < 1e-9
+
+
+def test_spectrum_refuses_above_byte_cap(monkeypatch):
+    H = build_hamiltonian(random_params(np.random.default_rng(10), 2), enumerate_sector(2, 3))
+    monkeypatch.setattr(model, "DENSE_BYTES_CAP", 8 * 20 * 20 - 1)
+    with pytest.raises(ValueError, match="DENSE_BYTES_CAP"):
+        spectrum(H)
+    monkeypatch.setattr(model, "DENSE_BYTES_CAP", 8 * 20 * 20)
+    assert spectrum(H).eigenvalues.size == dimension(2, 3) == 20
 
 
 def test_conservation_total_number_always():
@@ -228,8 +337,8 @@ def test_spectrum_invariant_under_level_relabeling():
         Omega=params.Omega[np.ix_(perm, perm)],
     )
     sector = enumerate_sector(3, 2)
-    e1 = eigensolve(build_hamiltonian(params, sector)).eigenvalues
-    e2 = eigensolve(build_hamiltonian(permuted, sector)).eigenvalues
+    e1 = spectrum(build_hamiltonian(params, sector)).eigenvalues
+    e2 = spectrum(build_hamiltonian(permuted, sector)).eigenvalues
     assert np.allclose(e1, e2, atol=1e-10)
 
 
@@ -241,6 +350,6 @@ def test_ground_state_concave_in_mu():
     energies = []
     for mu1 in grid:
         params.mu = np.array([mu1, 0.3])
-        energies.append(eigensolve(build_hamiltonian(params, sector)).eigenvalues[0])
+        energies.append(spectrum(build_hamiltonian(params, sector)).eigenvalues[0])
     second = np.diff(energies, 2)
     assert np.all(second <= 1e-9)
