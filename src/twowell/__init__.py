@@ -25,6 +25,7 @@ from .fock import (
     number_operator,
     total_number_operator,
     truncated_ladder,
+    tunneling_operator,
 )
 from .model import (
     DENSE_BYTES_CAP,

@@ -314,8 +314,8 @@ def solve_bae(ip: IntegrableParams, n_atoms: int, compute_vectors: bool = True) 
 
     if compute_vectors:
         sectors = [fock.enumerate_sector(ip.n_levels, k) for k in range(N + 1)]
-        H = hamiltonian_from_transfer(ip, sectors[N]).toarray()
-        t_at = {}  # evaluation point -> dense t(u) on the N-atom sector
+        H = hamiltonian_from_transfer(ip, sectors[N])
+        t_at = {}  # evaluation point -> sparse t(u) on the N-atom sector
 
     eta, zeta, W = ip.eta, ip.zeta, ip.omega_sum
     # u = scale x keeps the monomial coefficients of q of comparable size
@@ -362,7 +362,7 @@ def solve_bae(ip: IntegrableParams, n_atoms: int, compute_vectors: bool = True) 
             sol.h_residual = _eigen_residual(H, sol.vector, energy)
             u_t = _admissible_eval_point(ip.u, v)
             if u_t not in t_at:
-                t_at[u_t] = transfer_matrix(u_t, ip, sectors[N]).toarray()
+                t_at[u_t] = transfer_matrix(u_t, ip, sectors[N])
             sol.t_residual = _eigen_residual(t_at[u_t], sol.vector, transfer_eigenvalue(u_t, v, ip))
         solutions.append(sol)
 

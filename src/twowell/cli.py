@@ -2,12 +2,14 @@
 
 Verbs:
   verify    run the algebraic-relation residual suites (ybe, rll, tcommute,
-            charges, hrel, all)
+            charges, hrel, all), after checking every dense matrix they would
+            form against model.DENSE_BYTES_CAP
   spectrum  exact-diagonalization spectrum as CSV: every level of every
             sector, or an error if a sector's dense matrix would exceed
             model.DENSE_BYTES_CAP
   bae       solve the rapidity equations, cross-check against the spectrum,
-            emit CSV rows and a JSON report
+            emit CSV rows and a JSON report (the spectral parameter is set only
+            as model.u)
   fig2      ground-state scan E0/mu1 versus mu2/mu1 for the reference
             non-integrable parameter set, as CSV (sparse Lanczos, lowest level
             only)
@@ -27,6 +29,7 @@ import math
 import sys
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import bethe, fock, model, yangbaxter
 from .fock import Mode
@@ -34,6 +37,7 @@ from .model import ModelParams
 from .yangbaxter import IntegrableParams, default_integrable_params
 
 GRID_POINTS_CAP = 100_000
+RLL_CUTOFF = 4  # occupation cutoff of the one-well Fock space in the rll suite
 SUITES = ("ybe", "rll", "tcommute", "charges", "hrel")
 
 
@@ -63,6 +67,9 @@ def _model_from_config(cfg, errors):
     block = cfg.get("model")
     if block is None:
         errors.append("config: missing 'model' block")
+        return None
+    if not isinstance(block, dict):
+        errors.append(f"config: 'model' must be a JSON object, got {type(block).__name__}")
         return None
     kind = block.get("kind")
     if kind not in ("integrable", "physical"):
@@ -207,7 +214,7 @@ def _random_ip(rng, n):
             return IntegrableParams(n, 1.0, np.ones(n), s, t, alpha=1.0)
 
 
-def _suite_rll(seed, levels=(1, 2, 3), cutoff=4, draws=20):
+def _suite_rll(seed, levels, cutoff=RLL_CUTOFF, draws=20):
     rng = np.random.default_rng(seed)
     checks = []
     for n in levels:
@@ -224,7 +231,7 @@ def _suite_rll(seed, levels=(1, 2, 3), cutoff=4, draws=20):
     return checks
 
 
-def _suite_tcommute(seed, n=2, atoms=(1, 2, 3, 4), draws=20):
+def _suite_tcommute(seed, n, atoms, draws=20):
     rng = np.random.default_rng(seed)
     ip = default_integrable_params(n)
     checks = []
@@ -246,9 +253,9 @@ def _suite_charges(seed, n=2, atoms=(1, 2, 3)):
     for N in atoms:
         sector = fock.enumerate_sector(n, N)
         C0, C1, C2 = yangbaxter.conserved_charges(ip, sector)
-        eye = np.eye(sector.dim)
-        c1_gap = float(np.max(np.abs(C1.toarray() - ip.eta * N * eye)))
-        c2_gap = float(np.max(np.abs(C2.toarray() - eye)))
+        eye = sp.identity(sector.dim, format="csr")
+        c1_gap = abs(C1 - ip.eta * N * eye).max()
+        c2_gap = abs(C2 - eye).max()
         worst = 0.0
         for u in rng.uniform(-2, 2, size=3):
             recon = (u * u) * C2 + u * C1 + C0
@@ -281,11 +288,35 @@ def _suite_hrel(seed, levels=(1, 2, 3), atoms=(0, 1, 2, 3, 4)):
     return checks
 
 
+def _verify_dense_errors(suites, levels, n, tcommute_atoms):
+    """One message per dense complex matrix the rll and tcommute suites would
+    form above model.DENSE_BYTES_CAP; no other suite forms a dense matrix that
+    grows with --n or --atoms."""
+    sides = []
+    if "rll" in suites:
+        # aux1 x aux2 x the RLL_CUTOFF-truncated Fock space of one well
+        sides += [(f"rll n={m}", 4 * math.comb(m + RLL_CUTOFF, RLL_CUTOFF)) for m in levels]
+    if "tcommute" in suites:
+        sides += [(f"tcommute n={n} N={N}", fock.dimension(n, N)) for N in tcommute_atoms]
+    errors = []
+    for name, d in sides:
+        try:
+            model.check_dense_fits(d, np.complex128)
+        except ValueError as exc:
+            errors.append(f"{name}: {exc}")
+    return errors
+
+
 def cmd_verify(args) -> int:
     suites = SUITES if args.suite == "all" else (args.suite,)
-    levels = (args.n,) if args.n else None
+    levels = (args.n,) if args.n else (1, 2, 3)
+    n = args.n or 2
     errors = []
     atoms = _atoms_from({}, args, errors, default=()) or None
+    if errors:
+        return _fail_validation(errors)
+    tcommute_atoms = atoms or (1, 2, 3, 4)
+    errors = _verify_dense_errors(suites, levels, n, tcommute_atoms)
     if errors:
         return _fail_validation(errors)
     args.seed = 0 if args.seed is None else args.seed
@@ -295,13 +326,13 @@ def cmd_verify(args) -> int:
         if suite == "ybe":
             checks += _suite_ybe(args.seed)
         elif suite == "rll":
-            checks += _suite_rll(args.seed, levels=levels or (1, 2, 3))
+            checks += _suite_rll(args.seed, levels)
         elif suite == "tcommute":
-            checks += _suite_tcommute(args.seed, n=args.n or 2, atoms=atoms or (1, 2, 3, 4))
+            checks += _suite_tcommute(args.seed, n, tcommute_atoms)
         elif suite == "charges":
-            checks += _suite_charges(args.seed, n=args.n or 2, atoms=atoms or (1, 2, 3))
+            checks += _suite_charges(args.seed, n=n, atoms=atoms or (1, 2, 3))
         elif suite == "hrel":
-            checks += _suite_hrel(args.seed, levels=levels or (1, 2, 3), atoms=atoms or (0, 1, 2, 3, 4))
+            checks += _suite_hrel(args.seed, levels=levels, atoms=atoms or (0, 1, 2, 3, 4))
 
     all_pass = True
     results = []
@@ -336,12 +367,6 @@ def cmd_verify(args) -> int:
 # spectrum
 # ---------------------------------------------------------------------------
 
-def _physical_params(kind, params, errors):
-    if kind == "physical":
-        return params
-    return yangbaxter.identify_parameters(params)
-
-
 def _dense_errors(n_levels, atoms):
     """One message per sector whose dense matrix would exceed model.DENSE_BYTES_CAP."""
     errors = []
@@ -364,7 +389,7 @@ def cmd_spectrum(args) -> int:
     if errors or parsed is None:
         return _fail_validation(errors)
     kind, params = parsed
-    mp = _physical_params(kind, params, errors)
+    mp = params if kind == "physical" else yangbaxter.identify_parameters(params)
 
     errors = _dense_errors(mp.n_levels, atoms)
     if errors:
@@ -396,6 +421,8 @@ def cmd_bae(args) -> int:
     for key in ("seed", "budget"):
         if key in cfg:
             errors.append(f"config: {key!r} is not accepted: the Bethe solver is deterministic")
+    if "u" in cfg:
+        errors.append("config: top-level 'u' is not accepted: the spectral parameter is model.u")
     if errors or parsed is None:
         return _fail_validation(errors)
     kind, params = parsed
@@ -421,8 +448,6 @@ def cmd_bae(args) -> int:
         ip = report.derived
     else:
         ip = params
-    if "u" in cfg:
-        ip.u = complex(cfg["u"])
 
     rows = ["solution_id,root_index,re_v,im_v,energy,bae_residual,eigvec_residual,matched_eigenvalue,delta"]
     sol_json = []
@@ -549,38 +574,13 @@ def cmd_fig2(args) -> int:
     buf = io.StringIO()
     buf.write("N,mu2_over_mu1,E0_over_mu1\n")
     for N in atoms:
-        if not args.force_bae:
-            # mu2 enters only through -mu2 (N_a2 - N_b2): H(mu2) = H0 + mu2 D
-            sector = fock.enumerate_sector(2, N)
-            H0 = model.build_hamiltonian(scan_params(mu2=0.0, mu1=mu1), sector)
-            n_a2, n_b2 = (fock.number_operator(sector, Mode(w, 2)) for w in "ab")
-            D = n_b2 - n_a2
+        # mu2 enters only through -mu2 (N_a2 - N_b2): H(mu2) = H0 + mu2 D
+        sector = fock.enumerate_sector(2, N)
+        H0 = model.build_hamiltonian(scan_params(mu2=0.0, mu1=mu1), sector)
+        n_a2, n_b2 = (fock.number_operator(sector, Mode(w, 2)) for w in "ab")
+        D = n_b2 - n_a2
         for x in grid:
-            if args.force_bae:
-                report = yangbaxter.validate_model(scan_params(mu2=x * mu1, mu1=mu1))
-                if not report.integrable:
-                    payload = {
-                        "integrable": False,
-                        "violations": [
-                            {"constraint": c, "lhs": l, "rhs": r}
-                            for c, l, r in report.violations
-                        ],
-                    }
-                    print(
-                        _report_json("fig2", {"mu2_over_mu1": x, "N": N}, payload, {}),
-                        file=sys.stderr,
-                    )
-                    print(
-                        "error: --force-bae requires integrable couplings", file=sys.stderr
-                    )
-                    return 1
-                result = bethe.solve_bae(report.derived, N)
-                if not result.solutions:
-                    print("error: no rapidity solutions found", file=sys.stderr)
-                    return 2
-                e0 = min(sol.energy.real for sol in result.solutions)
-            else:
-                e0 = float(model.lowest(H0 + (x * mu1) * D).eigenvalues[0])
+            e0 = float(model.lowest(H0 + (x * mu1) * D).eigenvalues[0])
             buf.write(f"{N},{_fmt(x)},{_fmt(e0 / mu1)}\n")
     _write_text(args.out, buf.getvalue())
     return 0
@@ -654,8 +654,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, levels=False)  # the scan set has n = 2
     p.add_argument("--grid", default="0:5:0.05", help="mu2/mu1 grid start:stop:step")
     p.add_argument("--mu1", type=float, default=1.0, help="normalizing potential")
-    p.add_argument("--force-bae", action="store_true", dest="force_bae",
-                   help="use the rapidity-equation path (requires integrable couplings)")
     p.set_defaults(func=cmd_fig2)
 
     p = sub.add_parser("identify", help="check couplings against the integrable family")

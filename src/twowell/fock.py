@@ -4,7 +4,9 @@ A sector holds every occupation vector of ``2 * n_levels`` modes (the n
 on-well levels of well ``a`` first, then those of well ``b``) with a fixed
 total atom number.  Bases are ordered descending-lexicographically, so all
 matrix layouts are deterministic and reproducible.  Operator builders return
-``scipy.sparse`` CSR matrices.
+``scipy.sparse`` CSR matrices.  `tunneling_operator` is the one assembly of the
+inter-well hopping term, shared by the physical Hamiltonian and the transfer
+matrix.
 """
 
 import math
@@ -23,6 +25,7 @@ __all__ = [
     "enumerate_sector",
     "number_operator",
     "hopping_operator",
+    "tunneling_operator",
     "total_number_operator",
     "truncated_ladder",
 ]
@@ -157,6 +160,23 @@ def hopping_operator(sector: FockSector, create: Mode, annihilate: Mode) -> sp.c
         vals.append(math.sqrt((state[cpos] + 1) * n_ann))
     out = sp.coo_matrix((vals, (rows, cols)), shape=(sector.dim, sector.dim))
     return out.tocsr()
+
+
+def tunneling_operator(sector: FockSector, coeffs) -> sp.csr_matrix:
+    """Matrix of sum_{jk} coeffs[j, k] (a_j^dagger b_k + b_k^dagger a_j) on the sector."""
+    n = sector.n_levels
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.shape != (n, n):
+        raise ValueError(f"coeffs must have shape ({n}, {n}), got {coeffs.shape}")
+    out = sp.csr_matrix((sector.dim, sector.dim))
+    for j in range(n):
+        for k in range(n):
+            w = coeffs[j, k]
+            if w == 0.0:
+                continue
+            hop = hopping_operator(sector, Mode("a", j + 1), Mode("b", k + 1))
+            out = out + w * (hop + hop.T)
+    return sp.csr_matrix(out)
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,7 +27,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh, eigvalsh
 
-from .fock import FockSector, Mode, hopping_operator
+from .fock import FockSector, Mode, tunneling_operator
 
 __all__ = [
     "ModelParams",
@@ -128,17 +128,8 @@ def build_hamiltonian(params: ModelParams, sector: FockSector) -> sp.csr_matrix:
         raise ValueError(
             f"params have {params.n_levels} levels, sector has {sector.n_levels}"
         )
-    n = params.n_levels
-    occ = sector.occupations()
-    H = sp.csr_matrix(sp.diags(_diagonal_energy(params, occ), shape=(sector.dim,) * 2))
-    for j in range(n):
-        for k in range(n):
-            w = params.Omega[j, k]
-            if w == 0.0:
-                continue
-            hop = hopping_operator(sector, Mode("a", j + 1), Mode("b", k + 1))
-            H = H - w * (hop + hop.T)
-    return sp.csr_matrix(H)
+    diag = sp.diags(_diagonal_energy(params, sector.occupations()), shape=(sector.dim,) * 2)
+    return sp.csr_matrix(diag - tunneling_operator(sector, params.Omega))
 
 
 def decoupled_energies(params: ModelParams, state) -> tuple[float, float]:

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from twowell import model
+from twowell import model, yangbaxter
 from twowell.cli import GRID_POINTS_CAP, _parse_grid, main
 
 SQRT5 = np.sqrt(5.0)
@@ -164,8 +164,10 @@ def test_bae_report_counts_every_state(tmp_path, capsys):
     assert "seed" not in report["config_echo"] and "budget" not in report["config_echo"]
 
 
-@pytest.mark.parametrize("key", ["seed", "budget"])
+@pytest.mark.parametrize("key", ["seed", "budget", "u"])
 def test_bae_rejects_solver_knobs_in_config(tmp_path, capsys, key):
+    # refused by name, so no value is parsed: a malformed one gives no traceback;
+    # the spectral parameter is set only as model.u
     cfg = write_config(
         tmp_path,
         {
@@ -173,7 +175,7 @@ def test_bae_rejects_solver_knobs_in_config(tmp_path, capsys, key):
                 "kind": "integrable", "n_levels": 1, "eta": 1.0, "omega": [1.0],
                 "s": [1.0], "t": [1.0], "alpha": 1.0,
             },
-            key: 7,
+            key: "abc",
         },
     )
     assert main(["bae", "--config", cfg]) == 1
@@ -181,10 +183,16 @@ def test_bae_rejects_solver_knobs_in_config(tmp_path, capsys, key):
     assert len(err) == 1 and err[0].startswith("error:") and repr(key) in err[0]
 
 
-@pytest.mark.parametrize("flag", ["--seed", "--budget"])
+@pytest.mark.parametrize("flag", ["--seed", "--budget", "--force-bae"])
 def test_bae_has_no_solver_flags(flag):
+    # --seed and --budget drove bae's restart search; --force-bae sent fig2's
+    # non-integrable scan set to the Bethe solver, which always refused it
+    if flag == "--force-bae":
+        argv = ["fig2", "--grid", "0:1:1", "--atoms", "1", flag]
+    else:
+        argv = ["bae", "--atoms", "1", flag, "-1"]
     with pytest.raises(SystemExit) as exc:
-        main(["bae", "--atoms", "1", flag, "-1"])
+        main(argv)
     assert exc.value.code == 2
 
 
@@ -230,11 +238,6 @@ def test_fig2_matches_dense_ground_state_per_point(tmp_path):
         params = scan_params(mu2=float(x) * 1.5, mu1=1.5)
         ref = spectrum(build_hamiltonian(params, enumerate_sector(2, int(N)))).eigenvalues[0]
         assert float(e0) == pytest.approx(ref / 1.5, rel=1e-12, abs=1e-12)
-
-
-def test_fig2_force_bae_requires_integrability(tmp_path, capsys):
-    assert main(["fig2", "--grid", "0:1:1", "--atoms", "1", "--force-bae"]) == 1
-    assert "force-bae" in capsys.readouterr().err
 
 
 def test_fig2_rejects_zero_mu1(capsys):
@@ -319,6 +322,37 @@ def test_config_errors_reported_together(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "model" in err
     assert "atom" in err
+
+
+@pytest.mark.parametrize("verb", ["spectrum", "bae", "identify"])
+@pytest.mark.parametrize("block", [3, [1, 2]])
+def test_non_object_model_block_rejected(tmp_path, capsys, verb, block):
+    cfg = write_config(tmp_path, {"model": block, "n_atoms": [1]})
+    assert main([verb, "--config", cfg]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "'model'" in err[0]
+
+
+def test_verify_dense_sizes_checked_before_any_suite(capsys, monkeypatch):
+    def no_suite(*args, **kwargs):
+        raise AssertionError("a residual was computed")
+
+    # rll at n=1 forms 20 x 20 complex matrices (4 C(5, 4)); tcommute at n=1,
+    # N=19 one of 20 x 20 and at N=20 one of 21 x 21
+    for name in ("ybe_residual", "rll_residual", "transfer_commutator_residual",
+                 "conserved_charges", "hamiltonian_from_transfer"):
+        monkeypatch.setattr(yangbaxter, name, no_suite)
+    assert main(["verify", "--suite", "rll", "--n", "13"]) == 1  # 9520 x 9520 at the real cap
+    assert "rll n=13" in capsys.readouterr().err
+    monkeypatch.setattr(model, "DENSE_BYTES_CAP", 16 * 20 * 20)
+    assert main(["verify", "--n", "1", "--atoms", "19,20"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "tcommute n=1 N=20" in err[0] and "DENSE_BYTES_CAP" in err[0]
+    monkeypatch.setattr(model, "DENSE_BYTES_CAP", 16 * 20 * 20 - 1)
+    assert main(["verify", "--suite", "rll", "--n", "1"]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: rll n=1:")
 
 
 def test_verify_ybe_suite(capsys):

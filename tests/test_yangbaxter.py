@@ -1,5 +1,3 @@
-import warnings
-
 import numpy as np
 import pytest
 
@@ -260,6 +258,12 @@ def test_hamiltonian_matches_identified_model(n):
             h_m = build_hamiltonian(identify_parameters(ip), sector)
             gap = h_t - h_m
             assert (0.0 if gap.nnz == 0 else np.max(np.abs(gap.data))) <= 1e-12
+    # both sides share fock.tunneling_operator; a detuned coupling must still show
+    sector = enumerate_sector(n, 2)
+    mp = identify_parameters(ip)
+    mp.Omega[0, -1] += 1e-6
+    gap = hamiltonian_from_transfer(ip, sector) - build_hamiltonian(mp, sector)
+    assert np.max(np.abs(gap.data)) > 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -274,16 +278,6 @@ def test_identify_forward_reference_values():
     assert np.allclose(mp.eps_b + mp.mu, [-2.0, -2.0], atol=0.0)
     assert np.allclose(np.diag(mp.U_aa), [1.0, 1.0], atol=0.0)
     assert mp.U_aa[0, 1] == 2.0
-
-
-def test_identify_epsilon_from_u_warns_and_differs():
-    ip = default_integrable_params(2, u=0.0)
-    with pytest.warns(UserWarning):
-        mp = identify_parameters(ip, epsilon_from_u=True)
-    assert np.allclose(mp.eps_a - mp.mu, [-2.0, -2.0], atol=0.0)
-    sector = enumerate_sector(2, 1)
-    gap = hamiltonian_from_transfer(ip, sector) - build_hamiltonian(mp, sector)
-    assert np.max(np.abs(gap.toarray())) > 1.0
 
 
 def test_validate_reference_scan_set_not_integrable():
