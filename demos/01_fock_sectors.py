@@ -18,15 +18,15 @@ from twowell import (
 # well a, then n in well b) with a fixed total atom number N.
 sector = enumerate_sector(2, 2)
 print(f"n = 2 levels, N = 2 atoms: dimension {sector.dim}")
-print("basis (descending lexicographic):")
-for state in sector.basis:
-    print("  ", state)
+print("occupation rows (descending lexicographic):")
+for state in sector.occ.tolist():
+    print("  ", tuple(state))
 
 # The counting formula C(2n - 1 + N, N) matches the enumeration.
 for n in (1, 2, 3):
     for N in (0, 2, 5):
         assert dimension(n, N) == enumerate_sector(n, N).dim
-print("\ndimension(n, N) == len(basis) for n <= 3, N <= 5")
+print("\ndimension(n, N) == number of rows for n <= 3, N <= 5")
 
 # Number operators are diagonal; hopping operators move one quantum and
 # carry the usual sqrt matrix elements.
@@ -34,8 +34,9 @@ n_a1 = number_operator(sector, a_mode(1))
 print("\nN_a1 diagonal:", n_a1.diagonal())
 
 hop = hopping_operator(sector, b_mode(1), a_mode(1))
-src = sector.index[(1, 0, 1, 0)]
-dst = sector.index[(0, 0, 2, 0)]
+# a row is found by its combinatorial rank, not by a lookup table
+src = sector.rank((1, 0, 1, 0))
+dst = sector.rank((0, 0, 2, 0))
 print(f"<0,0,2,0| b1^dag a1 |1,0,1,0> = {hop[dst, src]:.6f}  (sqrt(2))")
 
 # The transpose exchanges creation and annihilation roles.

@@ -40,7 +40,7 @@ print(f"dense vs Lanczos: max gap {np.max(np.abs(full.eigenvalues[:5] - low.eige
 # the diagonal reproduces E_a + E_b plus the cross-well density term.
 params.Omega = np.zeros((2, 2))
 H0 = build_hamiltonian(params, sector).toarray()
-state = sector.basis[0]
+state = sector.occ[0]
 e_a, e_b = decoupled_energies(params, state)
 na, nb = np.array(state[:2]), np.array(state[2:])
 cross = na @ params.U_ab @ nb

@@ -24,7 +24,8 @@ eigenvalues come instead from the equivalent real symmetric tridiagonal on the
 collective basis |m, N-m> of the modes A ~ s.a and B ~ t.b
 (`collective_energies`), with lambda0 = alpha N^2 + zeta^2/eta^2 - W^2 - E.
 Each state's roots are the zeros of the TQ null vector at its lambda0,
-polished by damped Newton with an analytic Jacobian.
+polished by damped Newton with an analytic Jacobian.  Bethe vectors are built
+by sparse products with root-independent factors from `fock`, never densely.
 """
 
 import warnings
@@ -314,6 +315,7 @@ def solve_bae(ip: IntegrableParams, n_atoms: int, compute_vectors: bool = True) 
 
     if compute_vectors:
         sectors = [fock.enumerate_sector(ip.n_levels, k) for k in range(N + 1)]
+        factors = [_c_factors(ip, sector) for sector in sectors[:N]]  # shared by all states
         H = hamiltonian_from_transfer(ip, sectors[N])
         t_at = {}  # evaluation point -> sparse t(u) on the N-atom sector
 
@@ -355,7 +357,7 @@ def solve_bae(ip: IntegrableParams, n_atoms: int, compute_vectors: bool = True) 
         )
         if compute_vectors:
             try:
-                sol.vector = bethe_vector(v, ip, sectors)
+                sol.vector = _c_product(v, ip, iter(factors))
             except ValueError:
                 rejected["zero_vector"] += 1
                 continue
@@ -455,33 +457,34 @@ def bethe_energy(
     return e0
 
 
-def _c_operator_matrix(v, ip, src, dst):
-    """Matrix of the Bethe creation operator
+def _c_factors(ip, sector):
+    """The root-independent factors (A^dag, N_b, B^dag) of the Bethe creation
+    operator C(v) from `sector` to the next one up (see `bethe_vector`)."""
+    n_b = sum(fock.number_operator(sector, fock.b_mode(j + 1)) for j in range(ip.n_levels))
+    return fock.creation_operator(sector, "a", ip.s), n_b, fock.creation_operator(sector, "b", ip.s)
 
-        C(v) = (sum_j s_j a_j^dag)[(v - W) I + eta sum_j N_bj]
-             + zeta/eta sum_j s_j b_j^dag
 
-    from the N-atom sector `src` to the (N+1)-atom sector `dst`."""
-    n = ip.n_levels
-    eta, zeta, W = ip.eta, ip.zeta, ip.omega_sum
-    out = np.zeros((dst.dim, src.dim), dtype=complex)
-    for i, state in enumerate(src.basis):
-        nb_tot = sum(state[n:])
-        bracket = (v - W) + eta * nb_tot
-        for j in range(n):
-            up_a = list(state)
-            up_a[j] += 1
-            out[dst.index[tuple(up_a)], i] += ip.s[j] * np.sqrt(state[j] + 1) * bracket
-            up_b = list(state)
-            up_b[n + j] += 1
-            out[dst.index[tuple(up_b)], i] += (
-                (zeta / eta) * ip.s[j] * np.sqrt(state[n + j] + 1)
-            )
-    return out
+def _c_product(v, ip, factors):
+    """prod_i C(v_i)|0>, with `factors` an iterator over the `_c_factors` of
+    sectors 0..N-1 and C(v) x = A^dag ((v - W) x + eta N_b x) + (zeta/eta) B^dag x."""
+    x = np.array([1.0 + 0.0j])
+    for vi in v:
+        a_up, n_b, b_up = next(factors)
+        x = a_up @ ((vi - ip.omega_sum) * x + ip.eta * (n_b @ x)) + (ip.zeta / ip.eta) * (b_up @ x)
+        del a_up, n_b, b_up  # so a lazy `factors` holds one sector's factors at a time
+    if v.size and np.max(np.abs(x)) < 1e-14:
+        raise ValueError("Bethe vector is numerically zero: spurious solution")
+    return x
 
 
 def bethe_vector(roots, ip: IntegrableParams, sectors=None) -> np.ndarray:
-    """Unnormalized Bethe state prod_i C(v_i)|0> in the N-atom sector.
+    """Unnormalized Bethe state prod_i C(v_i)|0> in the N-atom sector, with
+
+        C(v) = (v - W) A^dag + eta A^dag N_b + (zeta/eta) B^dag,
+
+    A = sum_j s_j a_j, B = sum_j s_j b_j and N_b = sum_j N_bj.  The factors
+    A^dag, N_b and B^dag are root-independent sparse matrices from `fock`,
+    built one sector at a time, so no dense matrix is formed.
 
     `sectors` may supply the pre-enumerated sector chain 0..N.  Raises if the
     amplitudes all vanish (a spurious root configuration)."""
@@ -491,12 +494,7 @@ def bethe_vector(roots, ip: IntegrableParams, sectors=None) -> np.ndarray:
         sectors = [fock.enumerate_sector(ip.n_levels, k) for k in range(N + 1)]
     if len(sectors) < N + 1:
         raise ValueError(f"sector chain must cover 0..{N}")
-    x = np.array([1.0 + 0.0j])
-    for k, vi in enumerate(v):
-        x = _c_operator_matrix(vi, ip, sectors[k], sectors[k + 1]) @ x
-    if N and np.max(np.abs(x)) < 1e-14:
-        raise ValueError("Bethe vector is numerically zero: spurious solution")
-    return x
+    return _c_product(v, ip, (_c_factors(ip, sector) for sector in sectors))
 
 
 @dataclass

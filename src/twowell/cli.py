@@ -2,8 +2,9 @@
 
 Verbs:
   verify    run the algebraic-relation residual suites (ybe, rll, tcommute,
-            charges, hrel, all), after checking every dense matrix they would
-            form against model.DENSE_BYTES_CAP
+            charges, hrel, all), after checking every sector they would
+            enumerate against fock.SECTOR_DIM_CAP and every dense matrix they
+            would form against model.DENSE_BYTES_CAP
   spectrum  exact-diagonalization spectrum as CSV: every level of every
             sector, or an error if a sector's dense matrix would exceed
             model.DENSE_BYTES_CAP
@@ -12,7 +13,7 @@ Verbs:
             as model.u)
   fig2      ground-state scan E0/mu1 versus mu2/mu1 for the reference
             non-integrable parameter set, as CSV (sparse Lanczos, lowest level
-            only)
+            only; every sector checked against fock.SECTOR_DIM_CAP first)
   identify  map physical couplings to the integrable family, report as JSON
 
 Configs are single JSON documents; numbers are printed with 17 significant
@@ -23,6 +24,7 @@ Exit codes: 0 success/all-pass, 1 validation or integrability failure,
 """
 
 import argparse
+import dataclasses
 import io
 import json
 import math
@@ -75,36 +77,15 @@ def _model_from_config(cfg, errors):
     if kind not in ("integrable", "physical"):
         errors.append(f"config: model.kind must be 'integrable' or 'physical', got {kind!r}")
         return None
-    fields = {
-        "integrable": ("n_levels", "eta", "omega", "s", "t", "alpha"),
-        "physical": ("n_levels", "U_aa", "U_bb", "U_ab", "mu", "eps_a", "eps_b", "Omega"),
-    }[kind]
-    missing = [f for f in fields if f not in block]
+    cls = IntegrableParams if kind == "integrable" else ModelParams
+    fields = [f.name for f in dataclasses.fields(cls)]  # all required but the integrable u
+    missing = [f for f in fields if f not in block and f != "u"]
     if missing:
         errors.append(f"config: model block missing fields {missing}")
         return None
     try:
-        if kind == "integrable":
-            params = IntegrableParams(
-                n_levels=int(block["n_levels"]),
-                eta=block["eta"],
-                omega=block["omega"],
-                s=block["s"],
-                t=block["t"],
-                alpha=block["alpha"],
-                u=block.get("u", 0.0),
-            )
-        else:
-            params = ModelParams(
-                n_levels=int(block["n_levels"]),
-                U_aa=block["U_aa"],
-                U_bb=block["U_bb"],
-                U_ab=block["U_ab"],
-                mu=block["mu"],
-                eps_a=block["eps_a"],
-                eps_b=block["eps_b"],
-                Omega=block["Omega"],
-            )
+        values = {f: block[f] for f in fields if f in block}
+        params = cls(**values | {"n_levels": int(block["n_levels"])})
     except (ValueError, TypeError) as exc:
         errors.append(f"config: invalid model parameters: {exc}")
         return None
@@ -133,28 +114,14 @@ def _atoms_from(cfg, args, errors, default=(1,)):
 
 
 def _echo_model(kind, params):
-    if kind == "integrable":
-        return {
-            "kind": "integrable",
-            "n_levels": params.n_levels,
-            "eta": params.eta,
-            "omega": params.omega.tolist(),
-            "s": params.s.tolist(),
-            "t": params.t.tolist(),
-            "alpha": params.alpha,
-            "u": [params.u.real, params.u.imag],
-        }
-    return {
-        "kind": "physical",
-        "n_levels": params.n_levels,
-        "U_aa": params.U_aa.tolist(),
-        "U_bb": params.U_bb.tolist(),
-        "U_ab": params.U_ab.tolist(),
-        "mu": params.mu.tolist(),
-        "eps_a": params.eps_a.tolist(),
-        "eps_b": params.eps_b.tolist(),
-        "Omega": params.Omega.tolist(),
-    }
+    """Every field of the parameters as JSON: arrays as lists, complex u as [re, im]."""
+    echo = {"kind": kind}
+    for f in dataclasses.fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, complex):
+            value = [value.real, value.imag]
+        echo[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+    return echo
 
 
 def _report_json(command, config_echo, results, residual_summary):
@@ -288,23 +255,22 @@ def _suite_hrel(seed, levels=(1, 2, 3), atoms=(0, 1, 2, 3, 4)):
     return checks
 
 
-def _verify_dense_errors(suites, levels, n, tcommute_atoms):
-    """One message per dense complex matrix the rll and tcommute suites would
-    form above model.DENSE_BYTES_CAP; no other suite forms a dense matrix that
-    grows with --n or --atoms."""
-    sides = []
-    if "rll" in suites:
-        # aux1 x aux2 x the RLL_CUTOFF-truncated Fock space of one well
-        sides += [(f"rll n={m}", 4 * math.comb(m + RLL_CUTOFF, RLL_CUTOFF)) for m in levels]
-    if "tcommute" in suites:
-        sides += [(f"tcommute n={n} N={N}", fock.dimension(n, N)) for N in tcommute_atoms]
+def _size_errors(sizes, check):
+    """One message per (name, dimension) that `check` refuses: fock.check_sector_fits
+    before a sector is enumerated, model.check_dense_fits before a dense matrix
+    is formed."""
     errors = []
-    for name, d in sides:
+    for name, d in sizes:
         try:
-            model.check_dense_fits(d, np.complex128)
+            check(d)
         except ValueError as exc:
             errors.append(f"{name}: {exc}")
     return errors
+
+
+def _sectors(pairs):
+    """(name, dimension) of each sector (n_levels, N)."""
+    return [(f"sector n={n}, N={N}", fock.dimension(n, N)) for n, N in pairs]
 
 
 def cmd_verify(args) -> int:
@@ -315,8 +281,27 @@ def cmd_verify(args) -> int:
     atoms = _atoms_from({}, args, errors, default=()) or None
     if errors:
         return _fail_validation(errors)
-    tcommute_atoms = atoms or (1, 2, 3, 4)
-    errors = _verify_dense_errors(suites, levels, n, tcommute_atoms)
+    suite_atoms = {
+        "tcommute": atoms or (1, 2, 3, 4),
+        "charges": atoms or (1, 2, 3),
+        "hrel": atoms or (0, 1, 2, 3, 4),
+    }
+    sectors = {
+        (m, N)
+        for suite in suite_atoms.keys() & set(suites)
+        for m in (levels if suite == "hrel" else (n,))
+        for N in suite_atoms[suite]
+    }
+    # Dense complex matrices: rll's on aux1 x aux2 x the RLL_CUTOFF-truncated
+    # Fock space of one well, tcommute's on its sectors.  No other suite forms
+    # a dense matrix that grows with --n or --atoms.
+    dense = []
+    if "rll" in suites:
+        dense += [(f"rll n={m}", 4 * math.comb(m + RLL_CUTOFF, RLL_CUTOFF)) for m in levels]
+    if "tcommute" in suites:
+        dense += [(f"tcommute n={n} N={N}", fock.dimension(n, N)) for N in suite_atoms["tcommute"]]
+    errors = _size_errors(_sectors(sorted(sectors)), fock.check_sector_fits)
+    errors += _size_errors(dense, lambda d: model.check_dense_fits(d, np.complex128))
     if errors:
         return _fail_validation(errors)
     args.seed = 0 if args.seed is None else args.seed
@@ -328,11 +313,11 @@ def cmd_verify(args) -> int:
         elif suite == "rll":
             checks += _suite_rll(args.seed, levels)
         elif suite == "tcommute":
-            checks += _suite_tcommute(args.seed, n, tcommute_atoms)
+            checks += _suite_tcommute(args.seed, n, suite_atoms["tcommute"])
         elif suite == "charges":
-            checks += _suite_charges(args.seed, n=n, atoms=atoms or (1, 2, 3))
+            checks += _suite_charges(args.seed, n=n, atoms=suite_atoms["charges"])
         elif suite == "hrel":
-            checks += _suite_hrel(args.seed, levels=levels, atoms=atoms or (0, 1, 2, 3, 4))
+            checks += _suite_hrel(args.seed, levels=levels, atoms=suite_atoms["hrel"])
 
     all_pass = True
     results = []
@@ -367,17 +352,6 @@ def cmd_verify(args) -> int:
 # spectrum
 # ---------------------------------------------------------------------------
 
-def _dense_errors(n_levels, atoms):
-    """One message per sector whose dense matrix would exceed model.DENSE_BYTES_CAP."""
-    errors = []
-    for N in atoms:
-        try:
-            model.check_dense_fits(fock.dimension(n_levels, N))
-        except ValueError as exc:
-            errors.append(f"sector n={n_levels}, N={N}: {exc}")
-    return errors
-
-
 def cmd_spectrum(args) -> int:
     errors = []
     cfg = _load_json(args.config, errors) if args.config else {}
@@ -391,7 +365,7 @@ def cmd_spectrum(args) -> int:
     kind, params = parsed
     mp = params if kind == "physical" else yangbaxter.identify_parameters(params)
 
-    errors = _dense_errors(mp.n_levels, atoms)
+    errors = _size_errors(_sectors((mp.n_levels, N) for N in atoms), model.check_dense_fits)
     if errors:
         return _fail_validation(errors)
 
@@ -426,7 +400,7 @@ def cmd_bae(args) -> int:
     if errors or parsed is None:
         return _fail_validation(errors)
     kind, params = parsed
-    errors = _dense_errors(params.n_levels, atoms)
+    errors = _size_errors(_sectors((params.n_levels, N) for N in atoms), model.check_dense_fits)
     if errors:
         return _fail_validation(errors)
 
@@ -568,6 +542,7 @@ def cmd_fig2(args) -> int:
         errors.append(f"mu1 must be finite and nonzero (output is normalized by it), got {mu1!r}")
     elif grid and not all(math.isfinite(x * mu1) for x in (grid[0], grid[-1])):
         errors.append(f"mu2 = (mu2/mu1) * mu1 overflows on the grid {args.grid!r}")
+    errors = errors or _size_errors(_sectors((2, N) for N in atoms), fock.check_sector_fits)
     if errors:
         return _fail_validation(errors)
 
@@ -622,7 +597,6 @@ def cmd_identify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_common(p, levels=True):
-    p.add_argument("--config", help="JSON config file")
     if levels:
         p.add_argument("--n", type=int, help="number of on-well levels (>= 1)")
     p.add_argument("--atoms", help="comma-separated total atom numbers")
@@ -643,10 +617,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("spectrum", help="exact-diagonalization spectrum as CSV")
+    p.add_argument("--config", help="JSON config file")
     _add_common(p)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("bae", help="solve the rapidity equations and cross-check")
+    p.add_argument("--config", help="JSON config file")
     _add_common(p)
     p.set_defaults(func=cmd_bae)
 
@@ -657,6 +633,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fig2)
 
     p = sub.add_parser("identify", help="check couplings against the integrable family")
+    p.add_argument("--config", help="JSON config file")
     _add_common(p, levels=False)  # n comes from the config
     p.set_defaults(func=cmd_identify)
 

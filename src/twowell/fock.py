@@ -2,11 +2,14 @@
 
 A sector holds every occupation vector of ``2 * n_levels`` modes (the n
 on-well levels of well ``a`` first, then those of well ``b``) with a fixed
-total atom number.  Bases are ordered descending-lexicographically, so all
-matrix layouts are deterministic and reproducible.  Operator builders return
-``scipy.sparse`` CSR matrices.  `tunneling_operator` is the one assembly of the
-inter-well hopping term, shared by the physical Hamiltonian and the transfer
-matrix.
+total atom number as the rows of one int64 array, `FockSector.occ`, in
+descending lexicographic order.  A row is found by its exact combinatorial
+rank (`FockSector.rank`), not by a lookup table.  Every operator is built,
+with no loop over basis states, from one vectorized primitive (`_shift`) that
+raises and/or lowers a mode on all rows at once.  Builders return
+``scipy.sparse`` CSR matrices.  `tunneling_operator` is the one assembly of
+the inter-well hopping term, shared by the physical Hamiltonian and the
+transfer matrix; `creation_operator` maps a sector to the next one up.
 """
 
 import math
@@ -22,15 +25,24 @@ __all__ = [
     "a_mode",
     "b_mode",
     "dimension",
+    "SECTOR_DIM_CAP",
+    "check_sector_fits",
     "enumerate_sector",
     "number_operator",
     "hopping_operator",
     "tunneling_operator",
+    "creation_operator",
     "total_number_operator",
     "truncated_ladder",
 ]
 
 WELLS = ("a", "b")
+# Largest basis `enumerate_sector` or `truncated_ladder` builds.  A sparse job
+# on a sector (occupations, operators with up to 1 + 2n^2 entries per row,
+# ~20 Lanczos vectors) takes about 0.6 kB per state (fig2 at n = 2), so 2**20
+# states stay below model.DENSE_BYTES_CAP (1 GiB); the largest sector the tests
+# and the benchmark use (n = 2, N = 60: 39711 states) is 26 times smaller.
+SECTOR_DIM_CAP = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -71,67 +83,120 @@ def dimension(n_levels: int, n_atoms: int) -> int:
     return math.comb(2 * n_levels - 1 + n_atoms, n_atoms)
 
 
-def _compositions(n_modes, total):
-    """All occupation tuples of `n_modes` modes summing to `total`,
-    in descending lexicographic order."""
-    if n_modes == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for tail in _compositions(n_modes - 1, total - head):
-            yield (head,) + tail
+def check_sector_fits(d: int):
+    """Raise ValueError if a basis of d states exceeds SECTOR_DIM_CAP."""
+    if d > SECTOR_DIM_CAP:
+        raise ValueError(f"{d} states > SECTOR_DIM_CAP = {SECTOR_DIM_CAP} states")
+
+
+def _enumerate(n_modes, total):
+    """Every occupation row of `n_modes` modes summing to `total`, descending
+    lexicographically, built one mode at a time: a partial row with `rest`
+    atoms left spawns the heads rest, rest - 1, ..., 0 in turn."""
+    check_sector_fits(math.comb(total + n_modes - 1, total))
+    occ = np.zeros((1, 0), dtype=np.int64)
+    rest = np.array([total], dtype=np.int64)
+    for _ in range(n_modes - 1):
+        parent = np.repeat(np.arange(rest.size), rest + 1)
+        starts = np.cumsum(rest + 1) - (rest + 1)
+        head = rest[parent] - (np.arange(parent.size) - starts[parent])
+        occ = np.column_stack([occ[parent], head])
+        rest = rest[parent] - head
+    return np.column_stack([occ, rest])
+
+
+def _rank(occ):
+    """Position of each row of `occ` among the rows of `_enumerate` with the
+    same number of modes and the same total:
+
+        rank(x) = sum_{i < m-1} C(r_i - x_i - 1 + k_i, k_i),
+
+    with k_i = m - i - 1 and r_i = x_i + ... + x_{m-1}: term i counts the
+    rows that agree with x before mode i and hold more than x_i there."""
+    m = occ.shape[1]
+    rest = occ.sum(axis=1)
+    # integer C(a, b), a <= N + m - 2, b < m: C(a, b) = sum_{j<a} C(j, b-1), 0 for a < b
+    table = np.zeros((int(rest.max(initial=0)) + m - 1, m), dtype=np.int64)
+    table[:, 0] = 1
+    for b in range(1, m):
+        table[1:, b] = np.cumsum(table[:-1, b - 1])
+    rank = np.zeros(len(occ), dtype=np.int64)
+    for i in range(m - 1):
+        k = m - i - 1
+        rest -= occ[:, i]  # r_i - x_i
+        rank += table[rest + k - 1, k]
+    return rank
+
+
+def _shift(occ, create=None, annihilate=None):
+    """x_create^dagger and/or x_annihilate (columns of `occ`) on every row at once:
+    (src, dst, amp) are the rows not annihilated, the `_rank` of each shifted row
+    and the amplitudes sqrt((n_create + 1) n_annihilate), a factor per given mode."""
+    src = np.arange(len(occ)) if annihilate is None else np.flatnonzero(occ[:, annihilate])
+    target = occ[src]
+    weight = np.ones(src.size, dtype=np.int64)
+    if annihilate is not None:
+        weight *= target[:, annihilate]
+        target[:, annihilate] -= 1
+    if create is not None:
+        weight *= target[:, create] + 1
+        target[:, create] += 1
+    return src, _rank(target), np.sqrt(weight)
+
+
+def _csr(entries, shape):
+    """CSR matrix from (rows, cols, values) triples that hit distinct entries."""
+    rows, cols, vals = (np.concatenate(part) for part in zip(*entries)) if entries else ([], [], [])
+    return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
 
 
 @dataclass(frozen=True, eq=False)
 class FockSector:
-    """Ordered basis of occupation vectors at fixed total atom number."""
+    """Occupation vectors at fixed total atom number, one row each of `occ`."""
 
     n_levels: int
     n_atoms: int
-    basis: tuple
-    index: dict = field(repr=False)
+    occ: np.ndarray = field(repr=False)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.occ)
 
     def mode_position(self, mode: Mode) -> int:
-        """Column of `mode` inside an occupation tuple."""
+        """Column of `mode` inside an occupation row."""
         if mode.level > self.n_levels:
-            raise ValueError(
-                f"mode {mode} invalid for a sector with {self.n_levels} levels"
-            )
+            raise ValueError(f"mode {mode} invalid for a sector with {self.n_levels} levels")
         offset = 0 if mode.well == "a" else self.n_levels
         return offset + mode.level - 1
 
-    def occupations(self) -> np.ndarray:
-        """Basis occupations as an integer array of shape (dim, 2*n_levels)."""
-        return np.array(self.basis, dtype=np.int64).reshape(self.dim, 2 * self.n_levels)
+    def rank(self, occ):
+        """Row of each occupation vector along the last axis of `occ`."""
+        x = np.asarray(occ, dtype=np.int64)
+        rows = x.reshape(-1, 2 * self.n_levels)
+        if np.any(rows < 0) or np.any(rows.sum(axis=1) != self.n_atoms):
+            raise ValueError(f"occupations {occ!r} are not in the N={self.n_atoms} sector")
+        return _rank(rows).reshape(x.shape[:-1])[()]
 
 
 def enumerate_sector(n_levels: int, n_atoms: int) -> FockSector:
-    """Enumerate the fixed-number basis in descending lexicographic order."""
-    d = dimension(n_levels, n_atoms)
-    basis = tuple(_compositions(2 * n_levels, n_atoms))
-    assert len(basis) == d
-    index = {state: i for i, state in enumerate(basis)}
-    return FockSector(n_levels=n_levels, n_atoms=n_atoms, basis=basis, index=index)
+    """Enumerate the fixed-number basis in descending lexicographic order.
+
+    Raises ValueError, before allocating, above SECTOR_DIM_CAP states."""
+    dimension(n_levels, n_atoms)  # validates the arguments
+    occ = _enumerate(2 * n_levels, n_atoms)
+    return FockSector(n_levels=n_levels, n_atoms=n_atoms, occ=occ)
 
 
 def number_operator(sector: FockSector, mode: Mode) -> sp.csr_matrix:
     """Diagonal matrix of the occupation of `mode` on each basis state."""
-    pos = sector.mode_position(mode)
-    diag = np.array([state[pos] for state in sector.basis], dtype=float)
+    diag = sector.occ[:, sector.mode_position(mode)].astype(float)
     return sp.csr_matrix(sp.diags(diag, shape=(sector.dim, sector.dim)))
 
 
 def total_number_operator(sector: FockSector) -> sp.csr_matrix:
     """Sum of all mode number operators; equals n_atoms * identity on the sector."""
-    out = sp.csr_matrix((sector.dim, sector.dim))
-    for well in WELLS:
-        for level in range(1, sector.n_levels + 1):
-            out = out + number_operator(sector, Mode(well, level))
-    return sp.csr_matrix(out)
+    diag = sector.occ.sum(axis=1).astype(float)
+    return sp.csr_matrix(sp.diags(diag, shape=(sector.dim, sector.dim)))
 
 
 def hopping_operator(sector: FockSector, create: Mode, annihilate: Mode) -> sp.csr_matrix:
@@ -141,47 +206,45 @@ def hopping_operator(sector: FockSector, create: Mode, annihilate: Mode) -> sp.c
     sqrt((n_create + 1) * n_annihilate); total atom number is conserved.
     """
     if create == annihilate:
-        raise ValueError(
-            f"create and annihilate coincide ({create}); use number_operator"
-        )
-    cpos = sector.mode_position(create)
-    apos = sector.mode_position(annihilate)
-    rows, cols, vals = [], [], []
-    for i, state in enumerate(sector.basis):
-        n_ann = state[apos]
-        if n_ann == 0:
-            continue
-        target = list(state)
-        target[apos] -= 1
-        target[cpos] += 1
-        j = sector.index[tuple(target)]
-        rows.append(j)
-        cols.append(i)
-        vals.append(math.sqrt((state[cpos] + 1) * n_ann))
-    out = sp.coo_matrix((vals, (rows, cols)), shape=(sector.dim, sector.dim))
-    return out.tocsr()
+        raise ValueError(f"create and annihilate coincide ({create}); use number_operator")
+    c, a = sector.mode_position(create), sector.mode_position(annihilate)
+    src, dst, amp = _shift(sector.occ, c, a)
+    return _csr([(dst, src, amp)], (sector.dim, sector.dim))
 
 
 def tunneling_operator(sector: FockSector, coeffs) -> sp.csr_matrix:
-    """Matrix of sum_{jk} coeffs[j, k] (a_j^dagger b_k + b_k^dagger a_j) on the sector."""
+    """Matrix of sum_{jk} coeffs[j, k] (a_j^dagger b_k + b_k^dagger a_j) on the sector.
+
+    One COO assembly: the terms of distinct (j, k) and their adjoints hit
+    distinct entries, so no value is a sum."""
     n = sector.n_levels
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (n, n):
         raise ValueError(f"coeffs must have shape ({n}, {n}), got {coeffs.shape}")
-    out = sp.csr_matrix((sector.dim, sector.dim))
+    entries = []
+    for j, k in zip(*np.nonzero(coeffs)):
+        src, dst, amp = _shift(sector.occ, create=j, annihilate=n + k)
+        w = coeffs[j, k] * amp
+        entries += [(dst, src, w), (src, dst, w)]
+    return _csr(entries, (sector.dim, sector.dim))
+
+
+def creation_operator(sector: FockSector, well: str, coeffs) -> sp.csr_matrix:
+    """Matrix of sum_j coeffs[j] x_j^dagger, x_j the modes of `well`, from
+    `sector` to the sector with one more atom."""
+    n = sector.n_levels
+    offset = WELLS.index(well) * n
+    entries = []
     for j in range(n):
-        for k in range(n):
-            w = coeffs[j, k]
-            if w == 0.0:
-                continue
-            hop = hopping_operator(sector, Mode("a", j + 1), Mode("b", k + 1))
-            out = out + w * (hop + hop.T)
-    return sp.csr_matrix(out)
+        src, dst, amp = _shift(sector.occ, create=offset + j)
+        entries.append((dst, src, coeffs[j] * amp))
+    return _csr(entries, (dimension(n, sector.n_atoms + 1), sector.dim))
 
 
 @dataclass(frozen=True, eq=False)
 class TruncatedLadder:
-    """Ladder operators on the direct sum of total-occupation sectors 0..cutoff.
+    """Ladder operators on the direct sum of total-occupation sectors 0..cutoff,
+    stacked in `occ` by increasing total, each in descending lexicographic order.
 
     `ann[j]` lowers mode j with amplitude sqrt(n_j); `cre[j]` raises it and
     maps the top sector to zero.  Canonical commutation [a_i, a_j^dagger] =
@@ -190,15 +253,14 @@ class TruncatedLadder:
 
     n_modes: int
     cutoff: int
-    basis: tuple
-    index: dict = field(repr=False)
+    occ: np.ndarray = field(repr=False)
     ann: list = field(repr=False)
     cre: list = field(repr=False)
     totals: np.ndarray = field(repr=False)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.occ)
 
 
 def truncated_ladder(n_modes: int, cutoff: int) -> TruncatedLadder:
@@ -207,41 +269,16 @@ def truncated_ladder(n_modes: int, cutoff: int) -> TruncatedLadder:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    basis = []
-    for k in range(cutoff + 1):
-        basis.extend(_compositions(n_modes, k))
-    basis = tuple(basis)
-    index = {state: i for i, state in enumerate(basis)}
-    totals = np.array([sum(state) for state in basis], dtype=np.int64)
-    dim = len(basis)
-
-    ann, cre = [], []
+    # A leading slack mode holding cutoff - total puts the sectors in
+    # increasing total, each in descending lexicographic order.
+    occ = _enumerate(n_modes + 1, cutoff)[:, 1:]
+    totals = occ.sum(axis=1)
+    dim = len(occ)
+    ann = []
     for j in range(n_modes):
-        a_rows, a_cols, a_vals = [], [], []
-        c_rows, c_cols, c_vals = [], [], []
-        for i, state in enumerate(basis):
-            nj = state[j]
-            if nj > 0:
-                lower = list(state)
-                lower[j] -= 1
-                a_rows.append(index[tuple(lower)])
-                a_cols.append(i)
-                a_vals.append(math.sqrt(nj))
-            if totals[i] < cutoff:
-                upper = list(state)
-                upper[j] += 1
-                c_rows.append(index[tuple(upper)])
-                c_cols.append(i)
-                c_vals.append(math.sqrt(nj + 1))
-        ann.append(sp.coo_matrix((a_vals, (a_rows, a_cols)), shape=(dim, dim)).tocsr())
-        cre.append(sp.coo_matrix((c_vals, (c_rows, c_cols)), shape=(dim, dim)).tocsr())
-
-    return TruncatedLadder(
-        n_modes=n_modes,
-        cutoff=cutoff,
-        basis=basis,
-        index=index,
-        ann=ann,
-        cre=cre,
-        totals=totals,
-    )
+        src, dst, amp = _shift(occ, annihilate=j)
+        row = np.searchsorted(totals, totals[src] - 1) + dst  # + first row of its sector
+        ann.append(_csr([(row, src, amp)], (dim, dim)))
+    # a_j^dagger is the transpose: it has no entry out of the top sector
+    cre = [op.T.tocsr() for op in ann]
+    return TruncatedLadder(n_modes, cutoff, occ=occ, ann=ann, cre=cre, totals=totals)

@@ -27,7 +27,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh, eigvalsh
 
-from .fock import FockSector, Mode, tunneling_operator
+from .fock import FockSector, Mode, number_operator, total_number_operator, tunneling_operator
 
 __all__ = [
     "ModelParams",
@@ -47,22 +47,13 @@ HERMITICITY_TOL = 1e-12
 DENSE_BYTES_CAP = 1 << 30
 
 
-def _as_square(name, value, n):
+def _as_array(name, value, shape):
     m = np.asarray(value, dtype=float)
-    if m.shape != (n, n):
-        raise ValueError(f"{name} must have shape ({n}, {n}), got {m.shape}")
+    if m.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains non-finite entries")
     return m
-
-
-def _as_vector(name, value, n):
-    v = np.asarray(value, dtype=float)
-    if v.shape != (n,):
-        raise ValueError(f"{name} must have shape ({n},), got {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return v
 
 
 @dataclass
@@ -89,13 +80,10 @@ class ModelParams:
         n = self.n_levels
         if n < 1:
             raise ValueError(f"n_levels must be >= 1, got {n}")
-        self.U_aa = _as_square("U_aa", self.U_aa, n)
-        self.U_bb = _as_square("U_bb", self.U_bb, n)
-        self.U_ab = _as_square("U_ab", self.U_ab, n)
-        self.Omega = _as_square("Omega", self.Omega, n)
-        self.mu = _as_vector("mu", self.mu, n)
-        self.eps_a = _as_vector("eps_a", self.eps_a, n)
-        self.eps_b = _as_vector("eps_b", self.eps_b, n)
+        for name in ("U_aa", "U_bb", "U_ab", "Omega"):
+            setattr(self, name, _as_array(name, getattr(self, name), (n, n)))
+        for name in ("mu", "eps_a", "eps_b"):
+            setattr(self, name, _as_array(name, getattr(self, name), (n,)))
         for name, m in (("U_aa", self.U_aa), ("U_bb", self.U_bb)):
             skew = np.max(np.abs(m - m.T)) if n > 1 else 0.0
             if skew > 1e-12 * max(1.0, np.max(np.abs(m))):
@@ -128,7 +116,7 @@ def build_hamiltonian(params: ModelParams, sector: FockSector) -> sp.csr_matrix:
         raise ValueError(
             f"params have {params.n_levels} levels, sector has {sector.n_levels}"
         )
-    diag = sp.diags(_diagonal_energy(params, sector.occupations()), shape=(sector.dim,) * 2)
+    diag = sp.diags(_diagonal_energy(params, sector.occ), shape=(sector.dim,) * 2)
     return sp.csr_matrix(diag - tunneling_operator(sector, params.Omega))
 
 
@@ -297,8 +285,6 @@ def _comm_norm(A, B) -> float:
 
 
 def conservation_report(params: ModelParams, sector: FockSector) -> ConservationReport:
-    from .fock import number_operator, total_number_operator
-
     H = build_hamiltonian(params, sector)
     n_tot = total_number_operator(sector)
     per_mode = {}

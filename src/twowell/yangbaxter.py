@@ -259,9 +259,8 @@ def transfer_matrix(u: complex, ip: IntegrableParams, sector: FockSector) -> sp.
     if not complex_out:
         u = u.real
 
-    occ = sector.occupations()
-    na_tot = occ[:, :n].sum(axis=1).astype(float)
-    nb_tot = occ[:, n:].sum(axis=1).astype(float)
+    na_tot = sector.occ[:, :n].sum(axis=1).astype(float)
+    nb_tot = sector.occ[:, n:].sum(axis=1).astype(float)
     N = float(sector.n_atoms)
     diag = (
         u * u

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from twowell.bethe import (
     solve_bae,
     transfer_eigenvalue,
 )
-from twowell.fock import enumerate_sector
+from twowell.fock import dimension, enumerate_sector
 from twowell.model import build_hamiltonian, spectrum
 from twowell.yangbaxter import (
     IntegrableParams,
@@ -246,10 +248,10 @@ def test_vector_single_atom_closed_form():
     amp_a = (SQRT5 - 2.0) / np.sqrt(2.0)
     amp_b = 1.0 / np.sqrt(2.0)
     expected = np.zeros(4, dtype=complex)
-    expected[sector.index[(1, 0, 0, 0)]] = amp_a
-    expected[sector.index[(0, 1, 0, 0)]] = amp_a
-    expected[sector.index[(0, 0, 1, 0)]] = amp_b
-    expected[sector.index[(0, 0, 0, 1)]] = amp_b
+    expected[sector.rank((1, 0, 0, 0))] = amp_a
+    expected[sector.rank((0, 1, 0, 0))] = amp_a
+    expected[sector.rank((0, 0, 1, 0))] = amp_b
+    expected[sector.rank((0, 0, 0, 1))] = amp_b
     assert np.allclose(vec, expected, atol=1e-14)
 
     H = hamiltonian_from_transfer(ip, sector).toarray()
@@ -276,6 +278,23 @@ def test_vector_eigen_residuals(n):
         for sol in result.solutions:
             assert sol.h_residual <= 1e-9
             assert sol.t_residual <= 1e-9
+
+
+def test_vector_stays_sparse():
+    # one dense C(v) from N=19 to N=20 atoms at n=2 is 1771 x 1540 complex (43.6 MB)
+    ip = default_integrable_params(2)
+    N = 20
+    sectors = [enumerate_sector(2, k) for k in range(N + 1)]
+    roots = np.linspace(-3.0, 3.0, N) + 0.25j  # arbitrary and distinct
+    dense_bytes = 16 * dimension(2, N) * dimension(2, N - 1)
+    tracemalloc.start()
+    try:
+        vec = bethe_vector(roots, ip, sectors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vec.shape == (dimension(2, N),)
+    assert peak < 0.01 * dense_bytes
 
 
 def test_vector_requires_full_sector_chain():

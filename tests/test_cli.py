@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from twowell import model, yangbaxter
+from twowell import fock, model, yangbaxter
 from twowell.cli import GRID_POINTS_CAP, _parse_grid, main
 
 SQRT5 = np.sqrt(5.0)
@@ -275,12 +275,48 @@ def test_fig2_grid_point_cap(capsys):
     assert str(GRID_POINTS_CAP) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("verb", ["fig2", "identify"])
-def test_verbs_without_levels_reject_n(verb, capsys):
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["fig2", "--n", "3"], id="fig2"),
+        pytest.param(["identify", "--n", "3"], id="identify"),
+        # verify and fig2 read no config
+        pytest.param(["fig2", "--config", "/nonexistent.json"], id="fig2-config"),
+        pytest.param(["verify", "--suite", "ybe", "--config", "/nonexistent.json"], id="verify-config"),
+    ],
+)
+def test_verbs_without_levels_reject_n(argv, capsys):
     with pytest.raises(SystemExit) as exc:
-        main([verb, "--n", "3"])
+        main(argv)
     assert exc.value.code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, cap",
+    [
+        pytest.param(["verify", "--suite", "hrel", "--atoms", "200"], None, id="hrel-200"),  # 2.9e9 states at n=3
+        pytest.param(["fig2", "--atoms", "200"], None, id="fig2-200"),  # 1.4e6 states
+        pytest.param(["verify", "--suite", "hrel"], 3, id="hrel-cap3"),
+        pytest.param(["verify", "--suite", "charges"], 3, id="charges-cap3"),
+        pytest.param(["verify"], 3, id="verify-cap3"),
+        pytest.param(["fig2"], 3, id="fig2-cap3"),
+    ],
+)
+def test_sectors_checked_before_enumeration(argv, cap, capsys, monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("a sector was enumerated")
+
+    monkeypatch.setattr(fock, "enumerate_sector", no_enumeration)
+    if cap is not None:
+        monkeypatch.setattr(fock, "SECTOR_DIM_CAP", cap)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert err and all(line.startswith("error: sector n=") for line in err)
+    assert all("SECTOR_DIM_CAP" in line for line in err)
+    assert len(err) == len(set(err))  # one line per sector
+    assert captured.out == ""
 
 
 def test_identify_integrable_roundtrip(tmp_path, capsys):

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from twowell import fock
 from twowell.fock import (
     Mode,
     a_mode,
@@ -37,13 +40,13 @@ def test_dimension_rejects_bad_input():
 
 def test_enumerate_two_mode_sector():
     sector = enumerate_sector(1, 2)
-    assert sector.basis == ((2, 0), (1, 1), (0, 2))
+    assert sector.occ.tolist() == [[2, 0], [1, 1], [0, 2]]
 
 
 def test_enumerate_unit_occupations():
     sector = enumerate_sector(2, 1)
     assert sector.dim == 4
-    assert sector.basis == ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    assert sector.occ.tolist() == [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
 
 
 def test_enumerate_matches_dimension_exhaustively():
@@ -51,10 +54,52 @@ def test_enumerate_matches_dimension_exhaustively():
         for N in range(7):
             sector = enumerate_sector(n, N)
             assert sector.dim == dimension(n, N)
-            assert all(sum(state) == N for state in sector.basis)
-            # strictly descending lexicographic order, index is the inverse map
-            assert list(sector.basis) == sorted(sector.basis, reverse=True)
-            assert all(sector.index[state] == i for i, state in enumerate(sector.basis))
+            states = [tuple(row) for row in sector.occ.tolist()]
+            assert all(sum(state) == N for state in states)
+            # strictly descending lexicographic order, rank is the inverse map
+            assert states == sorted(states, reverse=True)
+            assert all(sector.rank(state) == i for i, state in enumerate(states))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 3), N=st.integers(0, 8))
+def test_occupation_array_rank_and_hopping(n, N):
+    sector = enumerate_sector(n, N)
+    occ = sector.occ
+    assert occ.shape == (dimension(n, N), 2 * n)
+    assert np.all(occ.sum(axis=1) == N)
+    # consecutive rows are distinct and strictly descending-lex: the first
+    # column where they differ is larger in the earlier row
+    step = occ[:-1] - occ[1:]
+    first = np.argmax(step != 0, axis=1)
+    assert np.all(step[np.arange(len(step)), first] > 0)
+    assert np.array_equal(sector.rank(occ), np.arange(sector.dim))
+
+    modes = [Mode("a", j + 1) for j in range(n)] + [Mode("b", j + 1) for j in range(n)]
+    eye = np.eye(2 * n, dtype=np.int64)
+    for c, create in enumerate(modes):
+        for a, annihilate in enumerate(modes):
+            if c == a:
+                continue
+            hop = hopping_operator(sector, create, annihilate).tocoo()
+            # checked against the rows themselves, without rank
+            assert np.array_equal(occ[hop.row], occ[hop.col] + eye[c] - eye[a])
+            n_c, n_a = occ[hop.col, c], occ[hop.col, a]
+            assert np.array_equal(hop.data, np.sqrt((n_c + 1.0) * n_a))
+            assert hop.nnz == np.count_nonzero(occ[:, a])
+
+
+def test_enumerate_refuses_sectors_above_cap(monkeypatch):
+    assert dimension(3, 200) > fock.SECTOR_DIM_CAP  # 2.9e9 states
+    with pytest.raises(ValueError, match="SECTOR_DIM_CAP"):
+        enumerate_sector(3, 200)
+    monkeypatch.setattr(fock, "SECTOR_DIM_CAP", dimension(2, 3))
+    assert enumerate_sector(2, 3).dim == 20
+    with pytest.raises(ValueError, match="SECTOR_DIM_CAP"):
+        enumerate_sector(2, 4)
+    with pytest.raises(ValueError, match="SECTOR_DIM_CAP"):
+        truncated_ladder(3, 4)  # C(7, 3) = 35 states
+    assert truncated_ladder(3, 3).dim == 20
 
 
 def test_enumerate_sector_20_states():
@@ -65,7 +110,7 @@ def test_number_operator_unit_state():
     sector = enumerate_sector(2, 1)
     n_a1 = number_operator(sector, a_mode(1)).toarray()
     state = np.zeros(4)
-    state[sector.index[(1, 0, 0, 0)]] = 1.0
+    state[sector.rank((1, 0, 0, 0))] = 1.0
     assert n_a1 @ state @ state == 1.0
 
 
@@ -99,16 +144,16 @@ def test_total_number_is_scalar():
 def test_hopping_single_quantum_transfer():
     sector = enumerate_sector(2, 1)
     hop = hopping_operator(sector, b_mode(1), a_mode(1)).toarray()
-    src = sector.index[(1, 0, 0, 0)]
-    dst = sector.index[(0, 0, 1, 0)]
+    src = sector.rank((1, 0, 0, 0))
+    dst = sector.rank((0, 0, 1, 0))
     assert hop[dst, src] == 1.0
 
 
 def test_hopping_ladder_amplitude():
     sector = enumerate_sector(1, 3)
     hop = hopping_operator(sector, b_mode(1), a_mode(1)).toarray()
-    src = sector.index[(1, 2)]
-    dst = sector.index[(0, 3)]
+    src = sector.rank((1, 2))
+    dst = sector.rank((0, 3))
     assert hop[dst, src] == pytest.approx(math.sqrt(3.0), abs=0.0)
 
 

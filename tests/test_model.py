@@ -116,7 +116,7 @@ def test_diagonal_matches_decoupled_plus_cross():
     sector = enumerate_sector(2, 3)
     H = build_hamiltonian(params, sector).toarray()
     assert np.allclose(H, np.diag(np.diag(H)), atol=0.0)
-    for i, state in enumerate(sector.basis):
+    for i, state in enumerate(sector.occ):
         e_a, e_b = decoupled_energies(params, state)
         na = np.array(state[:2], dtype=float)
         nb = np.array(state[2:], dtype=float)

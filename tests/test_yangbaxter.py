@@ -88,13 +88,14 @@ def test_lax_vacuum_action():
     ladders = truncated_ladder(2, 3)
     u = 0.37
     L = lax_operator(u, ip, ladders)
+    row = {tuple(state): i for i, state in enumerate(ladders.occ.tolist())}
     vac = np.zeros(ladders.dim)
-    vac[ladders.index[(0, 0)]] = 1.0
+    vac[row[(0, 0)]] = 1.0
     assert np.allclose(L[0, 0] @ vac, u * vac, atol=0.0)
     assert np.allclose(L[0, 1] @ vac, 0.0, atol=0.0)
     c_vac = L[1, 0] @ vac
     for j, occ in ((0, (1, 0)), (1, (0, 1))):
-        assert c_vac[ladders.index[occ]] == pytest.approx(ip.s[j], abs=0.0)
+        assert c_vac[row[occ]] == pytest.approx(ip.s[j], abs=0.0)
     assert np.allclose(L[1, 1] @ vac, (ip.zeta / ip.eta) * vac, atol=0.0)
 
 
@@ -162,8 +163,8 @@ def test_transfer_vacuum_value():
 def symmetric_block(matrix, sector):
     vec_a = np.zeros(sector.dim)
     vec_b = np.zeros(sector.dim)
-    vec_a[[sector.index[(1, 0, 0, 0)], sector.index[(0, 1, 0, 0)]]] = 1 / np.sqrt(2)
-    vec_b[[sector.index[(0, 0, 1, 0)], sector.index[(0, 0, 0, 1)]]] = 1 / np.sqrt(2)
+    vec_a[sector.rank([(1, 0, 0, 0), (0, 1, 0, 0)])] = 1 / np.sqrt(2)
+    vec_b[sector.rank([(0, 0, 1, 0), (0, 0, 0, 1)])] = 1 / np.sqrt(2)
     basis = np.column_stack([vec_a, vec_b])
     return basis.T @ matrix @ basis
 
