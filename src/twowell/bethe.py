@@ -7,9 +7,9 @@ The equations for N rapidities {v_i} read
     eta^2 (v_i^2 - W^2) / zeta^2 = prod_{j != i} (v_i - v_j - eta) / (v_i - v_j + eta)
 
 and solutions make prod_i C(v_i)|0> an exact eigenvector of the transfer
-matrix and of the derived Hamiltonian.  The layer is exact in the gauge where
-s and t are proportional (symmetric tunneling); a warning is emitted
-otherwise.
+matrix and of the derived Hamiltonian.  The layer serves only the gauge
+where s and t are proportional, which `validate_model` returns for every
+integrable coupling set; `solve_bae` refuses any other.
 
 The solver finds all N+1 solutions without a search.  With q(u) = prod_i
 (u - v_i), the transfer eigenvalue is equivalent to Baxter's TQ relation
@@ -28,12 +28,10 @@ polished by damped Newton with an analytic Jacobian.  Bethe vectors are built
 by sparse products with root-independent factors from `fock`, never densely.
 """
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.optimize import linear_sum_assignment
 from scipy.special import comb
 
 from . import fock
@@ -50,7 +48,6 @@ __all__ = [
     "transfer_eigenvalue",
     "bethe_vector",
     "match_spectrum",
-    "is_conjugation_closed",
 ]
 
 COINCIDENT_TOL = 1e-9
@@ -190,19 +187,6 @@ def _canonical(v):
     return np.sort_complex(np.asarray(v, dtype=complex))
 
 
-def _multiset_distance(a, b):
-    """Max root displacement under the optimal pairing of two multisets.
-
-    Positional comparison of lexicographically sorted roots is unstable when
-    real parts nearly tie (conjugate pairs), so pair by assignment instead.
-    """
-    if a.size == 0:
-        return 0.0
-    cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    return float(np.max(cost[rows, cols]))
-
-
 @dataclass
 class BetheSolution:
     """One converged root multiset with its derived quantities."""
@@ -235,11 +219,6 @@ class SolveResult:
     rejected: dict = field(default_factory=dict)
 
 
-def is_conjugation_closed(roots, tol: float = 1e-8) -> bool:
-    v = _canonical(roots)
-    return _multiset_distance(v, _canonical(np.conj(v))) <= tol
-
-
 def collective_energies(ip: IntegrableParams, n_atoms: int) -> np.ndarray:
     """Ascending energies of the N+1 Bethe states.
 
@@ -249,9 +228,8 @@ def collective_energies(ip: IntegrableParams, n_atoms: int) -> np.ndarray:
 
         alpha Na^2 + alpha Nb^2 + (2 alpha - eta^2) Na Nb + eta W (Na - Nb)
 
-    (Na = m, Nb = N - m) and off-diagonal -|zeta| sqrt((m+1)(N-m)).  With s
-    and t proportional |zeta| = |s||t|; otherwise |zeta| still gives the
-    TQ spectrum of the operator-ordered transfer matrix.
+    (Na = m, Nb = N - m) and off-diagonal -|zeta| sqrt((m+1)(N-m)), where
+    |zeta| = |s||t| for proportional s and t.
     """
     N = int(n_atoms)
     if N < 0:
@@ -299,6 +277,9 @@ def solve_bae(ip: IntegrableParams, n_atoms: int, compute_vectors: bool = True) 
     u-dependent energy, a numerically zero Bethe vector) are left out and
     counted in `rejected`.  With `compute_vectors`, each state carries its
     Bethe vector and its eigen-residuals against H and t(u).
+
+    Raises ValueError for N > 0 unless s and t are proportional: otherwise
+    the self-adjoint t(u) is not the monodromy trace the equations solve.
     """
     N = int(n_atoms)
     if N < 0:
@@ -307,10 +288,9 @@ def solve_bae(ip: IntegrableParams, n_atoms: int, compute_vectors: bool = True) 
 
     st_gap = np.linalg.norm(ip.s) * np.linalg.norm(ip.t) - abs(ip.zeta)
     if N and st_gap > 1e-10 * max(1.0, abs(ip.zeta)):
-        warnings.warn(
-            "s and t are not proportional: Bethe states target the "
-            "operator-ordered transfer matrix, not the symmetric-gauge model",
-            stacklevel=2,
+        raise ValueError(
+            "s and t are not proportional: the Bethe layer solves only t = c s, "
+            "the gauge validate_model returns for physical couplings"
         )
 
     if compute_vectors:

@@ -4,7 +4,8 @@ Builds the gl(2)-invariant rational R-matrix, the multi-state single-site Lax
 operator, the two-site transfer matrix and its conserved charges, and checks
 the defining relations numerically (Yang-Baxter, RLL, commuting transfer
 matrices, Hamiltonian reconstruction).  Also maps the algebraic data
-(eta, omega, s, t, alpha) to physical couplings and back.
+(eta, omega, s, t, alpha) to physical couplings and back; the way back
+returns the gauge t = +-s, the only one the Bethe-ansatz layer solves.
 
 Each operator has one construction and each relation one check: the
 constructors here do not check themselves, the residual functions (and the
@@ -24,7 +25,7 @@ Conventions:
   self-adjoint pairing, which agrees with the operator-ordered trace of
   the site-a x site-b monodromy whenever s and t are proportional (the
   gauge in which the Bethe-ansatz layer operates and which the reverse
-  identification produces for symmetric tunneling matrices).  It is
+  identification always produces).  It is
   assembled by `fock.tunneling_operator` with coefficients outer(s, t), the
   same assembly the physical Hamiltonian uses with Omega.
 * The Hamiltonian is H = (alpha N^2 + zeta^2/eta^2 - W^2) I - t(0).
@@ -191,21 +192,6 @@ def lax_operator(u: complex, ip: IntegrableParams, ladders: TruncatedLadder) -> 
     return blocks
 
 
-def _one_site_embeddings(blocks_u, blocks_v, d):
-    """L1(u) and L2(v) on aux1 x aux2 x Fock."""
-    dim = 4 * d
-    L1 = np.zeros((dim, dim), dtype=complex)
-    L2 = np.zeros((dim, dim), dtype=complex)
-    eye2 = np.eye(2)
-    for a in range(2):
-        for b in range(2):
-            E = np.zeros((2, 2))
-            E[a, b] = 1.0
-            L1 += np.kron(np.kron(E, eye2), blocks_u[a, b])
-            L2 += np.kron(np.kron(eye2, E), blocks_v[a, b])
-    return L1, L2
-
-
 def rll_residual(
     u: complex,
     v: complex,
@@ -233,13 +219,15 @@ def rll_residual(
         Lv = Lv.copy()
         Lu[1, 1] += bump
         Lv[1, 1] += bump
-    L1, L2 = _one_site_embeddings(Lu, Lv, d)
-    R12 = np.kron(r_matrix(u - v, ip.eta), np.eye(d))
-    diff = R12 @ L1 @ L2 - L2 @ L1 @ R12
+    # X[a1, a2, b1, b2] = Lu[a1, b1] Lv[a2, b2] is L1(u) L2(v), Y likewise
+    # L2(v) L1(u); R12 = b I + c P swaps the row (P X) or column (Y P) pair
+    R = r_matrix(u - v, ip.eta)
+    b, c = R[1, 1], R[1, 2]
+    X = Lu[:, None, :, None] @ Lv[None, :, None, :]
+    Y = Lv[None, :, None, :] @ Lu[:, None, :, None]
+    diff = b * (X - Y) + c * (X.swapaxes(0, 1) - Y.swapaxes(2, 3))
     keep = np.where(ladders.totals <= cutoff - 2)[0]
-    diff6 = diff.reshape(2, 2, d, 2, 2, d)
-    sub = diff6[:, :, keep][..., keep]
-    return float(np.max(np.abs(sub)))
+    return float(np.max(np.abs(diff[..., keep, :][..., keep])))
 
 
 # ---------------------------------------------------------------------------
@@ -348,17 +336,17 @@ def identify_parameters(ip: IntegrableParams) -> ModelParams:
 
 
 def _rank_one_factors(Omega):
-    """Best rank-1 factorization Omega ~ outer(s, t) with ||s|| = ||t|| and the
-    first nonzero component of s positive."""
+    """Leading singular data of Omega: s = sqrt(sigma_1) u_1 with its first
+    nonzero component positive, the sign of u_1 . v_1 (+1 when it is 0), and
+    the max-abs residual of the rank-1 approximation."""
     U, sv, Vt = np.linalg.svd(Omega)
     residual = float(np.max(np.abs(Omega - sv[0] * np.outer(U[:, 0], Vt[0]))))
-    root = np.sqrt(sv[0])
-    s = root * U[:, 0]
-    t = root * Vt[0]
+    s = np.sqrt(sv[0]) * U[:, 0]
     nz = np.nonzero(np.abs(s) > 1e-14)[0]
     if nz.size and s[nz[0]] < 0:
-        s, t = -s, -t
-    return s, t, residual
+        s = -s
+    sign = -1.0 if np.dot(U[:, 0], Vt[0]) < 0 else 1.0
+    return s, sign, residual
 
 
 def validate_model(mp: ModelParams, tol: float = 1e-10) -> IdentificationReport:
@@ -366,10 +354,15 @@ def validate_model(mp: ModelParams, tol: float = 1e-10) -> IdentificationReport:
 
     Constraints: (i) a common alpha on all same-well diagonals, (ii) same-well
     off-diagonals equal to 2 alpha, (iii) a common positive eta^2 =
-    2 alpha - U_abjk, (iv) rank-1 tunneling Omega = outer(s, t) with nonzero
-    zeta = s . t, (v) eps_aj - mu_j level-independent and opposite to
-    eps_bj + mu_j, fixing eta W.  Violations are reported with both sides;
-    nothing raises.
+    2 alpha - U_abjk, (iv) nonzero rank-1 tunneling Omega = sigma_1 u_1 v_1^T,
+    (v) eps_aj - mu_j level-independent and opposite to eps_bj + mu_j, fixing
+    eta W.  Violations are reported with both sides; nothing raises.
+
+    The derived parameters are in the gauge t = +-s: s = sqrt(sigma_1) u_1,
+    t = sign(u_1 . v_1) s.  For symmetric Omega these are its own factors.
+    Otherwise they describe the model rotated in well b by an orthogonal map
+    taking v_1 to +-u_1; every other coupling on the manifold depends on
+    well b only through N_b, so the spectrum is the same.
     """
     n = mp.n_levels
     violations = []
@@ -394,17 +387,12 @@ def validate_model(mp: ModelParams, tol: float = 1e-10) -> IdentificationReport:
     if eta_sq <= 0.0:
         violations.append(("eta^2 = 2 alpha - U_abjk positive", eta_sq, 0.0))
 
-    s = t = None
     if np.max(np.abs(mp.Omega)) == 0.0:
         violations.append(("Omega nonzero (zeta != 0)", 0.0, "nonzero"))
     else:
-        s, t, r1_residual = _rank_one_factors(mp.Omega)
+        s, sign, r1_residual = _rank_one_factors(mp.Omega)
         if r1_residual > tol:
             violations.append(("Omega rank-1", r1_residual, 0.0))
-            s = t = None
-        elif abs(float(np.dot(s, t))) <= tol:
-            violations.append(("zeta = s . t nonzero", float(np.dot(s, t)), "nonzero"))
-            s = t = None
 
     lin_a = mp.eps_a - mp.mu
     lin_b = mp.eps_b + mp.mu
@@ -430,7 +418,7 @@ def validate_model(mp: ModelParams, tol: float = 1e-10) -> IdentificationReport:
         eta=eta,
         omega=np.full(n, W / n),
         s=s,
-        t=t,
+        t=sign * s,
         alpha=alpha,
         u=0.0,
     )

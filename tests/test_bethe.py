@@ -2,13 +2,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from twowell.bethe import (
     bae_residual,
     bethe_energy,
     bethe_vector,
     collective_energies,
-    is_conjugation_closed,
     match_spectrum,
     solve_bae,
     transfer_eigenvalue,
@@ -21,6 +22,7 @@ from twowell.yangbaxter import (
     hamiltonian_from_transfer,
     identify_parameters,
     transfer_matrix,
+    validate_model,
 )
 
 SQRT5 = np.sqrt(5.0)
@@ -168,11 +170,42 @@ def test_collective_energies_are_ed_levels(n):
                 assert not free.any()
 
 
-def test_solver_warns_for_nonproportional_couplings():
+@st.composite
+def nonproportional_params(draw):
+    n = draw(st.sampled_from([1, 2, 3]))
+    x = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
+    s, t, omega = (np.array(draw(st.lists(x, min_size=n, max_size=n))) for _ in range(3))
+    norms = np.linalg.norm(s) * np.linalg.norm(t)
+    zeta = float(np.dot(s, t))
+    assume(min(np.linalg.norm(s), np.linalg.norm(t)) >= 0.1 and zeta != 0.0)
+    assume(n == 1 or norms - abs(zeta) >= 1e-3 * norms)
+    eta = draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(0.3, 1.5))
+    return IntegrableParams(n, eta, omega, s, t, alpha=draw(x))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ip=nonproportional_params(), N=st.integers(0, 4))
+def test_gauge_keeps_spectrum_and_bethe_energies(ip, N):
+    # a rotation of well b maps any rank-1 Omega onto t = +-s
+    mp = identify_parameters(ip)
+    derived = validate_model(mp).derived
+    sector = enumerate_sector(ip.n_levels, N)
+    levels = spectrum(build_hamiltonian(mp, sector)).eigenvalues
+    gauged = spectrum(build_hamiltonian(identify_parameters(derived), sector)).eigenvalues
+    assert np.max(np.abs(levels - gauged)) <= 1e-12
+    free = np.ones(levels.size, dtype=bool)
+    for e in collective_energies(derived, N):
+        gaps = np.where(free, np.abs(levels - e), np.inf)
+        k = int(np.argmin(gaps))
+        assert gaps[k] <= 1e-10
+        free[k] = False
+
+
+def test_solver_refuses_nonproportional_couplings():
     ip = IntegrableParams(
         2, 1.0, np.ones(2), np.array([1.0, 0.5]), np.array([0.5, 1.0]), alpha=1.0
     )
-    with pytest.warns(UserWarning, match="not proportional"):
+    with pytest.raises(ValueError, match="not proportional"):
         solve_bae(ip, 1, compute_vectors=False)
 
 
@@ -181,7 +214,12 @@ def test_conjugation_closure_of_solutions():
     result = solve_bae(ip, 3)
     assert result.unique == 4
     for sol in result.solutions:
-        assert is_conjugation_closed(sol.roots)
+        v = sol.roots
+        gaps = np.abs(v[:, None] - np.conj(v)[None, :])
+        nearest = np.argmin(gaps, axis=1)
+        # closed as a multiset: the nearest-conjugate map is a permutation
+        assert sorted(nearest) == list(range(v.size))
+        assert np.max(gaps[np.arange(v.size), nearest]) <= 1e-8
         conj_res = np.max(np.abs(bae_residual(np.conj(sol.roots), ip)))
         assert conj_res <= 1e-10
 

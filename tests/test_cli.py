@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from twowell import fock, model, yangbaxter
 from twowell.cli import GRID_POINTS_CAP, _parse_grid, main
+from twowell.yangbaxter import IntegrableParams
 
 SQRT5 = np.sqrt(5.0)
 
@@ -144,6 +146,66 @@ def test_bae_rejects_non_integrable_couplings(tmp_path, capsys):
     assert "eps_a2 - mu_2" in err
 
 
+def physical_config(tmp_path, mp, atoms):
+    block = {f.name: np.asarray(getattr(mp, f.name)).tolist() for f in dataclasses.fields(mp)}
+    return write_config(tmp_path, {"model": {"kind": "physical"} | block, "n_atoms": atoms})
+
+
+def rank_one_tunneling(name):
+    """Integrable couplings with asymmetric rank-1 Omega: s not parallel to t,
+    or s perpendicular to t."""
+    if name == "nonparallel":
+        ip = IntegrableParams(2, 1.0, [1.0, 1.0], s=[0.9, 0.3], t=[0.2, 0.8], alpha=1.0)
+        return yangbaxter.identify_parameters(ip)
+    mp = yangbaxter.identify_parameters(yangbaxter.default_integrable_params(2))
+    mp.Omega = np.array([[0.0, 0.5], [0.0, 0.0]])
+    return mp
+
+
+@pytest.mark.parametrize("name", ["nonparallel", "perpendicular"])
+def test_identify_gauges_rank_one_tunneling(tmp_path, capsys, name):
+    mp = rank_one_tunneling(name)
+    assert main(["identify", "--config", physical_config(tmp_path, mp, [1])]) == 0
+    derived = json.loads(capsys.readouterr().out)["results"]["derived"]
+    assert derived["t"] == derived["s"]  # u_1 . v_1 >= 0 in both
+    assert np.dot(derived["s"], derived["t"]) == pytest.approx(np.linalg.norm(mp.Omega, 2), abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["nonparallel", "perpendicular"])
+def test_bae_matches_every_state_of_rank_one_tunneling(tmp_path, capsys, name):
+    # matched against the ED of the couplings as given, not of the gauge
+    out = tmp_path / "bae.csv"
+    cfg = physical_config(tmp_path, rank_one_tunneling(name), [1, 2, 3])
+    assert main(["bae", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads(capsys.readouterr().out)["residual_summary"]
+    assert summary["unique"] == summary["matched"] == 2 + 3 + 4
+    assert summary["max_eigvec_residual"] <= 1e-9
+    if name == "nonparallel":
+        _, rows = read_csv(out)
+        energies = sorted({float(r[4]) for r in rows if r[0].startswith("3_")})
+        assert np.allclose(energies, [2.233872, 5.172631, 9.290615, 15.302881], atol=1e-6)
+
+
+def test_bae_refuses_nonparallel_integrable_block(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        {
+            "model": {
+                "kind": "integrable", "n_levels": 2, "eta": 1.0, "omega": [1.0, 1.0],
+                "s": [0.9, 0.3], "t": [0.2, 0.8], "alpha": 1.0,
+            },
+        },
+    )
+    out = tmp_path / "bae.csv"
+    for argv in (["--out", str(out)], []):
+        assert main(["bae", "--config", cfg] + argv) == 1
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "not proportional" in err[0]
+        assert captured.out == ""
+    assert not out.exists()
+
+
 def test_bae_byte_deterministic(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
@@ -280,6 +342,7 @@ def test_fig2_grid_point_cap(capsys):
     [
         pytest.param(["fig2", "--n", "3"], id="fig2"),
         pytest.param(["identify", "--n", "3"], id="identify"),
+        pytest.param(["identify", "--atoms", "3"], id="identify-atoms"),
         # verify and fig2 read no config
         pytest.param(["fig2", "--config", "/nonexistent.json"], id="fig2-config"),
         pytest.param(["verify", "--suite", "ybe", "--config", "/nonexistent.json"], id="verify-config"),

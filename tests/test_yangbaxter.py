@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from twowell.fock import Mode, enumerate_sector, hopping_operator, truncated_ladder
-from twowell.model import build_hamiltonian
+from twowell.model import build_hamiltonian, spectrum
 from twowell.yangbaxter import (
     IntegrableParams,
     conserved_charges,
@@ -332,7 +332,18 @@ def test_identification_round_trip(n):
     assert derived.eta == pytest.approx(abs(ip.eta), abs=1e-10)
     assert derived.alpha == pytest.approx(ip.alpha, abs=1e-10)
     assert derived.eta * derived.omega_sum == pytest.approx(ip.eta * ip.omega_sum, abs=1e-10)
-    assert np.allclose(np.outer(derived.s, derived.t), np.outer(ip.s, ip.t), atol=1e-10)
+    # the gauge t = +-s, with the input's sigma_1 = |s||t|, and the same spectrum
+    norms = np.linalg.norm(derived.s) * np.linalg.norm(derived.t)
+    assert abs(derived.zeta) == pytest.approx(norms, abs=1e-12)
+    sigma_1 = np.linalg.svd(np.outer(ip.s, ip.t), compute_uv=False)[0]
+    assert norms == pytest.approx(sigma_1, abs=1e-10)
+    for N in range(4):
+        sector = enumerate_sector(n, N)
+        levels = [
+            spectrum(build_hamiltonian(identify_parameters(p), sector)).eigenvalues
+            for p in (ip, derived)
+        ]
+        assert np.max(np.abs(levels[0] - levels[1])) <= 1e-12
 
 
 def test_integrable_params_validation():
