@@ -303,6 +303,12 @@ def test_validate_rank_one_factorization():
     assert derived.s[0] > 0
     assert np.allclose(derived.s, [1.0, 2.0], atol=1e-12)
     assert np.allclose(derived.t, [1.0, 2.0], atol=1e-12)
+    # negative-definite Omega: u_1 . v_1 < 0, so the gauge takes t = -s
+    mp.Omega = -mp.Omega
+    derived = validate_model(mp).derived
+    assert np.allclose(np.outer(derived.s, derived.t), mp.Omega, atol=1e-12)
+    assert np.allclose(derived.s, [1.0, 2.0], atol=1e-12)
+    assert np.allclose(derived.t, -derived.s, atol=0.0)
 
 
 def test_validate_rejects_full_rank_omega():
@@ -337,6 +343,8 @@ def test_identification_round_trip(n):
     assert abs(derived.zeta) == pytest.approx(norms, abs=1e-12)
     sigma_1 = np.linalg.svd(np.outer(ip.s, ip.t), compute_uv=False)[0]
     assert norms == pytest.approx(sigma_1, abs=1e-10)
+    if n == 1:  # s and t are parallel, so the gauge keeps Omega itself
+        assert np.allclose(np.outer(derived.s, derived.t), np.outer(ip.s, ip.t), atol=1e-10)
     for N in range(4):
         sector = enumerate_sector(n, N)
         levels = [
