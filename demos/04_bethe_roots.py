@@ -3,7 +3,8 @@
 eigenvectors, and cross-check every energy against exact diagonalization.
 
 The solver is deterministic: the N+1 energies come from a tridiagonal on the
-collective basis, and each state's roots from Baxter's TQ relation."""
+collective basis, and each state's roots from Baxter's TQ relation; a state
+keeps its roots only if they give its energy back."""
 
 import numpy as np
 
@@ -34,7 +35,7 @@ for N in (1, 2, 3):
           f"tridiagonal energies {np.round(collective_energies(ip, N), 6)}")
     for sol in result.solutions:
         roots = ", ".join(f"{r:.6f}" for r in sol.roots)
-        print(f"  E = {sol.energy.real:+.8f}   roots [{roots}]")
+        print(f"  E = {sol.energy:+.8f}   roots [{roots}]")
         print(f"      |BAE| = {sol.residual:.1e}, |Hx - Ex| = {sol.h_residual:.1e}, "
               f"|t x - Lx| = {sol.t_residual:.1e}")
 

@@ -23,8 +23,9 @@ J. Phys. A 36 (2003) R63).  Its monomial form is ill-conditioned, so the
 eigenvalues come instead from the equivalent real symmetric tridiagonal on the
 collective basis |m, N-m> of the modes A ~ s.a and B ~ t.b
 (`collective_energies`), with lambda0 = alpha N^2 + zeta^2/eta^2 - W^2 - E.
-Each state's roots are the zeros of the TQ null vector at its lambda0,
-polished by damped Newton with an analytic Jacobian.  Bethe vectors are built
+Each state keeps that exact energy E.  Its roots are the zeros of the TQ null
+vector at its lambda0, polished by damped Newton with an analytic Jacobian,
+and kept only if `bethe_energy` gives E back from them.  Bethe vectors are built
 by sparse products with root-independent factors from `fock`, never densely.
 """
 
@@ -122,7 +123,7 @@ def _safe_norms(v, ip):
 
 
 def _newton(v0, ip, tol=BAE_TOL, max_iter=MAX_NEWTON_ITER):
-    """Damped Newton iteration over the 2N real root coordinates.
+    """Damped Newton iteration on the N complex roots.
 
     Returns the converged roots or None.  Steps are damped by Armijo
     backtracking on the squared residual norm; once the residual is below
@@ -132,7 +133,6 @@ def _newton(v0, ip, tol=BAE_TOL, max_iter=MAX_NEWTON_ITER):
     f, fmax = _safe_norms(v, ip)
     if f is None:
         return None
-    n = v.size
     for _ in range(max_iter):
         if fmax <= tol:
             # undamped polish toward machine precision
@@ -164,22 +164,12 @@ def _newton(v0, ip, tol=BAE_TOL, max_iter=MAX_NEWTON_ITER):
 
 
 def _newton_step(v, f, ip):
-    """Solve J dv = -f through the real embedding of the holomorphic Jacobian."""
-    n = v.size
-    Jc = _jacobian(v, ip)
-    J = np.empty((2 * n, 2 * n))
-    J[:n, :n] = Jc.real
-    J[:n, n:] = -Jc.imag
-    J[n:, :n] = Jc.imag
-    J[n:, n:] = Jc.real
-    rhs = np.concatenate([-f.real, -f.imag])
+    """Solve J dv = -f; the residual map is holomorphic, so J is its complex Jacobian."""
     try:
-        dx = np.linalg.solve(J, rhs)
+        dv = np.linalg.solve(_jacobian(v, ip), -f)
     except np.linalg.LinAlgError:
         return None
-    if not np.all(np.isfinite(dx)):
-        return None
-    return dx[:n] + 1j * dx[n:]
+    return dv if np.all(np.isfinite(dv)) else None
 
 
 def _canonical(v):
@@ -189,16 +179,16 @@ def _canonical(v):
 
 @dataclass
 class BetheSolution:
-    """One converged root multiset with its derived quantities."""
+    """One Bethe state: its exact energy, the roots that reproduce it, and
+    its Bethe vector with the eigen-residuals against H and t(u)."""
 
     roots: np.ndarray
     residual: float
-    energy: complex
-    vector: np.ndarray | None = None
-    h_residual: float | None = None
-    t_residual: float | None = None
+    energy: float
+    vector: np.ndarray
+    h_residual: float
+    t_residual: float
     matched_eigenvalue: float | None = None
-    near_eval_pole: bool = False
 
     @property
     def n_atoms(self) -> int:
@@ -266,17 +256,19 @@ def _tq_roots(T, lam):
     return np.roots(c[::-1] / c[-1]).astype(complex)
 
 
-def solve_bae(ip: IntegrableParams, n_atoms: int, compute_vectors: bool = True) -> SolveResult:
+def solve_bae(ip: IntegrableParams, n_atoms: int) -> SolveResult:
     """All N+1 solutions of the rapidity equations, in ascending energy.
 
-    The energies come from `collective_energies`, each state's roots from
-    the null vector of the TQ operator at lambda0 = alpha N^2 + zeta^2/eta^2
-    - W^2 - E, polished by Newton until the equation residual is at most
-    1e-10.  States whose roots do not reach that residual, or that show a
-    standard pathology (coincident roots, a pair at v_i - v_j = -eta, a
-    u-dependent energy, a numerically zero Bethe vector) are left out and
-    counted in `rejected`.  With `compute_vectors`, each state carries its
-    Bethe vector and its eigen-residuals against H and t(u).
+    Each state's energy E is exact, from `collective_energies`; its roots
+    come from the null vector of the TQ operator at lambda0 = alpha N^2 +
+    zeta^2/eta^2 - W^2 - E, polished by Newton until the equation residual
+    is at most 1e-10.  The roots are kept only if `bethe_energy` gives back
+    E from them to 1e-9 relative.  States whose roots do not reach the
+    residual, show a standard pathology (coincident roots, a pair at
+    v_i - v_j = -eta, a numerically zero Bethe vector) or fail the energy
+    check are left out and counted in `rejected`.  Each kept state carries
+    its Bethe vector and its eigen-residuals against H and t(u), with u the
+    point at which its energy was checked.
 
     Raises ValueError for N > 0 unless s and t are proportional: otherwise
     the self-adjoint t(u) is not the monodromy trace the equations solve.
@@ -284,7 +276,7 @@ def solve_bae(ip: IntegrableParams, n_atoms: int, compute_vectors: bool = True) 
     N = int(n_atoms)
     if N < 0:
         raise ValueError(f"n_atoms must be >= 0, got {N}")
-    rejected = {"unconverged": 0, "coincident": 0, "string_pole": 0, "zero_vector": 0, "u_dependence": 0}
+    rejected = {"unconverged": 0, "coincident": 0, "string_pole": 0, "energy_mismatch": 0, "zero_vector": 0}
 
     st_gap = np.linalg.norm(ip.s) * np.linalg.norm(ip.t) - abs(ip.zeta)
     if N and st_gap > 1e-10 * max(1.0, abs(ip.zeta)):
@@ -293,21 +285,21 @@ def solve_bae(ip: IntegrableParams, n_atoms: int, compute_vectors: bool = True) 
             "the gauge validate_model returns for physical couplings"
         )
 
-    if compute_vectors:
-        sectors = [fock.enumerate_sector(ip.n_levels, k) for k in range(N + 1)]
-        factors = [_c_factors(ip, sector) for sector in sectors[:N]]  # shared by all states
-        H = hamiltonian_from_transfer(ip, sectors[N])
-        t_at = {}  # evaluation point -> sparse t(u) on the N-atom sector
+    sectors = [fock.enumerate_sector(ip.n_levels, k) for k in range(N + 1)]
+    factors = [_c_factors(ip, sector) for sector in sectors[:N]]  # shared by all states
+    H = hamiltonian_from_transfer(ip, sectors[N])
+    t_at = {}  # evaluation point -> sparse t(u) on the N-atom sector
 
     eta, zeta, W = ip.eta, ip.zeta, ip.omega_sum
     # u = scale x keeps the monomial coefficients of q of comparable size
     scale = max(abs(W), abs(zeta / eta), abs(eta) * N, 1.0)
     T = _tq_matrix(N, eta / scale, W / scale, (zeta / eta / scale) ** 2)
-    lam0 = ip.alpha * N * N + (zeta / eta) ** 2 - W * W - collective_energies(ip, N)
+    energies = collective_energies(ip, N)
+    lam0 = ip.alpha * N * N + (zeta / eta) ** 2 - W * W - energies
 
     converged = 0
     solutions = []
-    for lam in lam0:
+    for energy, lam in zip(energies, lam0):
         v = np.array([], dtype=complex)
         if N:
             v = _newton(scale * _tq_roots(T, lam / scale**2), ip)
@@ -323,30 +315,27 @@ def solve_bae(ip: IntegrableParams, n_atoms: int, compute_vectors: bool = True) 
         if pole < COINCIDENT_TOL:
             rejected["string_pole"] += 1
             continue
-        residual = float(np.max(np.abs(_residual(v, ip)), initial=0.0))
-        try:
-            energy = bethe_energy(v, ip, N)
-        except ValueError:
-            rejected["u_dependence"] += 1
+        u = _admissible_eval_point(0.0, v)
+        if abs(bethe_energy(v, ip, N, u) - energy) > 1e-9 * max(1.0, abs(energy)):
+            rejected["energy_mismatch"] += 1
             continue
-        sol = BetheSolution(
-            roots=v,
-            residual=residual,
-            energy=energy,
-            near_eval_pole=bool(v.size and np.min(np.abs(v - ip.u)) < 1e-6),
+        try:
+            vector = _c_product(v, ip, iter(factors))
+        except ValueError:
+            rejected["zero_vector"] += 1
+            continue
+        if u not in t_at:
+            t_at[u] = transfer_matrix(u, ip, sectors[N])
+        solutions.append(
+            BetheSolution(
+                roots=v,
+                residual=float(np.max(np.abs(_residual(v, ip)), initial=0.0)),
+                energy=float(energy),
+                vector=vector,
+                h_residual=_eigen_residual(H, vector, energy),
+                t_residual=_eigen_residual(t_at[u], vector, transfer_eigenvalue(u, v, ip)),
+            )
         )
-        if compute_vectors:
-            try:
-                sol.vector = _c_product(v, ip, iter(factors))
-            except ValueError:
-                rejected["zero_vector"] += 1
-                continue
-            sol.h_residual = _eigen_residual(H, sol.vector, energy)
-            u_t = _admissible_eval_point(ip.u, v)
-            if u_t not in t_at:
-                t_at[u_t] = transfer_matrix(u_t, ip, sectors[N])
-            sol.t_residual = _eigen_residual(t_at[u_t], sol.vector, transfer_eigenvalue(u_t, v, ip))
-        solutions.append(sol)
 
     return SolveResult(
         solutions=solutions,
@@ -388,53 +377,22 @@ def transfer_eigenvalue(u: complex, roots, ip: IntegrableParams) -> complex:
     return (u * u - W * W) * p_minus + (zeta**2 / eta**2) * p_plus
 
 
-def bethe_energy(
-    roots,
-    ip: IntegrableParams,
-    n_atoms: int,
-    u: complex | None = None,
-    check: bool = True,
-) -> complex:
-    """Energy of a Bethe state,
+def bethe_energy(roots, ip: IntegrableParams, n_atoms: int, u: complex = 0.0) -> complex:
+    """Energy of a Bethe state from its roots (Baxter's TQ relation),
 
         E = u^2 + u eta N + alpha N^2 + zeta^2/eta^2 - W^2 - Lambda(u),
 
-    which is u-independent on rapidity-equation solutions.  With `check` the
-    value is recomputed at a shifted spectral parameter and both must agree
-    to 1e-9 relative.
+    which is u-independent on rapidity-equation solutions.  Raises if u
+    coincides with a root, where Lambda(u) has a pole.
     """
     v = np.asarray(roots, dtype=complex).reshape(-1)
     N = int(n_atoms)
     if v.size != N:
         raise ValueError(f"expected {N} roots, got {v.size}")
+    u = complex(u)
     eta, zeta, W = ip.eta, ip.zeta, ip.omega_sum
-
-    def energy_at(ueval):
-        lam = transfer_eigenvalue(ueval, v, ip)
-        return (
-            ueval * ueval
-            + ueval * eta * N
-            + ip.alpha * N * N
-            + zeta**2 / eta**2
-            - W * W
-            - lam
-        )
-
-    u0 = complex(ip.u if u is None else u)
-    if v.size and np.min(np.abs(v - u0)) < 1e-9:
-        raise ValueError(
-            "spectral parameter coincides with a root; evaluate at a shifted u"
-        )
-    e0 = energy_at(u0)
-    if check:
-        u1 = _admissible_eval_point(u0 + 1.0, v)
-        e1 = energy_at(u1)
-        if abs(e0 - e1) > 1e-9 * max(1.0, abs(e0)):
-            raise ValueError(
-                f"energy is u-dependent ({e0} at u={u0} vs {e1} at u={u1}): "
-                "roots do not solve the rapidity equations"
-            )
-    return e0
+    lam = transfer_eigenvalue(u, v, ip)
+    return u * u + u * eta * N + ip.alpha * N * N + zeta**2 / eta**2 - W * W - lam
 
 
 def _c_factors(ip, sector):
@@ -491,9 +449,9 @@ class MatchReport:
 
 
 def match_spectrum(solutions, spectrum, tol: float = 1e-8) -> MatchReport:
-    """Pair each Bethe energy (real part) with the nearest unmatched
-    eigenvalue; a pair within `tol` consumes the level.  Coverage of the
-    spectrum is reported, never asserted."""
+    """Pair each Bethe energy with the nearest unmatched eigenvalue; a pair
+    within `tol` consumes the level.  Coverage of the spectrum is reported,
+    never asserted."""
     eigenvalues = np.asarray(spectrum.eigenvalues, dtype=float)
     taken = np.zeros(eigenvalues.size, dtype=bool)
     pairs = []
@@ -504,7 +462,7 @@ def match_spectrum(solutions, spectrum, tol: float = 1e-8) -> MatchReport:
         if free.size == 0:
             unmatched_solutions.append(si)
             continue
-        gaps = np.abs(eigenvalues[free] - sol.energy.real)
+        gaps = np.abs(eigenvalues[free] - sol.energy)
         best = free[int(np.argmin(gaps))]
         delta = float(np.min(gaps))
         if delta <= tol:

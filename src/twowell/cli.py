@@ -10,7 +10,8 @@ Verbs:
             model.DENSE_BYTES_CAP
   bae       solve the rapidity equations in the gauge t = +-s, cross-check
             against the spectrum of the couplings as given, emit CSV rows and
-            a JSON report (the spectral parameter is set only as model.u)
+            a JSON report; each state's energy is exact, and its roots are
+            kept only if they give it back
   fig2      ground-state scan E0/mu1 versus mu2/mu1 for the reference
             non-integrable parameter set, as CSV (sparse Lanczos, lowest level
             only; every sector checked against fock.SECTOR_DIM_CAP first)
@@ -78,14 +79,21 @@ def _model_from_config(cfg, errors):
         errors.append(f"config: model.kind must be 'integrable' or 'physical', got {kind!r}")
         return None
     cls = IntegrableParams if kind == "integrable" else ModelParams
-    fields = [f.name for f in dataclasses.fields(cls)]  # all required but the integrable u
-    missing = [f for f in fields if f not in block and f != "u"]
+    fields = [f.name for f in dataclasses.fields(cls)]
+    missing = [f for f in fields if f not in block]
+    unknown = [k for k in block if k not in fields and k != "kind"]
     if missing:
         errors.append(f"config: model block missing fields {missing}")
+    if unknown:
+        errors.append(f"config: model block has unknown fields {unknown}")
+    if missing or unknown:
+        return None
+    # counts are JSON integers (type() excludes bools), never truncated floats
+    if type(block["n_levels"]) is not int:
+        errors.append(f"config: model.n_levels must be an integer, got {block['n_levels']!r}")
         return None
     try:
-        values = {f: block[f] for f in fields if f in block}
-        params = cls(**values | {"n_levels": int(block["n_levels"])})
+        params = cls(**{f: block[f] for f in fields})
     except (ValueError, TypeError) as exc:
         errors.append(f"config: invalid model parameters: {exc}")
         return None
@@ -93,19 +101,18 @@ def _model_from_config(cfg, errors):
 
 
 def _atoms_from(cfg, args, errors, default=(1,)):
-    raw = None
     if args.atoms is not None:
-        raw = args.atoms
+        try:
+            atoms = [int(x) for x in args.atoms.split(",")]
+        except ValueError:
+            errors.append(f"invalid atom list {args.atoms!r}")
+            return list(default)
     elif "n_atoms" in cfg:
-        raw = cfg["n_atoms"]
-    if raw is None:
-        return list(default)
-    if isinstance(raw, str):
-        raw = raw.split(",")
-    try:
-        atoms = [int(x) for x in raw]
-    except (TypeError, ValueError):
-        errors.append(f"invalid atom list {raw!r}")
+        atoms = cfg["n_atoms"]
+        if not (isinstance(atoms, list) and all(type(a) is int for a in atoms)):
+            errors.append(f"config: n_atoms must be a list of integers, got {atoms!r}")
+            return list(default)
+    else:
         return list(default)
     bad = [a for a in atoms if a < 0]
     if bad:
@@ -114,12 +121,10 @@ def _atoms_from(cfg, args, errors, default=(1,)):
 
 
 def _echo_model(kind, params):
-    """Every field of the parameters as JSON: arrays as lists, complex u as [re, im]."""
+    """Every field of the parameters as JSON, arrays as lists: a valid model block."""
     echo = {"kind": kind}
     for f in dataclasses.fields(params):
         value = getattr(params, f.name)
-        if isinstance(value, complex):
-            value = [value.real, value.imag]
         echo[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
     return echo
 
@@ -396,7 +401,7 @@ def cmd_bae(args) -> int:
         if key in cfg:
             errors.append(f"config: {key!r} is not accepted: the Bethe solver is deterministic")
     if "u" in cfg:
-        errors.append("config: top-level 'u' is not accepted: the spectral parameter is model.u")
+        errors.append("config: 'u' is not accepted: Bethe energies are exact, at no spectral parameter")
     if errors or parsed is None:
         return _fail_validation(errors)
     kind, params = parsed
@@ -452,16 +457,14 @@ def cmd_bae(args) -> int:
         summary["spectrum_levels"] += match.n_eigenvalues
         summary["max_matched_delta"] = max(summary["max_matched_delta"], match.max_matched_delta)
         for sid, sol in enumerate(result.solutions):
-            eig_res = max(sol.h_residual or 0.0, sol.t_residual or 0.0)
+            eig_res = max(sol.h_residual, sol.t_residual)
             summary["max_bae_residual"] = max(summary["max_bae_residual"], sol.residual)
             summary["max_eigvec_residual"] = max(summary["max_eigvec_residual"], eig_res)
-            matched = "" if sol.matched_eigenvalue is None else _fmt(sol.matched_eigenvalue)
-            delta = (
-                ""
-                if sol.matched_eigenvalue is None
-                else _fmt(abs(sol.energy.real - sol.matched_eigenvalue))
-            )
-            common = f"{_fmt(sol.energy.real)},{_fmt(sol.residual)},{_fmt(eig_res)},{matched},{delta}"
+            matched = delta = ""
+            if sol.matched_eigenvalue is not None:
+                matched = _fmt(sol.matched_eigenvalue)
+                delta = _fmt(abs(sol.energy - sol.matched_eigenvalue))
+            common = f"{_fmt(sol.energy)},{_fmt(sol.residual)},{_fmt(eig_res)},{matched},{delta}"
             if N == 0:
                 rows.append(f"{N}_{sid},-1,,,{common}")
             for ri, root in enumerate(sol.roots):
@@ -471,12 +474,11 @@ def cmd_bae(args) -> int:
                     "n_atoms": N,
                     "solution_id": f"{N}_{sid}",
                     "roots": [[r.real, r.imag] for r in sol.roots],
-                    "energy": [sol.energy.real, sol.energy.imag],
+                    "energy": sol.energy,
                     "bae_residual": sol.residual,
                     "h_residual": sol.h_residual,
                     "t_residual": sol.t_residual,
                     "matched_eigenvalue": sol.matched_eigenvalue,
-                    "near_eval_pole": sol.near_eval_pole,
                 }
             )
 
@@ -592,16 +594,22 @@ def cmd_identify(args) -> int:
     print(text)
     if args.out:
         _write_text(args.out, text + "\n")
-    return 0 if report.integrable else 1
+    if not report.integrable:
+        return _fail_validation(["physical couplings are not integrable"])
+    return 0
 
 
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
 
-def _add_common(p, levels=True):
+def _add_common(p, levels=True, config=False):
+    # a config carries its own n_levels, so --n and --config exclude each other
+    group = p.add_mutually_exclusive_group() if config else p
+    if config:
+        group.add_argument("--config", help="JSON config file")
     if levels:
-        p.add_argument("--n", type=int, help="number of on-well levels (>= 1)")
+        group.add_argument("--n", type=int, help="number of on-well levels (>= 1)")
     p.add_argument("--atoms", help="comma-separated total atom numbers")
     p.add_argument("--out", help="output path (default: stdout)")
 
@@ -620,13 +628,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("spectrum", help="exact-diagonalization spectrum as CSV")
-    p.add_argument("--config", help="JSON config file")
-    _add_common(p)
+    _add_common(p, config=True)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("bae", help="solve the rapidity equations and cross-check")
-    p.add_argument("--config", help="JSON config file")
-    _add_common(p)
+    _add_common(p, config=True)
     p.set_defaults(func=cmd_bae)
 
     p = sub.add_parser("fig2", help="ground-state scan E0/mu1 vs mu2/mu1 as CSV")
@@ -647,7 +653,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if getattr(args, "n", None) is not None and args.n < 1:
         return _fail_validation([f"--n must be >= 1, got {args.n}"])
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # the --out file; configs are read by _load_json
+        return _fail_validation([f"cannot write {exc.filename}: {exc.strerror}"])
 
 
 if __name__ == "__main__":

@@ -76,7 +76,6 @@ class IntegrableParams:
     s: np.ndarray
     t: np.ndarray
     alpha: float
-    u: complex = 0.0
 
     def __post_init__(self):
         n = self.n_levels
@@ -96,7 +95,8 @@ class IntegrableParams:
                 raise ValueError(f"{name} contains non-finite entries")
             setattr(self, name, v)
         self.alpha = float(self.alpha)
-        self.u = complex(self.u)
+        if not np.isfinite(self.eta) or not np.isfinite(self.alpha):
+            raise ValueError(f"eta and alpha must be finite, got {self.eta} and {self.alpha}")
         if self.zeta == 0.0:
             raise ValueError("zeta = sum_j s_j t_j must be nonzero")
 
@@ -110,7 +110,7 @@ class IntegrableParams:
         return float(np.sum(self.omega))
 
 
-def default_integrable_params(n_levels: int, u: complex = 0.0) -> IntegrableParams:
+def default_integrable_params(n_levels: int) -> IntegrableParams:
     """Reference parameter set: eta = alpha = 1, omega_j = 1, s = t = 1/sqrt(n).
 
     Gives zeta = 1 and W = n_levels; for n_levels = 2 this is the closed-form
@@ -124,7 +124,6 @@ def default_integrable_params(n_levels: int, u: complex = 0.0) -> IntegrablePara
         s=np.full(n, 1.0 / np.sqrt(n)),
         t=np.full(n, 1.0 / np.sqrt(n)),
         alpha=1.0,
-        u=u,
     )
 
 
@@ -420,6 +419,5 @@ def validate_model(mp: ModelParams, tol: float = 1e-10) -> IdentificationReport:
         s=s,
         t=sign * s,
         alpha=alpha,
-        u=0.0,
     )
     return IdentificationReport(integrable=True, derived=derived, violations=[])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from twowell import bethe
 from twowell.bethe import (
     bae_residual,
     bethe_energy,
@@ -96,8 +97,8 @@ def test_solver_vacuum():
 
 def test_solver_deterministic():
     ip = default_integrable_params(2)
-    r1 = solve_bae(ip, 3, compute_vectors=False)
-    r2 = solve_bae(ip, 3, compute_vectors=False)
+    r1 = solve_bae(ip, 3)
+    r2 = solve_bae(ip, 3)
     assert r1.unique == r2.unique == 4
     for a, b in zip(r1.solutions, r2.solutions):
         assert np.array_equal(a.roots, b.roots)
@@ -201,12 +202,38 @@ def test_gauge_keeps_spectrum_and_bethe_energies(ip, N):
         free[k] = False
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    ip=nonproportional_params(),
+    N=st.integers(0, 4),
+    wells=st.sampled_from(["a", "ab"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_well_rotations_keep_spectrum_and_bethe_energies(ip, N, wells, seed):
+    # the couplings see well a only through N_a and Omega = s t^T, and well b
+    # only through N_b and Omega; rotating s, t, or both, keeps the spectrum
+    rng = np.random.default_rng(seed)
+    n = ip.n_levels
+    O_a, O_b = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+    if wells == "a":
+        O_b = np.eye(n)
+    rotated = IntegrableParams(n, ip.eta, ip.omega, O_a @ ip.s, O_b @ ip.t, alpha=ip.alpha)
+    sector = enumerate_sector(n, N)
+    mp, mp_rot = identify_parameters(ip), identify_parameters(rotated)
+    levels = spectrum(build_hamiltonian(mp, sector)).eigenvalues
+    levels_rot = spectrum(build_hamiltonian(mp_rot, sector)).eigenvalues
+    assert np.max(np.abs(levels - levels_rot)) <= 1e-12
+    energies = collective_energies(validate_model(mp).derived, N)
+    energies_rot = collective_energies(validate_model(mp_rot).derived, N)
+    assert np.max(np.abs(energies - energies_rot)) <= 1e-12
+
+
 def test_solver_refuses_nonproportional_couplings():
     ip = IntegrableParams(
         2, 1.0, np.ones(2), np.array([1.0, 0.5]), np.array([0.5, 1.0]), alpha=1.0
     )
     with pytest.raises(ValueError, match="not proportional"):
-        solve_bae(ip, 1, compute_vectors=False)
+        solve_bae(ip, 1)
 
 
 def test_conjugation_closure_of_solutions():
@@ -248,10 +275,24 @@ def test_energy_u_independent_on_solutions():
     assert abs(e1 - e2) <= 1e-9 * max(1.0, abs(e1))
 
 
-def test_energy_check_rejects_non_solutions():
+def test_energy_check_rejects_non_solutions(monkeypatch):
+    # every state seeded with the first state's TQ roots: they solve the
+    # rapidity equations, but give back the energy of the first state only
     ip = default_integrable_params(2)
-    with pytest.raises(ValueError, match="u-dependent"):
-        bethe_energy([1.0], ip, 1)
+    N = 3
+    tq_roots, seeds = bethe._tq_roots, []
+
+    def first_roots(T, lam):
+        if not seeds:
+            seeds.append(tq_roots(T, lam))
+        return seeds[0]
+
+    monkeypatch.setattr(bethe, "_tq_roots", first_roots)
+    result = solve_bae(ip, N)
+    assert result.converged == N + 1
+    assert result.unique == 1
+    assert result.rejected["energy_mismatch"] == N
+    assert result.solutions[0].energy == collective_energies(ip, N)[0]
 
 
 def test_energy_pole_guard():
@@ -268,7 +309,7 @@ def test_transfer_eigenvalue_closed_form():
 
 def test_energy_permutation_invariance():
     ip = default_integrable_params(2)
-    result = solve_bae(ip, 3, compute_vectors=False)
+    result = solve_bae(ip, 3)
     roots = result.solutions[0].roots
     e1 = bethe_energy(roots, ip, 3)
     e2 = bethe_energy(roots[::-1], ip, 3)

@@ -1,11 +1,15 @@
 import dataclasses
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from twowell import fock, model, yangbaxter
-from twowell.cli import GRID_POINTS_CAP, _parse_grid, main
+from twowell.cli import GRID_POINTS_CAP, _parse_grid, main, scan_params
 from twowell.yangbaxter import IntegrableParams
 
 SQRT5 = np.sqrt(5.0)
@@ -146,9 +150,13 @@ def test_bae_rejects_non_integrable_couplings(tmp_path, capsys):
     assert "eps_a2 - mu_2" in err
 
 
-def physical_config(tmp_path, mp, atoms):
+def physical_block(mp):
     block = {f.name: np.asarray(getattr(mp, f.name)).tolist() for f in dataclasses.fields(mp)}
-    return write_config(tmp_path, {"model": {"kind": "physical"} | block, "n_atoms": atoms})
+    return {"kind": "physical"} | block
+
+
+def physical_config(tmp_path, mp, atoms):
+    return write_config(tmp_path, {"model": physical_block(mp), "n_atoms": atoms})
 
 
 def rank_one_tunneling(name):
@@ -228,8 +236,7 @@ def test_bae_report_counts_every_state(tmp_path, capsys):
 
 @pytest.mark.parametrize("key", ["seed", "budget", "u"])
 def test_bae_rejects_solver_knobs_in_config(tmp_path, capsys, key):
-    # refused by name, so no value is parsed: a malformed one gives no traceback;
-    # the spectral parameter is set only as model.u
+    # refused by name, so no value is parsed: a malformed one gives no traceback
     cfg = write_config(
         tmp_path,
         {
@@ -346,6 +353,9 @@ def test_fig2_grid_point_cap(capsys):
         # verify and fig2 read no config
         pytest.param(["fig2", "--config", "/nonexistent.json"], id="fig2-config"),
         pytest.param(["verify", "--suite", "ybe", "--config", "/nonexistent.json"], id="verify-config"),
+        # a config carries its own n_levels
+        pytest.param(["spectrum", "--config", "/nonexistent.json", "--n", "3"], id="spectrum-config-n"),
+        pytest.param(["bae", "--config", "/nonexistent.json", "--n", "1"], id="bae-config-n"),
     ],
 )
 def test_verbs_without_levels_reject_n(argv, capsys):
@@ -464,3 +474,146 @@ def test_verify_hrel_narrowed(capsys):
     assert main(["verify", "--suite", "hrel", "--n", "2", "--atoms", "3", "--seed", "7"]) == 0
     out = capsys.readouterr().out
     assert "hrel n=2 N=3" in out
+
+
+def test_identify_derived_block_is_a_model_block(tmp_path, capsys):
+    # every echoed model block is accepted back as a config's model block
+    cfg = physical_config(tmp_path, rank_one_tunneling("nonparallel"), [1])
+    assert main(["identify", "--config", cfg]) == 0
+    derived = json.loads(capsys.readouterr().out)["results"]["derived"]
+    cfg = write_config(tmp_path, {"model": derived, "n_atoms": [0, 1, 2, 3]})
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "spectrum.csv")]) == 0
+    assert main(["bae", "--config", cfg, "--out", str(tmp_path / "bae.csv")]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["config_echo"]["model"] == derived
+    assert report["residual_summary"]["unique"] == report["residual_summary"]["matched"] == 10
+
+    cfg = write_config(tmp_path, {"model": derived | {"u": 0.0}, "n_atoms": [1]})
+    for verb in ("spectrum", "bae"):
+        assert main([verb, "--config", cfg]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "'u'" in err[0]
+
+
+@pytest.mark.parametrize("verb", ["spectrum", "fig2", "bae", "verify", "identify"])
+def test_unwritable_out_gives_one_error_line(tmp_path, capsys, verb):
+    out = str(tmp_path / "missing" / "out.txt")
+    argv = {
+        "spectrum": ["spectrum", "--atoms", "1"],
+        "fig2": ["fig2", "--grid", "1:1:1", "--atoms", "1"],
+        "bae": ["bae", "--atoms", "1"],
+        "verify": ["verify", "--suite", "ybe"],
+        "identify": ["identify", "--config", physical_config(tmp_path, rank_one_tunneling("nonparallel"), [1])],
+    }[verb]
+    assert main(argv + ["--out", out]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and out in err[0]
+
+
+def integrable_block(n_levels=1):
+    return {
+        "kind": "integrable", "n_levels": n_levels, "eta": 1.0, "omega": [1.0] * n_levels,
+        "s": [1.0] * n_levels, "t": [1.0] * n_levels, "alpha": 1.0,
+    }
+
+
+@pytest.mark.parametrize("verb", ["spectrum", "bae"])
+@pytest.mark.parametrize(
+    "payload",
+    [
+        pytest.param({"model": integrable_block() | {"n_levels": 1.0}}, id="levels-float"),
+        pytest.param({"model": integrable_block(2) | {"n_levels": 2.7}}, id="levels-2.7"),
+        pytest.param({"model": integrable_block() | {"n_levels": True}}, id="levels-bool"),
+        pytest.param({"model": integrable_block(), "n_atoms": [True, 2]}, id="atoms-bool"),
+        pytest.param({"model": integrable_block(), "n_atoms": [1.5]}, id="atoms-float"),
+        pytest.param({"model": integrable_block(), "n_atoms": 2}, id="atoms-scalar"),
+    ],
+)
+def test_config_counts_must_be_integers(tmp_path, capsys, verb, payload):
+    # refused, not truncated to n = 2 or to N = 1, 2
+    assert main([verb, "--config", write_config(tmp_path, payload)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("verb", ["spectrum", "bae"])
+@pytest.mark.parametrize("field", ["eta", "alpha"])
+def test_non_finite_couplings_give_one_error_line(tmp_path, capsys, verb, field):
+    cfg = write_config(tmp_path, {"model": integrable_block() | {field: float("nan")}})
+    assert main([verb, "--config", cfg]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and field in err[0]
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    texts = {
+        "integrable": json.dumps({"model": integrable_block(2), "n_atoms": [1, 2]}),
+        "physical": json.dumps({"model": physical_block(rank_one_tunneling("nonparallel")), "n_atoms": [2]}),
+        "non-integrable": json.dumps({"model": physical_block(scan_params(1.0)), "n_atoms": [1]}),
+        "non-finite": json.dumps({"model": integrable_block(2) | {"alpha": float("inf")}}),
+        "malformed": '{"model": ',
+        "non-object": "[1, 2]",
+        "missing-field": json.dumps({"model": {k: v for k, v in integrable_block(2).items() if k != "alpha"}}),
+        "unknown-field": json.dumps({"model": integrable_block(2) | {"u": 0.0}}),
+    }
+    files = {}
+    for name, text in texts.items():
+        files[name] = root / f"{name}.json"
+        files[name].write_text(text)
+    files["out"] = root / "out.txt"
+    files["unwritable"] = root / "missing" / "out.txt"
+    return {name: str(path) for name, path in files.items()}
+
+
+LEVELS = ["-1", "0", "1", "2", "3"]
+ATOMS = ["0", "1", "2", "3", "4", "200", "x", "1,-1", ""]
+CONFIGS = ["integrable", "physical", "non-integrable", "non-finite", "malformed", "non-object",
+           "missing-field", "unknown-field"]
+# verb -> (options always given, options given or not), each with its values
+ARGV_OPTIONS = {
+    "verify": ({"--suite": ["ybe", "rll", "tcommute", "charges", "hrel"]},
+               {"--seed": ["0", "3"], "--n": LEVELS, "--atoms": ATOMS}),
+    "spectrum": ({}, {"--config": CONFIGS, "--n": LEVELS, "--atoms": ATOMS}),
+    "bae": ({}, {"--config": CONFIGS, "--n": LEVELS, "--atoms": ATOMS}),
+    "fig2": ({}, {"--atoms": ATOMS, "--mu1": ["1", "-2.5", "0", "nan", "inf", "junk"],
+                  "--grid": ["0:1:0.5", "1:1:1", "junk", "nan:1:1", "0:inf:1", "0:1e9:1e-9"]}),
+    "identify": ({}, {"--config": CONFIGS}),
+}
+
+
+@st.composite
+def command_lines(draw):
+    verb = draw(st.sampled_from(sorted(ARGV_OPTIONS)))
+    required, optional = ARGV_OPTIONS[verb]
+    opts = draw(st.fixed_dictionaries(
+        {k: st.sampled_from(v) for k, v in required.items()},
+        optional={k: st.sampled_from(v) for k, v in optional.items()},
+    ))
+    return verb, opts, draw(st.sampled_from([None, "out", "unwritable"]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=command_lines())
+def test_no_command_line_ends_in_a_traceback(fuzz_files, command):
+    verb, opts, out = command
+    # n = 1, N = 200 is a valid bae sector whose 201 Newton solves take minutes
+    assume(not (verb == "bae" and opts.get("--n") == "1" and opts.get("--atoms") == "200"))
+    argv = [verb]
+    for flag, value in opts.items():
+        argv += [flag, fuzz_files[value] if flag == "--config" else value]
+    if out is not None:
+        argv += ["--out", fuzz_files[out]]
+    stderr = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the command line
+            assert exc.code == 2
+            return
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert stderr.getvalue().strip().splitlines()[-1].startswith("error:")
