@@ -26,14 +26,14 @@ collective basis |m, N-m> of the modes A ~ s.a and B ~ t.b
 Each state keeps that exact energy E.  Its roots are the zeros of the TQ null
 vector at its lambda0, polished by damped Newton with an analytic Jacobian,
 and kept only if `bethe_energy` gives E back from them.  Bethe vectors are built
-by sparse products with root-independent factors from `fock`, never densely.
+on the same collective states and written into the Fock sector once.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import comb
+from scipy.special import comb, gammaln
 
 from . import fock
 from .yangbaxter import IntegrableParams, hamiltonian_from_transfer, transfer_matrix
@@ -56,7 +56,9 @@ COINCIDENT_TOL = 1e-9
 # a two-string (v_i - v_j ~ -eta) the product form cannot resolve better in
 # double precision, so a stricter tolerance only loses states.
 BAE_TOL = 1e-10
-MAX_NEWTON_ITER = 200
+# Damped Newton steps per state.  No state kept on n = 1..3, N <= 20 takes more
+# than 6; more steps only spend time on states that are rejected anyway.
+MAX_NEWTON_ITER = 8
 
 
 def _pair_gaps(v, eta):
@@ -122,19 +124,20 @@ def _safe_norms(v, ip):
     return f, float(np.max(np.abs(f)))
 
 
-def _newton(v0, ip, tol=BAE_TOL, max_iter=MAX_NEWTON_ITER):
+def _newton(v0, ip):
     """Damped Newton iteration on the N complex roots.
 
     Returns the converged roots or None.  Steps are damped by Armijo
     backtracking on the squared residual norm; once the residual is below
-    `tol`, up to two undamped steps polish toward machine precision.
+    BAE_TOL, up to two undamped steps polish toward machine precision.  At
+    most MAX_NEWTON_ITER damped steps are taken.
     """
     v = np.asarray(v0, dtype=complex).copy()
     f, fmax = _safe_norms(v, ip)
     if f is None:
         return None
-    for _ in range(max_iter):
-        if fmax <= tol:
+    for _ in range(MAX_NEWTON_ITER):
+        if fmax <= BAE_TOL:
             # undamped polish toward machine precision
             for _ in range(2):
                 step = _newton_step(v, f, ip)
@@ -160,7 +163,7 @@ def _newton(v0, ip, tol=BAE_TOL, max_iter=MAX_NEWTON_ITER):
             lam *= 0.5
             if lam < 1e-7:
                 return None
-    return v if fmax <= tol else None
+    return v if fmax <= BAE_TOL else None
 
 
 def _newton_step(v, f, ip):
@@ -285,9 +288,9 @@ def solve_bae(ip: IntegrableParams, n_atoms: int) -> SolveResult:
             "the gauge validate_model returns for physical couplings"
         )
 
-    sectors = [fock.enumerate_sector(ip.n_levels, k) for k in range(N + 1)]
-    factors = [_c_factors(ip, sector) for sector in sectors[:N]]  # shared by all states
-    H = hamiltonian_from_transfer(ip, sectors[N])
+    sector = fock.enumerate_sector(ip.n_levels, N)
+    embedding = _embedding(ip, sector)  # shared by all states
+    H = hamiltonian_from_transfer(ip, sector)
     t_at = {}  # evaluation point -> sparse t(u) on the N-atom sector
 
     eta, zeta, W = ip.eta, ip.zeta, ip.omega_sum
@@ -320,12 +323,12 @@ def solve_bae(ip: IntegrableParams, n_atoms: int) -> SolveResult:
             rejected["energy_mismatch"] += 1
             continue
         try:
-            vector = _c_product(v, ip, iter(factors))
+            vector = _bethe_state(v, ip, embedding)
         except ValueError:
             rejected["zero_vector"] += 1
             continue
         if u not in t_at:
-            t_at[u] = transfer_matrix(u, ip, sectors[N])
+            t_at[u] = transfer_matrix(u, ip, sector)
         solutions.append(
             BetheSolution(
                 roots=v,
@@ -395,44 +398,46 @@ def bethe_energy(roots, ip: IntegrableParams, n_atoms: int, u: complex = 0.0) ->
     return u * u + u * eta * N + ip.alpha * N * N + zeta**2 / eta**2 - W * W - lam
 
 
-def _c_factors(ip, sector):
-    """The root-independent factors (A^dag, N_b, B^dag) of the Bethe creation
-    operator C(v) from `sector` to the next one up (see `bethe_vector`)."""
-    n_b = sum(fock.number_operator(sector, fock.b_mode(j + 1)) for j in range(ip.n_levels))
-    return fock.creation_operator(sector, "a", ip.s), n_b, fock.creation_operator(sector, "b", ip.s)
+def _embedding(ip, sector):
+    """(k, w): N_b = k of each row of `sector` and its overlap w = <ka; kb|m, k> with
+    the collective state |m, k> = (A^dag)^m (B^dag)^k|0> / (|s|^(m+k) sqrt(m! k!)),
+    w = sqrt(m! k! / prod_j ka_j! kb_j!) prod_j (s_j/|s|)^(ka_j + kb_j)."""
+    n, occ = ip.n_levels, sector.occ
+    k = occ[:, n:].sum(axis=1)
+    log_ratio = gammaln(sector.n_atoms - k + 1) + gammaln(k + 1) - gammaln(occ + 1).sum(axis=1)
+    s_hat = ip.s / np.linalg.norm(ip.s)
+    return k, np.exp(0.5 * log_ratio) * np.prod(s_hat ** (occ[:, :n] + occ[:, n:]), axis=1)
 
 
-def _c_product(v, ip, factors):
-    """prod_i C(v_i)|0>, with `factors` an iterator over the `_c_factors` of
-    sectors 0..N-1 and C(v) x = A^dag ((v - W) x + eta N_b x) + (zeta/eta) B^dag x."""
-    x = np.array([1.0 + 0.0j])
-    for vi in v:
-        a_up, n_b, b_up = next(factors)
-        x = a_up @ ((vi - ip.omega_sum) * x + ip.eta * (n_b @ x)) + (ip.zeta / ip.eta) * (b_up @ x)
-        del a_up, n_b, b_up  # so a lazy `factors` holds one sector's factors at a time
+def _bethe_state(v, ip, embedding):
+    """prod_i C(v_i)|0> on the rows of `embedding`: with k = N_b, C(v)|m, k> =
+    |s| [(v - W + eta k) sqrt(m+1) |m+1, k> + (zeta/eta) sqrt(k+1) |m, k+1>],
+    one update of the amplitudes over k per root."""
+    amp = np.array([1.0 + 0.0j])
+    for n, vi in enumerate(v):
+        k = np.arange(n + 1)
+        nxt = np.zeros(n + 2, dtype=complex)
+        nxt[:-1] = (vi - ip.omega_sum + ip.eta * k) * np.sqrt(n + 1 - k) * amp
+        nxt[1:] += (ip.zeta / ip.eta) * np.sqrt(k + 1) * amp
+        amp = np.linalg.norm(ip.s) * nxt
+    rows, weight = embedding
+    x = weight * amp[rows]
     if v.size and np.max(np.abs(x)) < 1e-14:
         raise ValueError("Bethe vector is numerically zero: spurious solution")
     return x
 
 
-def bethe_vector(roots, ip: IntegrableParams, sectors=None) -> np.ndarray:
+def bethe_vector(roots, ip: IntegrableParams) -> np.ndarray:
     """Unnormalized Bethe state prod_i C(v_i)|0> in the N-atom sector, with
 
         C(v) = (v - W) A^dag + eta A^dag N_b + (zeta/eta) B^dag,
 
-    A = sum_j s_j a_j, B = sum_j s_j b_j and N_b = sum_j N_bj.  The factors
-    A^dag, N_b and B^dag are root-independent sparse matrices from `fock`,
-    built one sector at a time, so no dense matrix is formed.
-
-    `sectors` may supply the pre-enumerated sector chain 0..N.  Raises if the
-    amplitudes all vanish (a spurious root configuration)."""
+    A = sum_j s_j a_j, B = sum_j s_j b_j and N_b = sum_j N_bj.  C(v) keeps the
+    state on the N+1 collective states (A^dag)^m (B^dag)^(N-m)|0>, where the
+    roots act; the result is written into the Fock sector once.  Raises if
+    the amplitudes all vanish (a spurious root configuration)."""
     v = np.asarray(roots, dtype=complex).reshape(-1)
-    N = v.size
-    if sectors is None:
-        sectors = [fock.enumerate_sector(ip.n_levels, k) for k in range(N + 1)]
-    if len(sectors) < N + 1:
-        raise ValueError(f"sector chain must cover 0..{N}")
-    return _c_product(v, ip, (_c_factors(ip, sector) for sector in sectors))
+    return _bethe_state(v, ip, _embedding(ip, fock.enumerate_sector(ip.n_levels, v.size)))
 
 
 @dataclass

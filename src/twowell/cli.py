@@ -282,7 +282,7 @@ def cmd_verify(args) -> int:
     suites = SUITES if args.suite == "all" else (args.suite,)
     levels = (args.n,) if args.n else (1, 2, 3)
     n = args.n or 2
-    errors = []
+    errors = [] if args.seed >= 0 else [f"--seed must be >= 0, got {args.seed}"]
     atoms = _atoms_from({}, args, errors, default=()) or None
     if errors:
         return _fail_validation(errors)
@@ -309,7 +309,6 @@ def cmd_verify(args) -> int:
     errors += _size_errors(dense, lambda d: model.check_dense_fits(d, np.complex128))
     if errors:
         return _fail_validation(errors)
-    args.seed = 0 if args.seed is None else args.seed
 
     checks = []
     for suite in suites:
@@ -623,7 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run algebraic-relation residual suites")
     p.add_argument("--suite", choices=SUITES + ("all",), default="all")
-    p.add_argument("--seed", type=int, help="random seed of the residual draws (default 0)")
+    p.add_argument("--seed", type=int, default=0, help="random seed of the residual draws (default 0)")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
 

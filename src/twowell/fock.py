@@ -9,7 +9,7 @@ with no loop over basis states, from one vectorized primitive (`_shift`) that
 raises and/or lowers a mode on all rows at once.  Builders return
 ``scipy.sparse`` CSR matrices.  `tunneling_operator` is the one assembly of
 the inter-well hopping term, shared by the physical Hamiltonian and the
-transfer matrix; `creation_operator` maps a sector to the next one up.
+transfer matrix.
 """
 
 import math
@@ -31,7 +31,6 @@ __all__ = [
     "number_operator",
     "hopping_operator",
     "tunneling_operator",
-    "creation_operator",
     "total_number_operator",
     "truncated_ladder",
 ]
@@ -227,18 +226,6 @@ def tunneling_operator(sector: FockSector, coeffs) -> sp.csr_matrix:
         w = coeffs[j, k] * amp
         entries += [(dst, src, w), (src, dst, w)]
     return _csr(entries, (sector.dim, sector.dim))
-
-
-def creation_operator(sector: FockSector, well: str, coeffs) -> sp.csr_matrix:
-    """Matrix of sum_j coeffs[j] x_j^dagger, x_j the modes of `well`, from
-    `sector` to the sector with one more atom."""
-    n = sector.n_levels
-    offset = WELLS.index(well) * n
-    entries = []
-    for j in range(n):
-        src, dst, amp = _shift(sector.occ, create=offset + j)
-        entries.append((dst, src, coeffs[j] * amp))
-    return _csr(entries, (dimension(n, sector.n_atoms + 1), sector.dim))
 
 
 @dataclass(frozen=True, eq=False)

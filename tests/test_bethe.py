@@ -228,6 +228,44 @@ def test_well_rotations_keep_spectrum_and_bethe_energies(ip, N, wells, seed):
     assert np.max(np.abs(energies - energies_rot)) <= 1e-12
 
 
+def _generic_params(n):
+    s = np.linspace(0.6, 1.1, n)
+    s /= np.linalg.norm(s)
+    return IntegrableParams(n, 0.83, np.full(n, 1.371 / n), s, 1.29 * s, alpha=0.7)
+
+
+@pytest.mark.parametrize(
+    "params, n, N, floor",
+    [
+        (default_integrable_params, 1, 8, 8),
+        (default_integrable_params, 2, 8, 7),
+        (_generic_params, 1, 12, 11),
+        (_generic_params, 2, 12, 11),
+        (_generic_params, 3, 12, 11),
+        (_generic_params, 2, 16, 10),
+    ],
+    ids=["default-1-8", "default-2-8", "generic-1-12", "generic-2-12", "generic-3-12", "generic-2-16"],
+)
+def test_solver_coverage_floor(params, n, N, floor):
+    # states kept today out of N+1; a better root representation may raise these
+    ip = params(n)
+    result = solve_bae(ip, N)
+    assert result.unique >= floor
+    assert result.unique + sum(result.rejected.values()) == N + 1
+    for sol in result.solutions:
+        assert sol.residual <= 1e-10
+        assert sol.h_residual <= 1e-7
+
+
+def test_newton_budget_per_state(monkeypatch):
+    # at most 8 damped steps and 2 polishing steps for each of the N+1 states
+    solves = []
+    jacobian = bethe._jacobian
+    monkeypatch.setattr(bethe, "_jacobian", lambda v, ip: solves.append(1) or jacobian(v, ip))
+    solve_bae(default_integrable_params(1), 16)
+    assert len(solves) <= 17 * (8 + 2)
+
+
 def test_solver_refuses_nonproportional_couplings():
     ip = IntegrableParams(
         2, 1.0, np.ones(2), np.array([1.0, 0.5]), np.array([0.5, 1.0]), alpha=1.0
@@ -363,12 +401,11 @@ def test_vector_stays_sparse():
     # one dense C(v) from N=19 to N=20 atoms at n=2 is 1771 x 1540 complex (43.6 MB)
     ip = default_integrable_params(2)
     N = 20
-    sectors = [enumerate_sector(2, k) for k in range(N + 1)]
     roots = np.linspace(-3.0, 3.0, N) + 0.25j  # arbitrary and distinct
     dense_bytes = 16 * dimension(2, N) * dimension(2, N - 1)
     tracemalloc.start()
     try:
-        vec = bethe_vector(roots, ip, sectors)
+        vec = bethe_vector(roots, ip)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -376,10 +413,39 @@ def test_vector_stays_sparse():
     assert peak < 0.01 * dense_bytes
 
 
-def test_vector_requires_full_sector_chain():
-    ip = default_integrable_params(2)
-    with pytest.raises(ValueError, match="chain"):
-        bethe_vector([SQRT5], ip, sectors=[enumerate_sector(2, 0)])
+def _occupation_c_product(roots, ip):
+    """prod_i C(v_i)|0> applied one occupation row at a time, with
+    C(v) = sum_j s_j [a_j^dag ((v - W) + eta N_b) + (zeta/eta) b_j^dag]."""
+    n = ip.n_levels
+    x = np.array([1.0 + 0.0j])
+    for N, v in enumerate(roots):
+        source, target = enumerate_sector(n, N), enumerate_sector(n, N + 1)
+        y = np.zeros(target.dim, dtype=complex)
+        for amp, occ in zip(x, source.occ):
+            diag = v - ip.omega_sum + ip.eta * occ[n:].sum()
+            for j in range(n):
+                for mode, coeff in ((j, diag), (n + j, ip.zeta / ip.eta)):
+                    up = occ.copy()
+                    up[mode] += 1
+                    y[target.rank(up)] += coeff * ip.s[j] * np.sqrt(up[mode]) * amp
+        x = y
+    return x
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_vector_matches_occupation_arithmetic(n):
+    rng = np.random.default_rng(40 + n)
+    s = rng.standard_normal(n)
+    ips = [
+        default_integrable_params(n),
+        IntegrableParams(n, -0.9, rng.uniform(0.5, 1.5, n), s, -1.7 * s, alpha=0.6),
+    ]
+    for ip in ips:
+        for N in range(5):
+            roots = rng.standard_normal(N) + 1j * rng.standard_normal(N)
+            ref = _occupation_c_product(roots, ip)
+            vec = bethe_vector(roots, ip)
+            assert np.max(np.abs(vec - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 # ---------------------------------------------------------------------------

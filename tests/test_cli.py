@@ -470,6 +470,14 @@ def test_verify_ybe_suite(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+def test_verify_refuses_negative_seed(capsys):
+    # numpy's generator takes no negative seed; this ended in a ValueError traceback
+    assert main(["verify", "--suite", "ybe", "--seed", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == ["error: --seed must be >= 0, got -1"]
+
+
 def test_verify_hrel_narrowed(capsys):
     assert main(["verify", "--suite", "hrel", "--n", "2", "--atoms", "3", "--seed", "7"]) == 0
     out = capsys.readouterr().out
@@ -576,7 +584,7 @@ CONFIGS = ["integrable", "physical", "non-integrable", "non-finite", "malformed"
 # verb -> (options always given, options given or not), each with its values
 ARGV_OPTIONS = {
     "verify": ({"--suite": ["ybe", "rll", "tcommute", "charges", "hrel"]},
-               {"--seed": ["0", "3"], "--n": LEVELS, "--atoms": ATOMS}),
+               {"--seed": ["0", "3", "-1"], "--n": LEVELS, "--atoms": ATOMS}),
     "spectrum": ({}, {"--config": CONFIGS, "--n": LEVELS, "--atoms": ATOMS}),
     "bae": ({}, {"--config": CONFIGS, "--n": LEVELS, "--atoms": ATOMS}),
     "fig2": ({}, {"--atoms": ATOMS, "--mu1": ["1", "-2.5", "0", "nan", "inf", "junk"],
@@ -600,7 +608,7 @@ def command_lines(draw):
 @given(command=command_lines())
 def test_no_command_line_ends_in_a_traceback(fuzz_files, command):
     verb, opts, out = command
-    # n = 1, N = 200 is a valid bae sector whose 201 Newton solves take minutes
+    # n = 1, N = 200 is a valid bae sector whose 201 Newton solves take about 30 s
     assume(not (verb == "bae" and opts.get("--n") == "1" and opts.get("--atoms") == "200"))
     argv = [verb]
     for flag, value in opts.items():
