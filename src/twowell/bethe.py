@@ -268,10 +268,10 @@ def solve_bae(ip: IntegrableParams, n_atoms: int) -> SolveResult:
     is at most 1e-10.  The roots are kept only if `bethe_energy` gives back
     E from them to 1e-9 relative.  States whose roots do not reach the
     residual, show a standard pathology (coincident roots, a pair at
-    v_i - v_j = -eta, a numerically zero Bethe vector) or fail the energy
-    check are left out and counted in `rejected`.  Each kept state carries
-    its Bethe vector and its eigen-residuals against H and t(u), with u the
-    point at which its energy was checked.
+    v_i - v_j = -eta) or fail the energy check are left out and counted in
+    `rejected`.  Each kept state carries its Bethe vector and its
+    eigen-residuals against H and t(u), with u the point at which its energy
+    was checked.
 
     Raises ValueError for N > 0 unless s and t are proportional: otherwise
     the self-adjoint t(u) is not the monodromy trace the equations solve.
@@ -279,7 +279,7 @@ def solve_bae(ip: IntegrableParams, n_atoms: int) -> SolveResult:
     N = int(n_atoms)
     if N < 0:
         raise ValueError(f"n_atoms must be >= 0, got {N}")
-    rejected = {"unconverged": 0, "coincident": 0, "string_pole": 0, "energy_mismatch": 0, "zero_vector": 0}
+    rejected = {"unconverged": 0, "coincident": 0, "string_pole": 0, "energy_mismatch": 0}
 
     st_gap = np.linalg.norm(ip.s) * np.linalg.norm(ip.t) - abs(ip.zeta)
     if N and st_gap > 1e-10 * max(1.0, abs(ip.zeta)):
@@ -322,11 +322,7 @@ def solve_bae(ip: IntegrableParams, n_atoms: int) -> SolveResult:
         if abs(bethe_energy(v, ip, N, u) - energy) > 1e-9 * max(1.0, abs(energy)):
             rejected["energy_mismatch"] += 1
             continue
-        try:
-            vector = _bethe_state(v, ip, embedding)
-        except ValueError:
-            rejected["zero_vector"] += 1
-            continue
+        vector = _bethe_state(v, ip, embedding)
         if u not in t_at:
             t_at[u] = transfer_matrix(u, ip, sector)
         solutions.append(
@@ -412,7 +408,8 @@ def _embedding(ip, sector):
 def _bethe_state(v, ip, embedding):
     """prod_i C(v_i)|0> on the rows of `embedding`: with k = N_b, C(v)|m, k> =
     |s| [(v - W + eta k) sqrt(m+1) |m+1, k> + (zeta/eta) sqrt(k+1) |m, k+1>],
-    one update of the amplitudes over k per root."""
+    one update of the amplitudes over k per root.  The amplitude of |0, N> is
+    (|s| zeta/eta)^N sqrt(N!), so for zeta != 0 the state never vanishes."""
     amp = np.array([1.0 + 0.0j])
     for n, vi in enumerate(v):
         k = np.arange(n + 1)
@@ -421,10 +418,7 @@ def _bethe_state(v, ip, embedding):
         nxt[1:] += (ip.zeta / ip.eta) * np.sqrt(k + 1) * amp
         amp = np.linalg.norm(ip.s) * nxt
     rows, weight = embedding
-    x = weight * amp[rows]
-    if v.size and np.max(np.abs(x)) < 1e-14:
-        raise ValueError("Bethe vector is numerically zero: spurious solution")
-    return x
+    return weight * amp[rows]
 
 
 def bethe_vector(roots, ip: IntegrableParams) -> np.ndarray:
@@ -434,8 +428,7 @@ def bethe_vector(roots, ip: IntegrableParams) -> np.ndarray:
 
     A = sum_j s_j a_j, B = sum_j s_j b_j and N_b = sum_j N_bj.  C(v) keeps the
     state on the N+1 collective states (A^dag)^m (B^dag)^(N-m)|0>, where the
-    roots act; the result is written into the Fock sector once.  Raises if
-    the amplitudes all vanish (a spurious root configuration)."""
+    roots act; the result is written into the Fock sector once."""
     v = np.asarray(roots, dtype=complex).reshape(-1)
     return _bethe_state(v, ip, _embedding(ip, fock.enumerate_sector(ip.n_levels, v.size)))
 

@@ -2,9 +2,10 @@
 
 Verbs:
   verify    run the algebraic-relation residual suites (ybe, rll, tcommute,
-            charges, hrel, all), after checking every sector they would
-            enumerate against fock.SECTOR_DIM_CAP and every dense matrix they
-            would form against model.DENSE_BYTES_CAP
+            charges, hrel, all) with the levels and atom numbers of the
+            SUITES table, after checking every sector they would enumerate
+            against fock.SECTOR_DIM_CAP and rll's dense matrices, the only
+            ones formed, against model.DENSE_BYTES_CAP
   spectrum  exact-diagonalization spectrum as CSV: every level of every
             sector, or an error if a sector's dense matrix would exceed
             model.DENSE_BYTES_CAP
@@ -17,9 +18,9 @@ Verbs:
             only; every sector checked against fock.SECTOR_DIM_CAP first)
   identify  map physical couplings to the integrable family, report as JSON
 
-Configs are single JSON documents; numbers are printed with 17 significant
-digits so CSV output is byte-deterministic for a fixed config (and, for
-verify, seed).
+Configs are single JSON documents whose only top-level keys are 'model' and
+'n_atoms'; numbers are printed with 17 significant digits so CSV output is
+byte-deterministic for a fixed config (and, for verify, seed).
 Exit codes: 0 success/all-pass, 1 validation or integrability failure,
 2 numerical-threshold failure.
 """
@@ -27,6 +28,7 @@ Exit codes: 0 success/all-pass, 1 validation or integrability failure,
 import argparse
 import dataclasses
 import io
+import itertools
 import json
 import math
 import sys
@@ -41,7 +43,6 @@ from .yangbaxter import IntegrableParams, default_integrable_params
 
 GRID_POINTS_CAP = 100_000
 RLL_CUTOFF = 4  # occupation cutoff of the one-well Fock space in the rll suite
-SUITES = ("ybe", "rll", "tcommute", "charges", "hrel")
 
 
 def _fmt(x) -> str:
@@ -52,7 +53,9 @@ def _fmt(x) -> str:
 # config handling
 # ---------------------------------------------------------------------------
 
-def _load_json(path, errors):
+def _load_config(path, errors):
+    """The JSON object at `path`, whose only keys may be 'model' and 'n_atoms';
+    {} if it cannot be read."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -62,6 +65,11 @@ def _load_json(path, errors):
     if not isinstance(cfg, dict):
         errors.append(f"config {path}: top level must be a JSON object")
         return {}
+    unknown = [k for k in cfg if k not in ("model", "n_atoms")]
+    if unknown:
+        errors.append(
+            f"config: unknown top-level keys {unknown}; the keys are 'model' and 'n_atoms'"
+        )
     return cfg
 
 
@@ -120,6 +128,16 @@ def _atoms_from(cfg, args, errors, default=(1,)):
     return atoms
 
 
+def _model_and_atoms(args, errors):
+    """(kind, params) and the atom numbers of spectrum and bae: from --config,
+    or the default integrable model of --n levels (2 without --n)."""
+    if not args.config:
+        parsed = ("integrable", default_integrable_params(args.n or 2))
+        return parsed, _atoms_from({}, args, errors)
+    cfg = _load_config(args.config, errors)
+    return _model_from_config(cfg, errors), _atoms_from(cfg, args, errors)
+
+
 def _echo_model(kind, params):
     """Every field of the parameters as JSON, arrays as lists: a valid model block."""
     echo = {"kind": kind}
@@ -168,8 +186,7 @@ def _draw_away_from_poles(rng, eta):
             return u, v
 
 
-def _suite_ybe(seed):
-    rng = np.random.default_rng(seed)
+def _suite_ybe(rng, levels, atoms):
     worst = 0.0
     for _ in range(100):
         eta = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 3.0)
@@ -186,43 +203,40 @@ def _random_ip(rng, n):
             return IntegrableParams(n, 1.0, np.ones(n), s, t, alpha=1.0)
 
 
-def _suite_rll(seed, levels, cutoff=RLL_CUTOFF, draws=20):
-    rng = np.random.default_rng(seed)
+def _suite_rll(rng, levels, atoms):
     checks = []
     for n in levels:
         worst = 0.0
-        for _ in range(draws):
+        for _ in range(20):
             ip = _random_ip(rng, n)
             u, v = _draw_away_from_poles(rng, ip.eta)
-            worst = max(worst, yangbaxter.rll_residual(u, v, ip, cutoff))
-        checks.append((f"rll n={n} {draws} draws", worst, 1e-12))
+            worst = max(worst, yangbaxter.rll_residual(u, v, ip, RLL_CUTOFF))
+        checks.append((f"rll n={n} 20 draws", worst, 1e-12))
         control = yangbaxter.rll_residual(
-            0.9, -0.4, default_integrable_params(n), cutoff, zeta_shift=0.1
+            0.9, -0.4, default_integrable_params(n), RLL_CUTOFF, zeta_shift=0.1
         )
         checks.append((f"rll n={n} zeta-shift control (>= 1e-3)", control, None, control >= 1e-3))
     return checks
 
 
-def _suite_tcommute(seed, n, atoms, draws=20):
-    rng = np.random.default_rng(seed)
-    ip = default_integrable_params(n)
+def _suite_tcommute(rng, levels, atoms):
     checks = []
-    for N in atoms:
+    for n, N in itertools.product(levels, atoms):
+        ip = default_integrable_params(n)
         sector = fock.enumerate_sector(n, N)
         worst = 0.0
-        for _ in range(draws):
+        for _ in range(20):
             u = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
             v = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
             worst = max(worst, yangbaxter.transfer_commutator_residual(u, v, ip, sector))
-        checks.append((f"tcommute n={n} N={N} {draws} pairs", worst, 1e-10))
+        checks.append((f"tcommute n={n} N={N} 20 pairs", worst, 1e-10))
     return checks
 
 
-def _suite_charges(seed, n=2, atoms=(1, 2, 3)):
-    rng = np.random.default_rng(seed)
-    ip = default_integrable_params(n)
+def _suite_charges(rng, levels, atoms):
     checks = []
-    for N in atoms:
+    for n, N in itertools.product(levels, atoms):
+        ip = default_integrable_params(n)
         sector = fock.enumerate_sector(n, N)
         C0, C1, C2 = yangbaxter.conserved_charges(ip, sector)
         eye = sp.identity(sector.dim, format="csr")
@@ -231,20 +245,15 @@ def _suite_charges(seed, n=2, atoms=(1, 2, 3)):
         worst = 0.0
         for u in rng.uniform(-2, 2, size=3):
             recon = (u * u) * C2 + u * C1 + C0
-            gap = yangbaxter.transfer_matrix(u, ip, sector) - recon
-            worst = max(worst, 0.0 if gap.nnz == 0 else float(np.max(np.abs(gap.data))))
-        comm = 0.0
-        for A, B in ((C0, C1), (C0, C2), (C1, C2)):
-            g = A @ B - B @ A
-            comm = max(comm, 0.0 if g.nnz == 0 else float(np.max(np.abs(g.data))))
+            worst = max(worst, abs(yangbaxter.transfer_matrix(u, ip, sector) - recon).max())
+        comm = max(abs(A @ B - B @ A).max() for A, B in ((C0, C1), (C0, C2), (C1, C2)))
         checks.append((f"charges n={n} N={N} reconstruction", worst, 1e-12))
         checks.append((f"charges n={n} N={N} commutators", comm, 1e-12))
         checks.append((f"charges n={n} N={N} C1=etaN, C2=I", max(c1_gap, c2_gap), 0.0))
     return checks
 
 
-def _suite_hrel(seed, levels=(1, 2, 3), atoms=(0, 1, 2, 3, 4)):
-    rng = np.random.default_rng(seed)
+def _suite_hrel(rng, levels, atoms):
     checks = []
     for n in levels:
         ips = [default_integrable_params(n), _random_ip(rng, n)]
@@ -254,10 +263,20 @@ def _suite_hrel(seed, levels=(1, 2, 3), atoms=(0, 1, 2, 3, 4)):
             for ip in ips:
                 h_t = yangbaxter.hamiltonian_from_transfer(ip, sector)
                 h_m = model.build_hamiltonian(yangbaxter.identify_parameters(ip), sector)
-                gap = h_t - h_m
-                worst = max(worst, 0.0 if gap.nnz == 0 else float(np.max(np.abs(gap.data))))
+                worst = max(worst, abs(h_t - h_m).max())
             checks.append((f"hrel n={n} N={N}", worst, 1e-12))
     return checks
+
+
+# suite -> (residual function, levels without --n, atom numbers without
+# --atoms); --n and --atoms replace only the defaults a suite has
+SUITES = {
+    "ybe": (_suite_ybe, (), ()),
+    "rll": (_suite_rll, (1, 2, 3), ()),
+    "tcommute": (_suite_tcommute, (2,), (1, 2, 3, 4)),
+    "charges": (_suite_charges, (2,), (1, 2, 3)),
+    "hrel": (_suite_hrel, (1, 2, 3), (0, 1, 2, 3, 4)),
+}
 
 
 def _size_errors(sizes, check):
@@ -279,49 +298,29 @@ def _sectors(pairs):
 
 
 def cmd_verify(args) -> int:
-    suites = SUITES if args.suite == "all" else (args.suite,)
-    levels = (args.n,) if args.n else (1, 2, 3)
-    n = args.n or 2
     errors = [] if args.seed >= 0 else [f"--seed must be >= 0, got {args.seed}"]
-    atoms = _atoms_from({}, args, errors, default=()) or None
+    given_atoms = tuple(_atoms_from({}, args, errors, default=()))
     if errors:
         return _fail_validation(errors)
-    suite_atoms = {
-        "tcommute": atoms or (1, 2, 3, 4),
-        "charges": atoms or (1, 2, 3),
-        "hrel": atoms or (0, 1, 2, 3, 4),
+    plan = {
+        name: (suite, (args.n,) if args.n and levels else levels,
+               given_atoms if given_atoms and atoms else atoms)
+        for name, (suite, levels, atoms) in SUITES.items()
+        if args.suite in (name, "all")
     }
-    sectors = {
-        (m, N)
-        for suite in suite_atoms.keys() & set(suites)
-        for m in (levels if suite == "hrel" else (n,))
-        for N in suite_atoms[suite]
-    }
-    # Dense complex matrices: rll's on aux1 x aux2 x the RLL_CUTOFF-truncated
-    # Fock space of one well, tcommute's on its sectors.  No other suite forms
-    # a dense matrix that grows with --n or --atoms.
-    dense = []
-    if "rll" in suites:
-        dense += [(f"rll n={m}", 4 * math.comb(m + RLL_CUTOFF, RLL_CUTOFF)) for m in levels]
-    if "tcommute" in suites:
-        dense += [(f"tcommute n={n} N={N}", fock.dimension(n, N)) for N in suite_atoms["tcommute"]]
+    sectors = {(n, N) for _, levels, atoms in plan.values() for n in levels for N in atoms}
+    # rll forms the only dense matrices: complex, on aux1 x aux2 x the
+    # RLL_CUTOFF-truncated Fock space of one well
+    _, rll_levels, _ = plan.get("rll", (None, (), ()))
+    dense = [(f"rll n={n}", 4 * math.comb(n + RLL_CUTOFF, RLL_CUTOFF)) for n in rll_levels]
     errors = _size_errors(_sectors(sorted(sectors)), fock.check_sector_fits)
     errors += _size_errors(dense, lambda d: model.check_dense_fits(d, np.complex128))
     if errors:
         return _fail_validation(errors)
 
     checks = []
-    for suite in suites:
-        if suite == "ybe":
-            checks += _suite_ybe(args.seed)
-        elif suite == "rll":
-            checks += _suite_rll(args.seed, levels)
-        elif suite == "tcommute":
-            checks += _suite_tcommute(args.seed, n, suite_atoms["tcommute"])
-        elif suite == "charges":
-            checks += _suite_charges(args.seed, n=n, atoms=suite_atoms["charges"])
-        elif suite == "hrel":
-            checks += _suite_hrel(args.seed, levels=levels, atoms=suite_atoms["hrel"])
+    for suite, levels, atoms in plan.values():
+        checks += suite(np.random.default_rng(args.seed), levels, atoms)
 
     all_pass = True
     results = []
@@ -358,12 +357,7 @@ def cmd_verify(args) -> int:
 
 def cmd_spectrum(args) -> int:
     errors = []
-    cfg = _load_json(args.config, errors) if args.config else {}
-    if args.config:
-        parsed = _model_from_config(cfg, errors)
-    else:
-        parsed = ("integrable", default_integrable_params(args.n or 2))
-    atoms = _atoms_from(cfg, args, errors)
+    parsed, atoms = _model_and_atoms(args, errors)
     if errors or parsed is None:
         return _fail_validation(errors)
     kind, params = parsed
@@ -390,17 +384,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_bae(args) -> int:
     errors = []
-    cfg = _load_json(args.config, errors) if args.config else {}
-    if args.config:
-        parsed = _model_from_config(cfg, errors)
-    else:
-        parsed = ("integrable", default_integrable_params(args.n or 2))
-    atoms = _atoms_from(cfg, args, errors)
-    for key in ("seed", "budget"):
-        if key in cfg:
-            errors.append(f"config: {key!r} is not accepted: the Bethe solver is deterministic")
-    if "u" in cfg:
-        errors.append("config: 'u' is not accepted: Bethe energies are exact, at no spectral parameter")
+    parsed, atoms = _model_and_atoms(args, errors)
     if errors or parsed is None:
         return _fail_validation(errors)
     kind, params = parsed
@@ -571,7 +555,7 @@ def cmd_fig2(args) -> int:
 
 def cmd_identify(args) -> int:
     errors = []
-    cfg = _load_json(args.config, errors) if args.config else {}
+    cfg = _load_config(args.config, errors) if args.config else {}
     if not args.config:
         errors.append("identify requires --config with a physical model block")
     parsed = _model_from_config(cfg, errors) if not errors else None
@@ -621,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run algebraic-relation residual suites")
-    p.add_argument("--suite", choices=SUITES + ("all",), default="all")
+    p.add_argument("--suite", choices=(*SUITES, "all"), default="all")
     p.add_argument("--seed", type=int, default=0, help="random seed of the residual draws (default 0)")
     _add_common(p)
     p.set_defaults(func=cmd_verify)
@@ -654,7 +638,7 @@ def main(argv=None) -> int:
         return _fail_validation([f"--n must be >= 1, got {args.n}"])
     try:
         return args.func(args)
-    except OSError as exc:  # the --out file; configs are read by _load_json
+    except OSError as exc:  # the --out file; configs are read by _load_config
         return _fail_validation([f"cannot write {exc.filename}: {exc.strerror}"])
 
 

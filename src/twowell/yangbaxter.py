@@ -263,12 +263,14 @@ def transfer_matrix(u: complex, ip: IntegrableParams, sector: FockSector) -> sp.
 def transfer_commutator_residual(
     u: complex, v: complex, ip: IntegrableParams, sector: FockSector
 ) -> float:
-    """Max-abs entry of [t(u), t(v)], normalized by max(1, |t(u)| |t(v)|)."""
-    tu = transfer_matrix(u, ip, sector).toarray()
-    tv = transfer_matrix(v, ip, sector).toarray()
+    """Max-abs entry of [t(u), t(v)], normalized by max(1, |t(u)| |t(v)|),
+    with |.| the max-abs entry; the matrices stay sparse."""
+    tu = transfer_matrix(u, ip, sector)
+    tv = transfer_matrix(v, ip, sector)
     comm = tu @ tv - tv @ tu
-    scale = max(1.0, float(np.max(np.abs(tu))) * float(np.max(np.abs(tv))))
-    return float(np.max(np.abs(comm))) / scale
+    # max-abs entries from the stored values, which the sparse abs().max() would copy first
+    tu_max, tv_max, comm_max = (np.max(np.abs(m.data), initial=0.0) for m in (tu, tv, comm))
+    return float(comm_max) / max(1.0, float(tu_max) * float(tv_max))
 
 
 def conserved_charges(ip: IntegrableParams, sector: FockSector):

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -264,6 +265,26 @@ def test_newton_budget_per_state(monkeypatch):
     monkeypatch.setattr(bethe, "_jacobian", lambda v, ip: solves.append(1) or jacobian(v, ip))
     solve_bae(default_integrable_params(1), 16)
     assert len(solves) <= 17 * (8 + 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_solver_keeps_states_under_gauge_rescaling(n):
+    # s -> c s, t -> t / c keeps Omega = s t^T; the Bethe amplitudes carry
+    # |s|^N, so no check on them may be absolute
+    s = np.linspace(0.6, 1.1, n)
+    s /= np.linalg.norm(s)
+    for N in range(9):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            results = {
+                c: solve_bae(IntegrableParams(n, 1.0, np.ones(n), c * s, s / c, alpha=1.0), N)
+                for c in (1e-4, 1e-2, 1.0, 1e2, 1e4)
+            }
+        energies = [sol.energy for sol in results[1.0].solutions]
+        for c, result in results.items():
+            assert result.unique == results[1.0].unique, (c, N)
+            assert np.allclose([sol.energy for sol in result.solutions], energies, rtol=1e-12, atol=1e-12)
+            assert all(sol.h_residual <= 1e-7 for sol in result.solutions)
 
 
 def test_solver_refuses_nonproportional_couplings():

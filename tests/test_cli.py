@@ -434,6 +434,18 @@ def test_config_errors_reported_together(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("verb", ["spectrum", "bae", "identify"])
+@pytest.mark.parametrize("key", ["n_atom", "seed"])
+def test_config_top_level_keys_are_model_and_n_atoms(tmp_path, capsys, verb, key):
+    # a misspelt n_atoms was ignored, and spectrum and bae ran N = 1
+    payload = {"model": physical_block(rank_one_tunneling("nonparallel")), key: [3]}
+    assert main([verb, "--config", write_config(tmp_path, payload)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and repr(key) in err[0]
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("verb", ["spectrum", "bae", "identify"])
 @pytest.mark.parametrize("block", [3, [1, 2]])
 def test_non_object_model_block_rejected(tmp_path, capsys, verb, block):
     cfg = write_config(tmp_path, {"model": block, "n_atoms": [1]})
@@ -446,18 +458,19 @@ def test_verify_dense_sizes_checked_before_any_suite(capsys, monkeypatch):
     def no_suite(*args, **kwargs):
         raise AssertionError("a residual was computed")
 
-    # rll at n=1 forms 20 x 20 complex matrices (4 C(5, 4)); tcommute at n=1,
-    # N=19 one of 20 x 20 and at N=20 one of 21 x 21
+    # rll at n=1 forms 20 x 20 complex matrices (4 C(5, 4)); tcommute, on
+    # sectors of 20 and 21 states at n=1, N=19 and 20, forms none
+    commutator = yangbaxter.transfer_commutator_residual
     for name in ("ybe_residual", "rll_residual", "transfer_commutator_residual",
                  "conserved_charges", "hamiltonian_from_transfer"):
         monkeypatch.setattr(yangbaxter, name, no_suite)
     assert main(["verify", "--suite", "rll", "--n", "13"]) == 1  # 9520 x 9520 at the real cap
     assert "rll n=13" in capsys.readouterr().err
     monkeypatch.setattr(model, "DENSE_BYTES_CAP", 16 * 20 * 20)
-    assert main(["verify", "--n", "1", "--atoms", "19,20"]) == 1
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error:")
-    assert "tcommute n=1 N=20" in err[0] and "DENSE_BYTES_CAP" in err[0]
+    monkeypatch.setattr(yangbaxter, "transfer_commutator_residual", commutator)
+    assert main(["verify", "--suite", "tcommute", "--n", "1", "--atoms", "19,20"]) == 0
+    out = capsys.readouterr().out
+    assert "tcommute n=1 N=20 20 pairs" in out and "FAIL" not in out
     monkeypatch.setattr(model, "DENSE_BYTES_CAP", 16 * 20 * 20 - 1)
     assert main(["verify", "--suite", "rll", "--n", "1"]) == 1
     err = capsys.readouterr().err.strip().splitlines()
@@ -567,6 +580,7 @@ def fuzz_files(tmp_path_factory):
         "non-object": "[1, 2]",
         "missing-field": json.dumps({"model": {k: v for k, v in integrable_block(2).items() if k != "alpha"}}),
         "unknown-field": json.dumps({"model": integrable_block(2) | {"u": 0.0}}),
+        "unknown-top-key": json.dumps({"model": integrable_block(2), "n_atom": [3]}),
     }
     files = {}
     for name, text in texts.items():
@@ -580,7 +594,7 @@ def fuzz_files(tmp_path_factory):
 LEVELS = ["-1", "0", "1", "2", "3"]
 ATOMS = ["0", "1", "2", "3", "4", "200", "x", "1,-1", ""]
 CONFIGS = ["integrable", "physical", "non-integrable", "non-finite", "malformed", "non-object",
-           "missing-field", "unknown-field"]
+           "missing-field", "unknown-field", "unknown-top-key"]
 # verb -> (options always given, options given or not), each with its values
 ARGV_OPTIONS = {
     "verify": ({"--suite": ["ybe", "rll", "tcommute", "charges", "hrel"]},

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twowell import model
-from twowell.fock import dimension, enumerate_sector
+from twowell.fock import dimension, enumerate_sector, total_number_operator
 from twowell.model import (
     ModelParams,
     build_hamiltonian,
@@ -272,6 +272,30 @@ def physical_params(draw):
 def test_lowest_matches_spectrum_property(params, N):
     H = build_hamiltonian(params, enumerate_sector(params.n_levels, N))
     assert abs(lowest(H).eigenvalues[0] - spectrum(H).eigenvalues[0]) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=physical_params(), N=st.integers(0, 4))
+def test_spectrum_invariant_under_well_relabeling(params, N):
+    # a <-> b swaps the same-well couplings and the on-well energies, transposes
+    # the cross-well ones, and flips mu, which enters as -mu_j (N_aj - N_bj)
+    swapped = ModelParams(
+        n_levels=params.n_levels,
+        U_aa=params.U_bb,
+        U_bb=params.U_aa,
+        U_ab=params.U_ab.T,
+        mu=-params.mu,
+        eps_a=params.eps_b,
+        eps_b=params.eps_a,
+        Omega=params.Omega.T,
+    )
+    sector = enumerate_sector(params.n_levels, N)
+    n_total = total_number_operator(sector)
+    H, H_swapped = build_hamiltonian(params, sector), build_hamiltonian(swapped, sector)
+    for h in (H, H_swapped):
+        assert abs(h @ n_total - n_total @ h).max() == 0.0
+    levels, levels_swapped = spectrum(H).eigenvalues, spectrum(H_swapped).eigenvalues
+    assert np.max(np.abs(levels - levels_swapped)) <= 1e-10
 
 
 def test_lowest_stays_sparse_at_large_dimension():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,21 @@ def test_transfer_commutator_random_pairs():
         v = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
         assert transfer_commutator_residual(u, v, ip, sector) <= 1e-10
     assert transfer_commutator_residual(0.4, 0.4, ip, sector) == 0.0
+
+
+def test_transfer_commutator_stays_sparse():
+    # one dense t(u) at n=2, N=20 is 1771 x 1771 complex (50 MB)
+    ip = default_integrable_params(2)
+    sector = enumerate_sector(2, 20)
+    dense_bytes = 16 * sector.dim**2
+    tracemalloc.start()
+    try:
+        residual = transfer_commutator_residual(0.9 + 0.3j, -0.4 + 1.1j, ip, sector)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert residual <= 1e-10
+    assert peak < 0.1 * dense_bytes
 
 
 def test_transfer_commutator_blind_to_hopping_perturbations():
