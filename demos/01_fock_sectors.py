@@ -5,13 +5,12 @@ dimension counting, and the sparse mode operators."""
 import numpy as np
 
 from twowell import (
-    a_mode,
-    b_mode,
+    Mode,
     dimension,
     enumerate_sector,
-    hopping_operator,
     number_operator,
     truncated_ladder,
+    tunneling_operator,
 )
 
 # A sector collects every occupation vector of the 2n modes (n levels in
@@ -28,20 +27,22 @@ for n in (1, 2, 3):
         assert dimension(n, N) == enumerate_sector(n, N).dim
 print("\ndimension(n, N) == number of rows for n <= 3, N <= 5")
 
-# Number operators are diagonal; hopping operators move one quantum and
-# carry the usual sqrt matrix elements.
-n_a1 = number_operator(sector, a_mode(1))
+# Number operators are diagonal.  Hops between the wells come from one
+# builder, tunneling_operator, which assembles
+# sum_jk coeffs[j, k] (a_j^dag b_k + b_k^dag a_j); each term moves one quantum
+# and carries the usual sqrt matrix elements.
+n_a1 = number_operator(sector, Mode("a", 1))
 print("\nN_a1 diagonal:", n_a1.diagonal())
 
-hop = hopping_operator(sector, b_mode(1), a_mode(1))
+hop = tunneling_operator(sector, [[1.0, 0.0], [0.0, 0.0]])  # a1^dag b1 + b1^dag a1
 # a row is found by its combinatorial rank, not by a lookup table
 src = sector.rank((1, 0, 1, 0))
 dst = sector.rank((0, 0, 2, 0))
 print(f"<0,0,2,0| b1^dag a1 |1,0,1,0> = {hop[dst, src]:.6f}  (sqrt(2))")
 
-# The transpose exchanges creation and annihilation roles.
-assert (hop.T - hopping_operator(sector, a_mode(1), b_mode(1))).nnz == 0
-print("hop(b1 <- a1)^T == hop(a1 <- b1)")
+# a1^dag b1 is the transpose of b1^dag a1, so the sum is symmetric.
+assert (hop.T - hop).nnz == 0
+print("a1^dag b1 + b1^dag a1 is symmetric")
 
 # Truncated single-well ladders: canonical commutation holds exactly below
 # the occupation cutoff.

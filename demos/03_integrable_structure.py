@@ -31,8 +31,8 @@ print(f"Yang-Baxter residual at (0.7, -0.3, 1.1): {ybe_residual(0.7, -0.3, 1.1):
 # visibly when the D-entry is detuned from zeta.
 s, t = rng.standard_normal(3), rng.standard_normal(3)
 ip3 = IntegrableParams(3, 1.0, np.ones(3), s, t, alpha=1.0)
-print(f"\nRLL residual, n = 3, random s/t: {rll_residual(0.9, -0.4, ip3, 4):.2e}")
-print(f"RLL residual with detuned D-block: {rll_residual(0.9, -0.4, ip3, 4, zeta_shift=0.1):.2e}")
+print(f"\nRLL residual, n = 3, random s/t: {rll_residual(0.9, -0.4, ip3):.2e}")
+print(f"RLL residual with detuned D-block: {rll_residual(0.9, -0.4, ip3, zeta_shift=0.1):.2e}")
 
 # Transfer matrices commute at different spectral parameters, and their
 # polynomial coefficients are the conserved charges.

@@ -29,7 +29,7 @@ for N in (1, 2, 3):
     result = solve_bae(ip, N)
     sector = enumerate_sector(2, N)
     ed = spectrum(build_hamiltonian(identify_parameters(ip), sector))
-    report = match_spectrum(result.solutions, ed, tol=1e-8)
+    report = match_spectrum(result.solutions, ed)
     print(f"\nN = {N}: {result.unique} of {N + 1} Bethe states, "
           f"{report.n_matched} matched to ED (of {report.n_eigenvalues} levels); "
           f"tridiagonal energies {np.round(collective_energies(ip, N), 6)}")

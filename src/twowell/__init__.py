@@ -17,11 +17,8 @@ from .fock import (
     FockSector,
     Mode,
     TruncatedLadder,
-    a_mode,
-    b_mode,
     dimension,
     enumerate_sector,
-    hopping_operator,
     number_operator,
     total_number_operator,
     truncated_ladder,

@@ -1,6 +1,7 @@
 """Bethe-ansatz layer: rapidity equations, a deterministic TQ solver,
 energies, transfer-matrix eigenvalues, Bethe vectors, and matching against
-exact diagonalization.
+exact diagonalization (`match_spectrum` returns the pairing and leaves the
+solutions as they are).
 
 The equations for N rapidities {v_i} read
 
@@ -59,6 +60,8 @@ BAE_TOL = 1e-10
 # Damped Newton steps per state.  No state kept on n = 1..3, N <= 20 takes more
 # than 6; more steps only spend time on states that are rejected anyway.
 MAX_NEWTON_ITER = 8
+# Largest |E_Bethe - E_ED| at which `match_spectrum` pairs a state with a level.
+MATCH_TOL = 1e-8
 
 
 def _pair_gaps(v, eta):
@@ -191,11 +194,6 @@ class BetheSolution:
     vector: np.ndarray
     h_residual: float
     t_residual: float
-    matched_eigenvalue: float | None = None
-
-    @property
-    def n_atoms(self) -> int:
-        return len(self.roots)
 
 
 @dataclass
@@ -318,7 +316,7 @@ def solve_bae(ip: IntegrableParams, n_atoms: int) -> SolveResult:
         if pole < COINCIDENT_TOL:
             rejected["string_pole"] += 1
             continue
-        u = _admissible_eval_point(0.0, v)
+        u = _admissible_eval_point(v)
         if abs(bethe_energy(v, ip, N, u) - energy) > 1e-9 * max(1.0, abs(energy)):
             rejected["energy_mismatch"] += 1
             continue
@@ -349,9 +347,10 @@ def _eigen_residual(op, vec, value):
     return float(np.max(np.abs(op @ vec - value * vec)) / np.max(np.abs(vec)))
 
 
-def _admissible_eval_point(u, roots, min_gap=1e-6):
-    u = complex(u)
-    while roots.size and np.min(np.abs(roots - u)) < min_gap:
+def _admissible_eval_point(roots):
+    """The first of u = 0, 0.5, 1, ... at least 1e-6 away from every root."""
+    u = 0j
+    while roots.size and np.min(np.abs(roots - u)) < 1e-6:
         u += 0.5
     return u
 
@@ -435,47 +434,28 @@ def bethe_vector(roots, ip: IntegrableParams) -> np.ndarray:
 
 @dataclass
 class MatchReport:
-    """Greedy pairing of Bethe energies with exact-diagonalization levels."""
+    """Pairing of Bethe energies with exact-diagonalization levels: `index[i]`
+    is the level paired with solution i, or -1 where none is."""
 
-    pairs: list  # (solution index, eigenvalue index, |delta|)
+    index: list
     n_matched: int
-    n_solutions: int
     n_eigenvalues: int
-    unmatched_solutions: list
-    unmatched_eigenvalues: list
-    max_matched_delta: float
 
 
-def match_spectrum(solutions, spectrum, tol: float = 1e-8) -> MatchReport:
-    """Pair each Bethe energy with the nearest unmatched eigenvalue; a pair
-    within `tol` consumes the level.  Coverage of the spectrum is reported,
-    never asserted."""
+def match_spectrum(solutions, spectrum) -> MatchReport:
+    """Pair each Bethe energy, in the order given (ascending for `solve_bae`),
+    with the nearest free eigenvalue if it lies within MATCH_TOL; a pair
+    consumes the level.  Coverage of the spectrum is reported, never asserted,
+    and the solutions are not modified."""
     eigenvalues = np.asarray(spectrum.eigenvalues, dtype=float)
     taken = np.zeros(eigenvalues.size, dtype=bool)
-    pairs = []
-    unmatched_solutions = []
-    deltas = []
-    for si, sol in enumerate(solutions):
-        free = np.where(~taken)[0]
-        if free.size == 0:
-            unmatched_solutions.append(si)
-            continue
+    index = []
+    for sol in solutions:
+        free = np.flatnonzero(~taken)
         gaps = np.abs(eigenvalues[free] - sol.energy)
-        best = free[int(np.argmin(gaps))]
-        delta = float(np.min(gaps))
-        if delta <= tol:
+        best = -1
+        if free.size and np.min(gaps) <= MATCH_TOL:
+            best = int(free[np.argmin(gaps)])
             taken[best] = True
-            pairs.append((si, int(best), delta))
-            deltas.append(delta)
-            sol.matched_eigenvalue = float(eigenvalues[best])
-        else:
-            unmatched_solutions.append(si)
-    return MatchReport(
-        pairs=pairs,
-        n_matched=len(pairs),
-        n_solutions=len(solutions),
-        n_eigenvalues=int(eigenvalues.size),
-        unmatched_solutions=unmatched_solutions,
-        unmatched_eigenvalues=[int(i) for i in np.where(~taken)[0]],
-        max_matched_delta=max(deltas) if deltas else 0.0,
-    )
+        index.append(best)
+    return MatchReport(index=index, n_matched=int(taken.sum()), n_eigenvalues=int(eigenvalues.size))

@@ -3,7 +3,8 @@
 Verbs:
   verify    run the algebraic-relation residual suites (ybe, rll, tcommute,
             charges, hrel, all) with the levels and atom numbers of the
-            SUITES table, after checking every sector they would enumerate
+            SUITES table (--n and --atoms are refused where no selected
+            suite has them), after checking every sector they would enumerate
             against fock.SECTOR_DIM_CAP and rll's dense matrices, the only
             ones formed, against model.DENSE_BYTES_CAP
   spectrum  exact-diagonalization spectrum as CSV: every level of every
@@ -42,7 +43,6 @@ from .model import ModelParams
 from .yangbaxter import IntegrableParams, default_integrable_params
 
 GRID_POINTS_CAP = 100_000
-RLL_CUTOFF = 4  # occupation cutoff of the one-well Fock space in the rll suite
 
 
 def _fmt(x) -> str:
@@ -210,10 +210,10 @@ def _suite_rll(rng, levels, atoms):
         for _ in range(20):
             ip = _random_ip(rng, n)
             u, v = _draw_away_from_poles(rng, ip.eta)
-            worst = max(worst, yangbaxter.rll_residual(u, v, ip, RLL_CUTOFF))
+            worst = max(worst, yangbaxter.rll_residual(u, v, ip))
         checks.append((f"rll n={n} 20 draws", worst, 1e-12))
         control = yangbaxter.rll_residual(
-            0.9, -0.4, default_integrable_params(n), RLL_CUTOFF, zeta_shift=0.1
+            0.9, -0.4, default_integrable_params(n), zeta_shift=0.1
         )
         checks.append((f"rll n={n} zeta-shift control (>= 1e-3)", control, None, control >= 1e-3))
     return checks
@@ -300,19 +300,23 @@ def _sectors(pairs):
 def cmd_verify(args) -> int:
     errors = [] if args.seed >= 0 else [f"--seed must be >= 0, got {args.seed}"]
     given_atoms = tuple(_atoms_from({}, args, errors, default=()))
+    selected = {name: row for name, row in SUITES.items() if args.suite in (name, "all")}
+    # a suite takes --n if it has default levels, --atoms if it has default atom numbers
+    for flag, given, column in (("--n", args.n, 1), ("--atoms", args.atoms, 2)):
+        if given is not None and not any(row[column] for row in selected.values()):
+            errors.append(f"--suite {args.suite} does not take {flag}")
     if errors:
         return _fail_validation(errors)
     plan = {
         name: (suite, (args.n,) if args.n and levels else levels,
                given_atoms if given_atoms and atoms else atoms)
-        for name, (suite, levels, atoms) in SUITES.items()
-        if args.suite in (name, "all")
+        for name, (suite, levels, atoms) in selected.items()
     }
     sectors = {(n, N) for _, levels, atoms in plan.values() for n in levels for N in atoms}
     # rll forms the only dense matrices: complex, on aux1 x aux2 x the
     # RLL_CUTOFF-truncated Fock space of one well
     _, rll_levels, _ = plan.get("rll", (None, (), ()))
-    dense = [(f"rll n={n}", 4 * math.comb(n + RLL_CUTOFF, RLL_CUTOFF)) for n in rll_levels]
+    dense = [(f"rll n={n}", 4 * math.comb(n + yangbaxter.RLL_CUTOFF, n)) for n in rll_levels]
     errors = _size_errors(_sectors(sorted(sectors)), fock.check_sector_fits)
     errors += _size_errors(dense, lambda d: model.check_dense_fits(d, np.complex128))
     if errors:
@@ -432,21 +436,22 @@ def cmd_bae(args) -> int:
             return _fail_validation([str(exc)])
         sector = fock.enumerate_sector(ip.n_levels, N)
         spectrum = model.spectrum(model.build_hamiltonian(mp, sector))
-        match = bethe.match_spectrum(result.solutions, spectrum, tol=1e-8)
+        match = bethe.match_spectrum(result.solutions, spectrum)
         summary["attempts"] += result.attempts
         summary["converged"] += result.converged
         summary["unique"] += result.unique
         summary["matched"] += match.n_matched
         summary["spectrum_levels"] += match.n_eigenvalues
-        summary["max_matched_delta"] = max(summary["max_matched_delta"], match.max_matched_delta)
-        for sid, sol in enumerate(result.solutions):
+        for sid, (sol, level) in enumerate(zip(result.solutions, match.index)):
             eig_res = max(sol.h_residual, sol.t_residual)
             summary["max_bae_residual"] = max(summary["max_bae_residual"], sol.residual)
             summary["max_eigvec_residual"] = max(summary["max_eigvec_residual"], eig_res)
+            level_value = None if level < 0 else float(spectrum.eigenvalues[level])
             matched = delta = ""
-            if sol.matched_eigenvalue is not None:
-                matched = _fmt(sol.matched_eigenvalue)
-                delta = _fmt(abs(sol.energy - sol.matched_eigenvalue))
+            if level_value is not None:
+                gap = abs(sol.energy - level_value)
+                summary["max_matched_delta"] = max(summary["max_matched_delta"], gap)
+                matched, delta = _fmt(level_value), _fmt(gap)
             common = f"{_fmt(sol.energy)},{_fmt(sol.residual)},{_fmt(eig_res)},{matched},{delta}"
             if N == 0:
                 rows.append(f"{N}_{sid},-1,,,{common}")
@@ -461,7 +466,7 @@ def cmd_bae(args) -> int:
                     "bae_residual": sol.residual,
                     "h_residual": sol.h_residual,
                     "t_residual": sol.t_residual,
-                    "matched_eigenvalue": sol.matched_eigenvalue,
+                    "matched_eigenvalue": level_value,
                 }
             )
 

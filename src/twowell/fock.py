@@ -7,9 +7,9 @@ descending lexicographic order.  A row is found by its exact combinatorial
 rank (`FockSector.rank`), not by a lookup table.  Every operator is built,
 with no loop over basis states, from one vectorized primitive (`_shift`) that
 raises and/or lowers a mode on all rows at once.  Builders return
-``scipy.sparse`` CSR matrices.  `tunneling_operator` is the one assembly of
-the inter-well hopping term, shared by the physical Hamiltonian and the
-transfer matrix.
+``scipy.sparse`` CSR matrices.  `tunneling_operator` is the one hop builder:
+it assembles the inter-well hopping term for both the physical Hamiltonian
+and the transfer matrix.  A mode is named `Mode("a", j)` or `Mode("b", j)`.
 """
 
 import math
@@ -22,14 +22,11 @@ __all__ = [
     "Mode",
     "FockSector",
     "TruncatedLadder",
-    "a_mode",
-    "b_mode",
     "dimension",
     "SECTOR_DIM_CAP",
     "check_sector_fits",
     "enumerate_sector",
     "number_operator",
-    "hopping_operator",
     "tunneling_operator",
     "total_number_operator",
     "truncated_ladder",
@@ -59,14 +56,6 @@ class Mode:
 
     def __str__(self):
         return f"{self.well}{self.level}"
-
-
-def a_mode(level: int) -> Mode:
-    return Mode("a", level)
-
-
-def b_mode(level: int) -> Mode:
-    return Mode("b", level)
 
 
 def dimension(n_levels: int, n_atoms: int) -> int:
@@ -196,19 +185,6 @@ def total_number_operator(sector: FockSector) -> sp.csr_matrix:
     """Sum of all mode number operators; equals n_atoms * identity on the sector."""
     diag = sector.occ.sum(axis=1).astype(float)
     return sp.csr_matrix(sp.diags(diag, shape=(sector.dim, sector.dim)))
-
-
-def hopping_operator(sector: FockSector, create: Mode, annihilate: Mode) -> sp.csr_matrix:
-    """Matrix of x_create^dagger x_annihilate restricted to the sector.
-
-    The element between target and source states is
-    sqrt((n_create + 1) * n_annihilate); total atom number is conserved.
-    """
-    if create == annihilate:
-        raise ValueError(f"create and annihilate coincide ({create}); use number_operator")
-    c, a = sector.mode_position(create), sector.mode_position(annihilate)
-    src, dst, amp = _shift(sector.occ, c, a)
-    return _csr([(dst, src, amp)], (sector.dim, sector.dim))
 
 
 def tunneling_operator(sector: FockSector, coeffs) -> sp.csr_matrix:

@@ -16,8 +16,9 @@ All couplings share one arbitrary energy unit.
 
 Eigenvalues come from one of two entry points, one per question:
 `spectrum(H)` returns every level by dense diagonalization, after checking
-the dense matrix against DENSE_BYTES_CAP; `lowest(H, k)` returns the k lowest
-levels by sparse Lanczos and never forms a dense matrix when d > k + 1.
+the dense matrix against DENSE_BYTES_CAP, and is the only dense path;
+`lowest(H, k)` returns the k lowest levels by sparse Lanczos, and hands the
+tiny matrices ARPACK cannot take (d <= k + 1) to `spectrum`.
 """
 
 from dataclasses import dataclass
@@ -224,8 +225,8 @@ def lowest(H, k: int = 1, want_vectors: bool = False) -> SpectrumResult:
     """The k lowest eigenvalues of a Hermitian matrix, ascending, by sparse Lanczos.
 
     Sparse end to end: ARPACK `eigsh(which="SA")` from a fixed start vector,
-    a sparse Hermiticity check and a sparse-matvec residual.  Only where
-    ARPACK cannot run (d <= k + 1) is the matrix diagonalized densely.
+    a sparse Hermiticity check and a sparse-matvec residual.  Where ARPACK
+    cannot run (d <= k + 1) the k lowest levels are taken from `spectrum`.
     """
     H = sp.csr_matrix(H)
     _check_square(H)
@@ -235,11 +236,10 @@ def lowest(H, k: int = 1, want_vectors: bool = False) -> SpectrumResult:
     _check_hermitian(H)
     vecs = None
     if d <= k + 1:
-        check_dense_fits(d, np.result_type(H.dtype, np.float64))
+        full = spectrum(H, want_vectors)
+        vals = full.eigenvalues[:k]
         if want_vectors:
-            vals, vecs = eigh(H.toarray(), subset_by_index=(0, k - 1))
-        else:
-            vals = eigvalsh(H.toarray(), subset_by_index=(0, k - 1))
+            vecs = full.eigenvectors[:, :k]
     elif H.count_nonzero() == 0:  # ARPACK rejects the zero operator
         vals = np.zeros(k)
         if want_vectors:
@@ -278,10 +278,8 @@ class ConservationReport:
 
 
 def _comm_norm(A, B) -> float:
-    C = (A @ B - B @ A)
-    if sp.issparse(C):
-        return 0.0 if C.nnz == 0 else float(np.max(np.abs(C.data)))
-    return float(np.max(np.abs(C)))
+    """Max-abs entry of the sparse commutator [A, B]."""
+    return float(np.max(np.abs((A @ B - B @ A).data), initial=0.0))
 
 
 def conservation_report(params: ModelParams, sector: FockSector) -> ConservationReport:

@@ -2,10 +2,11 @@
 
 Builds the gl(2)-invariant rational R-matrix, the multi-state single-site Lax
 operator, the two-site transfer matrix and its conserved charges, and checks
-the defining relations numerically (Yang-Baxter, RLL, commuting transfer
-matrices, Hamiltonian reconstruction).  Also maps the algebraic data
-(eta, omega, s, t, alpha) to physical couplings and back; the way back
-returns the gauge t = +-s, the only one the Bethe-ansatz layer solves.
+the defining relations numerically (Yang-Baxter, RLL on the RLL_CUTOFF-truncated
+Fock space of one well, commuting transfer matrices, Hamiltonian
+reconstruction).  Also maps the algebraic data (eta, omega, s, t, alpha) to
+physical couplings and back, to IDENTIFY_TOL; the way back returns the gauge
+t = +-s, the only one the Bethe-ansatz layer solves.
 
 Each operator has one construction and each relation one check: the
 constructors here do not check themselves, the residual functions (and the
@@ -60,6 +61,11 @@ __all__ = [
     "identify_parameters",
     "validate_model",
 ]
+
+# Occupation cutoff of the one-well Fock space on which `rll_residual` checks RLL.
+RLL_CUTOFF = 4
+# Largest max-abs deviation from a constraint that `validate_model` accepts.
+IDENTIFY_TOL = 1e-10
 
 
 @dataclass
@@ -195,20 +201,17 @@ def rll_residual(
     u: complex,
     v: complex,
     ip: IntegrableParams,
-    cutoff: int,
     zeta_shift: float = 0.0,
 ) -> float:
-    """Max-abs entry of R12(u-v) L1(u) L2(v) - L2(v) L1(u) R12(u-v), projected
-    onto quantum-space elements between states of total occupation
-    <= cutoff - 2 (each side raises the occupation by at most two, so these
-    elements carry no truncation artifacts).
+    """Max-abs entry of R12(u-v) L1(u) L2(v) - L2(v) L1(u) R12(u-v) on the
+    RLL_CUTOFF-truncated Fock space of one well, projected onto elements
+    between states of total occupation <= RLL_CUTOFF - 2 (each side raises the
+    occupation by at most two, so these elements carry no truncation artifacts).
 
     `zeta_shift` perturbs the D-block to (zeta + shift)/eta, breaking the
     construction on purpose; used as a negative control.
     """
-    if cutoff < 2:
-        raise ValueError(f"cutoff must be >= 2, got {cutoff}")
-    ladders = truncated_ladder(ip.n_levels, cutoff)
+    ladders = truncated_ladder(ip.n_levels, RLL_CUTOFF)
     d = ladders.dim
     Lu = lax_operator(u, ip, ladders)
     Lv = lax_operator(v, ip, ladders)
@@ -225,7 +228,7 @@ def rll_residual(
     X = Lu[:, None, :, None] @ Lv[None, :, None, :]
     Y = Lv[None, :, None, :] @ Lu[:, None, :, None]
     diff = b * (X - Y) + c * (X.swapaxes(0, 1) - Y.swapaxes(2, 3))
-    keep = np.where(ladders.totals <= cutoff - 2)[0]
+    keep = np.where(ladders.totals <= RLL_CUTOFF - 2)[0]
     return float(np.max(np.abs(diff[..., keep, :][..., keep])))
 
 
@@ -350,8 +353,9 @@ def _rank_one_factors(Omega):
     return s, sign, residual
 
 
-def validate_model(mp: ModelParams, tol: float = 1e-10) -> IdentificationReport:
-    """Check whether physical couplings sit on the integrable manifold.
+def validate_model(mp: ModelParams) -> IdentificationReport:
+    """Check whether physical couplings sit on the integrable manifold, each
+    constraint to IDENTIFY_TOL (max-abs).
 
     Constraints: (i) a common alpha on all same-well diagonals, (ii) same-well
     off-diagonals equal to 2 alpha, (iii) a common positive eta^2 =
@@ -370,18 +374,18 @@ def validate_model(mp: ModelParams, tol: float = 1e-10) -> IdentificationReport:
 
     diags = np.concatenate([np.diag(mp.U_aa), np.diag(mp.U_bb)])
     alpha = float(diags[0])
-    if np.max(np.abs(diags - alpha)) > tol:
+    if np.max(np.abs(diags - alpha)) > IDENTIFY_TOL:
         violations.append(("U_ppjj common alpha", diags.tolist(), alpha))
 
     if n > 1:
         off_mask = ~np.eye(n, dtype=bool)
         offs = np.concatenate([mp.U_aa[off_mask], mp.U_bb[off_mask]])
-        if np.max(np.abs(offs - 2.0 * alpha)) > tol:
+        if np.max(np.abs(offs - 2.0 * alpha)) > IDENTIFY_TOL:
             violations.append(("U_ppjk (j != k) equals 2 alpha", offs.tolist(), 2.0 * alpha))
 
     eta_sq_all = 2.0 * alpha - mp.U_ab
     eta_sq = float(np.mean(eta_sq_all))
-    if np.max(np.abs(eta_sq_all - eta_sq)) > tol:
+    if np.max(np.abs(eta_sq_all - eta_sq)) > IDENTIFY_TOL:
         violations.append(
             ("U_abjk common value 2 alpha - eta^2", mp.U_ab.tolist(), 2.0 * alpha - eta_sq)
         )
@@ -392,19 +396,19 @@ def validate_model(mp: ModelParams, tol: float = 1e-10) -> IdentificationReport:
         violations.append(("Omega nonzero (zeta != 0)", 0.0, "nonzero"))
     else:
         s, sign, r1_residual = _rank_one_factors(mp.Omega)
-        if r1_residual > tol:
+        if r1_residual > IDENTIFY_TOL:
             violations.append(("Omega rank-1", r1_residual, 0.0))
 
     lin_a = mp.eps_a - mp.mu
     lin_b = mp.eps_b + mp.mu
     eta_W = float(lin_a[0])
     for j in range(1, n):
-        if abs(lin_a[j] - eta_W) > tol:
+        if abs(lin_a[j] - eta_W) > IDENTIFY_TOL:
             violations.append(
                 (f"eps_a{j + 1} - mu_{j + 1} equals eps_a1 - mu_1", float(lin_a[j]), eta_W)
             )
     for j in range(n):
-        if abs(lin_b[j] + eta_W) > tol:
+        if abs(lin_b[j] + eta_W) > IDENTIFY_TOL:
             violations.append(
                 (f"eps_b{j + 1} + mu_{j + 1} equals -(eps_a1 - mu_1)", float(lin_b[j]), -eta_W)
             )

@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 
 from twowell import bethe
 from twowell.bethe import (
+    MATCH_TOL,
     bae_residual,
     bethe_energy,
     bethe_vector,
@@ -17,7 +21,7 @@ from twowell.bethe import (
     transfer_eigenvalue,
 )
 from twowell.fock import dimension, enumerate_sector
-from twowell.model import build_hamiltonian, spectrum
+from twowell.model import SpectrumResult, build_hamiltonian, spectrum
 from twowell.yangbaxter import (
     IntegrableParams,
     default_integrable_params,
@@ -130,7 +134,7 @@ def test_solver_finds_all_states(n, N):
         assert sol.residual <= 1e-10
         assert max(sol.h_residual, sol.t_residual) <= 1e-9
     ed = spectrum(build_hamiltonian(identify_parameters(ip), enumerate_sector(n, N)))
-    report = match_spectrum(result.solutions, ed, tol=1e-8)
+    report = match_spectrum(result.solutions, ed)
     assert report.n_matched == N + 1
 
 
@@ -478,10 +482,11 @@ def test_match_single_atom_partition():
     sector = enumerate_sector(2, 1)
     ed = spectrum(build_hamiltonian(identify_parameters(ip), sector))
     result = solve_bae(ip, 1)
-    report = match_spectrum(result.solutions, ed, tol=1e-8)
+    report = match_spectrum(result.solutions, ed)
     assert report.n_matched == 2
-    assert report.max_matched_delta <= 1e-10
-    leftovers = sorted(ed.eigenvalues[i] for i in report.unmatched_eigenvalues)
+    deltas = [abs(sol.energy - ed.eigenvalues[i]) for sol, i in zip(result.solutions, report.index)]
+    assert max(deltas) <= 1e-10
+    leftovers = np.delete(ed.eigenvalues, report.index)
     assert np.allclose(leftovers, [-1.0, 3.0], atol=1e-12)
 
 
@@ -489,9 +494,10 @@ def test_match_empty_solution_list():
     ip = default_integrable_params(2)
     sector = enumerate_sector(2, 1)
     ed = spectrum(build_hamiltonian(identify_parameters(ip), sector))
-    report = match_spectrum([], ed, tol=1e-8)
+    report = match_spectrum([], ed)
     assert report.n_matched == 0
-    assert len(report.unmatched_eigenvalues) == 4
+    assert report.index == []
+    assert report.n_eigenvalues == 4
 
 
 @pytest.mark.parametrize("N", [2, 3])
@@ -500,7 +506,73 @@ def test_match_oracle_equivalence(N):
     sector = enumerate_sector(2, N)
     ed = spectrum(build_hamiltonian(identify_parameters(ip), sector))
     result = solve_bae(ip, N)
-    report = match_spectrum(result.solutions, ed, tol=1e-8)
+    report = match_spectrum(result.solutions, ed)
     assert result.unique == N + 1
     assert report.n_matched == result.unique
-    assert not report.unmatched_solutions
+    assert -1 not in report.index
+
+
+def test_match_leaves_solutions_unchanged():
+    # the pairing is returned in the report, never written into the solutions
+    ip = default_integrable_params(2)
+    result = solve_bae(ip, 3)
+    ed = spectrum(build_hamiltonian(identify_parameters(ip), enumerate_sector(2, 3)))
+    before = copy.deepcopy(result.solutions)
+    report = match_spectrum(result.solutions, ed)
+    assert report.n_matched == 4
+    for old, sol in zip(before, result.solutions):
+        for f in dataclasses.fields(sol):
+            assert np.array_equal(getattr(old, f.name), getattr(sol, f.name)), f.name
+
+
+def _states(*energies):
+    return [SimpleNamespace(energy=e) for e in energies]
+
+
+def test_match_near_degenerate_energies_take_distinct_levels():
+    # both energies lie within MATCH_TOL of both levels 0 and 1
+    levels = SpectrumResult(np.array([0.0, 0.4 * MATCH_TOL, 1.0]))
+    report = match_spectrum(_states(0.1 * MATCH_TOL, 0.2 * MATCH_TOL), levels)
+    assert report.index == [0, 1]
+    assert (report.n_matched, report.n_eigenvalues) == (2, 3)
+    # with one level in range, the higher energy is left unpaired
+    levels = SpectrumResult(np.array([0.0, 1.0]))
+    report = match_spectrum(_states(0.1 * MATCH_TOL, 0.2 * MATCH_TOL), levels)
+    assert report.index == [0, -1]
+    assert report.n_matched == 1
+
+
+def _greedy_oracle(energies, levels):
+    """In the order given, each energy takes the nearest free level (the
+    first on a tie) if it lies within MATCH_TOL."""
+    free = list(range(len(levels)))
+    index = []
+    for e in energies:
+        best = min(free, key=lambda j: abs(levels[j] - e), default=None)
+        if best is not None and abs(levels[best] - e) <= MATCH_TOL:
+            free.remove(best)
+            index.append(best)
+        else:
+            index.append(-1)
+    return index
+
+
+# clusters of values a few MATCH_TOL apart, around a few well-separated centres
+near_degenerate = st.builds(
+    lambda centre, k: centre + k * MATCH_TOL / 4,
+    st.sampled_from([-1.5, 0.0, 2.5]),
+    st.integers(-8, 8),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    energies=st.lists(near_degenerate | st.floats(-3, 3), max_size=8),
+    levels=st.lists(near_degenerate | st.floats(-3, 3), max_size=8),
+)
+def test_match_agrees_with_greedy_oracle(energies, levels):
+    energies, levels = sorted(energies), sorted(levels)
+    report = match_spectrum(_states(*energies), SpectrumResult(np.array(levels)))
+    assert report.index == _greedy_oracle(energies, levels)
+    assert report.n_matched == sum(i >= 0 for i in report.index)
+    assert report.n_eigenvalues == len(levels)

@@ -497,6 +497,39 @@ def test_verify_hrel_narrowed(capsys):
     assert "hrel n=2 N=3" in out
 
 
+@pytest.mark.parametrize(
+    "suite, flag, value",
+    [("ybe", "--n", "3"), ("ybe", "--atoms", "5"), ("rll", "--atoms", "200")],
+)
+def test_verify_refuses_flags_no_selected_suite_takes(suite, flag, value, capsys):
+    # refused before any suite runs, rather than ignored
+    assert main(["verify", "--suite", suite, flag, value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [f"error: --suite {suite} does not take {flag}"]
+
+
+@pytest.mark.parametrize(
+    "argv, checks",
+    [
+        (["--suite", "rll", "--n", "3"], ["rll n=3 20 draws", "rll n=3 zeta-shift control (>= 1e-3)"]),
+        (
+            ["--suite", "all", "--n", "1", "--atoms", "0,6"],
+            ["ybe 100 draws", "rll n=1 20 draws", "rll n=1 zeta-shift control (>= 1e-3)"]
+            + [f"tcommute n=1 N={N} 20 pairs" for N in (0, 6)]
+            + [f"charges n=1 N={N} {c}" for N in (0, 6)
+               for c in ("reconstruction", "commutators", "C1=etaN, C2=I")]
+            + [f"hrel n=1 N={N}" for N in (0, 6)],
+        ),
+    ],
+)
+def test_verify_flags_a_selected_suite_takes(argv, checks, capsys):
+    assert main(["verify", "--seed", "5", *argv]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert [line.split(": max residual")[0] for line in lines] == checks
+    assert all(line.endswith("PASS") for line in lines)
+
+
 def test_identify_derived_block_is_a_model_block(tmp_path, capsys):
     # every echoed model block is accepted back as a config's model block
     cfg = physical_config(tmp_path, rank_one_tunneling("nonparallel"), [1])

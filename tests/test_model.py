@@ -200,6 +200,9 @@ def test_iterative_ground_state_agrees_with_dense():
     for k in range(1, 4):
         H = np.diag(np.arange(k + 1, 0, -1, dtype=float))
         assert np.array_equal(lowest(H, k).eigenvalues, np.arange(1.0, k + 1.0))
+        with_vectors = lowest(H, k, want_vectors=True)
+        assert with_vectors.eigenvectors.shape == (k + 1, k)
+        assert with_vectors.max_residual < 1e-12
 
 
 def test_lowest_vector_residuals():

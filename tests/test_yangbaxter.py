@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from twowell.fock import Mode, enumerate_sector, hopping_operator, truncated_ladder
+from twowell.fock import enumerate_sector, truncated_ladder, tunneling_operator
 from twowell.model import build_hamiltonian, spectrum
 from twowell.yangbaxter import (
     IntegrableParams,
@@ -125,17 +125,17 @@ def test_lax_block_commutators_below_cutoff():
 def test_rll_random_couplings():
     rng = np.random.default_rng(7)
     ip = random_ip(rng, 2)
-    assert rll_residual(0.9, -0.4, ip, 4) <= 1e-12
+    assert rll_residual(0.9, -0.4, ip) <= 1e-12
 
 
 def test_rll_detects_broken_constraint():
     ip = default_integrable_params(2)
-    assert rll_residual(0.9, -0.4, ip, 4, zeta_shift=0.1) >= 1e-3
+    assert rll_residual(0.9, -0.4, ip, zeta_shift=0.1) >= 1e-3
 
 
 def test_rll_single_mode_reduction():
     ip = IntegrableParams(1, 1.0, np.ones(1), np.ones(1), np.ones(1), alpha=1.0)
-    assert rll_residual(0.9, -0.4, ip, 4) <= 1e-12
+    assert rll_residual(0.9, -0.4, ip) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -147,7 +147,7 @@ def test_rll_property_sweep(n):
         v = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
         if abs(u - v + ip.eta) < 0.05:
             continue
-        assert rll_residual(u, v, ip, 4) <= 1e-12
+        assert rll_residual(u, v, ip) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +221,9 @@ def test_transfer_commutator_blind_to_hopping_perturbations():
     # cannot raise it.  The structural checks live in the RLL relation.
     ip = default_integrable_params(2)
     sector = enumerate_sector(2, 3)
-    hop = hopping_operator(sector, Mode("a", 1), Mode("b", 2))
-    pert = (0.1 * ip.s[0] * ip.t[1]) * (hop + hop.T).toarray()
+    coeffs = np.zeros((2, 2))
+    coeffs[0, 1] = 0.1 * ip.s[0] * ip.t[1]  # a_1 <-> b_2
+    pert = tunneling_operator(sector, coeffs).toarray()
     tu = transfer_matrix(0.9, ip, sector).toarray() + pert
     tv = transfer_matrix(-0.4, ip, sector).toarray() + pert
     residual = np.max(np.abs(tu @ tv - tv @ tu))
