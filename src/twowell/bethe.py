@@ -37,7 +37,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import comb, gammaln
 
 from . import fock
-from .yangbaxter import IntegrableParams, hamiltonian_from_transfer, transfer_matrix
+from .yangbaxter import IntegrableParams, hamiltonian_from_transfer
 
 __all__ = [
     "BetheSolution",
@@ -178,11 +178,6 @@ def _newton_step(v, f, ip):
     return dv if np.all(np.isfinite(dv)) else None
 
 
-def _canonical(v):
-    """Roots sorted by real part, then imaginary part."""
-    return np.sort_complex(np.asarray(v, dtype=complex))
-
-
 @dataclass
 class BetheSolution:
     """One Bethe state: its exact energy, the roots that reproduce it, and
@@ -269,7 +264,8 @@ def solve_bae(ip: IntegrableParams, n_atoms: int) -> SolveResult:
     v_i - v_j = -eta) or fail the energy check are left out and counted in
     `rejected`.  Each kept state carries its Bethe vector and its
     eigen-residuals against H and t(u), with u the point at which its energy
-    was checked.
+    was checked; both come from the sector's one H, as t(u) = (E(u) +
+    Lambda(u)) I - H there: the t(u)-residual is that of H at E(u).
 
     Raises ValueError for N > 0 unless s and t are proportional: otherwise
     the self-adjoint t(u) is not the monodromy trace the equations solve.
@@ -289,7 +285,6 @@ def solve_bae(ip: IntegrableParams, n_atoms: int) -> SolveResult:
     sector = fock.enumerate_sector(ip.n_levels, N)
     embedding = _embedding(ip, sector)  # shared by all states
     H = hamiltonian_from_transfer(ip, sector)
-    t_at = {}  # evaluation point -> sparse t(u) on the N-atom sector
 
     eta, zeta, W = ip.eta, ip.zeta, ip.omega_sum
     # u = scale x keeps the monomial coefficients of q of comparable size
@@ -308,7 +303,7 @@ def solve_bae(ip: IntegrableParams, n_atoms: int) -> SolveResult:
                 rejected["unconverged"] += 1
                 continue
         converged += 1
-        v = _canonical(v)
+        v = np.sort_complex(v)  # by real part, then imaginary part
         gap, pole = _pair_gaps(v, ip.eta)
         if gap < COINCIDENT_TOL:
             rejected["coincident"] += 1
@@ -316,13 +311,11 @@ def solve_bae(ip: IntegrableParams, n_atoms: int) -> SolveResult:
         if pole < COINCIDENT_TOL:
             rejected["string_pole"] += 1
             continue
-        u = _admissible_eval_point(v)
-        if abs(bethe_energy(v, ip, N, u) - energy) > 1e-9 * max(1.0, abs(energy)):
+        e_u = bethe_energy(v, ip, N, _admissible_eval_point(v))
+        if abs(e_u - energy) > 1e-9 * max(1.0, abs(energy)):
             rejected["energy_mismatch"] += 1
             continue
         vector = _bethe_state(v, ip, embedding)
-        if u not in t_at:
-            t_at[u] = transfer_matrix(u, ip, sector)
         solutions.append(
             BetheSolution(
                 roots=v,
@@ -330,7 +323,7 @@ def solve_bae(ip: IntegrableParams, n_atoms: int) -> SolveResult:
                 energy=float(energy),
                 vector=vector,
                 h_residual=_eigen_residual(H, vector, energy),
-                t_residual=_eigen_residual(t_at[u], vector, transfer_eigenvalue(u, v, ip)),
+                t_residual=_eigen_residual(H, vector, e_u),
             )
         )
 
@@ -363,7 +356,7 @@ def transfer_eigenvalue(u: complex, roots, ip: IntegrableParams) -> complex:
     """
     # canonical root order makes the symmetric products bitwise
     # permutation-invariant
-    v = _canonical(np.asarray(roots, dtype=complex).reshape(-1))
+    v = np.sort_complex(np.asarray(roots, dtype=complex).reshape(-1))
     u = complex(u)
     if v.size and np.min(np.abs(v - u)) < 1e-9:
         raise ValueError(

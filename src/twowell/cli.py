@@ -6,7 +6,8 @@ Verbs:
             SUITES table (--n and --atoms are refused where no selected
             suite has them), after checking every sector they would enumerate
             against fock.SECTOR_DIM_CAP and rll's dense matrices, the only
-            ones formed, against model.DENSE_BYTES_CAP
+            ones formed, against model.DENSE_BYTES_CAP (rll multiplies only
+            their kept block, so it stays well inside that check)
   spectrum  exact-diagonalization spectrum as CSV: every level of every
             sector, or an error if a sector's dense matrix would exceed
             model.DENSE_BYTES_CAP
@@ -18,6 +19,10 @@ Verbs:
             non-integrable parameter set, as CSV (sparse Lanczos, lowest level
             only; every sector checked against fock.SECTOR_DIM_CAP first)
   identify  map physical couplings to the integrable family, report as JSON
+
+A level count, from --n or a config's model.n_levels, is refused before any
+model is built unless LEVEL_MATRICES n x n float64 couplings fit
+model.DENSE_BYTES_CAP: no sector check bounds them, since N = 0 has one state.
 
 Configs are single JSON documents whose only top-level keys are 'model' and
 'n_atoms'; numbers are printed with 17 significant digits so CSV output is
@@ -43,6 +48,10 @@ from .model import ModelParams
 from .yangbaxter import IntegrableParams, default_integrable_params
 
 GRID_POINTS_CAP = 100_000
+# n x n float64 matrices alive at once while yangbaxter.identify_parameters
+# builds the couplings of n levels: the five it fills and two temporaries of
+# ModelParams' symmetry check
+LEVEL_MATRICES = 7
 
 
 def _fmt(x) -> str:
@@ -73,6 +82,18 @@ def _load_config(path, errors):
     return cfg
 
 
+def _levels_error(name, n):
+    """Why n levels are refused, or None: their LEVEL_MATRICES n x n couplings
+    must fit model.DENSE_BYTES_CAP.  n < 1 is left to the callers."""
+    need = LEVEL_MATRICES * 8 * n * n
+    if n < 1 or need <= model.DENSE_BYTES_CAP:
+        return None
+    return (
+        f"{name} = {n}: {LEVEL_MATRICES} n x n float64 coupling matrices need {need} bytes "
+        f"> DENSE_BYTES_CAP = {model.DENSE_BYTES_CAP} bytes"
+    )
+
+
 def _model_from_config(cfg, errors):
     """Returns ('integrable', IntegrableParams) or ('physical', ModelParams)."""
     block = cfg.get("model")
@@ -99,6 +120,10 @@ def _model_from_config(cfg, errors):
     # counts are JSON integers (type() excludes bools), never truncated floats
     if type(block["n_levels"]) is not int:
         errors.append(f"config: model.n_levels must be an integer, got {block['n_levels']!r}")
+        return None
+    error = _levels_error("config: model.n_levels", block["n_levels"])
+    if error:
+        errors.append(error)
         return None
     try:
         params = cls(**{f: block[f] for f in fields})
@@ -639,8 +664,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "n", None) is not None and args.n < 1:
-        return _fail_validation([f"--n must be >= 1, got {args.n}"])
+    n = getattr(args, "n", None)
+    if n is not None:
+        error = f"--n must be >= 1, got {n}" if n < 1 else _levels_error("--n", n)
+        if error:
+            return _fail_validation([error])
     try:
         return args.func(args)
     except OSError as exc:  # the --out file; configs are read by _load_config

@@ -2,9 +2,9 @@
 
 Builds the gl(2)-invariant rational R-matrix, the multi-state single-site Lax
 operator, the two-site transfer matrix and its conserved charges, and checks
-the defining relations numerically (Yang-Baxter, RLL on the RLL_CUTOFF-truncated
-Fock space of one well, commuting transfer matrices, Hamiltonian
-reconstruction).  Also maps the algebraic data (eta, omega, s, t, alpha) to
+the defining relations numerically (Yang-Baxter, RLL between the kept states
+of the RLL_CUTOFF-truncated Fock space of one well, commuting transfer
+matrices, Hamiltonian reconstruction).  Also maps the algebraic data (eta, omega, s, t, alpha) to
 physical couplings and back, to IDENTIFY_TOL; the way back returns the gauge
 t = +-s, the only one the Bethe-ansatz layer solves.
 
@@ -32,6 +32,8 @@ Conventions:
 * The Hamiltonian is H = (alpha N^2 + zeta^2/eta^2 - W^2) I - t(0).
 """
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -184,16 +186,16 @@ def lax_operator(u: complex, ip: IntegrableParams, ladders: TruncatedLadder) -> 
         raise ValueError(
             f"ladders built for {ladders.n_modes} modes, params have {ip.n_levels}"
         )
-    zeta = ip.zeta
-    if zeta == 0.0:
-        raise ValueError("zeta = 0: the Lax D-entry is degenerate")
     d = ladders.dim
-    eye = np.eye(d, dtype=complex)
     blocks = np.zeros((2, 2, d, d), dtype=complex)
-    blocks[0, 0] = u * eye + ip.eta * np.diag(ladders.totals.astype(float))
-    blocks[0, 1] = sum(ip.t[j] * ladders.ann[j].toarray() for j in range(ip.n_levels))
-    blocks[1, 0] = sum(ip.s[j] * ladders.cre[j].toarray() for j in range(ip.n_levels))
-    blocks[1, 1] = (zeta / ip.eta) * eye
+    flat = blocks.reshape(2, 2, d * d)  # a view; d + 1 apart are the diagonals
+    flat[0, 0, :: d + 1] = u + ip.eta * ladders.totals
+    flat[1, 1, :: d + 1] = ip.zeta / ip.eta  # nonzero, as IntegrableParams checks
+    for j in range(ip.n_levels):  # in place; distinct modes hit distinct entries
+        lower = ladders.ann[j]  # CSR; a_j^dagger is its transpose
+        rows = np.repeat(np.arange(d), np.diff(lower.indptr))
+        flat[0, 1].put(rows * d + lower.indices, ip.t[j] * lower.data)
+        flat[1, 0].put(lower.indices * d + rows, ip.s[j] * lower.data)
     return blocks
 
 
@@ -204,32 +206,37 @@ def rll_residual(
     zeta_shift: float = 0.0,
 ) -> float:
     """Max-abs entry of R12(u-v) L1(u) L2(v) - L2(v) L1(u) R12(u-v) on the
-    RLL_CUTOFF-truncated Fock space of one well, projected onto elements
-    between states of total occupation <= RLL_CUTOFF - 2 (each side raises the
-    occupation by at most two, so these elements carry no truncation artifacts).
+    RLL_CUTOFF-truncated Fock space of one well, between the kept states, of
+    total occupation <= RLL_CUTOFF - 2 (each side raises the occupation by at
+    most two, so these elements carry no truncation artifacts).
 
     `zeta_shift` perturbs the D-block to (zeta + shift)/eta, breaking the
     construction on purpose; used as a negative control.
     """
-    ladders = truncated_ladder(ip.n_levels, RLL_CUTOFF)
-    d = ladders.dim
-    Lu = lax_operator(u, ip, ladders)
-    Lv = lax_operator(v, ip, ladders)
-    if zeta_shift != 0.0:
-        bump = (zeta_shift / ip.eta) * np.eye(d, dtype=complex)
-        Lu = Lu.copy()
-        Lv = Lv.copy()
-        Lu[1, 1] += bump
-        Lv[1, 1] += bump
-    # X[a1, a2, b1, b2] = Lu[a1, b1] Lv[a2, b2] is L1(u) L2(v), Y likewise
-    # L2(v) L1(u); R12 = b I + c P swaps the row (P X) or column (Y P) pair
-    R = r_matrix(u - v, ip.eta)
-    b, c = R[1, 1], R[1, 2]
-    X = Lu[:, None, :, None] @ Lv[None, :, None, :]
-    Y = Lv[None, :, None, :] @ Lu[:, None, :, None]
-    diff = b * (X - Y) + c * (X.swapaxes(0, 1) - Y.swapaxes(2, 3))
-    keep = np.where(ladders.totals <= RLL_CUTOFF - 2)[0]
-    return float(np.max(np.abs(diff[..., keep, :][..., keep])))
+    ladders = _rll_ladder(ip.n_levels)
+    # only kept rows of left factors and kept columns of right ones are formed:
+    # rows go by total occupation, so the kept states lead, and one Lax factor
+    # takes them only to the leading m states, of total <= RLL_CUTOFF - 1
+    k, m = (int(np.count_nonzero(ladders.totals <= RLL_CUTOFF - j)) for j in (2, 1))
+    Lu, Lv = (lax_operator(x, ip, ladders)[..., :m, :m].copy() for x in (u, v))
+    for L in (Lu, Lv):  # the D-block shift of the negative control
+        L[1, 1].reshape(-1)[:: m + 1] += zeta_shift / ip.eta
+    # with X[a1 a2, b1 b2] = Lu[a1, b1] Lv[a2, b2] the blocks of L1(u) L2(v) and
+    # Y[a1 a2, b1 b2] = Lv[a2, b2] Lu[a1, b1] those of L2(v) L1(u), R12 = b I + c P
+    # makes each residual block b (X - Y) + c (X[a2 a1, b1 b2] - Y[a1 a2, b2 b1])
+    b, c = r_matrix(u - v, ip.eta)[1, 1:3]
+    worst = 0.0
+    for a1, a2, b1, b2 in itertools.product((0, 1), repeat=4):
+        same = Lu[a1, b1, :k] @ Lv[a2, b2, :, :k] - Lv[a2, b2, :k] @ Lu[a1, b1, :, :k]
+        swapped = Lu[a2, b1, :k] @ Lv[a1, b2, :, :k] - Lv[a2, b1, :k] @ Lu[a1, b2, :, :k]
+        worst = max(worst, float(np.max(np.abs(b * same + c * swapped))))
+    return worst
+
+
+@functools.cache
+def _rll_ladder(n_levels):
+    """The RLL_CUTOFF-truncated ladder of one well, built once per level count."""
+    return truncated_ladder(n_levels, RLL_CUTOFF)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from twowell import bethe
+from twowell import bethe, yangbaxter
 from twowell.bethe import (
     MATCH_TOL,
     bae_residual,
@@ -420,6 +420,31 @@ def test_vector_eigen_residuals(n):
         for sol in result.solutions:
             assert sol.h_residual <= 1e-9
             assert sol.t_residual <= 1e-9
+
+
+def test_solver_builds_one_tunneling_term_per_sector(monkeypatch):
+    # H carries the sector's one t(0); the t-residual is read from it
+    calls = []
+    build = yangbaxter.tunneling_operator
+    monkeypatch.setattr(yangbaxter, "tunneling_operator", lambda *a: calls.append(1) or build(*a))
+    assert solve_bae(default_integrable_params(2), 3).unique == 4
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("params", [default_integrable_params, _generic_params], ids=["default", "generic"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_t_residual_is_the_transfer_matrix_residual(params, n):
+    # reference: t(u) built on its own and applied at the point where the
+    # energy was checked
+    ip = params(n)
+    for N in range(11):
+        sector = enumerate_sector(n, N)
+        for sol in solve_bae(ip, N).solutions:
+            u = bethe._admissible_eval_point(sol.roots)
+            reference = bethe._eigen_residual(
+                transfer_matrix(u, ip, sector), sol.vector, transfer_eigenvalue(u, sol.roots, ip)
+            )
+            assert sol.t_residual == pytest.approx(reference, abs=1e-12, rel=0.0)
 
 
 def test_vector_stays_sparse():

@@ -9,8 +9,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twowell import fock, model, yangbaxter
-from twowell.cli import GRID_POINTS_CAP, _parse_grid, main, scan_params
-from twowell.yangbaxter import IntegrableParams
+from twowell.cli import GRID_POINTS_CAP, LEVEL_MATRICES, _parse_grid, main, scan_params
+from twowell.yangbaxter import IntegrableParams, default_integrable_params
 
 SQRT5 = np.sqrt(5.0)
 
@@ -475,6 +475,44 @@ def test_verify_dense_sizes_checked_before_any_suite(capsys, monkeypatch):
     assert main(["verify", "--suite", "rll", "--n", "1"]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: rll n=1:")
+
+
+def test_verify_rll_builds_one_ladder_per_level(monkeypatch, capsys):
+    levels = []
+    build = yangbaxter.truncated_ladder
+    monkeypatch.setattr(yangbaxter, "truncated_ladder", lambda n, c: levels.append(n) or build(n, c))
+    yangbaxter._rll_ladder.cache_clear()
+    assert main(["verify", "--suite", "rll"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert sorted(levels) == [1, 2, 3]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--n", "4", "--atoms", "0"],
+        ["bae", "--n", "4", "--atoms", "0"],
+        ["verify", "--suite", "hrel", "--n", "4", "--atoms", "0"],
+        "integrable-config",
+    ],
+    ids=["spectrum", "bae", "verify-hrel", "integrable-config"],
+)
+def test_levels_refused_before_any_model_is_built(argv, tmp_path, monkeypatch, capsys):
+    # the sector at N = 0 has one state, so only the n x n couplings bound n
+    def no_model(*args, **kwargs):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(yangbaxter, "identify_parameters", no_model)
+    monkeypatch.setattr(model, "DENSE_BYTES_CAP", LEVEL_MATRICES * 8 * 3 * 3)  # n = 3 fits, n = 4 does not
+    if argv == "integrable-config":
+        block = dataclasses.asdict(default_integrable_params(4))
+        block = {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in block.items()}
+        argv = ["spectrum", "--config", write_config(tmp_path, {"model": {"kind": "integrable", **block}})]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert captured.out == ""
+    assert len(err) == 1 and err[0].startswith("error:") and "= 4:" in err[0] and "DENSE_BYTES_CAP" in err[0]
 
 
 def test_verify_ybe_suite(capsys):

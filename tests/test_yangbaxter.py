@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from twowell.fock import enumerate_sector, truncated_ladder, tunneling_operator
 from twowell.model import build_hamiltonian, spectrum
+from twowell import yangbaxter
 from twowell.yangbaxter import (
     IntegrableParams,
     conserved_charges,
@@ -148,6 +150,48 @@ def test_rll_property_sweep(n):
         if abs(u - v + ip.eta) < 0.05:
             continue
         assert rll_residual(u, v, ip) <= 1e-12
+
+
+def full_space_rll(u, v, ip, zeta_shift):
+    """The RLL residual from whole-space Lax products, read on the kept states."""
+    ladders = truncated_ladder(ip.n_levels, yangbaxter.RLL_CUTOFF)
+    Lu, Lv = lax_operator(u, ip, ladders), lax_operator(v, ip, ladders)
+    for L in (Lu, Lv):
+        L[1, 1] += (zeta_shift / ip.eta) * np.eye(ladders.dim)
+    b, c = r_matrix(u - v, ip.eta)[1, 1:3]
+    X = Lu[:, None, :, None] @ Lv[None, :, None, :]
+    Y = Lv[None, :, None, :] @ Lu[:, None, :, None]
+    diff = b * (X - Y) + c * (X.swapaxes(0, 1) - Y.swapaxes(2, 3))
+    keep = ladders.totals <= yangbaxter.RLL_CUTOFF - 2
+    return np.max(np.abs(diff[..., keep, :][..., keep]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_rll_reads_the_full_space_elements(n):
+    # the detuned D-block makes the residual O(0.1), so a wrong block shows
+    rng = np.random.default_rng(200 + n)
+    for zeta_shift in (0.0, 0.1, -0.37):
+        ip = random_ip(rng, n)
+        u, v = complex(*rng.uniform(-2, 2, 2)), complex(*rng.uniform(-2, 2, 2))
+        reference = full_space_rll(u, v, ip, zeta_shift)
+        assert rll_residual(u, v, ip, zeta_shift) == pytest.approx(reference, abs=1e-13, rel=0.0)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_rll_stays_inside_its_precheck(n):
+    # verify refuses rll at n unless one (4 C(n + RLL_CUTOFF, n))^2 complex
+    # matrix fits; whole-space block products would take 5.5 times that
+    ip = default_integrable_params(n)
+    rll_residual(0.9, -0.4, ip)  # the ladder of n levels is built once, then reused
+    bound = (4 * math.comb(n + yangbaxter.RLL_CUTOFF, n)) ** 2 * 16
+    tracemalloc.start()
+    try:
+        residual = rll_residual(0.9, -0.4, ip)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert residual <= 1e-12
+    assert peak < bound
 
 
 # ---------------------------------------------------------------------------
