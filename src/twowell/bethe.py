@@ -66,20 +66,14 @@ MATCH_TOL = 1e-8
 
 def _pair_gaps(v, eta):
     """(min |v_i - v_j|, min |v_i - v_j + eta|) over i != j; inf for N < 2."""
-    n = v.size
-    if n < 2:
-        return np.inf, np.inf
-    diff = v[:, None] - v[None, :]
-    off = ~np.eye(n, dtype=bool)
-    return float(np.min(np.abs(diff[off]))), float(np.min(np.abs(diff[off] + eta)))
+    diff = (v[:, None] - v[None, :])[~np.eye(v.size, dtype=bool)]
+    return tuple(float(np.min(np.abs(x), initial=np.inf)) for x in (diff, diff + eta))
 
 
 def _residual(v, ip):
     """Residual vector of the rapidity equations (no pole guarding)."""
     eta, zeta, W = ip.eta, ip.zeta, ip.omega_sum
     lhs = eta**2 * (v**2 - W**2) / zeta**2
-    if v.size < 2:
-        return lhs - 1.0
     diff = v[:, None] - v[None, :]
     ratio = (diff - eta) / (diff + eta)
     np.fill_diagonal(ratio, 1.0)
@@ -89,10 +83,7 @@ def _residual(v, ip):
 def _jacobian(v, ip):
     """Complex Jacobian dF_i/dv_k of the residual map."""
     eta, zeta = ip.eta, ip.zeta
-    n = v.size
     J = np.diag(2.0 * eta**2 * v / zeta**2)
-    if n < 2:
-        return J
     diff = v[:, None] - v[None, :]
     ratio = (diff - eta) / (diff + eta)
     np.fill_diagonal(ratio, 1.0)
@@ -363,8 +354,8 @@ def transfer_eigenvalue(u: complex, roots, ip: IntegrableParams) -> complex:
             "evaluation point coincides with a root; evaluate at a shifted u"
         )
     eta, zeta, W = ip.eta, ip.zeta, ip.omega_sum
-    p_minus = np.prod((v - u - eta) / (v - u)) if v.size else 1.0
-    p_plus = np.prod((v - u + eta) / (v - u)) if v.size else 1.0
+    p_minus = np.prod((v - u - eta) / (v - u))
+    p_plus = np.prod((v - u + eta) / (v - u))
     return (u * u - W * W) * p_minus + (zeta**2 / eta**2) * p_plus
 
 

@@ -5,9 +5,9 @@ Verbs:
             charges, hrel, all) with the levels and atom numbers of the
             SUITES table (--n and --atoms are refused where no selected
             suite has them), after checking every sector they would enumerate
-            against fock.SECTOR_DIM_CAP and rll's dense matrices, the only
-            ones formed, against model.DENSE_BYTES_CAP (rll multiplies only
-            their kept block, so it stays well inside that check)
+            against fock.SECTOR_DIM_CAP and rll's two Lax operators, the only
+            dense matrices formed, against model.DENSE_BYTES_CAP
+            (yangbaxter.check_rll_fits sizes them as rll_residual builds them)
   spectrum  exact-diagonalization spectrum as CSV: every level of every
             sector, or an error if a sector's dense matrix would exceed
             model.DENSE_BYTES_CAP
@@ -23,6 +23,7 @@ Verbs:
 A level count, from --n or a config's model.n_levels, is refused before any
 model is built unless LEVEL_MATRICES n x n float64 couplings fit
 model.DENSE_BYTES_CAP: no sector check bounds them, since N = 0 has one state.
+Atom numbers, from --atoms or a config's n_atoms, are refused if one repeats.
 
 Configs are single JSON documents whose only top-level keys are 'model' and
 'n_atoms'; numbers are printed with 17 significant digits so CSV output is
@@ -49,9 +50,9 @@ from .yangbaxter import IntegrableParams, default_integrable_params
 
 GRID_POINTS_CAP = 100_000
 # n x n float64 matrices alive at once while yangbaxter.identify_parameters
-# builds the couplings of n levels: the five it fills and two temporaries of
-# ModelParams' symmetry check
-LEVEL_MATRICES = 7
+# builds the couplings of n levels: the three it fills and two temporaries of
+# ModelParams' symmetry check (tracemalloc peak 5.03 n^2 doubles at n = 600)
+LEVEL_MATRICES = 5
 
 
 def _fmt(x) -> str:
@@ -150,6 +151,8 @@ def _atoms_from(cfg, args, errors, default=(1,)):
     bad = [a for a in atoms if a < 0]
     if bad:
         errors.append(f"atom numbers must be >= 0, got {bad}")
+    if len(set(atoms)) < len(atoms):  # a repeat would repeat its sector's output
+        errors.append(f"atom numbers must be distinct, got {atoms}")
     return atoms
 
 
@@ -305,13 +308,13 @@ SUITES = {
 
 
 def _size_errors(sizes, check):
-    """One message per (name, dimension) that `check` refuses: fock.check_sector_fits
+    """One message per (name, size) that `check` refuses: fock.check_sector_fits
     before a sector is enumerated, model.check_dense_fits before a dense matrix
-    is formed."""
+    is formed, yangbaxter.check_rll_fits before rll's Lax operators of n levels."""
     errors = []
-    for name, d in sizes:
+    for name, size in sizes:
         try:
-            check(d)
+            check(size)
         except ValueError as exc:
             errors.append(f"{name}: {exc}")
     return errors
@@ -338,12 +341,9 @@ def cmd_verify(args) -> int:
         for name, (suite, levels, atoms) in selected.items()
     }
     sectors = {(n, N) for _, levels, atoms in plan.values() for n in levels for N in atoms}
-    # rll forms the only dense matrices: complex, on aux1 x aux2 x the
-    # RLL_CUTOFF-truncated Fock space of one well
-    _, rll_levels, _ = plan.get("rll", (None, (), ()))
-    dense = [(f"rll n={n}", 4 * math.comb(n + yangbaxter.RLL_CUTOFF, n)) for n in rll_levels]
+    _, rll_levels, _ = plan.get("rll", (None, (), ()))  # rll forms the only dense matrices
     errors = _size_errors(_sectors(sorted(sectors)), fock.check_sector_fits)
-    errors += _size_errors(dense, lambda d: model.check_dense_fits(d, np.complex128))
+    errors += _size_errors([(f"rll n={n}", n) for n in rll_levels], yangbaxter.check_rll_fits)
     if errors:
         return _fail_validation(errors)
 

@@ -86,7 +86,7 @@ class ModelParams:
         for name in ("mu", "eps_a", "eps_b"):
             setattr(self, name, _as_array(name, getattr(self, name), (n,)))
         for name, m in (("U_aa", self.U_aa), ("U_bb", self.U_bb)):
-            skew = np.max(np.abs(m - m.T)) if n > 1 else 0.0
+            skew = np.max(np.abs(m - m.T))
             if skew > 1e-12 * max(1.0, np.max(np.abs(m))):
                 raise ValueError(f"{name} must be symmetric in the level indices")
         # store exactly symmetric copies

@@ -34,11 +34,13 @@ Conventions:
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
+from . import model
 from .fock import (
     FockSector,
     TruncatedLadder,
@@ -46,7 +48,6 @@ from .fock import (
     truncated_ladder,
     tunneling_operator,
 )
-from .model import ModelParams
 
 __all__ = [
     "IntegrableParams",
@@ -56,6 +57,7 @@ __all__ = [
     "ybe_residual",
     "lax_operator",
     "rll_residual",
+    "check_rll_fits",
     "transfer_matrix",
     "transfer_commutator_residual",
     "conserved_charges",
@@ -157,22 +159,15 @@ _SWAP = np.zeros((4, 4))
 _SWAP[0, 0] = _SWAP[3, 3] = _SWAP[1, 2] = _SWAP[2, 1] = 1.0
 
 
-def _triple_embeddings(r12, r13_arg, r23_arg, eta):
-    """R12, R13, R23 on the 8-dimensional triple product space."""
-    eye2 = np.eye(2)
-    R12 = np.kron(r_matrix(r12, eta), eye2)
-    R23 = np.kron(eye2, r_matrix(r23_arg, eta))
-    swap23 = np.kron(eye2, _SWAP)
-    R13 = swap23 @ np.kron(r_matrix(r13_arg, eta), eye2) @ swap23
-    return R12, R13, R23
-
-
 def ybe_residual(u: complex, v: complex, eta: float) -> float:
-    """Max-abs entry of R12(u-v) R13(u) R23(v) - R23(v) R13(u) R12(u-v)."""
-    R12, R13, R23 = _triple_embeddings(u - v, u, v, eta)
-    lhs = R12 @ R13 @ R23
-    rhs = R23 @ R13 @ R12
-    return float(np.max(np.abs(lhs - rhs)))
+    """Max-abs entry of R12(u-v) R13(u) R23(v) - R23(v) R13(u) R12(u-v), the
+    three embedded in the 8-dimensional triple product space."""
+    eye2 = np.eye(2)
+    R12 = np.kron(r_matrix(u - v, eta), eye2)
+    R23 = np.kron(eye2, r_matrix(v, eta))
+    swap23 = np.kron(eye2, _SWAP)
+    R13 = swap23 @ np.kron(r_matrix(u, eta), eye2) @ swap23
+    return float(np.max(np.abs(R12 @ R13 @ R23 - R23 @ R13 @ R12)))
 
 
 # ---------------------------------------------------------------------------
@@ -208,17 +203,17 @@ def rll_residual(
     """Max-abs entry of R12(u-v) L1(u) L2(v) - L2(v) L1(u) R12(u-v) on the
     RLL_CUTOFF-truncated Fock space of one well, between the kept states, of
     total occupation <= RLL_CUTOFF - 2 (each side raises the occupation by at
-    most two, so these elements carry no truncation artifacts).
+    most two, so these elements carry no truncation artifacts).  The two Lax
+    operators, sized by `check_rll_fits`, span only the states of `_rll_ladder`.
 
     `zeta_shift` perturbs the D-block to (zeta + shift)/eta, breaking the
     construction on purpose; used as a negative control.
     """
     ladders = _rll_ladder(ip.n_levels)
-    # only kept rows of left factors and kept columns of right ones are formed:
-    # rows go by total occupation, so the kept states lead, and one Lax factor
-    # takes them only to the leading m states, of total <= RLL_CUTOFF - 1
-    k, m = (int(np.count_nonzero(ladders.totals <= RLL_CUTOFF - j)) for j in (2, 1))
-    Lu, Lv = (lax_operator(x, ip, ladders)[..., :m, :m].copy() for x in (u, v))
+    # rows go by total occupation, so the kept states lead; only kept rows of
+    # left factors and kept columns of right ones are formed
+    k, m = int(np.count_nonzero(ladders.totals <= RLL_CUTOFF - 2)), ladders.dim
+    Lu, Lv = (lax_operator(x, ip, ladders) for x in (u, v))
     for L in (Lu, Lv):  # the D-block shift of the negative control
         L[1, 1].reshape(-1)[:: m + 1] += zeta_shift / ip.eta
     # with X[a1 a2, b1 b2] = Lu[a1, b1] Lv[a2, b2] the blocks of L1(u) L2(v) and
@@ -235,8 +230,22 @@ def rll_residual(
 
 @functools.cache
 def _rll_ladder(n_levels):
-    """The RLL_CUTOFF-truncated ladder of one well, built once per level count."""
-    return truncated_ladder(n_levels, RLL_CUTOFF)
+    """The ladder of one well to total occupation RLL_CUTOFF - 1, all one Lax
+    factor reaches from a kept state, built once per level count."""
+    return truncated_ladder(n_levels, RLL_CUTOFF - 1)
+
+
+def check_rll_fits(n_levels: int):
+    """Raise ValueError unless the two (2, 2, m, m) complex Lax operators of
+    `rll_residual`, m = C(n_levels + RLL_CUTOFF - 1, n_levels), fit
+    model.DENSE_BYTES_CAP."""
+    m = math.comb(n_levels + RLL_CUTOFF - 1, n_levels)
+    need = 2 * 4 * m * m * 16
+    if need > model.DENSE_BYTES_CAP:
+        raise ValueError(
+            f"two (2, 2, {m}, {m}) complex128 Lax operators need {need} bytes "
+            f"> DENSE_BYTES_CAP = {model.DENSE_BYTES_CAP} bytes"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +261,7 @@ def transfer_matrix(u: complex, ip: IntegrableParams, sector: FockSector) -> sp.
     n = ip.n_levels
     eta, zeta, W = ip.eta, ip.zeta, ip.omega_sum
     u = complex(u)
-    complex_out = u.imag != 0.0
-    if not complex_out:
+    if u.imag == 0.0:
         u = u.real
 
     na_tot = sector.occ[:, :n].sum(axis=1).astype(float)
@@ -322,7 +330,7 @@ class IdentificationReport:
     violations: list = field(default_factory=list)
 
 
-def identify_parameters(ip: IntegrableParams) -> ModelParams:
+def identify_parameters(ip: IntegrableParams) -> model.ModelParams:
     """Physical couplings realized by the transfer-matrix Hamiltonian.
 
     U_ppjj = alpha, U_ppjk = 2 alpha (stored general form), U_abjk =
@@ -334,10 +342,10 @@ def identify_parameters(ip: IntegrableParams) -> ModelParams:
     alpha, eta, W = ip.alpha, ip.eta, ip.omega_sum
     U_same = np.full((n, n), 2.0 * alpha)
     np.fill_diagonal(U_same, alpha)
-    return ModelParams(
+    return model.ModelParams(
         n_levels=n,
-        U_aa=U_same.copy(),
-        U_bb=U_same.copy(),
+        U_aa=U_same,  # ModelParams stores a symmetrized copy of each
+        U_bb=U_same,
         U_ab=np.full((n, n), 2.0 * alpha - eta**2),
         mu=np.zeros(n),
         eps_a=np.full(n, eta * W),
@@ -360,7 +368,7 @@ def _rank_one_factors(Omega):
     return s, sign, residual
 
 
-def validate_model(mp: ModelParams) -> IdentificationReport:
+def validate_model(mp: model.ModelParams) -> IdentificationReport:
     """Check whether physical couplings sit on the integrable manifold, each
     constraint to IDENTIFY_TOL (max-abs).
 
@@ -384,11 +392,10 @@ def validate_model(mp: ModelParams) -> IdentificationReport:
     if np.max(np.abs(diags - alpha)) > IDENTIFY_TOL:
         violations.append(("U_ppjj common alpha", diags.tolist(), alpha))
 
-    if n > 1:
-        off_mask = ~np.eye(n, dtype=bool)
-        offs = np.concatenate([mp.U_aa[off_mask], mp.U_bb[off_mask]])
-        if np.max(np.abs(offs - 2.0 * alpha)) > IDENTIFY_TOL:
-            violations.append(("U_ppjk (j != k) equals 2 alpha", offs.tolist(), 2.0 * alpha))
+    off_mask = ~np.eye(n, dtype=bool)
+    offs = np.concatenate([mp.U_aa[off_mask], mp.U_bb[off_mask]])
+    if np.max(np.abs(offs - 2.0 * alpha), initial=0.0) > IDENTIFY_TOL:
+        violations.append(("U_ppjk (j != k) equals 2 alpha", offs.tolist(), 2.0 * alpha))
 
     eta_sq_all = 2.0 * alpha - mp.U_ab
     eta_sq = float(np.mean(eta_sq_all))

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -458,23 +459,44 @@ def test_verify_dense_sizes_checked_before_any_suite(capsys, monkeypatch):
     def no_suite(*args, **kwargs):
         raise AssertionError("a residual was computed")
 
-    # rll at n=1 forms 20 x 20 complex matrices (4 C(5, 4)); tcommute, on
-    # sectors of 20 and 21 states at n=1, N=19 and 20, forms none
-    commutator = yangbaxter.transfer_commutator_residual
-    for name in ("ybe_residual", "rll_residual", "transfer_commutator_residual",
-                 "conserved_charges", "hamiltonian_from_transfer"):
+    # rll at n=1 builds two (2, 2, 4, 4) complex Lax operators, 2048 bytes
+    # (m = C(4, 1)); tcommute, on sectors of 20 and 21 states at n=1, N=19
+    # and 20, forms no dense matrix
+    suites = {name: getattr(yangbaxter, name) for name in (
+        "ybe_residual", "rll_residual", "transfer_commutator_residual",
+        "conserved_charges", "hamiltonian_from_transfer")}
+    for name in suites:
         monkeypatch.setattr(yangbaxter, name, no_suite)
-    assert main(["verify", "--suite", "rll", "--n", "13"]) == 1  # 9520 x 9520 at the real cap
-    assert "rll n=13" in capsys.readouterr().err
-    monkeypatch.setattr(model, "DENSE_BYTES_CAP", 16 * 20 * 20)
-    monkeypatch.setattr(yangbaxter, "transfer_commutator_residual", commutator)
+    # at the real cap the first level refused is n = 24 (m = 2925, 1.1e9
+    # bytes); n = 23 (m = 2600) fits, and is only sized here
+    yangbaxter.check_rll_fits(23)
+    assert main(["verify", "--suite", "rll", "--n", "24"]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert captured.out == ""
+    assert len(err) == 1 and err[0].startswith("error: rll n=24: two (2, 2, 2925, 2925)")
+    monkeypatch.setattr(model, "DENSE_BYTES_CAP", 2048)
+    for name in ("rll_residual", "transfer_commutator_residual"):
+        monkeypatch.setattr(yangbaxter, name, suites[name])
     assert main(["verify", "--suite", "tcommute", "--n", "1", "--atoms", "19,20"]) == 0
     out = capsys.readouterr().out
     assert "tcommute n=1 N=20 20 pairs" in out and "FAIL" not in out
-    monkeypatch.setattr(model, "DENSE_BYTES_CAP", 16 * 20 * 20 - 1)
+    assert main(["verify", "--suite", "rll", "--n", "1"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    monkeypatch.setattr(model, "DENSE_BYTES_CAP", 2047)
     assert main(["verify", "--suite", "rll", "--n", "1"]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: rll n=1:")
+
+
+def test_verify_rll_past_the_old_precheck(capsys):
+    # n = 13 was refused on one (4 C(17, 4))^2 complex matrix, 1.45e9 bytes; its
+    # two Lax operators take 40 MB
+    assert main(["verify", "--suite", "rll", "--n", "13"]) == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert [line.split(": max residual")[0] for line in lines] == [
+        "rll n=13 20 draws", "rll n=13 zeta-shift control (>= 1e-3)"]
+    assert all(line.endswith("PASS") for line in lines)
 
 
 def test_verify_rll_builds_one_ladder_per_level(monkeypatch, capsys):
@@ -513,6 +535,20 @@ def test_levels_refused_before_any_model_is_built(argv, tmp_path, monkeypatch, c
     err = captured.err.strip().splitlines()
     assert captured.out == ""
     assert len(err) == 1 and err[0].startswith("error:") and "= 4:" in err[0] and "DENSE_BYTES_CAP" in err[0]
+
+
+def test_level_matrices_count_what_identification_builds():
+    # at n = 600 the peak is 5.03 n x n doubles: the three couplings
+    # identify_parameters fills and two temporaries of ModelParams' symmetry check
+    n = 600
+    ip = default_integrable_params(n)
+    tracemalloc.start()
+    try:
+        yangbaxter.identify_parameters(ip)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < LEVEL_MATRICES * 8 * n * n + 128 * 1024
 
 
 def test_verify_ybe_suite(capsys):
@@ -607,6 +643,33 @@ def integrable_block(n_levels=1):
         "kind": "integrable", "n_levels": n_levels, "eta": 1.0, "omega": [1.0] * n_levels,
         "s": [1.0] * n_levels, "t": [1.0] * n_levels, "alpha": 1.0,
     }
+
+
+@pytest.mark.parametrize(
+    "argv, atoms",
+    [
+        (["verify", "--atoms", "1,1"], [1, 1]),
+        (["verify", "--suite", "tcommute", "--n", "1", "--atoms", "1,1"], [1, 1]),
+        (["verify", "--suite", "charges", "--atoms", "0,2,0"], [0, 2, 0]),
+        (["verify", "--suite", "hrel", "--atoms", "3,3"], [3, 3]),
+        (["spectrum", "--atoms", "2,1,2"], [2, 1, 2]),
+        (["bae", "--atoms", "1,1"], [1, 1]),
+        (["fig2", "--atoms", "1,1"], [1, 1]),
+        ("spectrum", [1, 1]),
+        ("bae", [0, 0]),
+    ],
+    ids=["verify-all", "verify-tcommute", "verify-charges", "verify-hrel", "spectrum", "bae",
+         "fig2", "spectrum-config", "bae-config"],
+)
+def test_repeated_atom_numbers_refused(argv, atoms, tmp_path, capsys):
+    # a repeat printed its sector's output again: bae --atoms 1,1 gave states
+    # 1_0 and 1_1 twice each
+    if isinstance(argv, str):
+        argv = [argv, "--config", write_config(tmp_path, {"model": integrable_block(2), "n_atoms": atoms})]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().splitlines() == [f"error: atom numbers must be distinct, got {atoms}"]
 
 
 @pytest.mark.parametrize("verb", ["spectrum", "bae"])

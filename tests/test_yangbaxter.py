@@ -6,7 +6,7 @@ import pytest
 
 from twowell.fock import enumerate_sector, truncated_ladder, tunneling_operator
 from twowell.model import build_hamiltonian, spectrum
-from twowell import yangbaxter
+from twowell import model, yangbaxter
 from twowell.yangbaxter import (
     IntegrableParams,
     conserved_charges,
@@ -177,13 +177,36 @@ def test_rll_reads_the_full_space_elements(n):
         assert rll_residual(u, v, ip, zeta_shift) == pytest.approx(reference, abs=1e-13, rel=0.0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_rll_lax_operators_are_the_leading_corner(n):
+    # a Lax factor takes a kept state (total <= RLL_CUTOFF - 2) no higher than
+    # RLL_CUTOFF - 1, so building on that ladder loses no element rll reads
+    ip = random_ip(np.random.default_rng(300 + n), n)
+    small = truncated_ladder(n, yangbaxter.RLL_CUTOFF - 1)
+    big = truncated_ladder(n, yangbaxter.RLL_CUTOFF)
+    m = small.dim
+    assert yangbaxter._rll_ladder(n).cutoff == small.cutoff
+    assert np.array_equal(small.occ, big.occ[:m])
+    for u in (0.9, -0.4 + 1.3j):
+        L = lax_operator(u, ip, small)
+        assert np.array_equal(L, lax_operator(u, ip, big)[..., :m, :m])
+
+
 @pytest.mark.parametrize("n", range(1, 7))
-def test_rll_stays_inside_its_precheck(n):
-    # verify refuses rll at n unless one (4 C(n + RLL_CUTOFF, n))^2 complex
-    # matrix fits; whole-space block products would take 5.5 times that
+def test_rll_stays_inside_its_precheck(n, monkeypatch):
+    # check_rll_fits counts two (2, 2, m, m) complex Lax operators, m = C(n +
+    # RLL_CUTOFF - 1, n); a call takes them, a few k x k complex products of
+    # the k kept states and a fixed slack.  Whole-space Lax operators, or
+    # corners copied out of them, would take 2.6 to 4.1 times the count at n = 3..6
     ip = default_integrable_params(n)
     rll_residual(0.9, -0.4, ip)  # the ladder of n levels is built once, then reused
-    bound = (4 * math.comb(n + yangbaxter.RLL_CUTOFF, n)) ** 2 * 16
+    operators = 2 * 4 * math.comb(n + yangbaxter.RLL_CUTOFF - 1, n) ** 2 * 16
+    k = math.comb(n + yangbaxter.RLL_CUTOFF - 2, n)
+    monkeypatch.setattr(model, "DENSE_BYTES_CAP", operators)
+    yangbaxter.check_rll_fits(n)
+    monkeypatch.setattr(model, "DENSE_BYTES_CAP", operators - 1)
+    with pytest.raises(ValueError, match=f"Lax operators need {operators} bytes"):
+        yangbaxter.check_rll_fits(n)
     tracemalloc.start()
     try:
         residual = rll_residual(0.9, -0.4, ip)
@@ -191,7 +214,7 @@ def test_rll_stays_inside_its_precheck(n):
     finally:
         tracemalloc.stop()
     assert residual <= 1e-12
-    assert peak < bound
+    assert peak < operators + 8 * k * k * 16 + 16 * 1024
 
 
 # ---------------------------------------------------------------------------
