@@ -27,7 +27,7 @@ for N in ATOMS:
     D = number_operator(sector, Mode("b", 2)) - number_operator(sector, Mode("a", 2))
     curve = []
     for x in GRID:
-        e0 = lowest(H0 + (x * MU1) * D).eigenvalues[0]
+        e0 = lowest(H0 + (x * MU1) * D)[0]
         curve.append(e0 / MU1)
         rows.append(f"{N},{x:.17g},{e0 / MU1:.17g}")
     second = np.diff(curve, 2)

@@ -28,7 +28,6 @@ from .model import (
     DENSE_BYTES_CAP,
     ConservationReport,
     ModelParams,
-    SpectrumResult,
     build_hamiltonian,
     check_dense_fits,
     conservation_report,

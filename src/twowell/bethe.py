@@ -426,12 +426,12 @@ class MatchReport:
     n_eigenvalues: int
 
 
-def match_spectrum(solutions, spectrum) -> MatchReport:
+def match_spectrum(solutions, eigenvalues) -> MatchReport:
     """Pair each Bethe energy, in the order given (ascending for `solve_bae`),
-    with the nearest free eigenvalue if it lies within MATCH_TOL; a pair
-    consumes the level.  Coverage of the spectrum is reported, never asserted,
-    and the solutions are not modified."""
-    eigenvalues = np.asarray(spectrum.eigenvalues, dtype=float)
+    with the nearest free one of `eigenvalues` if it lies within MATCH_TOL; a
+    pair consumes the level.  Coverage of the spectrum is reported, never
+    asserted, and the solutions are not modified."""
+    eigenvalues = np.asarray(eigenvalues, dtype=float)
     taken = np.zeros(eigenvalues.size, dtype=bool)
     index = []
     for sol in solutions:

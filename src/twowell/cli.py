@@ -21,8 +21,9 @@ Verbs:
   identify  map physical couplings to the integrable family, report as JSON
 
 A level count, from --n or a config's model.n_levels, is refused before any
-model is built unless LEVEL_MATRICES n x n float64 couplings fit
+model is built unless LEVEL_MATRICES n x n float64 matrices fit
 model.DENSE_BYTES_CAP: no sector check bounds them, since N = 0 has one state.
+A config's JSON is parsed before this check, which does not bound the parser.
 Atom numbers, from --atoms or a config's n_atoms, are refused if one repeats.
 
 Configs are single JSON documents whose only top-level keys are 'model' and
@@ -49,10 +50,11 @@ from .model import ModelParams
 from .yangbaxter import IntegrableParams, default_integrable_params
 
 GRID_POINTS_CAP = 100_000
-# n x n float64 matrices alive at once while yangbaxter.identify_parameters
-# builds the couplings of n levels: the three it fills and two temporaries of
-# ModelParams' symmetry check (tracemalloc peak 5.03 n^2 doubles at n = 600)
-LEVEL_MATRICES = 5
+# n x n float64 matrices alive at once on the costliest way to n levels, a
+# physical config in bae or identify: the four couplings ModelParams holds and
+# three temporaries of yangbaxter.validate_model's rank-1 check (tracemalloc
+# peak 7.06 n^2 doubles at n = 600; identify_parameters peaks at 5.03)
+LEVEL_MATRICES = 7
 
 
 def _fmt(x) -> str:
@@ -84,7 +86,7 @@ def _load_config(path, errors):
 
 
 def _levels_error(name, n):
-    """Why n levels are refused, or None: their LEVEL_MATRICES n x n couplings
+    """Why n levels are refused, or None: LEVEL_MATRICES n x n float64 matrices
     must fit model.DENSE_BYTES_CAP.  n < 1 is left to the callers."""
     need = LEVEL_MATRICES * 8 * n * n
     if n < 1 or need <= model.DENSE_BYTES_CAP:
@@ -325,6 +327,14 @@ def _sectors(pairs):
     return [(f"sector n={n}, N={N}", fock.dimension(n, N)) for n, N in pairs]
 
 
+def _ed_levels(mp, N):
+    """Every level of `mp` in the N-atom sector; ValueError where H overflows float64."""
+    try:
+        return model.spectrum(model.build_hamiltonian(mp, fock.enumerate_sector(mp.n_levels, N)))
+    except ValueError as exc:
+        raise ValueError(f"sector n={mp.n_levels}, N={N}: H overflows float64 ({exc})") from None
+
+
 def cmd_verify(args) -> int:
     errors = [] if args.seed >= 0 else [f"--seed must be >= 0, got {args.seed}"]
     given_atoms = tuple(_atoms_from({}, args, errors, default=()))
@@ -399,9 +409,11 @@ def cmd_spectrum(args) -> int:
     buf = io.StringIO()
     buf.write("n_atoms,index,eigenvalue\n")
     for N in atoms:
-        sector = fock.enumerate_sector(mp.n_levels, N)
-        spectrum = model.spectrum(model.build_hamiltonian(mp, sector))
-        for i, val in enumerate(spectrum.eigenvalues):
+        try:
+            levels = _ed_levels(mp, N)
+        except ValueError as exc:
+            return _fail_validation([str(exc)])
+        for i, val in enumerate(levels):
             buf.write(f"{N},{i},{_fmt(val)}\n")
     _write_text(args.out, buf.getvalue())
     return 0
@@ -422,7 +434,10 @@ def cmd_bae(args) -> int:
         return _fail_validation(errors)
 
     if kind == "physical":
-        report = yangbaxter.validate_model(params)
+        try:
+            report = yangbaxter.validate_model(params)
+        except ValueError as exc:  # couplings whose identification overflows float64
+            return _fail_validation([str(exc)])
         if not report.integrable:
             payload = {
                 "integrable": False,
@@ -456,12 +471,11 @@ def cmd_bae(args) -> int:
     }
     for N in atoms:
         try:
+            levels = _ed_levels(mp, N)  # first: a Hamiltonian that overflows goes no further
             result = bethe.solve_bae(ip, N)
         except ValueError as exc:
             return _fail_validation([str(exc)])
-        sector = fock.enumerate_sector(ip.n_levels, N)
-        spectrum = model.spectrum(model.build_hamiltonian(mp, sector))
-        match = bethe.match_spectrum(result.solutions, spectrum)
+        match = bethe.match_spectrum(result.solutions, levels)
         summary["attempts"] += result.attempts
         summary["converged"] += result.converged
         summary["unique"] += result.unique
@@ -471,7 +485,7 @@ def cmd_bae(args) -> int:
             eig_res = max(sol.h_residual, sol.t_residual)
             summary["max_bae_residual"] = max(summary["max_bae_residual"], sol.residual)
             summary["max_eigvec_residual"] = max(summary["max_eigvec_residual"], eig_res)
-            level_value = None if level < 0 else float(spectrum.eigenvalues[level])
+            level_value = None if level < 0 else float(levels[level])
             matched = delta = ""
             if level_value is not None:
                 gap = abs(sol.energy - level_value)
@@ -573,8 +587,15 @@ def cmd_fig2(args) -> int:
         n_a2, n_b2 = (fock.number_operator(sector, Mode(w, 2)) for w in "ab")
         D = n_b2 - n_a2
         for x in grid:
-            e0 = float(model.lowest(H0 + (x * mu1) * D).eigenvalues[0])
-            buf.write(f"{N},{_fmt(x)},{_fmt(e0 / mu1)}\n")
+            with np.errstate(over="ignore", invalid="ignore"):  # lowest refuses inf and nan
+                H = H0 + (x * mu1) * D
+            try:
+                e0 = float(model.lowest(H)[0]) / mu1
+            except ValueError:
+                e0 = math.nan
+            if not math.isfinite(e0):
+                return _fail_validation([f"N={N}, mu2/mu1={_fmt(x)}: H or E0/mu1 overflows float64"])
+            buf.write(f"{N},{_fmt(x)},{_fmt(e0)}\n")
     _write_text(args.out, buf.getvalue())
     return 0
 
@@ -595,7 +616,10 @@ def cmd_identify(args) -> int:
     if kind != "physical":
         return _fail_validation(["identify requires model.kind == 'physical'"])
 
-    report = yangbaxter.validate_model(params)
+    try:
+        report = yangbaxter.validate_model(params)
+    except ValueError as exc:  # couplings whose identification overflows float64
+        return _fail_validation([str(exc)])
     results = {
         "integrable": report.integrable,
         "violations": [

@@ -14,10 +14,11 @@ general form; for n = 2 the conventional single-count cross coupling
 equals the stored off-diagonal entry (the 1/2 and the double count cancel).
 All couplings share one arbitrary energy unit.
 
-Eigenvalues come from one of two entry points, one per question:
-`spectrum(H)` returns every level by dense diagonalization, after checking
-the dense matrix against DENSE_BYTES_CAP, and is the only dense path;
-`lowest(H, k)` returns the k lowest levels by sparse Lanczos, and hands the
+Eigenvalues come from one of two entry points, one per question.  Both read
+H as one CSR matrix, refuse it unless it is square, finite and Hermitian, and
+return ascending eigenvalues: `spectrum(H)` every level, by dense
+diagonalization after checking the dense matrix against DENSE_BYTES_CAP (the
+only dense path); `lowest(H, k)` the k lowest, by sparse Lanczos, handing the
 tiny matrices ARPACK cannot take (d <= k + 1) to `spectrum`.
 """
 
@@ -26,13 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import eigh, eigvalsh
+from scipy.linalg import eigvalsh
 
 from .fock import FockSector, Mode, number_operator, total_number_operator, tunneling_operator
 
 __all__ = [
     "ModelParams",
-    "SpectrumResult",
     "ConservationReport",
     "build_hamiltonian",
     "decoupled_energies",
@@ -55,6 +55,17 @@ def _as_array(name, value, shape):
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains non-finite entries")
     return m
+
+
+def _symmetrized(name, m):
+    """(m + m^T) / 2, exactly symmetric (m itself if it is), from halves that
+    cannot overflow; ValueError unless m is symmetric to 1e-12 relative."""
+    half = 0.5 * m
+    out = half - half.T
+    skew = np.max(np.abs(out, out=out))
+    if skew > 1e-12 * max(0.5, np.max(half), -np.min(half)):
+        raise ValueError(f"{name} must be symmetric in the level indices")
+    return m if skew == 0.0 else np.add(half, half.T, out=out)
 
 
 @dataclass
@@ -85,13 +96,8 @@ class ModelParams:
             setattr(self, name, _as_array(name, getattr(self, name), (n, n)))
         for name in ("mu", "eps_a", "eps_b"):
             setattr(self, name, _as_array(name, getattr(self, name), (n,)))
-        for name, m in (("U_aa", self.U_aa), ("U_bb", self.U_bb)):
-            skew = np.max(np.abs(m - m.T))
-            if skew > 1e-12 * max(1.0, np.max(np.abs(m))):
-                raise ValueError(f"{name} must be symmetric in the level indices")
-        # store exactly symmetric copies
-        self.U_aa = (self.U_aa + self.U_aa.T) / 2.0
-        self.U_bb = (self.U_bb + self.U_bb.T) / 2.0
+        for name in ("U_aa", "U_bb"):
+            setattr(self, name, _symmetrized(name, getattr(self, name)))
 
 
 def _diagonal_energy(params: ModelParams, occ: np.ndarray) -> np.ndarray:
@@ -117,8 +123,10 @@ def build_hamiltonian(params: ModelParams, sector: FockSector) -> sp.csr_matrix:
         raise ValueError(
             f"params have {params.n_levels} levels, sector has {sector.n_levels}"
         )
-    diag = sp.diags(_diagonal_energy(params, sector.occ), shape=(sector.dim,) * 2)
-    return sp.csr_matrix(diag - tunneling_operator(sector, params.Omega))
+    # an entry that overflows comes out inf or nan, which spectrum and lowest refuse
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag = sp.diags(_diagonal_energy(params, sector.occ), shape=(sector.dim,) * 2)
+        return sp.csr_matrix(diag - tunneling_operator(sector, params.Omega))
 
 
 def decoupled_energies(params: ModelParams, state) -> tuple[float, float]:
@@ -143,40 +151,21 @@ def decoupled_energies(params: ModelParams, state) -> tuple[float, float]:
     return e_a, e_b
 
 
-@dataclass
-class SpectrumResult:
-    """Eigenvalues in ascending order, optionally with eigenvector columns.
-
-    `max_residual` is max|H V - V diag(E)| when vectors were computed, else 0.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None = None
-    max_residual: float = 0.0
-
-
-def _check_square(H):
-    if len(H.shape) != 2 or H.shape[0] != H.shape[1]:
+def _checked(H) -> sp.csr_matrix:
+    """H as a CSR matrix, after checking that it is square, that its entries are
+    finite and that max|H - H^dag| <= HERMITICITY_TOL; the checks stay sparse."""
+    H = sp.csr_matrix(H)
+    if H.shape[0] != H.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
-
-
-def _check_hermitian(H):
-    """Raise unless max|H - H^dag| <= HERMITICITY_TOL; sparse input stays sparse."""
-    if sp.issparse(H):
-        gap = sp.coo_matrix(H - H.conj().T)
-        if gap.nnz == 0:
-            return
-        worst_at = int(np.argmax(np.abs(gap.data)))
-        worst = float(np.abs(gap.data[worst_at]))
-        i, j = int(gap.row[worst_at]), int(gap.col[worst_at])
-    else:
-        gap = np.abs(H - H.conj().T)
-        i, j = np.unravel_index(np.argmax(gap), gap.shape)
-        worst = float(gap[i, j])
-    if worst > HERMITICITY_TOL:
-        raise ValueError(
-            f"matrix is not Hermitian: |H[{i},{j}] - conj(H[{j},{i}])| = {worst:.3e}"
-        )
+    if not np.all(np.isfinite(H.data)):
+        raise ValueError("matrix entries must be finite, not inf or nan")
+    gap = sp.coo_matrix(H - H.conj().T)
+    size = np.abs(gap.data)
+    if size.size and np.max(size) > HERMITICITY_TOL:
+        at = int(np.argmax(size))
+        i, j = int(gap.row[at]), int(gap.col[at])
+        raise ValueError(f"matrix is not Hermitian: |H[{i},{j}] - conj(H[{j},{i}])| = {size[at]:.3e}")
+    return H
 
 
 def check_dense_fits(d: int, dtype=np.float64):
@@ -189,72 +178,37 @@ def check_dense_fits(d: int, dtype=np.float64):
         )
 
 
-def _residual(H, vals, vecs) -> float:
-    return float(np.max(np.abs(H @ vecs - vecs * vals)))
-
-
-def spectrum(H, want_vectors: bool = False) -> SpectrumResult:
+def spectrum(H) -> np.ndarray:
     """Every eigenvalue of a Hermitian matrix, ascending, by dense diagonalization.
 
     The only dense path.  The d x d matrix is checked against DENSE_BYTES_CAP
-    before it is allocated (eigenvectors take as much again), and all d
-    eigenvalues are returned.  Eigenvectors and their residual are computed
-    only when `want_vectors` is set.
+    before it is allocated, and all d eigenvalues are returned.
     """
-    is_sparse = sp.issparse(H)
-    if not is_sparse:
-        H = np.asarray(H)
-    _check_square(H)
+    H = _checked(H)
     check_dense_fits(H.shape[0], np.result_type(H.dtype, np.float64))
-    _check_hermitian(H)
     # LAPACK reads one triangle; the private copy from toarray() may be overwritten
-    dense = H.toarray() if is_sparse else H
-    if not want_vectors:
-        return SpectrumResult(eigenvalues=eigvalsh(dense, overwrite_a=is_sparse))
-    vals, vecs = eigh(dense, overwrite_a=is_sparse)
-    return SpectrumResult(vals, vecs, _residual(H, vals, vecs))
+    return eigvalsh(H.toarray(), overwrite_a=True)
 
 
-def _start_vector(d: int) -> np.ndarray:
-    # Fixed but unstructured, so that no symmetry of H makes it orthogonal to
-    # the lowest eigenvectors (a uniform vector can be).
-    return np.random.default_rng(0).standard_normal(d)
-
-
-def lowest(H, k: int = 1, want_vectors: bool = False) -> SpectrumResult:
+def lowest(H, k: int = 1) -> np.ndarray:
     """The k lowest eigenvalues of a Hermitian matrix, ascending, by sparse Lanczos.
 
     Sparse end to end: ARPACK `eigsh(which="SA")` from a fixed start vector,
-    a sparse Hermiticity check and a sparse-matvec residual.  Where ARPACK
-    cannot run (d <= k + 1) the k lowest levels are taken from `spectrum`.
+    after the same sparse checks as `spectrum`.  Where ARPACK cannot run
+    (d <= k + 1) the k lowest levels are taken from `spectrum`.
     """
-    H = sp.csr_matrix(H)
-    _check_square(H)
+    H = _checked(H)
     d = H.shape[0]
     if not 1 <= k <= d:
         raise ValueError(f"need 1 <= k <= {d}, got k={k}")
-    _check_hermitian(H)
-    vecs = None
     if d <= k + 1:
-        full = spectrum(H, want_vectors)
-        vals = full.eigenvalues[:k]
-        if want_vectors:
-            vecs = full.eigenvectors[:, :k]
-    elif H.count_nonzero() == 0:  # ARPACK rejects the zero operator
-        vals = np.zeros(k)
-        if want_vectors:
-            vecs = np.eye(d, k, dtype=H.dtype)
-    else:
-        v0 = _start_vector(d).astype(H.dtype)
-        found = spla.eigsh(H, k=k, which="SA", v0=v0, return_eigenvectors=want_vectors)
-        vals = found[0] if want_vectors else found
-        order = np.argsort(vals)
-        vals = vals[order]
-        if want_vectors:
-            vecs = found[1][:, order]
-    if not want_vectors:
-        return SpectrumResult(eigenvalues=vals)
-    return SpectrumResult(vals, vecs, _residual(H, vals, vecs))
+        return spectrum(H)[:k]
+    if H.count_nonzero() == 0:  # ARPACK rejects the zero operator
+        return np.zeros(k)
+    # a fixed but unstructured start, so that no symmetry of H makes it
+    # orthogonal to the lowest eigenvectors (a uniform vector can be)
+    v0 = np.random.default_rng(0).standard_normal(d).astype(H.dtype)
+    return np.sort(spla.eigsh(H, k=k, which="SA", v0=v0, return_eigenvectors=False))
 
 
 @dataclass

@@ -77,7 +77,8 @@ class IntegrableParams:
     """Algebraic data entering the Lax and transfer-matrix construction.
 
     eta must be a nonzero real, and zeta = s . t must be nonzero.  Only the
-    sum W = sum_j omega_j enters any physical quantity.
+    sum W = sum_j omega_j enters any physical quantity, and zeta^2/eta^2 - W^2,
+    eta W and 2 alpha - eta^2 must not overflow float64.
     """
 
     n_levels: int
@@ -107,6 +108,10 @@ class IntegrableParams:
         self.alpha = float(self.alpha)
         if not np.isfinite(self.eta) or not np.isfinite(self.alpha):
             raise ValueError(f"eta and alpha must be finite, got {self.eta} and {self.alpha}")
+        with np.errstate(over="ignore"):  # an overflow shows as inf
+            z, W = self.zeta / self.eta, self.omega_sum
+        if not all(map(math.isfinite, (z * z - W * W, self.eta * W, 2 * self.alpha - self.eta * self.eta))):
+            raise ValueError("zeta^2/eta^2 - W^2, eta W and 2 alpha - eta^2 must be finite in float64")
         if self.zeta == 0.0:
             raise ValueError("zeta = sum_j s_j t_j must be nonzero")
 
@@ -354,12 +359,25 @@ def identify_parameters(ip: IntegrableParams) -> model.ModelParams:
     )
 
 
+def _max_abs(dev):
+    """max|dev|, overwriting `dev`: one n x n temporary where np.abs would add a second."""
+    return float(np.max(np.abs(dev, out=dev), initial=0.0))
+
+
+def _max_off_diagonal_dev(U, value):
+    """max |U_jk - value| over j != k (0 for n = 1)."""
+    dev = U - value
+    np.fill_diagonal(dev, 0.0)
+    return _max_abs(dev)
+
+
 def _rank_one_factors(Omega):
     """Leading singular data of Omega: s = sqrt(sigma_1) u_1 with its first
     nonzero component positive, the sign of u_1 . v_1 (+1 when it is 0), and
     the max-abs residual of the rank-1 approximation."""
     U, sv, Vt = np.linalg.svd(Omega)
-    residual = float(np.max(np.abs(Omega - sv[0] * np.outer(U[:, 0], Vt[0]))))
+    # |approx - Omega|, with the temporary approx overwritten in place
+    residual = _max_abs(np.outer(U[:, 0], Vt[0]) * sv[0] - Omega)
     s = np.sqrt(sv[0]) * U[:, 0]
     nz = np.nonzero(np.abs(s) > 1e-14)[0]
     if nz.size and s[nz[0]] < 0:
@@ -368,6 +386,7 @@ def _rank_one_factors(Omega):
     return s, sign, residual
 
 
+@np.errstate(over="ignore")  # an overflowing deviation shows as inf
 def validate_model(mp: model.ModelParams) -> IdentificationReport:
     """Check whether physical couplings sit on the integrable manifold, each
     constraint to IDENTIFY_TOL (max-abs).
@@ -376,7 +395,9 @@ def validate_model(mp: model.ModelParams) -> IdentificationReport:
     off-diagonals equal to 2 alpha, (iii) a common positive eta^2 =
     2 alpha - U_abjk, (iv) nonzero rank-1 tunneling Omega = sigma_1 u_1 v_1^T,
     (v) eps_aj - mu_j level-independent and opposite to eps_bj + mu_j, fixing
-    eta W.  Violations are reported with both sides; nothing raises.
+    eta W.  Violations are reported with both sides, and a deviation that
+    overflows float64 is one; eta^2, eps_a - mu, eps_b + mu or a derived
+    parameter that overflows raises ValueError.
 
     The derived parameters are in the gauge t = +-s: s = sqrt(sigma_1) u_1,
     t = sign(u_1 . v_1) s.  For symmetric Omega these are its own factors.
@@ -392,14 +413,17 @@ def validate_model(mp: model.ModelParams) -> IdentificationReport:
     if np.max(np.abs(diags - alpha)) > IDENTIFY_TOL:
         violations.append(("U_ppjj common alpha", diags.tolist(), alpha))
 
-    off_mask = ~np.eye(n, dtype=bool)
-    offs = np.concatenate([mp.U_aa[off_mask], mp.U_bb[off_mask]])
-    if np.max(np.abs(offs - 2.0 * alpha), initial=0.0) > IDENTIFY_TOL:
+    if max(_max_off_diagonal_dev(U, 2.0 * alpha) for U in (mp.U_aa, mp.U_bb)) > IDENTIFY_TOL:
+        off_mask = ~np.eye(n, dtype=bool)
+        offs = np.concatenate([mp.U_aa[off_mask], mp.U_bb[off_mask]])
         violations.append(("U_ppjk (j != k) equals 2 alpha", offs.tolist(), 2.0 * alpha))
 
-    eta_sq_all = 2.0 * alpha - mp.U_ab
-    eta_sq = float(np.mean(eta_sq_all))
-    if np.max(np.abs(eta_sq_all - eta_sq)) > IDENTIFY_TOL:
+    eta_sq = float(np.mean(2.0 * alpha - mp.U_ab))  # finite only if every entry is
+    lin_a = mp.eps_a - mp.mu
+    lin_b = mp.eps_b + mp.mu
+    if not np.all(np.isfinite([eta_sq, *lin_a, *lin_b])):
+        raise ValueError("2 alpha - U_ab, eps_a - mu and eps_b + mu must be finite in float64")
+    if _max_abs(2.0 * alpha - mp.U_ab - eta_sq) > IDENTIFY_TOL:
         violations.append(
             ("U_abjk common value 2 alpha - eta^2", mp.U_ab.tolist(), 2.0 * alpha - eta_sq)
         )
@@ -413,8 +437,6 @@ def validate_model(mp: model.ModelParams) -> IdentificationReport:
         if r1_residual > IDENTIFY_TOL:
             violations.append(("Omega rank-1", r1_residual, 0.0))
 
-    lin_a = mp.eps_a - mp.mu
-    lin_b = mp.eps_b + mp.mu
     eta_W = float(lin_a[0])
     for j in range(1, n):
         if abs(lin_a[j] - eta_W) > IDENTIFY_TOL:

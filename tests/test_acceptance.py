@@ -139,7 +139,7 @@ def test_criterion_5_closed_form_single_atom():
         ed_gap = float(
             np.max(
                 np.abs(
-                    ed.eigenvalues
+                    ed
                     - np.sort([1 - SQRT5, -1.0, 3.0, 1 + SQRT5])
                 )
             )
@@ -171,7 +171,7 @@ def test_criterion_6_bae_spectrum_equivalence():
         report = match_spectrum(result.solutions, ed)
         ok &= result.unique == N + 1
         ok &= report.n_matched == N + 1 and -1 not in report.index
-        delta = max(abs(sol.energy - ed.eigenvalues[i]) for sol, i in zip(result.solutions, report.index))
+        delta = max(abs(sol.energy - ed[i]) for sol, i in zip(result.solutions, report.index))
         details.append(
             f"N={N}: {result.unique} of {N + 1} states, {report.n_matched} matched, "
             f"max delta {delta:.1e}"

@@ -21,7 +21,7 @@ from twowell.bethe import (
     transfer_eigenvalue,
 )
 from twowell.fock import dimension, enumerate_sector
-from twowell.model import SpectrumResult, build_hamiltonian, spectrum
+from twowell.model import build_hamiltonian, spectrum
 from twowell.yangbaxter import (
     IntegrableParams,
     default_integrable_params,
@@ -161,9 +161,7 @@ def test_collective_energies_are_ed_levels(n):
     ]
     for ip in ips:
         for N in range(6):
-            levels = spectrum(
-                build_hamiltonian(identify_parameters(ip), enumerate_sector(n, N))
-            ).eigenvalues
+            levels = spectrum(build_hamiltonian(identify_parameters(ip), enumerate_sector(n, N)))
             energies = collective_energies(ip, N)
             assert energies.size == N + 1
             free = np.ones(levels.size, dtype=bool)
@@ -196,8 +194,8 @@ def test_gauge_keeps_spectrum_and_bethe_energies(ip, N):
     mp = identify_parameters(ip)
     derived = validate_model(mp).derived
     sector = enumerate_sector(ip.n_levels, N)
-    levels = spectrum(build_hamiltonian(mp, sector)).eigenvalues
-    gauged = spectrum(build_hamiltonian(identify_parameters(derived), sector)).eigenvalues
+    levels = spectrum(build_hamiltonian(mp, sector))
+    gauged = spectrum(build_hamiltonian(identify_parameters(derived), sector))
     assert np.max(np.abs(levels - gauged)) <= 1e-12
     free = np.ones(levels.size, dtype=bool)
     for e in collective_energies(derived, N):
@@ -225,8 +223,8 @@ def test_well_rotations_keep_spectrum_and_bethe_energies(ip, N, wells, seed):
     rotated = IntegrableParams(n, ip.eta, ip.omega, O_a @ ip.s, O_b @ ip.t, alpha=ip.alpha)
     sector = enumerate_sector(n, N)
     mp, mp_rot = identify_parameters(ip), identify_parameters(rotated)
-    levels = spectrum(build_hamiltonian(mp, sector)).eigenvalues
-    levels_rot = spectrum(build_hamiltonian(mp_rot, sector)).eigenvalues
+    levels = spectrum(build_hamiltonian(mp, sector))
+    levels_rot = spectrum(build_hamiltonian(mp_rot, sector))
     assert np.max(np.abs(levels - levels_rot)) <= 1e-12
     energies = collective_energies(validate_model(mp).derived, N)
     energies_rot = collective_energies(validate_model(mp_rot).derived, N)
@@ -509,9 +507,9 @@ def test_match_single_atom_partition():
     result = solve_bae(ip, 1)
     report = match_spectrum(result.solutions, ed)
     assert report.n_matched == 2
-    deltas = [abs(sol.energy - ed.eigenvalues[i]) for sol, i in zip(result.solutions, report.index)]
+    deltas = [abs(sol.energy - ed[i]) for sol, i in zip(result.solutions, report.index)]
     assert max(deltas) <= 1e-10
-    leftovers = np.delete(ed.eigenvalues, report.index)
+    leftovers = np.delete(ed, report.index)
     assert np.allclose(leftovers, [-1.0, 3.0], atol=1e-12)
 
 
@@ -556,12 +554,12 @@ def _states(*energies):
 
 def test_match_near_degenerate_energies_take_distinct_levels():
     # both energies lie within MATCH_TOL of both levels 0 and 1
-    levels = SpectrumResult(np.array([0.0, 0.4 * MATCH_TOL, 1.0]))
+    levels = np.array([0.0, 0.4 * MATCH_TOL, 1.0])
     report = match_spectrum(_states(0.1 * MATCH_TOL, 0.2 * MATCH_TOL), levels)
     assert report.index == [0, 1]
     assert (report.n_matched, report.n_eigenvalues) == (2, 3)
     # with one level in range, the higher energy is left unpaired
-    levels = SpectrumResult(np.array([0.0, 1.0]))
+    levels = np.array([0.0, 1.0])
     report = match_spectrum(_states(0.1 * MATCH_TOL, 0.2 * MATCH_TOL), levels)
     assert report.index == [0, -1]
     assert report.n_matched == 1
@@ -597,7 +595,7 @@ near_degenerate = st.builds(
 )
 def test_match_agrees_with_greedy_oracle(energies, levels):
     energies, levels = sorted(energies), sorted(levels)
-    report = match_spectrum(_states(*energies), SpectrumResult(np.array(levels)))
+    report = match_spectrum(_states(*energies), levels)
     assert report.index == _greedy_oracle(energies, levels)
     assert report.n_matched == sum(i >= 0 for i in report.index)
     assert report.n_eigenvalues == len(levels)

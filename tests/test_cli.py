@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twowell import fock, model, yangbaxter
-from twowell.cli import GRID_POINTS_CAP, LEVEL_MATRICES, _parse_grid, main, scan_params
+from twowell.cli import GRID_POINTS_CAP, LEVEL_MATRICES, _model_from_config, _parse_grid, main, scan_params
 from twowell.yangbaxter import IntegrableParams, default_integrable_params
 
 SQRT5 = np.sqrt(5.0)
@@ -291,7 +291,7 @@ def test_fig2_ground_state_reference_value(tmp_path):
     assert main(["fig2", "--grid", "1:1:1", "--atoms", "1", "--out", str(out)]) == 0
     _, rows = read_csv(out)
     ed = spectrum(build_hamiltonian(scan_params(mu2=1.0), enumerate_sector(2, 1)))
-    assert float(rows[0][2]) == pytest.approx(ed.eigenvalues[0], abs=1e-14)
+    assert float(rows[0][2]) == pytest.approx(ed[0], abs=1e-14)
 
 
 def test_fig2_matches_dense_ground_state_per_point(tmp_path):
@@ -306,7 +306,7 @@ def test_fig2_matches_dense_ground_state_per_point(tmp_path):
     assert len(rows) == 3 * 6
     for N, x, e0 in rows:
         params = scan_params(mu2=float(x) * 1.5, mu1=1.5)
-        ref = spectrum(build_hamiltonian(params, enumerate_sector(2, int(N)))).eigenvalues[0]
+        ref = spectrum(build_hamiltonian(params, enumerate_sector(2, int(N))))[0]
         assert float(e0) == pytest.approx(ref / 1.5, rel=1e-12, abs=1e-12)
 
 
@@ -537,18 +537,38 @@ def test_levels_refused_before_any_model_is_built(argv, tmp_path, monkeypatch, c
     assert len(err) == 1 and err[0].startswith("error:") and "= 4:" in err[0] and "DENSE_BYTES_CAP" in err[0]
 
 
+def _peak_bytes(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_level_matrices_count_what_identification_builds():
     # at n = 600 the peak is 5.03 n x n doubles: the three couplings
     # identify_parameters fills and two temporaries of ModelParams' symmetry check
     n = 600
     ip = default_integrable_params(n)
-    tracemalloc.start()
-    try:
-        yangbaxter.identify_parameters(ip)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < LEVEL_MATRICES * 8 * n * n + 128 * 1024
+    peak = _peak_bytes(lambda: yangbaxter.identify_parameters(ip))
+    assert LEVEL_MATRICES >= 5 and peak < 5 * 8 * n * n + 128 * 1024
+
+
+def test_level_matrices_count_a_physical_config_through_bae():
+    # what bae builds from a physical config before its first sector: at n = 600
+    # the peak is 7.06 n x n doubles, the four couplings ModelParams holds and
+    # three temporaries of the rank-1 check of Omega, plus O(n) bytes (170 KiB
+    # here); the config's lists are parsed before the guard, and before the
+    # measurement
+    n = 600
+    cfg = {"model": physical_block(yangbaxter.identify_parameters(default_integrable_params(n)))}
+
+    def couplings():
+        params = _model_from_config(cfg, [])[1]
+        assert yangbaxter.validate_model(params).integrable
+
+    assert _peak_bytes(couplings) < LEVEL_MATRICES * 8 * n * n + 256 * 1024
 
 
 def test_verify_ybe_suite(capsys):
@@ -702,6 +722,45 @@ def test_non_finite_couplings_give_one_error_line(tmp_path, capsys, verb, field)
     assert len(err) == 1 and err[0].startswith("error:") and field in err[0]
 
 
+def overflow_block(kind):
+    """n = 1 couplings, every one finite, whose model overflows float64."""
+    if kind == "integrable":  # W^2 in t(u), and eta W N in H
+        return integrable_block() | {"omega": [1e308]}
+    block = physical_block(yangbaxter.identify_parameters(default_integrable_params(1)))
+    if kind == "physical":  # 2 alpha in the identification, and alpha N^2 in H
+        return block | {"U_aa": [[1e308]]}
+    return block | {"U_bb": [[1e307]]}  # only H overflows, at N = 30
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "physical"],
+        ["spectrum", "physical-H", "--atoms", "30"],
+        ["spectrum", "integrable"],
+        ["bae", "integrable"],
+        ["bae", "integrable", "--atoms", "0"],
+        ["bae", "physical"],
+        ["identify", "physical"],
+        ["fig2", "--atoms", "1", "--grid", "0:1:1", "--mu1", "1e-310"],
+        ["fig2", "--atoms", "1", "--grid", "1e308:1.7e308:5e307"],
+        ["fig2", "--atoms", "3", "--grid", "1:1:1", "--mu1", "1e308"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_overflow_from_finite_input_gives_one_error_line(argv, tmp_path, capsys):
+    if argv[0] != "fig2":
+        cfg = write_config(tmp_path, {"model": overflow_block(argv[1]), "n_atoms": [3]})
+        argv = [argv[0], "--config", cfg, *argv[2:]]
+    out = tmp_path / "out.txt"
+    assert main([*argv, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "float64" in err[0]
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def fuzz_files(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
@@ -710,6 +769,9 @@ def fuzz_files(tmp_path_factory):
         "physical": json.dumps({"model": physical_block(rank_one_tunneling("nonparallel")), "n_atoms": [2]}),
         "non-integrable": json.dumps({"model": physical_block(scan_params(1.0)), "n_atoms": [1]}),
         "non-finite": json.dumps({"model": integrable_block(2) | {"alpha": float("inf")}}),
+        "overflow-integrable": json.dumps({"model": overflow_block("integrable")}),
+        "overflow-physical": json.dumps({"model": overflow_block("physical")}),
+        "overflow-physical-H": json.dumps({"model": overflow_block("physical-H")}),
         "malformed": '{"model": ',
         "non-object": "[1, 2]",
         "missing-field": json.dumps({"model": {k: v for k, v in integrable_block(2).items() if k != "alpha"}}),
@@ -727,16 +789,18 @@ def fuzz_files(tmp_path_factory):
 
 LEVELS = ["-1", "0", "1", "2", "3"]
 ATOMS = ["0", "1", "2", "3", "4", "200", "x", "1,-1", ""]
-CONFIGS = ["integrable", "physical", "non-integrable", "non-finite", "malformed", "non-object",
-           "missing-field", "unknown-field", "unknown-top-key"]
+CONFIGS = ["integrable", "physical", "non-integrable", "non-finite", "overflow-integrable",
+           "overflow-physical", "overflow-physical-H", "malformed", "non-object", "missing-field",
+           "unknown-field", "unknown-top-key"]
 # verb -> (options always given, options given or not), each with its values
 ARGV_OPTIONS = {
     "verify": ({"--suite": ["ybe", "rll", "tcommute", "charges", "hrel"]},
                {"--seed": ["0", "3", "-1"], "--n": LEVELS, "--atoms": ATOMS}),
     "spectrum": ({}, {"--config": CONFIGS, "--n": LEVELS, "--atoms": ATOMS}),
     "bae": ({}, {"--config": CONFIGS, "--n": LEVELS, "--atoms": ATOMS}),
-    "fig2": ({}, {"--atoms": ATOMS, "--mu1": ["1", "-2.5", "0", "nan", "inf", "junk"],
-                  "--grid": ["0:1:0.5", "1:1:1", "junk", "nan:1:1", "0:inf:1", "0:1e9:1e-9"]}),
+    "fig2": ({}, {"--atoms": ATOMS, "--mu1": ["1", "-2.5", "0", "nan", "inf", "junk", "1e-310", "1e308"],
+                  "--grid": ["0:1:0.5", "1:1:1", "junk", "nan:1:1", "0:inf:1", "0:1e9:1e-9",
+                             "1e308:1.7e308:5e307"]}),
     "identify": ({}, {"--config": CONFIGS}),
 }
 
