@@ -8,9 +8,9 @@ from twowell import (
     Mode,
     dimension,
     enumerate_sector,
+    hop_operator,
     number_operator,
     truncated_ladder,
-    tunneling_operator,
 )
 
 # A sector collects every occupation vector of the 2n modes (n levels in
@@ -28,13 +28,13 @@ for n in (1, 2, 3):
 print("\ndimension(n, N) == number of rows for n <= 3, N <= 5")
 
 # Number operators are diagonal.  Hops between the wells come from one
-# builder, tunneling_operator, which assembles
-# sum_jk coeffs[j, k] (a_j^dag b_k + b_k^dag a_j); each term moves one quantum
-# and carries the usual sqrt matrix elements.
+# builder, hop_operator, which fills diag(d) + sum_jk coeffs[j, k]
+# (a_j^dag b_k + b_k^dag a_j) into the hop table the sector keeps; each term
+# moves one quantum and carries the usual sqrt matrix elements.
 n_a1 = number_operator(sector, Mode("a", 1))
 print("\nN_a1 diagonal:", n_a1.diagonal())
 
-hop = tunneling_operator(sector, [[1.0, 0.0], [0.0, 0.0]])  # a1^dag b1 + b1^dag a1
+hop = hop_operator(sector, 0.0, [[1.0, 0.0], [0.0, 0.0]])  # a1^dag b1 + b1^dag a1
 # a row is found by its combinatorial rank, not by a lookup table
 src = sector.rank((1, 0, 1, 0))
 dst = sector.rank((0, 0, 2, 0))

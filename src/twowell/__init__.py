@@ -19,10 +19,10 @@ from .fock import (
     TruncatedLadder,
     dimension,
     enumerate_sector,
+    hop_operator,
     number_operator,
     total_number_operator,
     truncated_ladder,
-    tunneling_operator,
 )
 from .model import (
     DENSE_BYTES_CAP,

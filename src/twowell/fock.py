@@ -4,14 +4,19 @@ A sector holds every occupation vector of ``2 * n_levels`` modes (the n
 on-well levels of well ``a`` first, then those of well ``b``) with a fixed
 total atom number as the rows of one int64 array, `FockSector.occ`, in
 descending lexicographic order.  A row is found by its exact combinatorial
-rank (`FockSector.rank`), not by a lookup table.  Every operator is built,
-with no loop over basis states, from one vectorized primitive (`_shift`) that
-raises and/or lowers a mode on all rows at once.  Builders return
-``scipy.sparse`` CSR matrices.  `tunneling_operator` is the one hop builder:
-it assembles the inter-well hopping term for both the physical Hamiltonian
-and the transfer matrix.  A mode is named `Mode("a", j)` or `Mode("b", j)`.
+rank (`FockSector.rank`), not by a lookup table.  Every operator is built
+with no loop over basis states, and builders return ``scipy.sparse`` CSR
+matrices.  `hop_operator` is the one hop builder: every operator of the form
+diag(d) + sum_jk c_jk (a_j^dagger b_k + h.c.), the physical Hamiltonian and
+the transfer matrix alike, is one fill of the sector's hop table
+(`FockSector.hops`).  The sector builds that table on first use, in one
+vectorized pass over every (j, k), and keeps it: the canonical CSR pattern of
+the diagonal and of every hop term, with the term and amplitude of each
+entry.  The ladder operators lower one mode on all rows at once.  A mode is
+named `Mode("a", j)` or `Mode("b", j)`.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -26,18 +31,20 @@ __all__ = [
     "SECTOR_DIM_CAP",
     "check_sector_fits",
     "enumerate_sector",
+    "hop_operator",
     "number_operator",
-    "tunneling_operator",
     "total_number_operator",
     "truncated_ladder",
 ]
 
 WELLS = ("a", "b")
 # Largest basis `enumerate_sector` or `truncated_ladder` builds.  A sparse job
-# on a sector (occupations, operators with up to 1 + 2n^2 entries per row,
-# ~20 Lanczos vectors) takes about 0.6 kB per state (fig2 at n = 2), so 2**20
-# states stay below model.DENSE_BYTES_CAP (1 GiB); the largest sector the tests
-# and the benchmark use (n = 2, N = 60: 39711 states) is 26 times smaller.
+# on a sector (occupations, the hop table the sector keeps, operators with up
+# to 1 + 2n^2 entries per row, ~20 Lanczos vectors) takes about 0.63 kB per
+# state (tracemalloc peak of enumerate_sector, build_hamiltonian and lowest at
+# n = 2, N = 60, of which the table holds 65 bytes), so 2**20 states stay below
+# model.DENSE_BYTES_CAP (1 GiB); the largest sector the tests and the benchmark
+# use (n = 2, N = 60: 39711 states) is 26 times smaller.
 SECTOR_DIM_CAP = 1 << 20
 
 
@@ -93,6 +100,16 @@ def _enumerate(n_modes, total):
     return np.column_stack([occ, rest])
 
 
+def _binomials(n_atoms, m):
+    """binom[r, k] = C(r + k - 1, k) for r <= n_atoms and k < m (0 at r = 0),
+    each column the running sum of the one before it."""
+    binom = np.zeros((n_atoms + 1, m), dtype=np.int64)
+    binom[1:, 0] = 1
+    for k in range(1, m):
+        binom[:, k] = np.cumsum(binom[:, k - 1])
+    return binom
+
+
 def _rank(occ):
     """Position of each row of `occ` among the rows of `_enumerate` with the
     same number of modes and the same total:
@@ -103,39 +120,71 @@ def _rank(occ):
     rows that agree with x before mode i and hold more than x_i there."""
     m = occ.shape[1]
     rest = occ.sum(axis=1)
-    # integer C(a, b), a <= N + m - 2, b < m: C(a, b) = sum_{j<a} C(j, b-1), 0 for a < b
-    table = np.zeros((int(rest.max(initial=0)) + m - 1, m), dtype=np.int64)
-    table[:, 0] = 1
-    for b in range(1, m):
-        table[1:, b] = np.cumsum(table[:-1, b - 1])
+    binom = _binomials(int(rest.max(initial=0)), m)
     rank = np.zeros(len(occ), dtype=np.int64)
     for i in range(m - 1):
-        k = m - i - 1
         rest -= occ[:, i]  # r_i - x_i
-        rank += table[rest + k - 1, k]
+        rank += binom[rest, m - i - 1]
     return rank
 
 
-def _shift(occ, create=None, annihilate=None):
-    """x_create^dagger and/or x_annihilate (columns of `occ`) on every row at once:
-    (src, dst, amp) are the rows not annihilated, the `_rank` of each shifted row
-    and the amplitudes sqrt((n_create + 1) n_annihilate), a factor per given mode."""
-    src = np.arange(len(occ)) if annihilate is None else np.flatnonzero(occ[:, annihilate])
-    target = occ[src]
-    weight = np.ones(src.size, dtype=np.int64)
-    if annihilate is not None:
-        weight *= target[:, annihilate]
-        target[:, annihilate] -= 1
-    if create is not None:
-        weight *= target[:, create] + 1
-        target[:, create] += 1
-    return src, _rank(target), np.sqrt(weight)
+def _hop_terms(occ, n_atoms):
+    """Every term a_j^dagger b_k on every row of `occ` with n_bk > 0, in one
+    pass: (src, dst, pair, weight) are the source row, the target row, the
+    index j * n + k into the flattened coefficients and n_bk (n_aj + 1).
+
+    The term moves an atom from column q = n + k to column p = j < q, so the
+    atoms r right of column i fall by one for p <= i < q, and by Pascal's
+    rule term i of `_rank`, C(r + k_i - 1, k_i), falls by C(r + k_i - 2,
+    k_i - 1): the target's rank is the source's, its row, less a difference
+    of running sums of those falls."""
+    d, m = occ.shape
+    n = m // 2
+    src, k = np.nonzero(occ[:, n:])
+    src, q, p = np.repeat(src, n), np.repeat(n + k, n), np.tile(np.arange(n), src.size)
+    right = np.cumsum(occ[:, :0:-1], axis=1)[:, ::-1]  # r for each column i < m - 1
+    falls = np.zeros((d, m), dtype=np.int64)
+    np.cumsum(_binomials(n_atoms, m)[right, np.arange(m - 2, -1, -1)], axis=1, out=falls[:, 1:])
+    dst = src - (falls[src, q] - falls[src, p])
+    return src, dst, p * n + q - n, occ[src, q] * (occ[src, p] + 1)
 
 
-def _csr(entries, shape):
-    """CSR matrix from (rows, cols, values) triples that hit distinct entries."""
-    rows, cols, vals = (np.concatenate(part) for part in zip(*entries)) if entries else ([], [], [])
-    return sp.coo_matrix((vals, (rows, cols)), shape=shape).tocsr()
+@dataclass(frozen=True, eq=False)
+class _HopTable:
+    """Canonical CSR pattern of diag + sum_jk (a_j^dagger b_k + b_k^dagger a_j)
+    on a sector: `diag` holds the slot of each row's diagonal entry, and the
+    other slots, in order, the term of coefficient `pair` (into the flattened
+    coefficients) with amplitude sqrt(`weight`)."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    diag: np.ndarray
+    pair: np.ndarray
+    weight: np.ndarray
+
+
+def _hop_table(occ, n_atoms):
+    """The `_HopTable` of the sector with rows `occ` and `n_atoms` atoms."""
+    d, m = occ.shape
+    src, dst, pair, weight = _hop_terms(occ, n_atoms)
+    # the diagonal, then a_j^dagger b_k (row dst, column src), then its adjoint
+    key = np.concatenate([np.arange(d) * (d + 1), dst * d + src, src * d + dst])
+    order = np.argsort(key, kind="stable")  # keys are distinct
+    is_diag = order < d
+    term = order[~is_diag] - d  # the adjoint of term t is term src.size + t
+    term[term >= src.size] -= src.size
+    row_nnz = 1 + np.bincount(src, minlength=d) + np.bincount(dst, minlength=d)
+    index = np.int32 if key.size < 2**31 else np.int64
+    # the smallest integer types that hold them, since the sector keeps the table
+    pair = pair.astype(np.min_scalar_type((m // 2) ** 2 - 1))
+    weight = weight.astype(np.min_scalar_type(weight.max(initial=0)))
+    return _HopTable(
+        indptr=np.concatenate([[0], np.cumsum(row_nnz)]).astype(index),
+        indices=(key[order] % d).astype(index),
+        diag=np.flatnonzero(is_diag).astype(index),
+        pair=pair[term],
+        weight=weight[term],
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,6 +214,11 @@ class FockSector:
             raise ValueError(f"occupations {occ!r} are not in the N={self.n_atoms} sector")
         return _rank(rows).reshape(x.shape[:-1])[()]
 
+    @functools.cached_property
+    def hops(self) -> _HopTable:
+        """The sector's hop table, built on first use and kept with the sector."""
+        return _hop_table(self.occ, self.n_atoms)
+
 
 def enumerate_sector(n_levels: int, n_atoms: int) -> FockSector:
     """Enumerate the fixed-number basis in descending lexicographic order.
@@ -187,21 +241,27 @@ def total_number_operator(sector: FockSector) -> sp.csr_matrix:
     return sp.csr_matrix(sp.diags(diag, shape=(sector.dim, sector.dim)))
 
 
-def tunneling_operator(sector: FockSector, coeffs) -> sp.csr_matrix:
-    """Matrix of sum_{jk} coeffs[j, k] (a_j^dagger b_k + b_k^dagger a_j) on the sector.
+def hop_operator(sector: FockSector, diag, coeffs) -> sp.csr_matrix:
+    """Matrix of diag(diag) + sum_{jk} coeffs[j, k] (a_j^dagger b_k + b_k^dagger a_j),
+    `diag` holding one value per row or one for all rows.
 
-    One COO assembly: the terms of distinct (j, k) and their adjoints hit
-    distinct entries, so no value is a sum."""
-    n = sector.n_levels
+    One fill of the sector's hop table; entries that come out zero are dropped,
+    so the matrix holds only the nonzero diagonal and the nonzero terms."""
+    n, d = sector.n_levels, sector.dim
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (n, n):
         raise ValueError(f"coeffs must have shape ({n}, {n}), got {coeffs.shape}")
-    entries = []
-    for j, k in zip(*np.nonzero(coeffs)):
-        src, dst, amp = _shift(sector.occ, create=j, annihilate=n + k)
-        w = coeffs[j, k] * amp
-        entries += [(dst, src, w), (src, dst, w)]
-    return _csr(entries, (sector.dim, sector.dim))
+    diag = np.broadcast_to(diag, (d,))
+    table = sector.hops
+    data = np.empty(table.indices.size, dtype=np.result_type(diag, float))
+    hop = np.ones(data.size, dtype=bool)
+    hop[table.diag] = False
+    data[hop] = coeffs.ravel()[table.pair] * np.sqrt(table.weight, dtype=float)
+    data[table.diag] = diag
+    # the copies are the caller's: eliminate_zeros and callers write into them
+    out = sp.csr_matrix((data, table.indices.copy(), table.indptr.copy()), shape=(d, d))
+    out.eliminate_zeros()
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,9 +299,11 @@ def truncated_ladder(n_modes: int, cutoff: int) -> TruncatedLadder:
     dim = len(occ)
     ann = []
     for j in range(n_modes):
-        src, dst, amp = _shift(occ, annihilate=j)
-        row = np.searchsorted(totals, totals[src] - 1) + dst  # + first row of its sector
-        ann.append(_csr([(row, src, amp)], (dim, dim)))
+        src = np.flatnonzero(occ[:, j])
+        target = occ[src]
+        target[:, j] -= 1
+        row = np.searchsorted(totals, totals[src] - 1) + _rank(target)  # + first row of its sector
+        ann.append(sp.coo_matrix((np.sqrt(occ[src, j]), (row, src)), shape=(dim, dim)).tocsr())
     # a_j^dagger is the transpose: it has no entry out of the top sector
     cre = [op.T.tocsr() for op in ann]
     return TruncatedLadder(n_modes, cutoff, occ=occ, ann=ann, cre=cre, totals=totals)

@@ -29,7 +29,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigvalsh
 
-from .fock import FockSector, Mode, number_operator, total_number_operator, tunneling_operator
+from .fock import FockSector, Mode, hop_operator, number_operator, total_number_operator
 
 __all__ = [
     "ModelParams",
@@ -125,8 +125,7 @@ def build_hamiltonian(params: ModelParams, sector: FockSector) -> sp.csr_matrix:
         )
     # an entry that overflows comes out inf or nan, which spectrum and lowest refuse
     with np.errstate(over="ignore", invalid="ignore"):
-        diag = sp.diags(_diagonal_energy(params, sector.occ), shape=(sector.dim,) * 2)
-        return sp.csr_matrix(diag - tunneling_operator(sector, params.Omega))
+        return hop_operator(sector, _diagonal_energy(params, sector.occ), -params.Omega)
 
 
 def decoupled_energies(params: ModelParams, state) -> tuple[float, float]:

@@ -26,9 +26,10 @@ Conventions:
   self-adjoint pairing, which agrees with the operator-ordered trace of
   the site-a x site-b monodromy whenever s and t are proportional (the
   gauge in which the Bethe-ansatz layer operates and which the reverse
-  identification always produces).  It is
-  assembled by `fock.tunneling_operator` with coefficients outer(s, t), the
-  same assembly the physical Hamiltonian uses with Omega.
+  identification always produces).  t(u) is one fill, diagonal and hopping
+  term together, of `fock.hop_operator` with coefficients outer(s, t): the
+  builder and the sector's hop table that the physical Hamiltonian uses with
+  -Omega.
 * The Hamiltonian is H = (alpha N^2 + zeta^2/eta^2 - W^2) I - t(0).
 """
 
@@ -44,9 +45,9 @@ from . import model
 from .fock import (
     FockSector,
     TruncatedLadder,
+    hop_operator,
     total_number_operator,
     truncated_ladder,
-    tunneling_operator,
 )
 
 __all__ = [
@@ -279,8 +280,7 @@ def transfer_matrix(u: complex, ip: IntegrableParams, sector: FockSector) -> sp.
         + eta * W * (nb_tot - na_tot)
         + eta**2 * na_tot * nb_tot
     )
-    out = sp.diags(diag, shape=(sector.dim,) * 2)
-    return sp.csr_matrix(out + tunneling_operator(sector, np.outer(ip.s, ip.t)))
+    return hop_operator(sector, diag, np.outer(ip.s, ip.t))
 
 
 def transfer_commutator_residual(

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from twowell import bethe, yangbaxter
+from twowell import bethe, fock
 from twowell.bethe import (
     MATCH_TOL,
     bae_residual,
@@ -421,10 +421,11 @@ def test_vector_eigen_residuals(n):
 
 
 def test_solver_builds_one_tunneling_term_per_sector(monkeypatch):
-    # H carries the sector's one t(0); the t-residual is read from it
+    # H carries the sector's one t(0), filled on the sector's one hop table;
+    # the t-residual is read from it
     calls = []
-    build = yangbaxter.tunneling_operator
-    monkeypatch.setattr(yangbaxter, "tunneling_operator", lambda *a: calls.append(1) or build(*a))
+    build = fock._hop_table
+    monkeypatch.setattr(fock, "_hop_table", lambda *a: calls.append(1) or build(*a))
     assert solve_bae(default_integrable_params(2), 3).unique == 4
     assert len(calls) == 1
 

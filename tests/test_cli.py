@@ -509,6 +509,17 @@ def test_verify_rll_builds_one_ladder_per_level(monkeypatch, capsys):
     assert sorted(levels) == [1, 2, 3]
 
 
+def test_verify_tcommute_builds_one_hop_table_per_sector(monkeypatch, capsys):
+    # 20 pairs of t(u), t(v) on each of the four sectors fill the one table
+    # their sector keeps
+    sectors = []
+    build = fock._hop_table
+    monkeypatch.setattr(fock, "_hop_table", lambda occ, N: sectors.append(N) or build(occ, N))
+    assert main(["verify", "--suite", "tcommute"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert sectors == [1, 2, 3, 4]
+
+
 @pytest.mark.parametrize(
     "argv",
     [

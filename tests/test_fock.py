@@ -12,10 +12,10 @@ from twowell.fock import (
     Mode,
     dimension,
     enumerate_sector,
+    hop_operator,
     number_operator,
     total_number_operator,
     truncated_ladder,
-    tunneling_operator,
 )
 
 
@@ -78,7 +78,7 @@ def test_occupation_array_rank_and_hopping(n, N):
     eye = np.eye(2 * n, dtype=np.int64)
     for c, k in itertools.product(range(n), repeat=2):
         a = n + k  # column of b_k
-        tunnel = tunneling_operator(sector, np.outer(np.eye(n)[c], np.eye(n)[k]))
+        tunnel = hop_operator(sector, 0.0, np.outer(np.eye(n)[c], np.eye(n)[k]))
         # a_c^dag b_k raises column c, the first column where target and source
         # differ, so in descending-lex order its half lies above the diagonal
         hop = sp.triu(tunnel, k=1).tocoo()
@@ -144,7 +144,7 @@ def test_total_number_is_scalar():
 
 def test_hopping_single_quantum_transfer():
     sector = enumerate_sector(2, 1)
-    hop = tunneling_operator(sector, [[1.0, 0.0], [0.0, 0.0]]).toarray()
+    hop = hop_operator(sector, 0.0, [[1.0, 0.0], [0.0, 0.0]]).toarray()
     src = sector.rank((1, 0, 0, 0))
     dst = sector.rank((0, 0, 1, 0))
     assert hop[dst, src] == 1.0
@@ -152,7 +152,7 @@ def test_hopping_single_quantum_transfer():
 
 def test_hopping_ladder_amplitude():
     sector = enumerate_sector(1, 3)
-    hop = tunneling_operator(sector, [[1.0]]).toarray()
+    hop = hop_operator(sector, 0.0, [[1.0]]).toarray()
     src = sector.rank((1, 2))
     dst = sector.rank((0, 3))
     assert hop[dst, src] == pytest.approx(math.sqrt(3.0), abs=0.0)
@@ -160,10 +160,31 @@ def test_hopping_ladder_amplitude():
 
 def test_hopping_commutes_with_total_number():
     sector = enumerate_sector(2, 2)
-    hop = tunneling_operator(sector, [[0.0, 0.0], [1.0, 0.0]])
+    hop = hop_operator(sector, 0.0, [[0.0, 0.0], [1.0, 0.0]])
     n_tot = total_number_operator(sector)
     comm = hop @ n_tot - n_tot @ hop
     assert comm.nnz == 0
+
+
+def test_one_hop_table_per_sector_and_no_rank_call(monkeypatch):
+    # the table ranks every target from its source row in one pass; builds
+    # after the first only fill it
+    calls = []
+    table, rank = fock._hop_table, fock._rank
+    monkeypatch.setattr(fock, "_hop_table", lambda *a: calls.append("table") or table(*a))
+    monkeypatch.setattr(fock, "_rank", lambda *a: calls.append("rank") or rank(*a))
+    n = 30
+    sector = enumerate_sector(n, 2)
+    coeffs = np.random.default_rng(3).standard_normal((n, n))
+    first = hop_operator(sector, 0.0, coeffs)
+    diag = np.arange(sector.dim, dtype=float)
+    second = hop_operator(sector, diag, 2.0 * coeffs)
+    assert calls == ["table"]
+    # a_j^dag b_k and its adjoint for every j and every occupied b_k of a row
+    assert first.nnz == 2 * n * np.count_nonzero(sector.occ[:, n:])
+    assert second.nnz == first.nnz + sector.dim - 1  # the diagonal's one zero is dropped
+    assert np.array_equal(second.diagonal(), diag)
+    assert np.array_equal((second - sp.diags(diag)).data, 2.0 * first.data)
 
 
 def test_truncated_ladder_single_mode_matrix():

@@ -3,8 +3,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from twowell.fock import enumerate_sector, truncated_ladder, tunneling_operator
+from twowell.fock import enumerate_sector, hop_operator, truncated_ladder
 from twowell.model import build_hamiltonian, spectrum
 from twowell import model, yangbaxter
 from twowell.yangbaxter import (
@@ -290,7 +291,7 @@ def test_transfer_commutator_blind_to_hopping_perturbations():
     sector = enumerate_sector(2, 3)
     coeffs = np.zeros((2, 2))
     coeffs[0, 1] = 0.1 * ip.s[0] * ip.t[1]  # a_1 <-> b_2
-    pert = tunneling_operator(sector, coeffs).toarray()
+    pert = hop_operator(sector, 0.0, coeffs).toarray()
     tu = transfer_matrix(0.9, ip, sector).toarray() + pert
     tv = transfer_matrix(-0.4, ip, sector).toarray() + pert
     residual = np.max(np.abs(tu @ tv - tv @ tu))
@@ -344,12 +345,113 @@ def test_hamiltonian_matches_identified_model(n):
             h_m = build_hamiltonian(identify_parameters(ip), sector)
             gap = h_t - h_m
             assert (0.0 if gap.nnz == 0 else np.max(np.abs(gap.data))) <= 1e-12
-    # both sides share fock.tunneling_operator; a detuned coupling must still show
+    # both sides share fock.hop_operator; a detuned coupling must still show
     sector = enumerate_sector(n, 2)
     mp = identify_parameters(ip)
     mp.Omega[0, -1] += 1e-6
     gap = hamiltonian_from_transfer(ip, sector) - build_hamiltonian(mp, sector)
     assert np.max(np.abs(gap.data)) > 1e-7
+
+
+# Reference assembly: every operator built as it was before the sector kept a
+# hop table, one COO block per nonzero (j, k) term and a sparse diagonal added
+# to it.
+
+def reference_tunneling(sector, coeffs):
+    n, occ = sector.n_levels, sector.occ
+    entries = []
+    for j, k in zip(*np.nonzero(coeffs)):
+        src = np.flatnonzero(occ[:, n + k])
+        amp = np.sqrt(occ[src, n + k] * (occ[src, j] + 1))
+        target = occ[src].copy()
+        target[:, j] += 1
+        target[:, n + k] -= 1
+        dst = sector.rank(target)
+        entries += [(dst, src, coeffs[j, k] * amp), (src, dst, coeffs[j, k] * amp)]
+    rows, cols, vals = (np.concatenate(part) for part in zip(*entries)) if entries else ([], [], [])
+    return sp.coo_matrix((vals, (rows, cols)), shape=(sector.dim,) * 2).tocsr()
+
+
+def reference_transfer(u, ip, sector):
+    n, eta, zeta, W = ip.n_levels, ip.eta, ip.zeta, ip.omega_sum
+    u = complex(u)
+    if u.imag == 0.0:
+        u = u.real
+    na = sector.occ[:, :n].sum(axis=1).astype(float)
+    nb = sector.occ[:, n:].sum(axis=1).astype(float)
+    N = float(sector.n_atoms)
+    diag = u * u + u * eta * N + (zeta**2 / eta**2 - W**2) + eta * W * (nb - na) + eta**2 * na * nb
+    out = sp.diags(diag, shape=(sector.dim,) * 2)
+    return sp.csr_matrix(out + reference_tunneling(sector, np.outer(ip.s, ip.t)))
+
+
+def reference_hamiltonian_from_transfer(ip, sector):
+    N = float(sector.n_atoms)
+    scalar = ip.alpha * N * N + ip.zeta**2 / ip.eta**2 - ip.omega_sum**2
+    identity = sp.identity(sector.dim, format="csr")
+    return sp.csr_matrix(scalar * identity - reference_transfer(0.0, ip, sector))
+
+
+def reference_hamiltonian(mp, sector):
+    diag = sp.diags(model._diagonal_energy(mp, sector.occ), shape=(sector.dim,) * 2)
+    return sp.csr_matrix(diag - reference_tunneling(sector, mp.Omega))
+
+
+def assert_same_csr(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def dark_vacuum_ip(n):
+    """zeta = eta W and s = t = e_1: t(0) vanishes on the vacuum, and every
+    tunneling coefficient but one is zero."""
+    e1 = np.eye(n)[0]
+    return IntegrableParams(n, 1.0, e1, e1, e1, alpha=0.6)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_operators_equal_the_reference_assembly_bitwise(n):
+    rng = np.random.default_rng(400 + n)
+    ips = [default_integrable_params(n), random_ip(rng, n), dark_vacuum_ip(n)]
+    omega = rng.standard_normal((n, n))
+    omega[0, -1] = 0.0
+    u_all = (0.0, 0.9, -1.7, complex(0.4, -1.1), 2j)
+    for N in range(7):
+        sector = enumerate_sector(n, N)
+        for ip in ips:
+            for u in u_all:
+                assert_same_csr(transfer_matrix(u, ip, sector), reference_transfer(u, ip, sector))
+            assert_same_csr(hamiltonian_from_transfer(ip, sector), reference_hamiltonian_from_transfer(ip, sector))
+            mp = identify_parameters(ip)
+            assert_same_csr(build_hamiltonian(mp, sector), reference_hamiltonian(mp, sector))
+        mp = identify_parameters(ips[1])
+        mp.Omega = omega
+        assert_same_csr(build_hamiltonian(mp, sector), reference_hamiltonian(mp, sector))
+    # the zero entries are dropped, not stored: t(0) on the dark vacuum is empty
+    assert transfer_matrix(0.0, ips[2], enumerate_sector(n, 0)).nnz == 0
+    assert build_hamiltonian(mp, enumerate_sector(n, 0)).nnz == 0
+
+
+def test_returned_matrices_share_nothing_with_the_next_build():
+    ip = default_integrable_params(2)
+    mp = identify_parameters(ip)
+    sector = enumerate_sector(2, 3)
+    builds = [
+        lambda: transfer_matrix(0.9, ip, sector),
+        lambda: transfer_matrix(complex(0.4, -1.1), ip, sector),
+        lambda: hamiltonian_from_transfer(ip, sector),
+        lambda: build_hamiltonian(mp, sector),
+        lambda: hop_operator(sector, 0.0, mp.Omega),
+    ]
+    for build in builds:
+        first = build()
+        want = first.copy()
+        first.data[:] = 7.0
+        first.indices[:] = 0
+        first.indptr[:] = 0
+        assert_same_csr(build(), want)
 
 
 # ---------------------------------------------------------------------------
