@@ -562,7 +562,9 @@ def _parse_grid(text, errors):
         errors.append(f"invalid grid {text!r}: more than {GRID_POINTS_CAP} points")
         return []
     count = int(round(span)) + 1
-    return [start + k * step for k in range(count) if start + k * step <= stop + 1e-12]
+    # start + k * step misses stop by rounding relative to the grid's magnitude
+    slack = 1e-12 * max(1.0, abs(start), abs(stop))
+    return [start + k * step for k in range(count) if start + k * step <= stop + slack]
 
 
 def cmd_fig2(args) -> int:

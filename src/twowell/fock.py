@@ -87,17 +87,26 @@ def check_sector_fits(d: int):
 def _enumerate(n_modes, total):
     """Every occupation row of `n_modes` modes summing to `total`, descending
     lexicographically, built one mode at a time: a partial row with `rest`
-    atoms left spawns the heads rest, rest - 1, ..., 0 in turn."""
+    atoms left spawns the heads rest, rest - 1, ..., 0 in turn.  Each level
+    keeps only its heads and their parents; the rows are then written once,
+    column by column from the last mode back, along the parent chain."""
     check_sector_fits(math.comb(total + n_modes - 1, total))
-    occ = np.zeros((1, 0), dtype=np.int64)
     rest = np.array([total], dtype=np.int64)
+    levels = []
     for _ in range(n_modes - 1):
         parent = np.repeat(np.arange(rest.size), rest + 1)
         starts = np.cumsum(rest + 1) - (rest + 1)
         head = rest[parent] - (np.arange(parent.size) - starts[parent])
-        occ = np.column_stack([occ[parent], head])
+        levels.append((parent, head))
         rest = rest[parent] - head
-    return np.column_stack([occ, rest])
+    occ = np.empty((rest.size, n_modes), dtype=np.int64)
+    occ[:, -1] = rest
+    row = np.arange(rest.size)
+    while levels:
+        parent, head = levels.pop()
+        occ[:, len(levels)] = head[row]
+        row = parent[row]
+    return occ
 
 
 def _binomials(n_atoms, m):

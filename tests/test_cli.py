@@ -3,6 +3,7 @@ import io
 import json
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -335,6 +336,29 @@ def test_fig2_bad_numbers_give_one_error_line(argv, capsys):
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert captured.out == ""
+
+
+def test_fig2_keeps_the_end_point_of_a_large_grid(capsys):
+    # 560427.9 + 0.3 passes 560428.2 by 1.2e-10: rounding at this magnitude, not a step
+    assert main(["fig2", "--atoms", "1", "--grid", "560427.9:560428.2:0.3"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[1] for row in rows] == ["560427.90000000002", "560428.20000000007"]
+
+
+def test_decimal_grids_keep_every_point():
+    # start:start+k*step:step in decimal, with |start| up to 1e7, where the
+    # rounding of start + k * step exceeds 1e-12
+    rng = np.random.default_rng(7)
+    for _ in range(2000):
+        start = Decimal(int(rng.integers(-(10**10), 10**10))).scaleb(-int(rng.integers(3, 7)))
+        step = Decimal(int(rng.integers(1, 1000))).scaleb(-int(rng.integers(0, 4)))
+        k = int(rng.integers(0, 41))
+        stop = start + k * step
+        errors = []
+        grid = _parse_grid(f"{start}:{stop}:{step}", errors)
+        assert errors == [] and len(grid) == k + 1, (start, stop, step)
+        # the last point misses stop by rounding alone
+        assert grid[-1] - float(stop) <= 4 * np.spacing(float(abs(start) + abs(stop)))
 
 
 def test_fig2_grid_point_cap(capsys):

@@ -61,6 +61,33 @@ def test_enumerate_matches_dimension_exhaustively():
             assert all(sector.rank(state) == i for i, state in enumerate(states))
 
 
+def column_stack_enumerate(n_modes, total):
+    """Reference: the enumeration as one `column_stack` per mode, each copying
+    the partial rows built so far."""
+    occ = np.zeros((1, 0), dtype=np.int64)
+    rest = np.array([total], dtype=np.int64)
+    for _ in range(n_modes - 1):
+        parent = np.repeat(np.arange(rest.size), rest + 1)
+        starts = np.cumsum(rest + 1) - (rest + 1)
+        head = rest[parent] - (np.arange(parent.size) - starts[parent])
+        occ = np.column_stack([occ[parent], head])
+        rest = rest[parent] - head
+    return np.column_stack([occ, rest])
+
+
+@pytest.mark.parametrize(
+    "n_modes, total",
+    [(1, 0), (1, 5), (2, 0), (2, 3), (4, 7), (6, 5), (8, 12), (3, 30), (4, 60), (40, 2)]
+    # truncated_ladder(n_modes, cutoff) enumerates (n_modes + 1, cutoff)
+    + [(n_modes + 1, cutoff) for n_modes in (1, 4, 8) for cutoff in (1, 3)],
+)
+def test_enumerate_equals_the_column_stack_loop(n_modes, total):
+    occ = fock._enumerate(n_modes, total)
+    ref = column_stack_enumerate(n_modes, total)
+    assert occ.dtype == ref.dtype and occ.shape == ref.shape
+    assert occ.tobytes() == ref.tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(1, 3), N=st.integers(0, 8))
 def test_occupation_array_rank_and_hopping(n, N):

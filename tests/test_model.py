@@ -2,11 +2,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twowell import model
+from twowell.cli import scan_params
 from twowell.fock import dimension, enumerate_sector, total_number_operator
 from twowell.model import (
     ModelParams,
@@ -196,6 +198,43 @@ def test_spectrum_dense_input_equals_its_csr_form():
     dense = H.toarray()
     assert np.array_equal(spectrum(dense), spectrum(H))
     assert np.array_equal(lowest(dense, 3), lowest(H, 3))
+
+
+def test_spectrum_never_writes_into_its_input():
+    # LAPACK overwrites the dense array it is given; that array must be spectrum's own
+    H = build_hamiltonian(random_params(np.random.default_rng(5), 2), enumerate_sector(2, 3))
+    ref = spectrum(H)
+    for given_H in (H.toarray(), np.asfortranarray(H.toarray()), H.copy()):
+        kept = given_H.copy()
+        assert np.array_equal(spectrum(given_H), ref)
+        if sp.issparse(given_H):
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(given_H, part), getattr(kept, part))
+        else:
+            assert np.array_equal(given_H, kept)
+
+
+@pytest.mark.parametrize("dtype", ["real", "complex"])
+def test_spectrum_allocates_one_dense_matrix(dtype):
+    # the d x d array that check_dense_fits counts, LAPACK working on it in
+    # place, and scipy's one-byte-per-entry finiteness mask: no second copy
+    if dtype == "real":
+        H = build_hamiltonian(scan_params(mu2=0.3), enumerate_sector(2, 16))  # d = 969
+    else:
+        # a complex Hermitian tridiagonal; LAPACK's heevr workspace is about
+        # 780 d bytes, below the mask only from d ~ 800 on
+        rng, d = np.random.default_rng(6), 1200
+        off = rng.standard_normal(d - 1) + 1j * rng.standard_normal(d - 1)
+        H = sp.diags([off.conj(), rng.standard_normal(d), off], [-1, 0, 1], format="csr")
+    d, itemsize = H.shape[0], H.dtype.itemsize
+    spectrum(H)  # first-call set-up is not the solve's
+    tracemalloc.start()
+    try:
+        spectrum(H)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= (itemsize + 1) * d * d + 64 * d
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
