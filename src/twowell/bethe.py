@@ -26,8 +26,13 @@ collective basis |m, N-m> of the modes A ~ s.a and B ~ t.b
 (`collective_energies`), with lambda0 = alpha N^2 + zeta^2/eta^2 - W^2 - E.
 Each state keeps that exact energy E.  Its roots are the zeros of the TQ null
 vector at its lambda0, polished by damped Newton with an analytic Jacobian,
-and kept only if `bethe_energy` gives E back from them.  Bethe vectors are built
-on the same collective states and written into the Fock sector once.
+and kept only if `bethe_energy` gives E back from them.
+
+C(v) never leaves the N+1 collective states, so neither does the solver: each
+kept state's Bethe vector is its N+1 amplitudes on |N-k, k>, k = N_b, and its
+eigen-residuals are measured against the one signed tridiagonal of H on those
+states, whatever the level count n.  `bethe_vector` alone writes a state into
+the Fock sector, d = C(N + 2n - 1, N) amplitudes.
 """
 
 from dataclasses import dataclass, field
@@ -37,7 +42,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import comb, gammaln
 
 from . import fock
-from .yangbaxter import IntegrableParams, hamiltonian_from_transfer
+from .yangbaxter import IntegrableParams
 
 __all__ = [
     "BetheSolution",
@@ -172,7 +177,12 @@ def _newton_step(v, f, ip):
 @dataclass
 class BetheSolution:
     """One Bethe state: its exact energy, the roots that reproduce it, and
-    its Bethe vector with the eigen-residuals against H and t(u)."""
+    its Bethe vector with the eigen-residuals against H and t(u).
+
+    `vector` holds the N+1 amplitudes of prod_i C(v_i)|0> on the collective
+    states |N-k, k>, k = N_b = 0..N (`bethe_vector` writes the state into the
+    Fock sector); `h_residual` and `t_residual` are max-abs eigen-residuals
+    of those amplitudes, relative to their largest one."""
 
     roots: np.ndarray
     residual: float
@@ -196,29 +206,34 @@ class SolveResult:
     rejected: dict = field(default_factory=dict)
 
 
-def collective_energies(ip: IntegrableParams, n_atoms: int) -> np.ndarray:
-    """Ascending energies of the N+1 Bethe states.
-
-    They are the spectrum of the Hamiltonian on the collective basis
-    |m, N-m>, m = 0..N, of the modes A ~ s.a and B ~ t.b: a real symmetric
-    tridiagonal with diagonal
+def _collective_hamiltonian(ip, N):
+    """(diag, off): H on the collective states |N-k, k>, k = N_b = 0..N, of the
+    modes A ~ s.a and B ~ t.b, for proportional s and t.  It is real symmetric
+    tridiagonal, with diagonal
 
         alpha Na^2 + alpha Nb^2 + (2 alpha - eta^2) Na Nb + eta W (Na - Nb)
 
-    (Na = m, Nb = N - m) and off-diagonal -|zeta| sqrt((m+1)(N-m)), where
-    |zeta| = |s||t| for proportional s and t.
-    """
+    (Na = N - k, Nb = k) and off-diagonal <N-k-1, k+1|H|N-k, k> =
+    -zeta sqrt((N-k)(k+1)), zeta = s.t with its sign, so t = -s is included."""
+    nb = np.arange(N + 1, dtype=float)
+    na = N - nb
+    alpha, eta, W = ip.alpha, ip.eta, ip.omega_sum
+    diag = alpha * na**2 + alpha * nb**2 + (2 * alpha - eta**2) * na * nb + eta * W * (na - nb)
+    return diag, -ip.zeta * np.sqrt(na[:-1] * (nb[:-1] + 1.0))
+
+
+def collective_energies(ip: IntegrableParams, n_atoms: int) -> np.ndarray:
+    """Ascending energies of the N+1 Bethe states: the spectrum of
+    `_collective_hamiltonian`.  The sign of zeta is the gauge (-1)^k of the
+    basis, so the eigenvalues are taken, in order of Na, from the tridiagonal
+    with off-diagonal -|zeta| sqrt((Na+1) Nb)."""
     N = int(n_atoms)
     if N < 0:
         raise ValueError(f"n_atoms must be >= 0, got {N}")
-    na = np.arange(N + 1, dtype=float)
-    nb = N - na
-    alpha, eta, W = ip.alpha, ip.eta, ip.omega_sum
-    diag = alpha * na**2 + alpha * nb**2 + (2 * alpha - eta**2) * na * nb + eta * W * (na - nb)
+    diag, off = _collective_hamiltonian(ip, N)
     if N == 0:
         return diag
-    off = -abs(ip.zeta) * np.sqrt((na[:-1] + 1.0) * nb[:-1])
-    return eigh_tridiagonal(diag, off, eigvals_only=True)
+    return eigh_tridiagonal(diag[::-1], -np.abs(off[::-1]), eigvals_only=True)
 
 
 def _tq_matrix(N, eta, W, kappa):
@@ -253,10 +268,13 @@ def solve_bae(ip: IntegrableParams, n_atoms: int) -> SolveResult:
     E from them to 1e-9 relative.  States whose roots do not reach the
     residual, show a standard pathology (coincident roots, a pair at
     v_i - v_j = -eta) or fail the energy check are left out and counted in
-    `rejected`.  Each kept state carries its Bethe vector and its
-    eigen-residuals against H and t(u), with u the point at which its energy
-    was checked; both come from the sector's one H, as t(u) = (E(u) +
-    Lambda(u)) I - H there: the t(u)-residual is that of H at E(u).
+    `rejected`.  Each kept state carries its Bethe vector, the N+1
+    amplitudes on the collective states |N-k, k>, and its eigen-residuals
+    against H and t(u), with u the point at which its energy was checked.
+    Both are read from the one tridiagonal `_collective_hamiltonian` of the
+    sector: on it t(u) = (E(u) + Lambda(u)) I - H, so the t(u)-residual is
+    that of H at E(u).  No Fock sector is built, so the cost does not grow
+    with the level count n.
 
     Raises ValueError for N > 0 unless s and t are proportional: otherwise
     the self-adjoint t(u) is not the monodromy trace the equations solve.
@@ -273,9 +291,7 @@ def solve_bae(ip: IntegrableParams, n_atoms: int) -> SolveResult:
             "the gauge validate_model returns for physical couplings"
         )
 
-    sector = fock.enumerate_sector(ip.n_levels, N)
-    embedding = _embedding(ip, sector)  # shared by all states
-    H = hamiltonian_from_transfer(ip, sector)
+    diag, off = _collective_hamiltonian(ip, N)  # shared by all states
 
     eta, zeta, W = ip.eta, ip.zeta, ip.omega_sum
     # u = scale x keeps the monomial coefficients of q of comparable size
@@ -306,15 +322,15 @@ def solve_bae(ip: IntegrableParams, n_atoms: int) -> SolveResult:
         if abs(e_u - energy) > 1e-9 * max(1.0, abs(energy)):
             rejected["energy_mismatch"] += 1
             continue
-        vector = _bethe_state(v, ip, embedding)
+        vector = _collective_state(v, ip)
         solutions.append(
             BetheSolution(
                 roots=v,
                 residual=float(np.max(np.abs(_residual(v, ip)), initial=0.0)),
                 energy=float(energy),
                 vector=vector,
-                h_residual=_eigen_residual(H, vector, energy),
-                t_residual=_eigen_residual(H, vector, e_u),
+                h_residual=_eigen_residual(diag, off, vector, energy),
+                t_residual=_eigen_residual(diag, off, vector, e_u),
             )
         )
 
@@ -327,8 +343,12 @@ def solve_bae(ip: IntegrableParams, n_atoms: int) -> SolveResult:
     )
 
 
-def _eigen_residual(op, vec, value):
-    return float(np.max(np.abs(op @ vec - value * vec)) / np.max(np.abs(vec)))
+def _eigen_residual(diag, off, vec, value):
+    """max |T vec - value vec| / max |vec| for the symmetric tridiagonal T = (diag, off)."""
+    r = (diag - value) * vec
+    r[:-1] += off * vec[1:]
+    r[1:] += off * vec[:-1]
+    return float(np.max(np.abs(r)) / np.max(np.abs(vec)))
 
 
 def _admissible_eval_point(roots):
@@ -377,20 +397,9 @@ def bethe_energy(roots, ip: IntegrableParams, n_atoms: int, u: complex = 0.0) ->
     return u * u + u * eta * N + ip.alpha * N * N + zeta**2 / eta**2 - W * W - lam
 
 
-def _embedding(ip, sector):
-    """(k, w): N_b = k of each row of `sector` and its overlap w = <ka; kb|m, k> with
-    the collective state |m, k> = (A^dag)^m (B^dag)^k|0> / (|s|^(m+k) sqrt(m! k!)),
-    w = sqrt(m! k! / prod_j ka_j! kb_j!) prod_j (s_j/|s|)^(ka_j + kb_j)."""
-    n, occ = ip.n_levels, sector.occ
-    k = occ[:, n:].sum(axis=1)
-    log_ratio = gammaln(sector.n_atoms - k + 1) + gammaln(k + 1) - gammaln(occ + 1).sum(axis=1)
-    s_hat = ip.s / np.linalg.norm(ip.s)
-    return k, np.exp(0.5 * log_ratio) * np.prod(s_hat ** (occ[:, :n] + occ[:, n:]), axis=1)
-
-
-def _bethe_state(v, ip, embedding):
-    """prod_i C(v_i)|0> on the rows of `embedding`: with k = N_b, C(v)|m, k> =
-    |s| [(v - W + eta k) sqrt(m+1) |m+1, k> + (zeta/eta) sqrt(k+1) |m, k+1>],
+def _collective_state(v, ip):
+    """prod_i C(v_i)|0> on the collective states |N-k, k>, k = N_b = 0..N: with
+    C(v)|m, k> = |s| [(v - W + eta k) sqrt(m+1) |m+1, k> + (zeta/eta) sqrt(k+1) |m, k+1>],
     one update of the amplitudes over k per root.  The amplitude of |0, N> is
     (|s| zeta/eta)^N sqrt(N!), so for zeta != 0 the state never vanishes."""
     amp = np.array([1.0 + 0.0j])
@@ -400,8 +409,7 @@ def _bethe_state(v, ip, embedding):
         nxt[:-1] = (vi - ip.omega_sum + ip.eta * k) * np.sqrt(n + 1 - k) * amp
         nxt[1:] += (ip.zeta / ip.eta) * np.sqrt(k + 1) * amp
         amp = np.linalg.norm(ip.s) * nxt
-    rows, weight = embedding
-    return weight * amp[rows]
+    return amp
 
 
 def bethe_vector(roots, ip: IntegrableParams) -> np.ndarray:
@@ -410,10 +418,19 @@ def bethe_vector(roots, ip: IntegrableParams) -> np.ndarray:
         C(v) = (v - W) A^dag + eta A^dag N_b + (zeta/eta) B^dag,
 
     A = sum_j s_j a_j, B = sum_j s_j b_j and N_b = sum_j N_bj.  C(v) keeps the
-    state on the N+1 collective states (A^dag)^m (B^dag)^(N-m)|0>, where the
-    roots act; the result is written into the Fock sector once."""
+    state on the N+1 collective states, where the roots act
+    (`_collective_state`); the result is written into the Fock sector once.
+    A row with N_b = k has overlap w = <ka; kb|m, k> with the normalized
+    collective state |m, k> = (A^dag)^m (B^dag)^k|0> / (|s|^(m+k) sqrt(m! k!)),
+    w = sqrt(m! k! / prod_j ka_j! kb_j!) prod_j (s_j/|s|)^(ka_j + kb_j)."""
     v = np.asarray(roots, dtype=complex).reshape(-1)
-    return _bethe_state(v, ip, _embedding(ip, fock.enumerate_sector(ip.n_levels, v.size)))
+    n, sector = ip.n_levels, fock.enumerate_sector(ip.n_levels, v.size)
+    occ = sector.occ
+    k = occ[:, n:].sum(axis=1)
+    log_ratio = gammaln(sector.n_atoms - k + 1) + gammaln(k + 1) - gammaln(occ + 1).sum(axis=1)
+    s_hat = ip.s / np.linalg.norm(ip.s)
+    weight = np.exp(0.5 * log_ratio) * np.prod(s_hat ** (occ[:, :n] + occ[:, n:]), axis=1)
+    return weight * _collective_state(v, ip)[k]
 
 
 @dataclass

@@ -12,9 +12,9 @@ Verbs:
             sector, or an error if a sector's dense matrix would exceed
             model.DENSE_BYTES_CAP
   bae       solve the rapidity equations in the gauge t = +-s, cross-check
-            against the spectrum of the couplings as given, emit CSV rows and
-            a JSON report; each state's energy is exact, and its roots are
-            kept only if they give it back
+            against the spectrum of the couplings as given, emit CSV rows (and
+            with --out a JSON report on stdout); each state's energy is exact,
+            and its roots are kept only if they give it back
   fig2      ground-state scan E0/mu1 versus mu2/mu1 for the reference
             non-integrable parameter set, as CSV (sparse Lanczos, lowest level
             only; every sector checked against fock.SECTOR_DIM_CAP first)
@@ -35,6 +35,7 @@ Exit codes: 0 success/all-pass, 1 validation or integrability failure,
 
 import argparse
 import dataclasses
+import functools
 import io
 import itertools
 import json
@@ -510,15 +511,16 @@ def cmd_bae(args) -> int:
             )
 
     csv_text = "\n".join(rows) + "\n"
-    report_text = _report_json(
-        "bae",
-        {"model": _echo_model("integrable", ip), "n_atoms": atoms},
-        {"solutions": sol_json},
-        summary,
-    )
-    if args.out:
+    if args.out:  # the JSON report goes to stdout only when the CSV does not
         _write_text(args.out, csv_text)
-        print(report_text)
+        print(
+            _report_json(
+                "bae",
+                {"model": _echo_model("integrable", ip), "n_atoms": atoms},
+                {"solutions": sol_json},
+                summary,
+            )
+        )
     else:
         sys.stdout.write(csv_text)
         print(f"solutions: {summary['unique']}, matched: {summary['matched']}", file=sys.stderr)
@@ -664,39 +666,41 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=(*SUITES, "all"), default="all")
     p.add_argument("--seed", type=int, default=0, help="random seed of the residual draws (default 0)")
     _add_common(p)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("spectrum", help="exact-diagonalization spectrum as CSV")
     _add_common(p, config=True)
-    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("bae", help="solve the rapidity equations and cross-check")
     _add_common(p, config=True)
-    p.set_defaults(func=cmd_bae)
 
     p = sub.add_parser("fig2", help="ground-state scan E0/mu1 vs mu2/mu1 as CSV")
     _add_common(p, levels=False)  # the scan set has n = 2
     p.add_argument("--grid", default="0:5:0.05", help="mu2/mu1 grid start:stop:step")
     p.add_argument("--mu1", type=float, default=1.0, help="normalizing potential")
-    p.set_defaults(func=cmd_fig2)
 
     p = sub.add_parser("identify", help="check couplings against the integrable family")
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--out", help="output path (default: stdout)")  # n from the config; no atom numbers
-    p.set_defaults(func=cmd_identify)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process: parsing keeps no state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     n = getattr(args, "n", None)
     if n is not None:
         error = f"--n must be >= 1, got {n}" if n < 1 else _levels_error("--n", n)
         if error:
             return _fail_validation([error])
     try:
-        return args.func(args)
+        # looked up per call, so a cmd_* replaced on the module is the one that runs
+        return globals()[f"cmd_{args.command}"](args)
     except OSError as exc:  # the --out file; configs are read by _load_config
         return _fail_validation([f"cannot write {exc.filename}: {exc.strerror}"])
 

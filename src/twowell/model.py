@@ -110,13 +110,14 @@ def _diagonal_energy(params: ModelParams, occ: np.ndarray) -> np.ndarray:
     na = occ[:, :n].astype(float)
     nb = occ[:, n:].astype(float)
 
+    # each quadratic form is one (d, n) x (n, n) BLAS product and a row sum
     def same_well(nvec, U):
-        quad = 0.5 * np.einsum("ij,jk,ik->i", nvec, U, nvec)
+        quad = 0.5 * ((nvec @ U) * nvec).sum(1)
         quad += 0.5 * nvec**2 @ np.diag(U)
         return quad
 
     diag = same_well(na, params.U_aa) + same_well(nb, params.U_bb)
-    diag += np.einsum("ij,jk,ik->i", na, params.U_ab, nb)
+    diag += ((na @ params.U_ab) * nb).sum(1)
     diag += na @ (params.eps_a - params.mu) + nb @ (params.eps_b + params.mu)
     return diag
 
@@ -185,13 +186,17 @@ def spectrum(H) -> np.ndarray:
     """Every eigenvalue of a Hermitian matrix, ascending, by dense diagonalization.
 
     The only dense path.  The d x d matrix is checked against DENSE_BYTES_CAP
-    before it is allocated, and all d eigenvalues are returned.  That array is
+    from the input's shape and dtype, before the input is converted or
+    checked, and all d eigenvalues are returned.  That array is
     the only d x d one: it is built in Fortran order and LAPACK overwrites it
     in place, so the peak is d^2 (itemsize + 1) bytes, the extra byte per entry
     being scipy's finiteness mask, plus LAPACK's O(d) workspace.
     """
+    if not sp.issparse(H):
+        H = np.asarray(H)
+    if H.ndim == 2:  # sized from shape and dtype, before _checked converts a dense array
+        check_dense_fits(H.shape[0], np.result_type(H.dtype, np.float64))
     H = _checked(H)
-    check_dense_fits(H.shape[0], np.result_type(H.dtype, np.float64))
     # toarray() always allocates a new array, so LAPACK may overwrite it; in
     # Fortran order LAPACK takes it as is, where a C-ordered one is copied first
     return eigvalsh(H.toarray(order="F"), overwrite_a=True)

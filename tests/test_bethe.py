@@ -420,30 +420,65 @@ def test_vector_eigen_residuals(n):
             assert sol.t_residual <= 1e-9
 
 
-def test_solver_builds_one_tunneling_term_per_sector(monkeypatch):
-    # H carries the sector's one t(0), filled on the sector's one hop table;
-    # the t-residual is read from it
-    calls = []
-    build = fock._hop_table
-    monkeypatch.setattr(fock, "_hop_table", lambda *a: calls.append(1) or build(*a))
-    assert solve_bae(default_integrable_params(2), 3).unique == 4
-    assert len(calls) == 1
+def _refuse(*args):
+    raise AssertionError("solve_bae touched the Fock sector")
+
+
+def test_solver_builds_no_fock_sector(monkeypatch):
+    # the Bethe problem has N+1 states at any n: no sector, no hop table; at
+    # n = 8, N = 8 the sector has 490314 states, which the solver never holds
+    monkeypatch.setattr(fock, "enumerate_sector", _refuse)
+    monkeypatch.setattr(fock, "_hop_table", _refuse)
+    for n, N in ((1, 4), (2, 4), (3, 4), (8, 8)):
+        tracemalloc.start()
+        try:
+            result = solve_bae(default_integrable_params(n), N)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+        assert result.unique >= (2 if n == 8 else N + 1)  # n = 8 keeps 2 of 9 today
+        for sol in result.solutions:
+            assert sol.vector.shape == (N + 1,)
+            assert max(sol.h_residual, sol.t_residual) <= 1e-9
+
+
+def _fock_residual(op, vec, value):
+    return float(np.max(np.abs(op @ vec - value * vec)) / np.max(np.abs(vec)))
+
+
+def _within_factor_two(value, reference, scale):
+    # below 1e-15 scale both are rounding, and their ratio says nothing
+    floor = 1e-15 * scale
+    value, reference = max(value, floor), max(reference, floor)
+    return reference / 2 <= value <= 2 * reference
 
 
 @pytest.mark.parametrize("params", [default_integrable_params, _generic_params], ids=["default", "generic"])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_t_residual_is_the_transfer_matrix_residual(params, n):
-    # reference: t(u) built on its own and applied at the point where the
-    # energy was checked
-    ip = params(n)
-    for N in range(11):
-        sector = enumerate_sector(n, N)
-        for sol in solve_bae(ip, N).solutions:
-            u = bethe._admissible_eval_point(sol.roots)
-            reference = bethe._eigen_residual(
-                transfer_matrix(u, ip, sector), sol.vector, transfer_eigenvalue(u, sol.roots, ip)
-            )
-            assert sol.t_residual == pytest.approx(reference, abs=1e-12, rel=0.0)
+    # reference: the Bethe vector in the Fock sector, against both Hamiltonians
+    # and t(u) built on their own at the point where the energy was checked;
+    # the solver's residuals, read on the N+1 collective amplitudes, agree with
+    # the Fock-basis ones to within the basis dependence of the max-abs norm
+    for sign in (1.0, -1.0):  # the gauges t = s and t = -s
+        base = params(n)
+        ip = IntegrableParams(n, base.eta, base.omega, base.s, sign * base.t, alpha=base.alpha)
+        for N in range(9):
+            sector = enumerate_sector(n, N)
+            H_t = hamiltonian_from_transfer(ip, sector)
+            H_m = build_hamiltonian(identify_parameters(ip), sector)
+            for sol in solve_bae(ip, N).solutions:
+                vec = bethe_vector(sol.roots, ip)
+                u = bethe._admissible_eval_point(sol.roots)
+                h_ref = _fock_residual(H_t, vec, sol.energy)
+                t_ref = _fock_residual(
+                    transfer_matrix(u, ip, sector), vec, transfer_eigenvalue(u, sol.roots, ip)
+                )
+                assert max(h_ref, t_ref, _fock_residual(H_m, vec, sol.energy)) <= 1e-9
+                scale = max(1.0, abs(sol.energy))
+                assert _within_factor_two(sol.h_residual, h_ref, scale), (sign, N, sol.h_residual, h_ref)
+                assert _within_factor_two(sol.t_residual, t_ref, scale), (sign, N, sol.t_residual, t_ref)
 
 
 def test_vector_stays_sparse():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from twowell import fock, model, yangbaxter
+from twowell import cli, fock, model, yangbaxter
 from twowell.cli import GRID_POINTS_CAP, LEVEL_MATRICES, _model_from_config, _parse_grid, main, scan_params
 from twowell.yangbaxter import IntegrableParams, default_integrable_params
 
@@ -872,3 +872,59 @@ def test_no_command_line_ends_in_a_traceback(fuzz_files, command):
     assert code in (0, 1, 2)
     if code == 1:
         assert stderr.getvalue().strip().splitlines()[-1].startswith("error:")
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+def _run(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _fresh(argv, capsys):
+    cli._parser.cache_clear()  # a parser that has parsed nothing yet
+    return _run(argv, capsys)
+
+
+def test_parser_reuse_matches_fresh_calls(capsys):
+    # an option of one call must not leak into the next call of the same verb
+    argvs = [
+        ["spectrum", "--n", "1", "--atoms", "2"],
+        ["spectrum", "--n", "1"],
+        ["spectrum", "--atoms", "0,1"],
+        ["bae", "--n", "2", "--atoms", "2"],
+        ["bae"],
+        ["verify", "--suite", "hrel", "--atoms", "1"],
+        ["verify", "--suite", "hrel"],
+    ]
+    fresh = [_fresh(argv, capsys) for argv in argvs]
+    main(["fig2", "--atoms", "1", "--grid", "0:1:1"])  # the parser is now warm
+    capsys.readouterr()
+    assert [_run(argv, capsys) for argv in argvs] == fresh
+    assert fresh[0][1] != fresh[1][1]  # --atoms 2 against the default 1
+
+
+def test_verb_is_looked_up_at_call_time(capsys, monkeypatch):
+    # a tracer or a test replaces cmd_* on the module after the parser exists
+    assert main(["spectrum", "--n", "1"]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_spectrum", lambda args: seen.append(args.atoms) or 7)
+    assert main(["spectrum", "--n", "1", "--atoms", "3"]) == 7
+    assert seen == ["3"]
+
+
+def test_bae_formats_its_report_only_for_out(tmp_path, capsys, monkeypatch):
+    reports = []
+    report_json = cli._report_json
+    monkeypatch.setattr(cli, "_report_json", lambda *a: reports.append(a[0]) or report_json(*a))
+    assert main(["bae", "--atoms", "1,3"]) == 0
+    stdout = capsys.readouterr().out
+    assert reports == []
+    out = tmp_path / "bae.csv"
+    assert main(["bae", "--atoms", "1,3", "--out", str(out)]) == 0
+    assert reports == ["bae"]
+    assert json.loads(capsys.readouterr().out)["command"] == "bae"
+    assert out.read_text(encoding="utf-8") == stdout

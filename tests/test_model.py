@@ -141,6 +141,25 @@ def test_diagonal_matches_decoupled_plus_cross():
     assert np.allclose(spectrum(H), np.sort(np.diag(H)), atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_diagonal_matches_einsum_quadratic_forms(n):
+    # reference: the quadratic forms as einsum contractions, the construction
+    # the BLAS products replaced; they differ only in summation order
+    rng = np.random.default_rng(20 + n)
+    params = random_params(rng, n)
+    occ = enumerate_sector(n, 5).occ
+    na, nb = occ[:, :n].astype(float), occ[:, n:].astype(float)
+    expected = (
+        0.5 * np.einsum("ij,jk,ik->i", na, params.U_aa, na) + 0.5 * na**2 @ np.diag(params.U_aa)
+        + 0.5 * np.einsum("ij,jk,ik->i", nb, params.U_bb, nb) + 0.5 * nb**2 @ np.diag(params.U_bb)
+        + np.einsum("ij,jk,ik->i", na, params.U_ab, nb)
+        + na @ (params.eps_a - params.mu) + nb @ (params.eps_b + params.mu)
+    )
+    diag = model._diagonal_energy(params, occ)
+    scale = np.max(np.abs(expected))
+    assert np.max(np.abs(diag - expected)) <= 1e-13 * scale
+
+
 def test_decoupled_energies_reference_values():
     params = ModelParams(
         n_levels=1,
@@ -382,6 +401,24 @@ def test_spectrum_refuses_above_byte_cap(monkeypatch):
         spectrum(H)
     monkeypatch.setattr(model, "DENSE_BYTES_CAP", 8 * 20 * 20)
     assert spectrum(H).size == dimension(2, 3) == 20
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_spectrum_sizes_a_dense_array_before_converting_it(monkeypatch, dtype):
+    # the cap is read from the shape and dtype: nothing of size d^2 is made
+    # (converting this array to CSR and forming H - H^dag took 60 d^2 bytes)
+    d = 1000
+    H = np.random.default_rng(7).standard_normal((d, d)).astype(dtype)
+    H += H.T
+    monkeypatch.setattr(model, "DENSE_BYTES_CAP", H.nbytes - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="DENSE_BYTES_CAP"):
+            spectrum(H)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < d * d / 10
 
 
 def test_conservation_total_number_always():
