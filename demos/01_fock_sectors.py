@@ -48,7 +48,8 @@ print("a1^dag b1 + b1^dag a1 is symmetric")
 # the occupation cutoff.
 ladders = truncated_ladder(2, 3)
 print(f"\ntruncated ladder space (2 modes, cutoff 3): dimension {ladders.dim}")
-comm = (ladders.ann[0] @ ladders.cre[0] - ladders.cre[0] @ ladders.ann[0]).toarray()
+a1, a1_dag = ladders.ann[0], ladders.ann[0].T  # a_j^dag is the transpose of a_j
+comm = (a1 @ a1_dag - a1_dag @ a1).toarray()
 sub = ladders.totals <= 2
 gap = np.max(np.abs(comm[np.ix_(sub, sub)] - np.eye(ladders.dim)[np.ix_(sub, sub)]))
 print(f"|[a_1, a_1^dag] - 1| below cutoff: {gap:.2e}")

@@ -194,9 +194,13 @@ def _report_json(command, config_echo, results, residual_summary):
 def _write_text(path, text):
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:  # one from a write or the close names no file
+        exc.filename = path
+        raise
 
 
 def _fail_validation(errors):
@@ -701,8 +705,9 @@ def main(argv=None) -> int:
     try:
         # looked up per call, so a cmd_* replaced on the module is the one that runs
         return globals()[f"cmd_{args.command}"](args)
-    except OSError as exc:  # the --out file; configs are read by _load_config
-        return _fail_validation([f"cannot write {exc.filename}: {exc.strerror}"])
+    except OSError as exc:  # --out, or stdout if no file is named; configs: _load_config
+        target = "standard output" if exc.filename is None else exc.filename
+        return _fail_validation([f"cannot write {target}: {exc.strerror}"])
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ named `Mode("a", j)` or `Mode("b", j)`.
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +59,8 @@ class Mode:
     def __post_init__(self):
         if self.well not in WELLS:
             raise ValueError(f"well must be one of {WELLS}, got {self.well!r}")
+        if isinstance(self.level, bool) or not isinstance(self.level, numbers.Integral):
+            raise ValueError(f"level must be an integer, got {self.level!r}")
         if self.level < 1:
             raise ValueError(f"level must be >= 1, got {self.level}")
 
@@ -216,9 +219,11 @@ class FockSector:
         return offset + mode.level - 1
 
     def rank(self, occ):
-        """Row of each occupation vector along the last axis of `occ`."""
-        x = np.asarray(occ, dtype=np.int64)
-        rows = x.reshape(-1, 2 * self.n_levels)
+        """Row of each occupation vector along the last axis of the integer array `occ`."""
+        x = np.asarray(occ)
+        if not np.issubdtype(x.dtype, np.integer):
+            raise ValueError(f"occupations {occ!r} must be integers, got dtype {x.dtype}")
+        rows = x.astype(np.int64, copy=False).reshape(-1, 2 * self.n_levels)
         if np.any(rows < 0) or np.any(rows.sum(axis=1) != self.n_atoms):
             raise ValueError(f"occupations {occ!r} are not in the N={self.n_atoms} sector")
         return _rank(rows).reshape(x.shape[:-1])[()]
@@ -278,16 +283,16 @@ class TruncatedLadder:
     """Ladder operators on the direct sum of total-occupation sectors 0..cutoff,
     stacked in `occ` by increasing total, each in descending lexicographic order.
 
-    `ann[j]` lowers mode j with amplitude sqrt(n_j); `cre[j]` raises it and
-    maps the top sector to zero.  Canonical commutation [a_i, a_j^dagger] =
-    delta_ij holds exactly on all states of total occupation <= cutoff - 1.
+    `ann[j]` lowers mode j with amplitude sqrt(n_j); its transpose `ann[j].T`
+    is a_j^dagger, which raises it and maps the top sector to zero.  Canonical
+    commutation [a_i, a_j^dagger] = delta_ij holds exactly on all states of
+    total occupation <= cutoff - 1.
     """
 
     n_modes: int
     cutoff: int
     occ: np.ndarray = field(repr=False)
     ann: list = field(repr=False)
-    cre: list = field(repr=False)
     totals: np.ndarray = field(repr=False)
 
     @property
@@ -296,7 +301,7 @@ class TruncatedLadder:
 
 
 def truncated_ladder(n_modes: int, cutoff: int) -> TruncatedLadder:
-    """Build annihilators and creators on the occupation-truncated Fock space."""
+    """Build the annihilators on the occupation-truncated Fock space."""
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
     if cutoff < 1:
@@ -313,6 +318,4 @@ def truncated_ladder(n_modes: int, cutoff: int) -> TruncatedLadder:
         target[:, j] -= 1
         row = np.searchsorted(totals, totals[src] - 1) + _rank(target)  # + first row of its sector
         ann.append(sp.coo_matrix((np.sqrt(occ[src, j]), (row, src)), shape=(dim, dim)).tocsr())
-    # a_j^dagger is the transpose: it has no entry out of the top sector
-    cre = [op.T.tocsr() for op in ann]
-    return TruncatedLadder(n_modes, cutoff, occ=occ, ann=ann, cre=cre, totals=totals)
+    return TruncatedLadder(n_modes, cutoff, occ=occ, ann=ann, totals=totals)

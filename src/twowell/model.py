@@ -1,4 +1,4 @@
-"""Physical two-well Hamiltonians: construction, diagonalization, conservation.
+"""Physical two-well Hamiltonians: construction and diagonalization.
 
 The Hamiltonian for n on-well states per well is
 
@@ -31,18 +31,15 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigvalsh
 
-from .fock import FockSector, Mode, hop_operator, number_operator, total_number_operator
+from .fock import FockSector, hop_operator
 
 __all__ = [
     "ModelParams",
-    "ConservationReport",
     "build_hamiltonian",
-    "decoupled_energies",
     "DENSE_BYTES_CAP",
     "check_dense_fits",
     "lowest",
     "spectrum",
-    "conservation_report",
 ]
 
 HERMITICITY_TOL = 1e-12
@@ -133,28 +130,6 @@ def build_hamiltonian(params: ModelParams, sector: FockSector) -> sp.csr_matrix:
         return hop_operator(sector, _diagonal_energy(params, sector.occ), -params.Omega)
 
 
-def decoupled_energies(params: ModelParams, state) -> tuple[float, float]:
-    """(E_a, E_b) of a product state when the tunneling is switched off.
-
-    E_a + E_b equals the diagonal Hamiltonian element minus the cross-well
-    density-density contribution.
-    """
-    occ = np.asarray(state, dtype=np.int64).reshape(1, -1)
-    n = params.n_levels
-    if occ.shape[1] != 2 * n:
-        raise ValueError(f"state must have {2 * n} occupations, got {occ.shape[1]}")
-    na = occ[:, :n].astype(float)[0]
-    nb = occ[:, n:].astype(float)[0]
-
-    def well(nvec, U, lin):
-        e = 0.5 * nvec @ U @ nvec + 0.5 * nvec**2 @ np.diag(U)
-        return float(e + nvec @ lin)
-
-    e_a = well(na, params.U_aa, params.eps_a - params.mu)
-    e_b = well(nb, params.U_bb, params.eps_b + params.mu)
-    return e_a, e_b
-
-
 def _checked(H) -> sp.csr_matrix:
     """H as a CSR matrix, after checking that it is square, that its entries are
     finite and that max|H - H^dag| <= HERMITICITY_TOL; the checks stay sparse."""
@@ -221,46 +196,3 @@ def lowest(H, k: int = 1) -> np.ndarray:
     # orthogonal to the lowest eigenvectors (a uniform vector can be)
     v0 = np.random.default_rng(0).standard_normal(d).astype(H.dtype)
     return np.sort(spla.eigsh(H, k=k, which="SA", v0=v0, return_eigenvectors=False))
-
-
-@dataclass
-class ConservationReport:
-    """Max-abs commutator entries of H with candidate conserved quantities.
-
-    `total_number` is ||[H, N_total]||_max (always zero), `per_mode` maps each
-    mode to ||[H, N_pj]||_max, and `per_level` maps level j to
-    ||[H, N_aj + N_bj]||_max.
-    """
-
-    total_number: float
-    per_mode: dict
-    per_level: dict
-
-    def conserved_modes(self):
-        return sorted(str(m) for m, r in self.per_mode.items() if r == 0.0)
-
-    def conserved_levels(self):
-        return sorted(j for j, r in self.per_level.items() if r == 0.0)
-
-
-def _comm_norm(A, B) -> float:
-    """Max-abs entry of the sparse commutator [A, B]."""
-    return float(np.max(np.abs((A @ B - B @ A).data), initial=0.0))
-
-
-def conservation_report(params: ModelParams, sector: FockSector) -> ConservationReport:
-    H = build_hamiltonian(params, sector)
-    n_tot = total_number_operator(sector)
-    per_mode = {}
-    per_level = {}
-    for level in range(1, params.n_levels + 1):
-        na = number_operator(sector, Mode("a", level))
-        nb = number_operator(sector, Mode("b", level))
-        per_mode[Mode("a", level)] = _comm_norm(H, na)
-        per_mode[Mode("b", level)] = _comm_norm(H, nb)
-        per_level[level] = _comm_norm(H, na + nb)
-    return ConservationReport(
-        total_number=_comm_norm(H, n_tot),
-        per_mode=per_mode,
-        per_level=per_level,
-    )

@@ -1,6 +1,8 @@
 import dataclasses
+import errno
 import io
 import json
+import os
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from decimal import Decimal
@@ -678,8 +680,15 @@ def test_identify_derived_block_is_a_model_block(tmp_path, capsys):
         assert len(err) == 1 and err[0].startswith("error:") and "'u'" in err[0]
 
 
+class FullStream(io.StringIO):
+    """A stream on a full device: every write fails with ENOSPC."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
 @pytest.mark.parametrize("verb", ["spectrum", "fig2", "bae", "verify", "identify"])
-def test_unwritable_out_gives_one_error_line(tmp_path, capsys, verb):
+def test_unwritable_out_gives_one_error_line(tmp_path, capsys, monkeypatch, verb):
     out = str(tmp_path / "missing" / "out.txt")
     argv = {
         "spectrum": ["spectrum", "--atoms", "1"],
@@ -691,6 +700,16 @@ def test_unwritable_out_gives_one_error_line(tmp_path, capsys, verb):
     assert main(argv + ["--out", out]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and out in err[0]
+    # a write that fails names no file; the error names the --out file or stdout
+    enospc = os.strerror(errno.ENOSPC)
+    full = tmp_path / "full.txt"
+    monkeypatch.setattr(cli, "open", lambda path, mode="r", **kw: FullStream() if "w" in mode
+                        else open(path, mode, **kw), raising=False)
+    assert main(argv + ["--out", str(full)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: cannot write {full}: {enospc}"]
+    monkeypatch.setattr("sys.stdout", FullStream())
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: cannot write standard output: {enospc}"]
 
 
 def integrable_block(n_levels=1):

@@ -218,7 +218,7 @@ def test_truncated_ladder_single_mode_matrix():
     ladders = truncated_ladder(1, 2)
     expected = np.array([[0, 1, 0], [0, 0, math.sqrt(2)], [0, 0, 0]])
     assert np.allclose(ladders.ann[0].toarray(), expected, atol=0.0)
-    assert np.allclose(ladders.cre[0].toarray(), expected.T, atol=0.0)
+    assert np.allclose(ladders.ann[0].T.toarray(), expected.T, atol=0.0)
 
 
 def test_truncated_ladder_space_size():
@@ -231,14 +231,27 @@ def test_canonical_commutation_below_cutoff(n_modes, cutoff):
     sub = ladders.totals <= cutoff - 1
     for i in range(n_modes):
         for j in range(n_modes):
-            comm = (ladders.ann[i] @ ladders.cre[j] - ladders.cre[j] @ ladders.ann[i]).toarray()
+            a_i, a_j_dag = ladders.ann[i], ladders.ann[j].T
+            comm = (a_i @ a_j_dag - a_j_dag @ a_i).toarray()
             expected = np.eye(ladders.dim) if i == j else np.zeros((ladders.dim,) * 2)
             # sqrt(n)*sqrt(n) rounds at the last bit, hence the tiny atol
             assert np.allclose(comm[np.ix_(sub, sub)], expected[np.ix_(sub, sub)], atol=1e-14)
 
 
 def test_mode_validation():
-    with pytest.raises(ValueError):
-        Mode("c", 1)
-    with pytest.raises(ValueError):
-        Mode("a", 0)
+    for well, level in [("c", 1), ("a", 0), ("a", 1.5), ("a", 2.0), ("a", True), ("b", "1")]:
+        with pytest.raises(ValueError):
+            Mode(well, level)
+    # Python and NumPy integers name the same mode
+    assert Mode("a", np.int64(2)) == Mode("a", 2)
+    assert str(Mode("b", np.int32(1))) == "b1"
+
+
+def test_rank_refuses_occupations_outside_the_sector():
+    sector = enumerate_sector(2, 1)
+    for occ in [(1.7, 0, 0, 0), (1.0, 0, 0, 0), (True, False, False, False), (2, -1, 0, 0), (1, 1, 0, 0)]:
+        with pytest.raises(ValueError):
+            sector.rank(occ)
+    # integers of any width, and the sector's own rows, are ranked
+    assert sector.rank(np.array([0, 0, 1, 0], dtype=np.uint8)) == 2
+    assert np.array_equal(sector.rank(sector.occ), np.arange(sector.dim))

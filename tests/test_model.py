@@ -9,15 +9,8 @@ from hypothesis import strategies as st
 
 from twowell import model
 from twowell.cli import scan_params
-from twowell.fock import dimension, enumerate_sector, total_number_operator
-from twowell.model import (
-    ModelParams,
-    build_hamiltonian,
-    conservation_report,
-    decoupled_energies,
-    lowest,
-    spectrum,
-)
+from twowell.fock import Mode, dimension, enumerate_sector, number_operator, total_number_operator
+from twowell.model import ModelParams, build_hamiltonian, lowest, spectrum
 
 SQRT5 = np.sqrt(5.0)
 
@@ -125,16 +118,23 @@ def test_hamiltonian_exactly_symmetric():
 
 
 def test_diagonal_matches_decoupled_plus_cross():
+    # with the tunneling off, H is diagonal: each product state has the energy
+    # of well a alone, plus well b alone, plus the cross-well density term
     rng = np.random.default_rng(1)
     params = random_params(rng, 2)
     params.Omega = np.zeros((2, 2))
     sector = enumerate_sector(2, 3)
     H = build_hamiltonian(params, sector).toarray()
     assert np.allclose(H, np.diag(np.diag(H)), atol=0.0)
+
+    def well(nvec, U, lin):
+        return 0.5 * nvec @ U @ nvec + 0.5 * nvec**2 @ np.diag(U) + nvec @ lin
+
     for i, state in enumerate(sector.occ):
-        e_a, e_b = decoupled_energies(params, state)
         na = np.array(state[:2], dtype=float)
         nb = np.array(state[2:], dtype=float)
+        e_a = well(na, params.U_aa, params.eps_a - params.mu)
+        e_b = well(nb, params.U_bb, params.eps_b + params.mu)
         cross = na @ params.U_ab @ nb
         assert H[i, i] == pytest.approx(e_a + e_b + cross, rel=1e-14, abs=1e-14)
     # spectrum of the decoupled model is the sorted diagonal
@@ -158,37 +158,6 @@ def test_diagonal_matches_einsum_quadratic_forms(n):
     diag = model._diagonal_energy(params, occ)
     scale = np.max(np.abs(expected))
     assert np.max(np.abs(diag - expected)) <= 1e-13 * scale
-
-
-def test_decoupled_energies_reference_values():
-    params = ModelParams(
-        n_levels=1,
-        U_aa=[[1.0]],
-        U_bb=[[0.0]],
-        U_ab=[[0.0]],
-        mu=[1.0],
-        eps_a=[-2.0],
-        eps_b=[0.0],
-        Omega=[[0.0]],
-    )
-    assert decoupled_energies(params, (1, 0)) == (-2.0, 0.0)
-    assert decoupled_energies(params, (0, 0)) == (0.0, 0.0)
-
-
-def test_decoupled_energies_cross_level_term():
-    params = ModelParams(
-        n_levels=2,
-        U_aa=[[0.0, 2.0], [2.0, 0.0]],
-        U_bb=np.zeros((2, 2)),
-        U_ab=np.zeros((2, 2)),
-        mu=np.zeros(2),
-        eps_a=np.zeros(2),
-        eps_b=np.zeros(2),
-        Omega=np.zeros((2, 2)),
-    )
-    e_a, e_b = decoupled_energies(params, (1, 1, 0, 0))
-    assert e_a == 2.0
-    assert e_b == 0.0
 
 
 def test_eigensolve_closed_form_spectrum():
@@ -421,27 +390,28 @@ def test_spectrum_sizes_a_dense_array_before_converting_it(monkeypatch, dtype):
     assert peak < d * d / 10
 
 
-def test_conservation_total_number_always():
-    rng = np.random.default_rng(4)
-    report = conservation_report(random_params(rng, 2), enumerate_sector(2, 3))
-    assert report.total_number == 0.0
+@pytest.mark.parametrize("tunneling", ["random", "diagonal", "full"])
+def test_conservation_laws(tunneling):
+    # N_total always commutes with H; a diagonal Omega keeps each level sum
+    # N_aj + N_bj, and a full one conserves no single mode or level number
+    params = random_params(np.random.default_rng(4), 2)
+    if tunneling == "diagonal":
+        params.Omega = np.diag([0.7, -0.3])
+    elif tunneling == "full":
+        params.Omega = np.full((2, 2), 0.5)
+    sector = enumerate_sector(2, 3)
+    H = build_hamiltonian(params, sector)
 
+    def commutator(A):
+        return abs(H @ A - A @ H).max()
 
-def test_conservation_diagonal_tunneling_keeps_level_sums():
-    rng = np.random.default_rng(5)
-    params = random_params(rng, 2)
-    params.Omega = np.diag([0.7, -0.3])
-    report = conservation_report(params, enumerate_sector(2, 2))
-    assert report.per_level[1] == 0.0
-    assert report.per_level[2] == 0.0
-    assert report.conserved_levels() == [1, 2]
-
-
-def test_conservation_cross_tunneling_breaks_mode_numbers():
-    params = closed_form_params()
-    report = conservation_report(params, enumerate_sector(2, 2))
-    assert all(r > 0.0 for r in report.per_mode.values())
-    assert all(r > 0.0 for r in report.per_level.values())
+    assert commutator(total_number_operator(sector)) == 0.0
+    modes = [number_operator(sector, Mode(w, j)) for w in "ab" for j in (1, 2)]
+    levels = [modes[j] + modes[2 + j] for j in (0, 1)]
+    if tunneling == "diagonal":
+        assert all(commutator(N) == 0.0 for N in levels)
+    if tunneling == "full":
+        assert all(commutator(N) > 0.0 for N in modes + levels)
 
 
 def test_spectrum_invariant_under_level_relabeling():
