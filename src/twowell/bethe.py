@@ -50,6 +50,7 @@ __all__ = [
     "MatchReport",
     "bae_residual",
     "collective_energies",
+    "check_proportional",
     "solve_bae",
     "bethe_energy",
     "transfer_eigenvalue",
@@ -258,6 +259,17 @@ def _tq_roots(T, lam):
     return np.roots(c[::-1] / c[-1]).astype(complex)
 
 
+def check_proportional(ip: IntegrableParams):
+    """Raise ValueError unless s and t are proportional (|s||t| = |s.t| to 1e-10
+    relative), the gauge in which `solve_bae` solves a sector of N > 0 atoms."""
+    st_gap = np.linalg.norm(ip.s) * np.linalg.norm(ip.t) - abs(ip.zeta)
+    if st_gap > 1e-10 * max(1.0, abs(ip.zeta)):
+        raise ValueError(
+            "s and t are not proportional: the Bethe layer solves only t = c s, "
+            "the gauge validate_model returns for physical couplings"
+        )
+
+
 def solve_bae(ip: IntegrableParams, n_atoms: int) -> SolveResult:
     """All N+1 solutions of the rapidity equations, in ascending energy.
 
@@ -276,20 +288,17 @@ def solve_bae(ip: IntegrableParams, n_atoms: int) -> SolveResult:
     that of H at E(u).  No Fock sector is built, so the cost does not grow
     with the level count n.
 
-    Raises ValueError for N > 0 unless s and t are proportional: otherwise
-    the self-adjoint t(u) is not the monodromy trace the equations solve.
+    Raises ValueError for N > 0 unless s and t are proportional
+    (`check_proportional`): otherwise the self-adjoint t(u) is not the
+    monodromy trace the equations solve.
     """
     N = int(n_atoms)
     if N < 0:
         raise ValueError(f"n_atoms must be >= 0, got {N}")
     rejected = {"unconverged": 0, "coincident": 0, "string_pole": 0, "energy_mismatch": 0}
 
-    st_gap = np.linalg.norm(ip.s) * np.linalg.norm(ip.t) - abs(ip.zeta)
-    if N and st_gap > 1e-10 * max(1.0, abs(ip.zeta)):
-        raise ValueError(
-            "s and t are not proportional: the Bethe layer solves only t = c s, "
-            "the gauge validate_model returns for physical couplings"
-        )
+    if N:
+        check_proportional(ip)
 
     diag, off = _collective_hamiltonian(ip, N)  # shared by all states
 

@@ -20,11 +20,20 @@ Verbs:
             only; every sector checked against fock.SECTOR_DIM_CAP first)
   identify  map physical couplings to the integrable family, report as JSON
 
+Each verb parses its input, checks the size of all it will build, computes
+and prints.  spectrum and bae share one front, `_model_front`, which returns
+(kind, params, mp, atoms): the model as parsed, mp its couplings as given (what
+exact diagonalization uses) and the atom numbers.  A refusal is raised as
+`_Refused`; only `main` prints it, one `error:` line per reason, and exits 1,
+as it does for an OSError from writing the output.
+
 A level count, from --n or a config's model.n_levels, is refused before any
 model is built unless LEVEL_MATRICES n x n float64 matrices fit
 model.DENSE_BYTES_CAP: no sector check bounds them, since N = 0 has one state.
 A config's JSON is parsed before this check, which does not bound the parser.
 Atom numbers, from --atoms or a config's n_atoms, are refused if one repeats.
+Every sector a verb enumerates is also refused unless SECTOR_ROW_ARRAYS int64
+arrays of its d rows x 2n columns fit model.DENSE_BYTES_CAP.
 
 Configs are single JSON documents whose only top-level keys are 'model' and
 'n_atoms'; numbers are printed with 17 significant digits so CSV output is
@@ -41,6 +50,7 @@ import itertools
 import json
 import math
 import sys
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -56,6 +66,20 @@ GRID_POINTS_CAP = 100_000
 # three temporaries of yangbaxter.validate_model's rank-1 check (tracemalloc
 # peak 7.06 n^2 doubles at n = 600; identify_parameters peaks at 5.03)
 LEVEL_MATRICES = 7
+# int64 arrays of d rows x 2n columns a sector of d states costs, since the
+# occupations and fock._hop_terms' temporaries grow with the row width
+# (tracemalloc peak of enumerate_sector + hamiltonian_from_transfer: 5.0 at
+# n = 1000, N = 1; 7.4 at n = 50..150, N = 2; 16 at n = 2; 19.3 at n = 8, N = 8)
+SECTOR_ROW_ARRAYS = 20
+
+
+class _Refused(Exception):
+    """Input a verb refuses: `main` prints each argument as an `error:` line."""
+
+
+def _refuse_if(errors):
+    if errors:
+        raise _Refused(*errors)
 
 
 def _fmt(x) -> str:
@@ -159,14 +183,34 @@ def _atoms_from(cfg, args, errors, default=(1,)):
     return atoms
 
 
-def _model_and_atoms(args, errors):
-    """(kind, params) and the atom numbers of spectrum and bae: from --config,
-    or the default integrable model of --n levels (2 without --n)."""
-    if not args.config:
-        parsed = ("integrable", default_integrable_params(args.n or 2))
-        return parsed, _atoms_from({}, args, errors)
-    cfg = _load_config(args.config, errors)
-    return _model_from_config(cfg, errors), _atoms_from(cfg, args, errors)
+def _model_front(args):
+    """(kind, params, mp, atoms) of spectrum and bae: the model of --config, or
+    the default integrable one of --n levels (2 without --n); mp, its
+    couplings as given (params, or an integrable block's identify_parameters);
+    and the atom numbers.  Refuses bad input, then every sector whose dense
+    matrix or occupation rows would not fit, before any sector is built."""
+    errors = []
+    if args.config:
+        cfg = _load_config(args.config, errors)
+        parsed = _model_from_config(cfg, errors)
+    else:
+        cfg, parsed = {}, ("integrable", default_integrable_params(args.n or 2))
+    atoms = _atoms_from(cfg, args, errors)
+    _refuse_if(errors)
+    kind, params = parsed
+    _refuse_if(_sector_errors([(params.n_levels, N) for N in atoms], model.check_dense_fits))
+    mp = params if kind == "physical" else yangbaxter.identify_parameters(params)
+    return kind, params, mp, atoms
+
+
+def _validated(params):
+    """validate_model's report on physical couplings and its violations as
+    {"constraint", "lhs", "rhs"} records; refused where they overflow float64."""
+    try:
+        report = yangbaxter.validate_model(params)
+    except ValueError as exc:
+        raise _Refused(str(exc)) from None
+    return report, [{"constraint": c, "lhs": l, "rhs": r} for c, l, r in report.violations]
 
 
 def _echo_model(kind, params):
@@ -203,12 +247,6 @@ def _write_text(path, text):
         raise
 
 
-def _fail_validation(errors):
-    for err in errors:
-        print(f"error: {err}", file=sys.stderr)
-    return 1
-
-
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------
@@ -221,13 +259,18 @@ def _draw_away_from_poles(rng, eta):
             return u, v
 
 
+def _gated(name, residual, threshold):
+    """A verify check (name, residual, gate text, passed): residual <= threshold passes."""
+    return name, residual, f"threshold {threshold:g}", residual <= threshold
+
+
 def _suite_ybe(rng, levels, atoms):
     worst = 0.0
     for _ in range(100):
         eta = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 3.0)
         u, v = _draw_away_from_poles(rng, eta)
         worst = max(worst, yangbaxter.ybe_residual(u, v, eta))
-    return [("ybe 100 draws", worst, 1e-12)]
+    return [_gated("ybe 100 draws", worst, 1e-12)]
 
 
 def _random_ip(rng, n):
@@ -246,11 +289,9 @@ def _suite_rll(rng, levels, atoms):
             ip = _random_ip(rng, n)
             u, v = _draw_away_from_poles(rng, ip.eta)
             worst = max(worst, yangbaxter.rll_residual(u, v, ip))
-        checks.append((f"rll n={n} 20 draws", worst, 1e-12))
-        control = yangbaxter.rll_residual(
-            0.9, -0.4, default_integrable_params(n), zeta_shift=0.1
-        )
-        checks.append((f"rll n={n} zeta-shift control (>= 1e-3)", control, None, control >= 1e-3))
+        checks.append(_gated(f"rll n={n} 20 draws", worst, 1e-12))
+        control = yangbaxter.rll_residual(0.9, -0.4, default_integrable_params(n), zeta_shift=0.1)
+        checks.append((f"rll n={n} zeta-shift control (>= 1e-3)", control, "control", control >= 1e-3))
     return checks
 
 
@@ -264,7 +305,7 @@ def _suite_tcommute(rng, levels, atoms):
             u = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
             v = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
             worst = max(worst, yangbaxter.transfer_commutator_residual(u, v, ip, sector))
-        checks.append((f"tcommute n={n} N={N} 20 pairs", worst, 1e-10))
+        checks.append(_gated(f"tcommute n={n} N={N} 20 pairs", worst, 1e-10))
     return checks
 
 
@@ -282,9 +323,9 @@ def _suite_charges(rng, levels, atoms):
             recon = (u * u) * C2 + u * C1 + C0
             worst = max(worst, abs(yangbaxter.transfer_matrix(u, ip, sector) - recon).max())
         comm = max(abs(A @ B - B @ A).max() for A, B in ((C0, C1), (C0, C2), (C1, C2)))
-        checks.append((f"charges n={n} N={N} reconstruction", worst, 1e-12))
-        checks.append((f"charges n={n} N={N} commutators", comm, 1e-12))
-        checks.append((f"charges n={n} N={N} C1=etaN, C2=I", max(c1_gap, c2_gap), 0.0))
+        checks.append(_gated(f"charges n={n} N={N} reconstruction", worst, 1e-12))
+        checks.append(_gated(f"charges n={n} N={N} commutators", comm, 1e-12))
+        checks.append(_gated(f"charges n={n} N={N} C1=etaN, C2=I", max(c1_gap, c2_gap), 0.0))
     return checks
 
 
@@ -299,7 +340,7 @@ def _suite_hrel(rng, levels, atoms):
                 h_t = yangbaxter.hamiltonian_from_transfer(ip, sector)
                 h_m = model.build_hamiltonian(yangbaxter.identify_parameters(ip), sector)
                 worst = max(worst, abs(h_t - h_m).max())
-            checks.append((f"hrel n={n} N={N}", worst, 1e-12))
+            checks.append(_gated(f"hrel n={n} N={N}", worst, 1e-12))
     return checks
 
 
@@ -314,30 +355,32 @@ SUITES = {
 }
 
 
-def _size_errors(sizes, check):
-    """One message per (name, size) that `check` refuses: fock.check_sector_fits
-    before a sector is enumerated, model.check_dense_fits before a dense matrix
-    is formed, yangbaxter.check_rll_fits before rll's Lax operators of n levels."""
+def _sector_errors(pairs, check):
+    """One message per sector (n_levels, N) refused before it is enumerated: by
+    `check` of its dimension d (fock.check_sector_fits, or model.check_dense_fits
+    for a dense matrix), or by its SECTOR_ROW_ARRAYS arrays of d x 2n int64s."""
     errors = []
-    for name, size in sizes:
+    for n, N in pairs:
+        d = fock.dimension(n, N)
+        need = SECTOR_ROW_ARRAYS * 8 * 2 * n * d
         try:
-            check(size)
+            check(d)
+            if need > model.DENSE_BYTES_CAP:
+                raise ValueError(
+                    f"{SECTOR_ROW_ARRAYS} int64 arrays of {d} rows x {2 * n} columns need "
+                    f"{need} bytes > DENSE_BYTES_CAP = {model.DENSE_BYTES_CAP} bytes"
+                )
         except ValueError as exc:
-            errors.append(f"{name}: {exc}")
+            errors.append(f"sector n={n}, N={N}: {exc}")
     return errors
 
 
-def _sectors(pairs):
-    """(name, dimension) of each sector (n_levels, N)."""
-    return [(f"sector n={n}, N={N}", fock.dimension(n, N)) for n, N in pairs]
-
-
 def _ed_levels(mp, N):
-    """Every level of `mp` in the N-atom sector; ValueError where H overflows float64."""
+    """Every level of `mp` in the N-atom sector; refused where H overflows float64."""
     try:
         return model.spectrum(model.build_hamiltonian(mp, fock.enumerate_sector(mp.n_levels, N)))
     except ValueError as exc:
-        raise ValueError(f"sector n={mp.n_levels}, N={N}: H overflows float64 ({exc})") from None
+        raise _Refused(f"sector n={mp.n_levels}, N={N}: H overflows float64 ({exc})") from None
 
 
 def cmd_verify(args) -> int:
@@ -348,51 +391,35 @@ def cmd_verify(args) -> int:
     for flag, given, column in (("--n", args.n, 1), ("--atoms", args.atoms, 2)):
         if given is not None and not any(row[column] for row in selected.values()):
             errors.append(f"--suite {args.suite} does not take {flag}")
-    if errors:
-        return _fail_validation(errors)
+    _refuse_if(errors)
     plan = {
         name: (suite, (args.n,) if args.n and levels else levels,
                given_atoms if given_atoms and atoms else atoms)
         for name, (suite, levels, atoms) in selected.items()
     }
     sectors = {(n, N) for _, levels, atoms in plan.values() for n in levels for N in atoms}
-    _, rll_levels, _ = plan.get("rll", (None, (), ()))  # rll forms the only dense matrices
-    errors = _size_errors(_sectors(sorted(sectors)), fock.check_sector_fits)
-    errors += _size_errors([(f"rll n={n}", n) for n in rll_levels], yangbaxter.check_rll_fits)
-    if errors:
-        return _fail_validation(errors)
+    errors = _sector_errors(sorted(sectors), fock.check_sector_fits)
+    for n in plan.get("rll", (None, (), ()))[1]:  # rll forms the only dense matrices
+        try:
+            yangbaxter.check_rll_fits(n)
+        except ValueError as exc:
+            errors.append(f"rll n={n}: {exc}")
+    _refuse_if(errors)
 
-    checks = []
+    checks = []  # (name, residual, gate text, passed)
     for suite, levels, atoms in plan.values():
         checks += suite(np.random.default_rng(args.seed), levels, atoms)
-
-    all_pass = True
-    results = []
-    for check in checks:
-        if len(check) == 4:
-            name, value, threshold, passed = check
-            thr_text = "control"
-        else:
-            name, value, threshold = check
-            passed = value <= threshold
-            thr_text = f"threshold {threshold:g}"
-        all_pass &= passed
-        status = "PASS" if passed else "FAIL"
-        print(f"{name}: max residual {value:.3e} ({thr_text}) {status}")
-        results.append({"check": name, "residual": value, "pass": bool(passed)})
+    for name, residual, gate, passed in checks:
+        print(f"{name}: max residual {residual:.3e} ({gate}) {'PASS' if passed else 'FAIL'}")
 
     if args.out:
-        summary = {
-            "max_residual": max((r["residual"] for r in results), default=0.0),
-            "n_checks": len(results),
-            "n_failed": sum(not r["pass"] for r in results),
-        }
-        _write_text(
-            args.out,
-            _report_json("verify", {"suite": args.suite, "seed": args.seed}, results, summary)
-            + "\n",
-        )
-    return 0 if all_pass else 2
+        results = [{"check": name, "residual": residual, "pass": bool(passed)}
+                   for name, residual, _, passed in checks]
+        summary = {"max_residual": max((r["residual"] for r in results), default=0.0),
+                   "n_checks": len(results), "n_failed": sum(not r["pass"] for r in results)}
+        config_echo = {"suite": args.suite, "seed": args.seed}
+        _write_text(args.out, _report_json("verify", config_echo, results, summary) + "\n")
+    return 0 if all(passed for *_, passed in checks) else 2
 
 
 # ---------------------------------------------------------------------------
@@ -400,25 +427,11 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_spectrum(args) -> int:
-    errors = []
-    parsed, atoms = _model_and_atoms(args, errors)
-    if errors or parsed is None:
-        return _fail_validation(errors)
-    kind, params = parsed
-    mp = params if kind == "physical" else yangbaxter.identify_parameters(params)
-
-    errors = _size_errors(_sectors((mp.n_levels, N) for N in atoms), model.check_dense_fits)
-    if errors:
-        return _fail_validation(errors)
-
+    _, _, mp, atoms = _model_front(args)
     buf = io.StringIO()
     buf.write("n_atoms,index,eigenvalue\n")
     for N in atoms:
-        try:
-            levels = _ed_levels(mp, N)
-        except ValueError as exc:
-            return _fail_validation([str(exc)])
-        for i, val in enumerate(levels):
+        for i, val in enumerate(_ed_levels(mp, N)):
             buf.write(f"{N},{i},{_fmt(val)}\n")
     _write_text(args.out, buf.getvalue())
     return 0
@@ -428,106 +441,93 @@ def cmd_spectrum(args) -> int:
 # bae
 # ---------------------------------------------------------------------------
 
-def cmd_bae(args) -> int:
-    errors = []
-    parsed, atoms = _model_and_atoms(args, errors)
-    if errors or parsed is None:
-        return _fail_validation(errors)
-    kind, params = parsed
-    errors = _size_errors(_sectors((params.n_levels, N) for N in atoms), model.check_dense_fits)
-    if errors:
-        return _fail_validation(errors)
+class _BetheState(NamedTuple):
+    """A Bethe state bae keeps, with the ED level paired with it (None if none)."""
 
-    if kind == "physical":
-        try:
-            report = yangbaxter.validate_model(params)
-        except ValueError as exc:  # couplings whose identification overflows float64
-            return _fail_validation([str(exc)])
-        if not report.integrable:
-            payload = {
-                "integrable": False,
-                "violations": [
-                    {"constraint": c, "lhs": l, "rhs": r} for c, l, r in report.violations
-                ],
-            }
-            print(
-                _report_json("bae", _echo_model(kind, params), payload, {}),
-                file=sys.stderr,
-            )
-            print("error: physical couplings are not integrable", file=sys.stderr)
-            return 1
-        ip = report.derived
-    else:
-        ip = params
-    # the ED reference is the model as given, so each match tests the gauge
-    mp = params if kind == "physical" else yangbaxter.identify_parameters(params)
+    n_atoms: int
+    solution_id: str
+    sol: bethe.BetheSolution
+    level: float | None
 
+    @property
+    def eigvec_residual(self):
+        return max(self.sol.h_residual, self.sol.t_residual)
+
+    @property
+    def delta(self):
+        return None if self.level is None else abs(self.sol.energy - self.level)
+
+
+def _bae_csv(states):
+    """One CSV row per root of each state, and one with root_index -1 for a state of no atoms."""
     rows = ["solution_id,root_index,re_v,im_v,energy,bae_residual,eigvec_residual,matched_eigenvalue,delta"]
-    sol_json = []
-    summary = {
-        "attempts": 0,
-        "converged": 0,
-        "unique": 0,
-        "matched": 0,
-        "spectrum_levels": 0,
-        "max_bae_residual": 0.0,
-        "max_eigvec_residual": 0.0,
-        "max_matched_delta": 0.0,
-    }
-    for N in atoms:
-        try:
-            levels = _ed_levels(mp, N)  # first: a Hamiltonian that overflows goes no further
-            result = bethe.solve_bae(ip, N)
-        except ValueError as exc:
-            return _fail_validation([str(exc)])
-        match = bethe.match_spectrum(result.solutions, levels)
-        summary["attempts"] += result.attempts
-        summary["converged"] += result.converged
-        summary["unique"] += result.unique
-        summary["matched"] += match.n_matched
-        summary["spectrum_levels"] += match.n_eigenvalues
-        for sid, (sol, level) in enumerate(zip(result.solutions, match.index)):
-            eig_res = max(sol.h_residual, sol.t_residual)
-            summary["max_bae_residual"] = max(summary["max_bae_residual"], sol.residual)
-            summary["max_eigvec_residual"] = max(summary["max_eigvec_residual"], eig_res)
-            level_value = None if level < 0 else float(levels[level])
-            matched = delta = ""
-            if level_value is not None:
-                gap = abs(sol.energy - level_value)
-                summary["max_matched_delta"] = max(summary["max_matched_delta"], gap)
-                matched, delta = _fmt(level_value), _fmt(gap)
-            common = f"{_fmt(sol.energy)},{_fmt(sol.residual)},{_fmt(eig_res)},{matched},{delta}"
-            if N == 0:
-                rows.append(f"{N}_{sid},-1,,,{common}")
-            for ri, root in enumerate(sol.roots):
-                rows.append(f"{N}_{sid},{ri},{_fmt(root.real)},{_fmt(root.imag)},{common}")
-            sol_json.append(
-                {
-                    "n_atoms": N,
-                    "solution_id": f"{N}_{sid}",
-                    "roots": [[r.real, r.imag] for r in sol.roots],
-                    "energy": sol.energy,
-                    "bae_residual": sol.residual,
-                    "h_residual": sol.h_residual,
-                    "t_residual": sol.t_residual,
-                    "matched_eigenvalue": level_value,
-                }
-            )
+    for st in states:
+        matched, delta = ("", "") if st.level is None else (_fmt(st.level), _fmt(st.delta))
+        residuals = f"{_fmt(st.sol.residual)},{_fmt(st.eigvec_residual)}"
+        common = f"{_fmt(st.sol.energy)},{residuals},{matched},{delta}"
+        if st.n_atoms == 0:
+            rows.append(f"{st.solution_id},-1,,,{common}")
+        rows += [f"{st.solution_id},{ri},{_fmt(r.real)},{_fmt(r.imag)},{common}"
+                 for ri, r in enumerate(st.sol.roots)]
+    return "\n".join(rows) + "\n"
 
-    csv_text = "\n".join(rows) + "\n"
-    if args.out:  # the JSON report goes to stdout only when the CSV does not
-        _write_text(args.out, csv_text)
-        print(
-            _report_json(
-                "bae",
-                {"model": _echo_model("integrable", ip), "n_atoms": atoms},
-                {"solutions": sol_json},
-                summary,
-            )
-        )
-    else:
+
+def cmd_bae(args) -> int:
+    kind, params, mp, atoms = _model_front(args)
+    ip = params  # physical couplings are replaced by their integrable gauge
+    if kind == "physical":
+        report, violations = _validated(params)
+        if not report.integrable:
+            payload = {"integrable": False, "violations": violations}
+            print(_report_json("bae", _echo_model(kind, params), payload, {}), file=sys.stderr)
+            raise _Refused("physical couplings are not integrable")
+        ip = report.derived
+    if any(atoms):  # solve_bae refuses N > 0 off this gauge: refuse before any sector
+        try:
+            bethe.check_proportional(ip)
+        except ValueError as exc:
+            raise _Refused(str(exc)) from None
+
+    states, solved = [], []  # each kept state; (SolveResult, MatchReport) of each sector
+    for N in atoms:
+        # the ED reference is the model as given, so each match tests the gauge
+        levels = _ed_levels(mp, N)  # first: a Hamiltonian that overflows goes no further
+        result = bethe.solve_bae(ip, N)
+        match = bethe.match_spectrum(result.solutions, levels)
+        solved.append((result, match))
+        states += [
+            _BetheState(N, f"{N}_{sid}", sol, None if level < 0 else float(levels[level]))
+            for sid, (sol, level) in enumerate(zip(result.solutions, match.index))
+        ]
+
+    csv_text = _bae_csv(states)
+    matched = sum(st.level is not None for st in states)
+    if not args.out:
         sys.stdout.write(csv_text)
-        print(f"solutions: {summary['unique']}, matched: {summary['matched']}", file=sys.stderr)
+        print(f"solutions: {len(states)}, matched: {matched}", file=sys.stderr)
+        return 0
+    # the JSON report goes to stdout only when the CSV does not
+    _write_text(args.out, csv_text)
+    solutions = [
+        {"n_atoms": st.n_atoms, "solution_id": st.solution_id,
+         "roots": [[r.real, r.imag] for r in st.sol.roots], "energy": st.sol.energy,
+         "bae_residual": st.sol.residual, "h_residual": st.sol.h_residual,
+         "t_residual": st.sol.t_residual, "matched_eigenvalue": st.level}
+        for st in states
+    ]
+    summary = {
+        "attempts": sum(result.attempts for result, _ in solved),
+        "converged": sum(result.converged for result, _ in solved),
+        "unique": len(states),
+        "matched": matched,
+        "spectrum_levels": sum(match.n_eigenvalues for _, match in solved),
+        # each maximum starts at 0.0, as for no state
+        "max_bae_residual": max([0.0, *(st.sol.residual for st in states)]),
+        "max_eigvec_residual": max([0.0, *(st.eigvec_residual for st in states)]),
+        "max_matched_delta": max([0.0, *(st.delta for st in states if st.level is not None)]),
+    }
+    config_echo = {"model": _echo_model("integrable", ip), "n_atoms": atoms}
+    print(_report_json("bae", config_echo, {"solutions": solutions}, summary))
     return 0
 
 
@@ -582,9 +582,7 @@ def cmd_fig2(args) -> int:
         errors.append(f"mu1 must be finite and nonzero (output is normalized by it), got {mu1!r}")
     elif grid and not all(math.isfinite(x * mu1) for x in (grid[0], grid[-1])):
         errors.append(f"mu2 = (mu2/mu1) * mu1 overflows on the grid {args.grid!r}")
-    errors = errors or _size_errors(_sectors((2, N) for N in atoms), fock.check_sector_fits)
-    if errors:
-        return _fail_validation(errors)
+    _refuse_if(errors or _sector_errors([(2, N) for N in atoms], fock.check_sector_fits))
 
     buf = io.StringIO()
     buf.write("N,mu2_over_mu1,E0_over_mu1\n")
@@ -602,7 +600,7 @@ def cmd_fig2(args) -> int:
             except ValueError:
                 e0 = math.nan
             if not math.isfinite(e0):
-                return _fail_validation([f"N={N}, mu2/mu1={_fmt(x)}: H or E0/mu1 overflows float64"])
+                raise _Refused(f"N={N}, mu2/mu1={_fmt(x)}: H or E0/mu1 overflows float64")
             buf.write(f"{N},{_fmt(x)},{_fmt(e0)}\n")
     _write_text(args.out, buf.getvalue())
     return 0
@@ -613,26 +611,21 @@ def cmd_fig2(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_identify(args) -> int:
-    errors = []
-    cfg = _load_config(args.config, errors) if args.config else {}
     if not args.config:
-        errors.append("identify requires --config with a physical model block")
-    parsed = _model_from_config(cfg, errors) if not errors else None
-    if errors or parsed is None:
-        return _fail_validation(errors)
+        raise _Refused("identify requires --config with a physical model block")
+    errors = []
+    cfg = _load_config(args.config, errors)
+    _refuse_if(errors)
+    parsed = _model_from_config(cfg, errors)
+    _refuse_if(errors)
     kind, params = parsed
     if kind != "physical":
-        return _fail_validation(["identify requires model.kind == 'physical'"])
+        raise _Refused("identify requires model.kind == 'physical'")
 
-    try:
-        report = yangbaxter.validate_model(params)
-    except ValueError as exc:  # couplings whose identification overflows float64
-        return _fail_validation([str(exc)])
+    report, violations = _validated(params)
     results = {
         "integrable": report.integrable,
-        "violations": [
-            {"constraint": c, "lhs": l, "rhs": r} for c, l, r in report.violations
-        ],
+        "violations": violations,
         "derived": _echo_model("integrable", report.derived) if report.derived else None,
     }
     text = _report_json("identify", _echo_model(kind, params), results, {})
@@ -640,7 +633,7 @@ def cmd_identify(args) -> int:
     if args.out:
         _write_text(args.out, text + "\n")
     if not report.integrable:
-        return _fail_validation(["physical couplings are not integrable"])
+        raise _Refused("physical couplings are not integrable")
     return 0
 
 
@@ -696,18 +689,24 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one verb; each refusal and failed write ends here, in `error:` lines and exit 1."""
     args = _parser().parse_args(argv)
     n = getattr(args, "n", None)
-    if n is not None:
-        error = f"--n must be >= 1, got {n}" if n < 1 else _levels_error("--n", n)
-        if error:
-            return _fail_validation([error])
     try:
+        if n is not None:
+            error = f"--n must be >= 1, got {n}" if n < 1 else _levels_error("--n", n)
+            if error:
+                raise _Refused(error)
         # looked up per call, so a cmd_* replaced on the module is the one that runs
         return globals()[f"cmd_{args.command}"](args)
+    except _Refused as exc:
+        lines = exc.args
     except OSError as exc:  # --out, or stdout if no file is named; configs: _load_config
         target = "standard output" if exc.filename is None else exc.filename
-        return _fail_validation([f"cannot write {target}: {exc.strerror}"])
+        lines = [f"cannot write {target}: {exc.strerror}"]
+    for line in lines:
+        print(f"error: {line}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

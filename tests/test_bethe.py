@@ -295,6 +295,10 @@ def test_solver_refuses_nonproportional_couplings():
     )
     with pytest.raises(ValueError, match="not proportional"):
         solve_bae(ip, 1)
+    with pytest.raises(ValueError, match="not proportional"):
+        bethe.check_proportional(ip)
+    assert solve_bae(ip, 0).unique == 1  # no roots at N = 0: any s and t
+    bethe.check_proportional(dataclasses.replace(ip, t=-2.0 * ip.s))  # t = c s, c < 0 too
 
 
 def test_conjugation_closure_of_solutions():

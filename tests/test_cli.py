@@ -13,7 +13,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twowell import cli, fock, model, yangbaxter
-from twowell.cli import GRID_POINTS_CAP, LEVEL_MATRICES, _model_from_config, _parse_grid, main, scan_params
+from twowell.cli import (
+    GRID_POINTS_CAP, LEVEL_MATRICES, SECTOR_ROW_ARRAYS, _model_from_config, _parse_grid, main, scan_params,
+)
 from twowell.yangbaxter import IntegrableParams, default_integrable_params
 
 SQRT5 = np.sqrt(5.0)
@@ -218,6 +220,62 @@ def test_bae_refuses_nonparallel_integrable_block(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_bae_refuses_nonparallel_block_before_any_sector(tmp_path, capsys, monkeypatch):
+    # the N = 30 sector's dense ED (d = 5456) used to run before the refusal
+    def no_sector(*args, **kwargs):
+        raise AssertionError("a sector was built")
+
+    block = integrable_block(2) | {"s": [0.9, 0.3], "t": [0.2, 0.8]}
+    cfg = write_config(tmp_path, {"model": block})
+    for name in ("enumerate_sector", "_enumerate"):
+        monkeypatch.setattr(fock, name, no_sector)
+    monkeypatch.setattr(model, "spectrum", no_sector)
+    assert main(["bae", "--config", cfg, "--atoms", "30,1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: s and t are not proportional: the Bethe layer solves only t = c s, "
+        "the gauge validate_model returns for physical couplings\n"
+    )
+
+
+@pytest.mark.parametrize("config", ["default", "physical"])
+def test_bae_report_agrees_with_its_csv(tmp_path, capsys, config):
+    out = tmp_path / "bae.csv"
+    if config == "default":
+        argv = ["bae", "--n", "2", "--atoms", "0,1,2,3"]
+    else:  # the n = 2 default integrable set with Omega all 0.5
+        mp = yangbaxter.identify_parameters(default_integrable_params(2))
+        mp.Omega = np.full((2, 2), 0.5)
+        argv = ["bae", "--config", physical_config(tmp_path, mp, [0, 1, 2, 3])]
+    assert main([*argv, "--out", str(out)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    header, rows = read_csv(out)
+    states = {}  # solution id -> its rows, in order
+    for row in rows:
+        states.setdefault(row[0], []).append(dict(zip(header, row)))
+    first = [rs[0] for rs in states.values()]
+    matched = [r for r in first if r["matched_eigenvalue"] != ""]
+
+    summary = report["residual_summary"]
+    assert summary["unique"] == len(states) == 1 + 2 + 3 + 4
+    assert summary["matched"] == len(matched) > 0
+    for key, column, group in (("max_bae_residual", "bae_residual", first),
+                               ("max_eigvec_residual", "eigvec_residual", first),
+                               ("max_matched_delta", "delta", matched)):
+        assert summary[key] == max(float(r[column]) for r in group), key
+
+    solutions = report["results"]["solutions"]
+    assert [s["solution_id"] for s in solutions] == list(states)
+    for sol in solutions:
+        rs = states[sol["solution_id"]]
+        assert all(float(r["energy"]) == sol["energy"] for r in rs)
+        level = rs[0]["matched_eigenvalue"]
+        assert sol["matched_eigenvalue"] == (float(level) if level else None)
+        roots = [[float(r["re_v"]), float(r["im_v"])] for r in rs if r["root_index"] != "-1"]
+        assert roots == sol["roots"] and len(roots) == sol["n_atoms"]
+
+
 def test_bae_byte_deterministic(tmp_path):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"
@@ -419,6 +477,58 @@ def test_sectors_checked_before_enumeration(argv, cap, capsys, monkeypatch):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # d = 980,700 is under SECTOR_DIM_CAP; its occupations alone take 10.2 GiB
+        ["verify", "--suite", "hrel", "--n", "700", "--atoms", "2"],
+        # d = 6000: the dense matrix (275 MiB) fits, the rows of 6000 modes do not
+        ["spectrum", "--n", "3000", "--atoms", "1"],
+    ],
+    ids=lambda argv: f"{argv[0]}-n{argv[-3]}",
+)
+def test_wide_rows_refused_before_enumeration(argv, capsys, monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("a sector was enumerated")
+
+    monkeypatch.setattr(fock, "_enumerate", no_enumeration)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: sector n={argv[-3]}, N={argv[-1]}: ")
+    assert f"{SECTOR_ROW_ARRAYS} int64 arrays of" in err[0] and "DENSE_BYTES_CAP" in err[0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "tcommute", "--n", "3", "--atoms", "2"],
+        ["spectrum", "--n", "3", "--atoms", "2"],
+        ["bae", "--n", "3", "--atoms", "2"],
+        ["fig2", "--atoms", "3", "--grid", "0:1:1"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_every_verb_counts_the_row_width(argv, capsys, monkeypatch):
+    # one int64 array of a sector's rows is d x 2n x 8 bytes: 21 x 6 x 8 at
+    # n = 3, N = 2, and 20 x 4 x 8 at n = 2, N = 3
+    n, N = (2, 3) if argv[0] == "fig2" else (3, 2)
+    need = SECTOR_ROW_ARRAYS * 8 * 2 * n * fock.dimension(n, N)
+    monkeypatch.setattr(model, "DENSE_BYTES_CAP", need)
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(model, "DENSE_BYTES_CAP", need - 1)
+    monkeypatch.setattr(fock, "_enumerate", lambda *a: pytest.fail("a sector was enumerated"))
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: sector n={n}, N={N}: {SECTOR_ROW_ARRAYS} int64 arrays of {fock.dimension(n, N)} "
+        f"rows x {2 * n} columns need {need} bytes > DENSE_BYTES_CAP = {need - 1} bytes\n"
+    )
+
+
 def test_identify_integrable_roundtrip(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -486,8 +596,9 @@ def test_verify_dense_sizes_checked_before_any_suite(capsys, monkeypatch):
         raise AssertionError("a residual was computed")
 
     # rll at n=1 builds two (2, 2, 4, 4) complex Lax operators, 2048 bytes
-    # (m = C(4, 1)); tcommute, on sectors of 20 and 21 states at n=1, N=19
-    # and 20, forms no dense matrix
+    # (m = C(4, 1)); tcommute, on sectors of 100 and 101 states at n=1, N=99
+    # and 100, forms no dense matrix (81608 bytes at d = 101): only their rows
+    # are held to the cap, cli.SECTOR_ROW_ARRAYS x 101 x 2 int64s (32320 bytes)
     suites = {name: getattr(yangbaxter, name) for name in (
         "ybe_residual", "rll_residual", "transfer_commutator_residual",
         "conserved_charges", "hamiltonian_from_transfer")}
@@ -501,12 +612,13 @@ def test_verify_dense_sizes_checked_before_any_suite(capsys, monkeypatch):
     err = captured.err.strip().splitlines()
     assert captured.out == ""
     assert len(err) == 1 and err[0].startswith("error: rll n=24: two (2, 2, 2925, 2925)")
-    monkeypatch.setattr(model, "DENSE_BYTES_CAP", 2048)
+    monkeypatch.setattr(model, "DENSE_BYTES_CAP", 40000)
     for name in ("rll_residual", "transfer_commutator_residual"):
         monkeypatch.setattr(yangbaxter, name, suites[name])
-    assert main(["verify", "--suite", "tcommute", "--n", "1", "--atoms", "19,20"]) == 0
+    assert main(["verify", "--suite", "tcommute", "--n", "1", "--atoms", "99,100"]) == 0
     out = capsys.readouterr().out
-    assert "tcommute n=1 N=20 20 pairs" in out and "FAIL" not in out
+    assert "tcommute n=1 N=100 20 pairs" in out and "FAIL" not in out
+    monkeypatch.setattr(model, "DENSE_BYTES_CAP", 2048)
     assert main(["verify", "--suite", "rll", "--n", "1"]) == 0
     assert "FAIL" not in capsys.readouterr().out
     monkeypatch.setattr(model, "DENSE_BYTES_CAP", 2047)
