@@ -91,17 +91,15 @@ def _fmt(x) -> str:
 # ---------------------------------------------------------------------------
 
 def _load_config(path, errors):
-    """The JSON object at `path`, whose only keys may be 'model' and 'n_atoms';
-    {} if it cannot be read."""
+    """The JSON object at `path`, whose only keys may be 'model' and 'n_atoms'
+    (an unknown key goes to `errors`); refused if it cannot be read as one."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        errors.append(f"config {path}: {exc}")
-        return {}
+        raise _Refused(f"config {path}: {exc}") from None
     if not isinstance(cfg, dict):
-        errors.append(f"config {path}: top level must be a JSON object")
-        return {}
+        raise _Refused(f"config {path}: top level must be a JSON object")
     unknown = [k for k in cfg if k not in ("model", "n_atoms")]
     if unknown:
         errors.append(
@@ -265,12 +263,12 @@ def _gated(name, residual, threshold):
 
 
 def _suite_ybe(rng, levels, atoms):
-    worst = 0.0
+    draws = []  # (u, v, eta), drawn in turn; checked as one stack
     for _ in range(100):
         eta = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 3.0)
-        u, v = _draw_away_from_poles(rng, eta)
-        worst = max(worst, yangbaxter.ybe_residual(u, v, eta))
-    return [_gated("ybe 100 draws", worst, 1e-12)]
+        draws.append((*_draw_away_from_poles(rng, eta), eta))
+    u, v, eta = (np.array(column) for column in zip(*draws))
+    return [_gated("ybe 100 draws", float(np.max(yangbaxter.ybe_residual(u, v, eta))), 1e-12)]
 
 
 def _random_ip(rng, n):
@@ -300,11 +298,9 @@ def _suite_tcommute(rng, levels, atoms):
     for n, N in itertools.product(levels, atoms):
         ip = default_integrable_params(n)
         sector = fock.enumerate_sector(n, N)
-        worst = 0.0
-        for _ in range(20):
-            u = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            v = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
-            worst = max(worst, yangbaxter.transfer_commutator_residual(u, v, ip, sector))
+        # row i is (Re u_i, Im u_i, Re v_i, Im v_i), drawn in that order
+        u, v = rng.uniform(-3, 3, size=(20, 4)).view(complex).T
+        worst = float(np.max(yangbaxter.transfer_commutator_residual(u, v, ip, sector)))
         checks.append(_gated(f"tcommute n={n} N={N} 20 pairs", worst, 1e-10))
     return checks
 
@@ -333,12 +329,13 @@ def _suite_hrel(rng, levels, atoms):
     checks = []
     for n in levels:
         ips = [default_integrable_params(n), _random_ip(rng, n)]
+        mps = [yangbaxter.identify_parameters(ip) for ip in ips]
         for N in atoms:
             sector = fock.enumerate_sector(n, N)
             worst = 0.0
-            for ip in ips:
+            for ip, mp in zip(ips, mps):
                 h_t = yangbaxter.hamiltonian_from_transfer(ip, sector)
-                h_m = model.build_hamiltonian(yangbaxter.identify_parameters(ip), sector)
+                h_m = model.build_hamiltonian(mp, sector)
                 worst = max(worst, abs(h_t - h_m).max())
             checks.append(_gated(f"hrel n={n} N={N}", worst, 1e-12))
     return checks

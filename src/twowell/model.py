@@ -18,10 +18,9 @@ Eigenvalues come from one of two entry points, one per question.  Both read
 H as one CSR matrix, refuse it unless it is square, finite and Hermitian, and
 return ascending eigenvalues: `spectrum(H)` every level, by dense
 diagonalization after checking the dense matrix against DENSE_BYTES_CAP (the
-only dense path; that one d x d array is all it allocates that grows as d^2,
-apart from scipy's one-byte-per-entry finiteness mask); `lowest(H, k)` the k
-lowest, by sparse Lanczos, handing the tiny matrices ARPACK cannot take
-(d <= k + 1) to `spectrum`.
+only dense path; that one d x d array is all it allocates that grows as d^2);
+`lowest(H, k)` the k lowest, by sparse Lanczos, handing the tiny matrices
+ARPACK cannot take (d <= k + 1) to `spectrum`.
 """
 
 from dataclasses import dataclass
@@ -45,7 +44,7 @@ __all__ = [
 HERMITICITY_TOL = 1e-12
 # Largest dense matrix `spectrum` will allocate (1 GiB: d = 11585 in float64).
 # LAPACK works on that array in place, so a solve at the cap peaks at about
-# 1.1 GiB: the array plus scipy's d^2-byte finiteness mask.
+# 1 GiB: the array plus LAPACK's O(d) workspace.
 DENSE_BYTES_CAP = 1 << 30
 
 
@@ -162,10 +161,11 @@ def spectrum(H) -> np.ndarray:
 
     The only dense path.  The d x d matrix is checked against DENSE_BYTES_CAP
     from the input's shape and dtype, before the input is converted or
-    checked, and all d eigenvalues are returned.  That array is
-    the only d x d one: it is built in Fortran order and LAPACK overwrites it
-    in place, so the peak is d^2 (itemsize + 1) bytes, the extra byte per entry
-    being scipy's finiteness mask, plus LAPACK's O(d) workspace.
+    checked, and all d eigenvalues are returned.  That array is the only
+    d x d one: it is built in Fortran order and LAPACK overwrites it in place,
+    so the peak is itemsize d^2 bytes plus LAPACK's O(d) workspace.  scipy
+    makes no finiteness mask of it: `_checked` has refused every non-finite
+    entry already.
     """
     if not sp.issparse(H):
         H = np.asarray(H)
@@ -174,7 +174,7 @@ def spectrum(H) -> np.ndarray:
     H = _checked(H)
     # toarray() always allocates a new array, so LAPACK may overwrite it; in
     # Fortran order LAPACK takes it as is, where a C-ordered one is copied first
-    return eigvalsh(H.toarray(order="F"), overwrite_a=True)
+    return eigvalsh(H.toarray(order="F"), overwrite_a=True, check_finite=False)
 
 
 def lowest(H, k: int = 1) -> np.ndarray:

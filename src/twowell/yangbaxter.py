@@ -10,7 +10,10 @@ t = +-s, the only one the Bethe-ansatz layer solves.
 
 Each operator has one construction and each relation one check: the
 constructors here do not check themselves, the residual functions (and the
-suites of `twowell verify`) do.
+suites of `twowell verify`) do.  `r_matrix`, `ybe_residual` and
+`transfer_commutator_residual` take arrays, so a suite checks all its draws
+in one call: the Yang-Baxter draws as one stack of 8x8 products, the
+commutator pairs of one sector as one block-diagonal sparse product.
 
 Conventions:
 
@@ -30,7 +33,8 @@ Conventions:
   term together, of `fock.hop_operator` with coefficients outer(s, t): the
   builder and the sector's hop table that the physical Hamiltonian uses with
   -Omega.
-* The Hamiltonian is H = (alpha N^2 + zeta^2/eta^2 - W^2) I - t(0).
+* The Hamiltonian is H = (alpha N^2 + zeta^2/eta^2 - W^2) I - t(0), one
+  fill of the same table with coefficients -outer(s, t).
 """
 
 import functools
@@ -147,17 +151,21 @@ def default_integrable_params(n_levels: int) -> IntegrableParams:
 # R-matrix and Yang-Baxter equation
 # ---------------------------------------------------------------------------
 
-def r_matrix(u: complex, eta: float) -> np.ndarray:
-    """4x4 rational R-matrix with b = u/(u+eta), c = eta/(u+eta)."""
+def r_matrix(u, eta) -> np.ndarray:
+    """Rational R-matrix with b = u/(u+eta), c = eta/(u+eta): one 4x4 matrix
+    for each element of u and eta broadcast together, shape (..., 4, 4).
+
+    Raises ValueError if any element sits at the pole u = -eta."""
+    u, eta = np.broadcast_arrays(np.asarray(u), np.asarray(eta))
     den = u + eta
-    if abs(den) <= 1e-14 * max(1.0, abs(u), abs(eta)):
-        raise ValueError(f"R-matrix pole: u = -eta (u={u}, eta={eta})")
-    b = u / den
-    c = eta / den
-    out = np.zeros((4, 4), dtype=complex)
-    out[0, 0] = out[3, 3] = 1.0
-    out[1, 1] = out[2, 2] = b
-    out[1, 2] = out[2, 1] = c
+    pole = np.abs(den) <= 1e-14 * np.maximum(1.0, np.maximum(np.abs(u), np.abs(eta)))
+    if np.any(pole):
+        at = np.argwhere(pole)[0] if pole.ndim else ()
+        raise ValueError(f"R-matrix pole: u = -eta (u={u[tuple(at)]}, eta={eta[tuple(at)]})")
+    out = np.zeros((*den.shape, 4, 4), dtype=complex)
+    out[..., 0, 0] = out[..., 3, 3] = 1.0
+    out[..., 1, 1] = out[..., 2, 2] = u / den
+    out[..., 1, 2] = out[..., 2, 1] = eta / den
     return out
 
 
@@ -165,15 +173,26 @@ _SWAP = np.zeros((4, 4))
 _SWAP[0, 0] = _SWAP[3, 3] = _SWAP[1, 2] = _SWAP[2, 1] = 1.0
 
 
-def ybe_residual(u: complex, v: complex, eta: float) -> float:
+def _kron(a, b):
+    """np.kron over the last two axes, broadcast over the leading ones."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(*out.shape[:-4], a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1])
+
+
+def ybe_residual(u, v, eta):
     """Max-abs entry of R12(u-v) R13(u) R23(v) - R23(v) R13(u) R12(u-v), the
-    three embedded in the 8-dimensional triple product space."""
+    three embedded in the 8-dimensional triple product space.
+
+    u, v and eta broadcast together; all their elements are checked as one
+    stack of 8x8 products.  A float for scalar arguments, else an array of the
+    broadcast shape."""
     eye2 = np.eye(2)
-    R12 = np.kron(r_matrix(u - v, eta), eye2)
-    R23 = np.kron(eye2, r_matrix(v, eta))
-    swap23 = np.kron(eye2, _SWAP)
-    R13 = swap23 @ np.kron(r_matrix(u, eta), eye2) @ swap23
-    return float(np.max(np.abs(R12 @ R13 @ R23 - R23 @ R13 @ R12)))
+    R12 = _kron(r_matrix(np.subtract(u, v), eta), eye2)
+    R23 = _kron(eye2, r_matrix(v, eta))
+    swap23 = _kron(eye2, _SWAP)
+    R13 = swap23 @ _kron(r_matrix(u, eta), eye2) @ swap23
+    worst = np.max(np.abs(R12 @ R13 @ R23 - R23 @ R13 @ R12), axis=(-2, -1))
+    return float(worst) if worst.ndim == 0 else worst
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +277,8 @@ def check_rll_fits(n_levels: int):
 # Transfer matrix, charges, Hamiltonian reconstruction
 # ---------------------------------------------------------------------------
 
-def transfer_matrix(u: complex, ip: IntegrableParams, sector: FockSector) -> sp.csr_matrix:
-    """Two-site transfer matrix t(u) on the fixed-number sector."""
+def _transfer_diagonal(u, ip, sector):
+    """Diagonal of t(u) on the sector, one value per row."""
     if ip.n_levels != sector.n_levels:
         raise ValueError(
             f"params have {ip.n_levels} levels, sector has {sector.n_levels}"
@@ -273,27 +292,73 @@ def transfer_matrix(u: complex, ip: IntegrableParams, sector: FockSector) -> sp.
     na_tot = sector.occ[:, :n].sum(axis=1).astype(float)
     nb_tot = sector.occ[:, n:].sum(axis=1).astype(float)
     N = float(sector.n_atoms)
-    diag = (
+    return (
         u * u
         + u * eta * N
         + (zeta**2 / eta**2 - W**2)
         + eta * W * (nb_tot - na_tot)
         + eta**2 * na_tot * nb_tot
     )
-    return hop_operator(sector, diag, np.outer(ip.s, ip.t))
 
 
-def transfer_commutator_residual(
-    u: complex, v: complex, ip: IntegrableParams, sector: FockSector
-) -> float:
+def transfer_matrix(u: complex, ip: IntegrableParams, sector: FockSector) -> sp.csr_matrix:
+    """Two-site transfer matrix t(u) on the fixed-number sector."""
+    return hop_operator(sector, _transfer_diagonal(u, ip, sector), np.outer(ip.s, ip.t))
+
+
+# Most rows of one block-diagonal stack of `transfer_commutator_residual`.  A
+# sector of more rows takes its pairs one at a time: all 20 pairs of n = 2,
+# N = 40 (12341 rows) in one stack peak at 760 MiB (tracemalloc), one at 34 MiB
+COMMUTATOR_STACK_ROWS = 1 << 10
+
+
+def _block_diag(mats):
+    """CSR block-diagonal matrix of equal-shape square CSR blocks; one block is returned as is."""
+    if len(mats) == 1:
+        return mats[0]
+    d = mats[0].shape[0]
+    offsets = np.cumsum([0] + [m.nnz for m in mats])
+    indptr = np.concatenate([[0], *(m.indptr[1:] + off for m, off in zip(mats, offsets))])
+    indices = np.concatenate([m.indices + i * d for i, m in enumerate(mats)])
+    data = np.concatenate([m.data for m in mats])
+    return sp.csr_matrix((data, indices, indptr), shape=(len(mats) * d,) * 2)
+
+
+def _block_max_abs(m, d):
+    """Max-abs stored entry of each diagonal d x d block of the CSR matrix m,
+    0 for a block with none."""
+    bounds = m.indptr[::d]  # where each block's entries start, and the end
+    out = np.zeros(bounds.size - 1)
+    nonempty = bounds[:-1] < bounds[1:]
+    if np.any(nonempty):  # a block's reduction runs to the next nonempty block's start
+        out[nonempty] = np.maximum.reduceat(np.abs(m.data), bounds[:-1][nonempty])
+    return out
+
+
+def transfer_commutator_residual(u, v, ip: IntegrableParams, sector: FockSector):
     """Max-abs entry of [t(u), t(v)], normalized by max(1, |t(u)| |t(v)|),
-    with |.| the max-abs entry; the matrices stay sparse."""
-    tu = transfer_matrix(u, ip, sector)
-    tv = transfer_matrix(v, ip, sector)
-    comm = tu @ tv - tv @ tu
-    # max-abs entries from the stored values, which the sparse abs().max() would copy first
-    tu_max, tv_max, comm_max = (np.max(np.abs(m.data), initial=0.0) for m in (tu, tv, comm))
-    return float(comm_max) / max(1.0, float(tu_max) * float(tv_max))
+    with |.| the max-abs entry; the matrices stay sparse.
+
+    u and v broadcast together into pairs.  Each t(u_i) and t(v_i) is its own
+    `transfer_matrix` build.  The pairs' commutators are formed as one
+    block-diagonal sparse product per stack of at most COMMUTATOR_STACK_ROWS
+    rows (one pair makes no stacked copy), and each pair's max-abs entries are
+    read from its block.  A float for scalar arguments, else an array of the
+    broadcast shape."""
+    u, v = np.broadcast_arrays(u, v)
+    pairs = list(zip(u.ravel(), v.ravel()))
+    d = sector.dim
+    step = max(1, COMMUTATOR_STACK_ROWS // d)
+    out = np.empty(len(pairs))
+    for first in range(0, len(pairs), step):
+        chunk = pairs[first : first + step]
+        tu = [transfer_matrix(x, ip, sector) for x, _ in chunk]
+        tv = [transfer_matrix(y, ip, sector) for _, y in chunk]
+        TU, TV = _block_diag(tu), _block_diag(tv)
+        comm_max, tu_max, tv_max = (_block_max_abs(m, d) for m in (TU @ TV - TV @ TU, TU, TV))
+        out[first : first + step] = comm_max / np.maximum(1.0, tu_max * tv_max)
+    out = out.reshape(u.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def conserved_charges(ip: IntegrableParams, sector: FockSector):
@@ -314,12 +379,12 @@ def hamiltonian_from_transfer(ip: IntegrableParams, sector: FockSector) -> sp.cs
           = (alpha N^2 + zeta^2/eta^2 - W^2) I - t(0),
 
     since C1 = eta N I on the sector; the u-dependent parts cancel against
-    t(u), so it is evaluated at u = 0."""
+    t(u), so it is evaluated at u = 0.  One fill of the sector's hop table:
+    the scalar less the diagonal of t(0), with coefficients -outer(s, t)."""
     eta, zeta, W = ip.eta, ip.zeta, ip.omega_sum
     N = float(sector.n_atoms)
     scalar = ip.alpha * N * N + zeta**2 / eta**2 - W**2
-    identity = sp.identity(sector.dim, format="csr")
-    return sp.csr_matrix(scalar * identity - transfer_matrix(0.0, ip, sector))
+    return hop_operator(sector, scalar - _transfer_diagonal(0.0, ip, sector), -np.outer(ip.s, ip.t))
 
 
 # ---------------------------------------------------------------------------

@@ -582,6 +582,25 @@ def test_config_top_level_keys_are_model_and_n_atoms(tmp_path, capsys, verb, key
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("verb", ["spectrum", "bae"])
+@pytest.mark.parametrize("content, reason", [
+    (None, "No such file"),
+    ("{\"model\": ", "Expecting value"),
+    ("[1, 2]", "top level must be a JSON object"),
+], ids=["missing", "malformed", "non-object"])
+def test_unreadable_config_gives_one_error_line(tmp_path, capsys, verb, content, reason):
+    # a config that cannot be read is not parsed as a model: no second line
+    # "config: missing 'model' block" after the reason
+    path = tmp_path / "config.json"
+    if content is not None:
+        path.write_text(content)
+    assert main([verb, "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: config {path}:") and reason in err[0]
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("verb", ["spectrum", "bae", "identify"])
 @pytest.mark.parametrize("block", [3, [1, 2]])
 def test_non_object_model_block_rejected(tmp_path, capsys, verb, block):
@@ -724,6 +743,55 @@ def test_verify_ybe_suite(capsys):
     assert main(["verify", "--suite", "ybe", "--seed", "7"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
+
+
+def _recorded(monkeypatch, name):
+    """Replace yangbaxter.<name> by a stub that records its arrays and returns zeros."""
+    calls = []
+
+    def record(*args):
+        arrays = [a for a in args if isinstance(a, np.ndarray)]
+        calls.append(arrays)
+        return np.zeros(np.broadcast(*arrays).shape)
+
+    monkeypatch.setattr(yangbaxter, name, record)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123])
+def test_verify_ybe_draws_as_the_scalar_loop_did(seed, monkeypatch):
+    # the draws, and where they leave the generator, of the loop that called
+    # ybe_residual once per draw
+    rng = np.random.default_rng(seed)
+    want = []
+    for _ in range(100):
+        eta = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 3.0)
+        want.append((*cli._draw_away_from_poles(rng, eta), eta))
+    calls = _recorded(monkeypatch, "ybe_residual")
+    got = np.random.default_rng(seed)
+    cli._suite_ybe(got, (), ())
+    assert got.bit_generator.state == rng.bit_generator.state
+    assert len(calls) == 1 and np.array_equal(np.column_stack(calls[0]), np.array(want))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123])
+def test_verify_tcommute_draws_as_the_scalar_loop_did(seed, monkeypatch):
+    rng = np.random.default_rng(seed)
+    want = []
+    for _ in range(2 * 3):  # levels x atoms
+        pairs = []
+        for _ in range(20):
+            u = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            v = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
+            pairs.append((u, v))
+        want.append(np.array(pairs))
+    calls = _recorded(monkeypatch, "transfer_commutator_residual")
+    got = np.random.default_rng(seed)
+    cli._suite_tcommute(got, (1, 2), (1, 2, 3))
+    assert got.bit_generator.state == rng.bit_generator.state
+    assert len(calls) == 6
+    for (u, v), pairs in zip(calls, want):
+        assert np.array_equal(np.column_stack([u, v]), pairs)
 
 
 def test_verify_refuses_negative_seed(capsys):

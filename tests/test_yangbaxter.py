@@ -84,6 +84,55 @@ def test_ybe_random_draws():
         assert ybe_residual(u, v, eta) <= 1e-12
 
 
+def random_pairs(rng, count, scale=3.0):
+    return [complex(rng.uniform(-scale, scale), rng.uniform(-scale, scale)) for _ in range(count)]
+
+
+def test_r_matrix_broadcasts():
+    u = np.array([[0.3], [1.2 - 0.5j]])
+    eta = np.array([0.7, -1.1, 2.0])
+    R = r_matrix(u, eta)
+    assert R.shape == (2, 3, 4, 4)
+    for i, j in np.ndindex(2, 3):
+        assert np.array_equal(R[i, j], r_matrix(u[i, 0], eta[j]))
+    assert r_matrix(0.3, 0.7).shape == (4, 4)
+
+
+def test_ybe_arrays_equal_scalar_calls():
+    rng = np.random.default_rng(5)
+    eta = rng.choice([-1.0, 1.0], 60) * rng.uniform(0.1, 3.0, 60)
+    u, v = (np.array(random_pairs(rng, 60, 3.5)) for _ in "uv")
+    u[:3] = [0.7, 0.0, v[2]]  # real, zero and u = v elements among complex ones
+    away = np.minimum.reduce([abs(u + eta), abs(v + eta), abs(u - v + eta)]) > 0.05
+    u, v, eta = u[away], v[away], eta[away]
+    stacked = ybe_residual(u, v, eta)
+    each = [ybe_residual(*args) for args in zip(u, v, eta)]
+    assert stacked.shape == u.shape
+    assert np.max(np.abs(stacked - each)) <= 1e-15
+    assert max(each) <= 1e-12
+
+
+def test_ybe_broadcast_shapes_and_scalars():
+    u = np.array([0.7, -0.2 + 1.1j, 2.3j])[:, None]
+    v = np.array([-0.3, 1.4, 0.5 - 0.5j, -2.0j])
+    residual = ybe_residual(u, v, 1.1)
+    assert residual.shape == (3, 4)
+    assert np.max(residual) <= 1e-13
+    assert residual[1, 2] == pytest.approx(ybe_residual(u[1, 0], v[2], 1.1), abs=1e-15)
+    assert type(ybe_residual(0.7, -0.3, 1.1)) is float
+    assert ybe_residual(np.array([0.7]), -0.3, 1.1).shape == (1,)
+
+
+def test_r_matrix_pole_anywhere_in_an_array():
+    u = np.array([0.3, 1.2, -1.5, 0.4j])
+    with pytest.raises(ValueError, match=r"pole: u = -eta \(u=\(-1\.5\+0j\), eta=1\.5\)"):
+        r_matrix(u, 1.5)
+    with pytest.raises(ValueError, match="pole"):  # at v = -eta in its third element
+        ybe_residual(0.2, u, 1.5)
+    with pytest.raises(ValueError, match="pole"):  # at u - v = -eta in its first
+        ybe_residual(np.array([-1.2, 0.5]), 0.3, 1.5)
+
+
 # ---------------------------------------------------------------------------
 # Lax operator and RLL
 # ---------------------------------------------------------------------------
@@ -265,6 +314,46 @@ def test_transfer_commutator_random_pairs():
         v = complex(rng.uniform(-3, 3), rng.uniform(-3, 3))
         assert transfer_commutator_residual(u, v, ip, sector) <= 1e-10
     assert transfer_commutator_residual(0.4, 0.4, ip, sector) == 0.0
+
+
+@pytest.mark.parametrize("n, N", [(1, 0), (1, 5), (2, 3), (3, 2)])
+def test_transfer_commutator_arrays_equal_scalar_calls_bitwise(n, N):
+    rng = np.random.default_rng(20 + 10 * n + N)
+    ip = random_ip(rng, n)
+    sector = enumerate_sector(n, N)
+    u, v = (np.array(random_pairs(rng, 20)) for _ in "uv")
+    u[:4] = [0.9, 0.4, -1.3, 0.0]  # real pairs, and u = v, among complex ones
+    v[:4] = [-0.4, 0.4, 0.7j, 0.0]
+    stacked = transfer_commutator_residual(u, v, ip, sector)
+    each = np.array([transfer_commutator_residual(x, y, ip, sector) for x, y in zip(u, v)])
+    assert stacked.shape == (20,)
+    assert stacked.tobytes() == each.tobytes()
+    assert stacked[1] == stacked[3] == 0.0
+    assert np.max(stacked) <= 1e-10
+
+
+def test_transfer_commutator_stacks_split_bitwise(monkeypatch):
+    # a stack holds whole pairs: at most COMMUTATOR_STACK_ROWS rows, one pair
+    # if one sector has more
+    rng = np.random.default_rng(31)
+    ip = default_integrable_params(2)
+    sector = enumerate_sector(2, 2)  # 10 states
+    u, v = (np.array(random_pairs(rng, 7)) for _ in "uv")
+    whole = transfer_commutator_residual(u, v, ip, sector)
+    for rows in (25, 10, 1):  # stacks of 2, 1 and 1 pairs
+        monkeypatch.setattr(yangbaxter, "COMMUTATOR_STACK_ROWS", rows)
+        assert transfer_commutator_residual(u, v, ip, sector).tobytes() == whole.tobytes()
+
+
+def test_transfer_commutator_broadcast_shapes_and_scalars():
+    ip = default_integrable_params(2)
+    sector = enumerate_sector(2, 2)
+    u = np.array([[0.9, 0.3j, -1.0], [2.0, 0.1 + 0.1j, 0.4]])
+    residual = transfer_commutator_residual(u, -0.4 + 1.1j, ip, sector)
+    assert residual.shape == (2, 3)
+    assert residual[1, 2] == transfer_commutator_residual(0.4, -0.4 + 1.1j, ip, sector)
+    assert type(transfer_commutator_residual(0.9, -0.4, ip, sector)) is float
+    assert transfer_commutator_residual(np.array([0.9]), -0.4, ip, sector).shape == (1,)
 
 
 def test_transfer_commutator_stays_sparse():
