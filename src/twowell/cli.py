@@ -16,8 +16,9 @@ Verbs:
             with --out a JSON report on stdout); each state's energy is exact,
             and its roots are kept only if they give it back
   fig2      ground-state scan E0/mu1 versus mu2/mu1 for the reference
-            non-integrable parameter set, as CSV (sparse Lanczos, lowest level
-            only; every sector checked against fock.SECTOR_DIM_CAP first)
+            non-integrable parameter set, as CSV (lowest level only: one
+            sparse Lanczos call per sector solves its whole grid; every sector
+            checked against fock.SECTOR_DIM_CAP first)
   identify  map physical couplings to the integrable family, report as JSON
 
 Each verb parses its input, checks the size of all it will build, computes
@@ -56,7 +57,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import bethe, fock, model, yangbaxter
-from .fock import Mode
 from .model import ModelParams
 from .yangbaxter import IntegrableParams, default_integrable_params
 
@@ -583,22 +583,28 @@ def cmd_fig2(args) -> int:
 
     buf = io.StringIO()
     buf.write("N,mu2_over_mu1,E0_over_mu1\n")
+    xs = [x * mu1 for x in grid]
     for N in atoms:
-        # mu2 enters only through -mu2 (N_a2 - N_b2): H(mu2) = H0 + mu2 D
+        # mu2 enters only through -mu2 (N_a2 - N_b2): H(mu2) = H0 + mu2 diag(N_b2 - N_a2)
         sector = fock.enumerate_sector(2, N)
         H0 = model.build_hamiltonian(scan_params(mu2=0.0, mu1=mu1), sector)
-        n_a2, n_b2 = (fock.number_operator(sector, Mode(w, 2)) for w in "ab")
-        D = n_b2 - n_a2
-        for x in grid:
-            with np.errstate(over="ignore", invalid="ignore"):  # lowest refuses inf and nan
-                H = H0 + (x * mu1) * D
-            try:
-                e0 = float(model.lowest(H)[0]) / mu1
-            except ValueError:
-                e0 = math.nan
-            if not math.isfinite(e0):
-                raise _Refused(f"N={N}, mu2/mu1={_fmt(x)}: H or E0/mu1 overflows float64")
-            buf.write(f"{N},{_fmt(x)},{_fmt(e0)}\n")
+        D = sector.occ[:, 3] - sector.occ[:, 1]
+        try:
+            with np.errstate(over="ignore"):  # E0/mu1 is checked below
+                e0 = model.lowest(H0, D, xs) / mu1
+            bad = next((k for k, e in enumerate(e0) if not math.isfinite(e)), None)
+        except model.NotConverged as exc:
+            raise _Refused(
+                f"N={N}, mu2/mu1={_fmt(grid[exc.index])}: "
+                f"the lowest level did not converge in {model.LOWEST_STEP_CAP} Lanczos steps"
+            ) from None
+        except model.ShiftError as exc:
+            bad = exc.index
+        except ValueError:  # H0 itself overflows, so every point does
+            bad = 0
+        if bad is not None:
+            raise _Refused(f"N={N}, mu2/mu1={_fmt(grid[bad])}: H or E0/mu1 overflows float64")
+        buf.writelines(f"{N},{_fmt(x)},{_fmt(e)}\n" for x, e in zip(grid, e0))
     _write_text(args.out, buf.getvalue())
     return 0
 
@@ -669,8 +675,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fig2", help="ground-state scan E0/mu1 vs mu2/mu1 as CSV")
     _add_common(p, levels=False)  # the scan set has n = 2
-    p.add_argument("--grid", default="0:5:0.05", help="mu2/mu1 grid start:stop:step")
-    p.add_argument("--mu1", type=float, default=1.0, help="normalizing potential")
+    # argparse reads a value such as -1:0:0.5 or -1e-3 as an option; the = form
+    # is always read as the value
+    p.add_argument("--grid", default="0:5:0.05",
+                   help="mu2/mu1 grid start:stop:step; give a negative start as --grid=-1:0:0.5")
+    p.add_argument("--mu1", type=float, default=1.0,
+                   help="normalizing potential; give a negative exponent form as --mu1=-1e-3")
 
     p = sub.add_parser("identify", help="check couplings against the integrable family")
     p.add_argument("--config", help="JSON config file")

@@ -15,20 +15,20 @@ equals the stored off-diagonal entry (the 1/2 and the double count cancel).
 All couplings share one arbitrary energy unit.
 
 Eigenvalues come from one of two entry points, one per question.  Both read
-H as one CSR matrix, refuse it unless it is square, finite and Hermitian, and
-return ascending eigenvalues: `spectrum(H)` every level, by dense
-diagonalization after checking the dense matrix against DENSE_BYTES_CAP (the
-only dense path; that one d x d array is all it allocates that grows as d^2);
-`lowest(H, k)` the k lowest, by sparse Lanczos, handing the tiny matrices
-ARPACK cannot take (d <= k + 1) to `spectrum`.
+H as one CSR matrix and refuse it unless it is square, finite and Hermitian:
+`spectrum(H)` returns every level, ascending, by dense diagonalization after
+checking the dense matrix against DENSE_BYTES_CAP (the only dense path; that
+one d x d array is all it allocates that grows as d^2); `lowest(H, D, xs)`
+returns the lowest level of H + x diag(D) for each x, by a plain Lanczos
+recurrence that runs all the shifts in lockstep, sparse end to end, and stops
+each shift on a certified residual bound.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import eigvalsh
+from scipy.linalg import eigh_tridiagonal, eigvalsh, norm
 
 from .fock import FockSector, hop_operator
 
@@ -37,6 +37,11 @@ __all__ = [
     "build_hamiltonian",
     "DENSE_BYTES_CAP",
     "check_dense_fits",
+    "LOWEST_BLOCK_ENTRIES",
+    "LOWEST_STEP_CAP",
+    "LOWEST_TOL",
+    "NotConverged",
+    "ShiftError",
     "lowest",
     "spectrum",
 ]
@@ -46,6 +51,44 @@ HERMITICITY_TOL = 1e-12
 # LAPACK works on that array in place, so a solve at the cap peaks at about
 # 1 GiB: the array plus LAPACK's O(d) workspace.
 DENSE_BYTES_CAP = 1 << 30
+# Entries d x G of one block of shifts that `lowest` runs in lockstep: 4 MiB
+# per float64 array, and a block holds at most about nine such arrays (peak
+# 21 MB on a 50-point line at n = 2, N = 60, against 80 MB as one block).
+# Measured per point on n = 2 scan lines, one shift at a time -> this bound:
+# N = 24 (d = 2925) 9.1 -> 5.8 ms, N = 40 33.5 -> 33.2 ms, N = 60 (d = 39711)
+# 142 -> 154 ms.  At 1 << 18, N = 60 runs blocks of 6 shifts at 231 ms: below
+# about 8 columns the row-by-row broadcast of the alpha and beta updates costs
+# more than the shared sparse product saves.
+LOWEST_BLOCK_ENTRIES = 1 << 19
+# Lanczos steps after which `lowest` refuses a shift as unconverged; the n = 2
+# scan needs at most 368 (N = 60), about 6 N.
+LOWEST_STEP_CAP = 5000
+# Residual bound beta |s_last| at which a Ritz value is the converged level,
+# relative to ||T||_inf (at most about ||H||): the value is then within
+# 1e-13 ||H|| of an eigenvalue, and quadratically closer where the level is
+# isolated (measured against `spectrum`, relative: within 6e-15 on the bench's
+# scan grids, 1.6e-14 on fig2's default grid, at N = 3 where |E0| is about
+# 0.5).  Plain Lanczos drives the bound to about eps ||H|| before ghost copies
+# appear, so it is reachable at every scale of H.
+LOWEST_TOL = 1e-13
+# Steps between two convergence checks of a shift.  A check (one tridiagonal
+# eigen solve) costs about two steps of a column at N = 24, so checking every
+# 16 steps costs about as much as the 8 steps a column overruns on average
+# (on the bench grids, 73 checks at N = 24 against 140 every 8 steps).
+_CHECK_EVERY = 16
+
+
+class ShiftError(ValueError):
+    """`lowest` has no level at the shift xs[index]: float64 overflows there
+    (or, as `NotConverged`, the step cap is reached)."""
+
+    def __init__(self, message, index):
+        super().__init__(message)
+        self.index = index
+
+
+class NotConverged(ShiftError):
+    """`lowest` has no level at the shift xs[index]: LOWEST_STEP_CAP steps did not converge it."""
 
 
 def _as_array(name, value, shape):
@@ -177,22 +220,128 @@ def spectrum(H) -> np.ndarray:
     return eigvalsh(H.toarray(order="F"), overwrite_a=True, check_finite=False)
 
 
-def lowest(H, k: int = 1) -> np.ndarray:
-    """The k lowest eigenvalues of a Hermitian matrix, ascending, by sparse Lanczos.
+def lowest(H, D=None, xs=(0.0,)) -> np.ndarray:
+    """The lowest eigenvalue of H + x diag(D) for each x in xs, by plain Lanczos.
 
-    Sparse end to end: ARPACK `eigsh(which="SA")` from a fixed start vector,
-    after the same sparse checks as `spectrum`.  Where ARPACK cannot run
-    (d <= k + 1) the k lowest levels are taken from `spectrum`.
+    H is checked once (square, finite, Hermitian, as for `spectrum`); D, of
+    length d, defaults to zeros, so `lowest(H)[0]` is the ground level of H.
+    Every shift starts from the same fixed pseudo-random vector, and the
+    shifts run in lockstep: blocks of at most LOWEST_BLOCK_ENTRIES d x G
+    entries, one sparse product H @ V per step for the whole block.  The
+    three-term recurrence keeps no basis and does not reorthogonalize.
+
+    A shift's value is the lowest Ritz value of its tridiagonal T at the first
+    check where the residual bound beta |s_last| is at most LOWEST_TOL ||T||.
+    A check comes every _CHECK_EVERY steps, at every step from step d on (the
+    Krylov space is complete there in exact arithmetic; later steps only
+    add rounding), at the step cap, and at once where beta = 0 (an invariant
+    subspace, where T is exact).  A shift whose shifted diagonal or recurrence
+    overflows float64 raises `ShiftError`; one still unconverged after
+    LOWEST_STEP_CAP steps raises `NotConverged`.  Both name the first such
+    shift in xs order, and every shifted diagonal is checked before any solve.
     """
     H = _checked(H)
     d = H.shape[0]
-    if not 1 <= k <= d:
-        raise ValueError(f"need 1 <= k <= {d}, got k={k}")
-    if d <= k + 1:
-        return spectrum(H)[:k]
-    if H.count_nonzero() == 0:  # ARPACK rejects the zero operator
-        return np.zeros(k)
+    D = np.zeros(d) if D is None else np.asarray(D, dtype=float)
+    if D.shape != (d,):
+        raise ValueError(f"D must have shape ({d},), got {D.shape}")
+    if not np.all(np.isfinite(D)):
+        raise ValueError("D must be finite, not inf or nan")
+    xs = np.asarray(xs, dtype=float).reshape(-1)
+    diagonal = H.diagonal().real
     # a fixed but unstructured start, so that no symmetry of H makes it
-    # orthogonal to the lowest eigenvectors (a uniform vector can be)
-    v0 = np.random.default_rng(0).standard_normal(d).astype(H.dtype)
-    return np.sort(spla.eigsh(H, k=k, which="SA", v0=v0, return_eigenvectors=False))
+    # orthogonal to the ground state (a uniform vector can be)
+    start = np.random.default_rng(0).standard_normal(d).astype(H.dtype)
+    start /= np.linalg.norm(start)
+    width = max(1, LOWEST_BLOCK_ENTRIES // d)
+    blocks = range(0, xs.size, width)
+    levels = np.empty(xs.size)
+    # overflow is read from the values, never raised as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in blocks:  # every shifted diagonal, before any solve
+            finite = np.isfinite(diagonal[:, None] + D[:, None] * xs[first:first + width]).all(axis=0)
+            if not finite.all():
+                k = first + int(np.argmin(finite))
+                raise ShiftError(
+                    f"xs[{k}] = {float(xs[k])!r}: the diagonal of H + x diag(D) overflows float64", k
+                )
+        for first in blocks:
+            block = D[:, None] * xs[first:first + width]
+            levels[first:first + width], failed = _lanczos_lowest(H, block, start)
+            if failed:
+                k, overflowed = min(failed.items())
+                k += first
+                at = f"xs[{k}] = {float(xs[k])!r}"
+                if overflowed:
+                    raise ShiftError(f"{at}: the Lanczos recurrence overflows float64", k)
+                raise NotConverged(f"{at}: not converged in {LOWEST_STEP_CAP} Lanczos steps", k)
+    return levels
+
+
+def _re_dots(X, Y):
+    """Re(x^H y) for each column pair of two C-ordered (d, G) blocks, read as
+    real arrays so that one einsum serves real and complex blocks."""
+    d, g = X.shape
+    return np.einsum("ijk,ijk->j", X.view(np.float64).reshape(d, g, -1), Y.view(np.float64).reshape(d, g, -1))
+
+
+def _lanczos_lowest(H, shifts, start):
+    """Lowest eigenvalue of H + diag(shifts[:, c]) for each column c, in lockstep.
+
+    Returns the values (nan where there is none) and, for each column without
+    one, {column: True if it overflowed, False if LOWEST_STEP_CAP steps did not
+    converge it}.  A column leaves the block when it converges or fails.
+    """
+    d, g = shifts.shape
+    V = np.repeat(start[:, None], g, axis=1)
+    V_prev = np.zeros_like(V)
+    scratch = np.empty_like(V)
+    live = np.arange(g)  # the column of `shifts` each block column solves
+    alpha, beta = np.empty((16, g)), np.empty((16, g))
+    t_norm = np.zeros(g)  # ||T||_inf of each column's tridiagonal, beta_m included
+    b_prev = np.zeros(g)
+    levels = np.full(g, np.nan)
+    failed = {}
+    for step in range(LOWEST_STEP_CAP):
+        W = H @ V
+        W += np.multiply(shifts, V, out=scratch)
+        a = _re_dots(V, W)
+        W -= np.multiply(V, a, out=scratch)
+        W -= np.multiply(V_prev, b_prev, out=scratch)
+        b = np.sqrt(_re_dots(W, W))
+        if b.max() == np.inf:  # |W| above ~1e154: the squares overflow
+            b = np.array([norm(w) for w in W.T])  # BLAS nrm2, which scales
+        if step == alpha.shape[0]:  # the coefficients grow with the step count
+            alpha, beta = (np.concatenate([c, np.empty_like(c)]) for c in (alpha, beta))
+        alpha[step], beta[step] = a, b
+        t_norm = np.maximum(t_norm, np.abs(a) + b_prev + b)
+        m = step + 1
+        due = m % _CHECK_EVERY == 0 or m >= d or m == LOWEST_STEP_CAP
+        # between checks only beta = 0 (an invariant subspace: T is exact, and
+        # beta is no divisor) or an overflow (||T|| inf or nan) stops a column
+        if due or not (b.min() > 0.0 and t_norm.max() < np.inf):
+            stop = ~np.isfinite(t_norm)
+            failed.update((live[c], True) for c in np.flatnonzero(stop))
+            for c in np.flatnonzero(~stop & (due | (b == 0.0))):
+                # T over a power of two near ||T||, exactly: LAPACK's stebz
+                # squares the off-diagonal, which overflows above ~1e154
+                scale = np.ldexp(1.0, -np.frexp(t_norm[c])[1])
+                theta, s = eigh_tridiagonal(
+                    alpha[:m, c] * scale, beta[:m - 1, c] * scale, select="i", select_range=(0, 0)
+                )
+                if b[c] * abs(s[-1, 0]) <= LOWEST_TOL * t_norm[c]:
+                    levels[live[c]] = theta[0] / scale
+                    stop[c] = True
+            if stop.any():
+                keep = ~stop
+                live = live[keep]
+                if live.size == 0:
+                    return levels, failed
+                V, V_prev, W, shifts = V[:, keep], V_prev[:, keep], W[:, keep], shifts[:, keep]
+                scratch = np.empty_like(V)
+                b, t_norm = b[keep], t_norm[keep]
+                alpha, beta = alpha[:, keep], beta[:, keep]
+        W /= b
+        V_prev, V, b_prev = V, W, b
+    failed.update((c, False) for c in live)
+    return levels, failed

@@ -371,6 +371,54 @@ def test_fig2_matches_dense_ground_state_per_point(tmp_path):
         assert float(e0) == pytest.approx(ref / 1.5, rel=1e-12, abs=1e-12)
 
 
+def _scan_e0(N, x, mu1):
+    """E0/mu1 of the scan set at mu2/mu1 = x, by dense diagonalization."""
+    sector = fock.enumerate_sector(2, N)
+    return model.spectrum(model.build_hamiltonian(scan_params(mu2=x * mu1, mu1=mu1), sector))[0] / mu1
+
+
+def test_fig2_negative_values_in_the_equals_form(capsys):
+    # after a space argparse reads -1:0:0.5 and -1e-3 as options (exit 2); the
+    # = form reads them as values, as the --grid and --mu1 help says
+    for argv in (["--grid", "-1:0:0.5"], ["--mu1", "-1e-3"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["fig2", "--atoms", "1", *argv])
+        assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["fig2", "--atoms", "1,3", "--grid=-1:0:0.5", "--mu1=-1e-3"]) == 0
+    rows = [row.split(",") for row in capsys.readouterr().out.splitlines()[1:]]
+    assert [(N, x) for N, x, _ in rows] == [(N, x) for N in "13" for x in ("-1", "-0.5", "0")]
+    for N, x, e0 in rows:
+        assert float(e0) == pytest.approx(_scan_e0(int(N), float(x), -1e-3), rel=1e-12, abs=0.0)
+
+
+def test_fig2_grid_points_equal_their_single_point_runs(capsys):
+    # a sector's grid is one lowest call; each point must not depend on the others
+    assert main(["fig2", "--atoms", "1,5,12", "--grid=-0.5:2:0.5", "--mu1", "1.5"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 3 * 6
+    for row in rows:
+        N, x, e0 = row.split(",")
+        assert main(["fig2", "--atoms", N, f"--grid={x}:{x}:1", "--mu1", "1.5"]) == 0
+        (single,) = capsys.readouterr().out.splitlines()[1:]
+        assert single.split(",")[:2] == [N, x]
+        assert float(e0) == pytest.approx(float(single.split(",")[2]), rel=1e-12, abs=0.0)
+
+
+def test_fig2_unconverged_point_is_refused(capsys, monkeypatch):
+    monkeypatch.setattr(model, "LOWEST_STEP_CAP", 2)
+    sector = fock.enumerate_sector(2, 3)
+    with pytest.raises(ValueError, match=r"^xs\[0\] = 0.0: not converged in 2 Lanczos steps$"):
+        model.lowest(model.build_hamiltonian(scan_params(mu2=0.0), sector))
+    # N = 0 (d = 1) is exact at step 1; N = 3 (d = 20) is not converged at step 2
+    assert main(["fig2", "--atoms", "0,3", "--grid", "0.5:1:0.5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: N=3, mu2/mu1=0.5: the lowest level did not converge in 2 Lanczos steps"
+    ]
+
+
 def test_fig2_rejects_zero_mu1(capsys):
     assert main(["fig2", "--mu1", "0"]) == 1
     assert "mu1" in capsys.readouterr().err

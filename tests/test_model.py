@@ -185,7 +185,7 @@ def test_spectrum_dense_input_equals_its_csr_form():
     H = build_hamiltonian(random_params(rng, 2), enumerate_sector(2, 3))
     dense = H.toarray()
     assert np.array_equal(spectrum(dense), spectrum(H))
-    assert np.array_equal(lowest(dense, 3), lowest(H, 3))
+    assert np.array_equal(lowest(dense), lowest(H))
 
 
 def test_spectrum_never_writes_into_its_input():
@@ -246,15 +246,11 @@ def test_iterative_ground_state_agrees_with_dense():
     sectors = [enumerate_sector(2, N) for N in (0, 1, 3)]  # d = 1, 4, 20
     for sector in sectors:
         H = build_hamiltonian(random_params(rng, 2), sector)
-        dense = spectrum(H)
-        for k in range(1, min(3, sector.dim) + 1):
-            iterative = lowest(H, k)
-            assert iterative.size == k
-            assert np.all(np.abs(iterative - dense[:k]) < 1e-10)
-    # d = k + 1: the dense fallback, where ARPACK cannot run
-    for k in range(1, 4):
-        H = np.diag(np.arange(k + 1, 0, -1, dtype=float))
-        assert np.array_equal(lowest(H, k), np.arange(1.0, k + 1.0))
+        iterative = lowest(H)
+        assert iterative.size == 1
+        assert abs(iterative[0] - spectrum(H)[0]) < 1e-10
+    # d = 2: the recurrence ends at step d, where T is H in the Lanczos basis
+    assert lowest(np.diag([2.0, 1.0]))[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_lowest_rejects_non_hermitian_and_bad_k():
@@ -262,8 +258,11 @@ def test_lowest_rejects_non_hermitian_and_bad_k():
     bad[2, 1] = 1e-6
     with pytest.raises(ValueError, match=r"H\[2,1\]"):
         lowest(bad)
-    with pytest.raises(ValueError, match="k"):
-        lowest(np.eye(3), 4)
+    # the shift direction D takes the place of the level count k
+    with pytest.raises(ValueError, match=r"D must have shape \(3,\)"):
+        lowest(np.eye(3), np.ones(4), [0.0])
+    with pytest.raises(ValueError, match="D must be finite"):
+        lowest(np.eye(3), [0.0, np.nan, 0.0], [0.0])
 
 
 def test_lowest_finds_ground_state_orthogonal_to_uniform_vector():
@@ -286,7 +285,101 @@ def test_lowest_finds_ground_state_orthogonal_to_uniform_vector():
 
 
 def test_lowest_zero_operator():
-    assert np.array_equal(lowest(np.zeros((5, 5)), 2), [0.0, 0.0])
+    assert np.array_equal(lowest(np.zeros((5, 5))), [0.0])
+
+
+def _dense_line(H, D, xs):
+    """spectrum(H + x diag D)[0] for each x: the per-point dense reference."""
+    H = sp.csr_matrix(H)
+    return np.array([spectrum(H + sp.diags(x * np.asarray(D, dtype=float)))[0] for x in xs])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lowest_line_matches_dense_per_point(n):
+    rng = np.random.default_rng(20 + n)
+    xs = np.linspace(-2.0, 2.0, 9)
+    for N in range(6):
+        sector = enumerate_sector(n, N)
+        H = build_hamiltonian(random_params(rng, n), sector)
+        D = sector.occ[:, n] - sector.occ[:, 0]  # N_b1 - N_a1
+        np.testing.assert_allclose(lowest(H, D, xs), _dense_line(H, D, xs), rtol=1e-12, atol=0.0)
+
+
+def test_lowest_line_degenerate_ground_level():
+    # Omega = 0 leaves H diagonal; with the wells' couplings equal and integer,
+    # each state ties with its mirror image, and at N = 3 the ground level -4 is
+    # the pair n_a1, n_b1 = (1, 2), (2, 1).  D = N_a1 + N_b1 keeps the tie.
+    params = ModelParams(
+        n_levels=2,
+        U_aa=np.eye(2),
+        U_bb=np.eye(2),
+        U_ab=np.zeros((2, 2)),
+        mu=np.zeros(2),
+        eps_a=[-3.0, 0.0],
+        eps_b=[-3.0, 0.0],
+        Omega=np.zeros((2, 2)),
+    )
+    sector = enumerate_sector(2, 3)
+    H = build_hamiltonian(params, sector)
+    D = sector.occ[:, 0] + sector.occ[:, 2]
+    xs = np.linspace(-0.5, 0.5, 5)
+    dense = _dense_line(H, D, xs)
+    levels = spectrum(H)
+    assert levels[0] == levels[1] == -4.0 < levels[2]
+    np.testing.assert_allclose(lowest(H, D, xs), dense, rtol=1e-12, atol=0.0)
+
+
+def test_lowest_line_at_one_state_and_on_the_zero_operator():
+    # d = 1 and the zero operator end at once, on beta = 0: exactly what dense gives
+    xs = [-1.5, 0.0, 2.25]
+    assert np.array_equal(lowest([[2.5]], [1.0], xs), _dense_line([[2.5]], [1.0], xs))
+    assert np.array_equal(lowest(np.zeros((5, 5)), None, xs), np.zeros(3))
+    assert lowest(np.zeros((5, 5)), None, []).shape == (0,)
+
+
+def test_lowest_complex_hermitian_equals_spectrum():
+    rng = np.random.default_rng(13)
+    d = 60
+    A = sp.random(d, d, density=0.1, random_state=rng) + 1j * sp.random(d, d, density=0.1, random_state=rng)
+    H = (A + A.conj().T) / 2 + sp.diags(rng.standard_normal(d))
+    D = rng.standard_normal(d)
+    xs = np.linspace(-1.0, 1.0, 5)
+    np.testing.assert_allclose(lowest(H, D, xs), _dense_line(H, D, xs), rtol=1e-12, atol=0.0)
+
+
+def test_lowest_line_refuses_the_first_overflowing_shift():
+    H = np.diag([1.0, 2.0, 3.0])
+    with pytest.raises(model.ShiftError, match=r"^xs\[1\] = 1e\+308: the diagonal of H \+ x diag\(D\) overflows float64$") as exc:
+        lowest(H, [0.0, 2.0, 1.0], [1.0, 1e308, 1.7e308])
+    assert exc.value.index == 1 and not isinstance(exc.value, model.NotConverged)
+    # a finite diagonal whose Lanczos coefficients overflow; at 1e200 only
+    # their squares do, and the scaled norm and tridiagonal solve carry on
+    with pytest.raises(model.ShiftError, match=r"^xs\[0\] = 1.5e\+308: the Lanczos recurrence overflows float64$"):
+        lowest(H, [0.0, 1.0, -1.0], [1.5e308])
+    assert lowest(H, [0.0, 1.0, -1.0], [1e200])[0] == pytest.approx(-1e200, rel=1e-12)
+
+
+def test_lowest_line_memory_is_bounded_by_its_block():
+    sector = enumerate_sector(2, 60)
+    d = sector.dim
+    H = build_hamiltonian(scan_params(mu2=0.5), sector)
+    # D picks one basis state, which a large x isolates as the ground state, so
+    # each shift converges in a few dozen steps
+    D = np.zeros(d)
+    D[d // 2] = -1.0
+    xs = 1e4 + np.arange(50.0)
+    assert model.LOWEST_BLOCK_ENTRIES // d < xs.size  # more than one block
+    tracemalloc.start()
+    try:
+        levels = lowest(H, D, xs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # ten float64 arrays of one block (42 MB; measured peak 21 MB), where
+    # five arrays of the whole line as one block would need 79 MB
+    assert peak < 10 * 8 * model.LOWEST_BLOCK_ENTRIES < 5 * 8 * d * xs.size
+    single = [lowest(H, D, [x])[0] for x in xs[[0, -1]]]
+    np.testing.assert_allclose(levels[[0, -1]], single, rtol=1e-12, atol=0.0)
 
 
 @st.composite
