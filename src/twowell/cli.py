@@ -9,8 +9,9 @@ Verbs:
             dense matrices formed, against model.DENSE_BYTES_CAP
             (yangbaxter.check_rll_fits sizes them as rll_residual builds them)
   spectrum  exact-diagonalization spectrum as CSV: every level of every
-            sector, or an error if a sector's dense matrix would exceed
-            model.DENSE_BYTES_CAP
+            sector (from its band where the band is narrow, densely
+            otherwise), or an error if a sector's dense matrix would exceed
+            model.DENSE_BYTES_CAP, whichever path it would take
   bae       solve the rapidity equations in the gauge t = +-s, cross-check
             against the spectrum of the couplings as given, emit CSV rows (and
             with --out a JSON report on stdout); each state's energy is exact,

@@ -41,12 +41,13 @@ __all__ = [
 WELLS = ("a", "b")
 # Largest basis `enumerate_sector` or `truncated_ladder` builds.  A sparse job
 # on a sector (occupations, the hop table the sector keeps, operators with up
-# to 1 + 2n^2 entries per row, and a one-point `lowest`, whose Hermiticity
-# check of H peaks above its four d-vectors) takes about 0.63 kB per state
-# (tracemalloc peak of enumerate_sector, build_hamiltonian and lowest at
-# n = 2, N = 60, of which the table holds 65 bytes), so 2**20 states stay below
-# model.DENSE_BYTES_CAP (1 GiB); the largest sector the tests and the benchmark
-# use (n = 2, N = 60: 39711 states) is 26 times smaller.
+# to 1 + 2n^2 entries per row, and a one-point `lowest`) takes about 0.47 kB
+# per state (tracemalloc peak of enumerate_sector, build_hamiltonian and
+# lowest at n = 2, N = 60, reached while build_hamiltonian builds the table
+# and fills H; the table holds 65 bytes, and lowest, with its Hermiticity
+# check, peaks at 0.32 kB), so 2**20 states stay below model.DENSE_BYTES_CAP
+# (1 GiB); the largest sector the tests and the benchmark use (n = 2, N = 60:
+# 39711 states) is 26 times smaller.
 SECTOR_DIM_CAP = 1 << 20
 
 

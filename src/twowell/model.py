@@ -16,25 +16,32 @@ All couplings share one arbitrary energy unit.
 
 Eigenvalues come from one of two entry points, one per question.  Both read
 H as one CSR matrix and refuse it unless it is square, finite and Hermitian:
-`spectrum(H)` returns every level, ascending, by dense diagonalization after
-checking the dense matrix against DENSE_BYTES_CAP (the only dense path; that
-one d x d array is all it allocates that grows as d^2); `lowest(H, D, xs)`
-returns the lowest level of H + x diag(D) for each x, by a plain Lanczos
-recurrence that runs all the shifts in lockstep, sparse end to end, and stops
-each shift on a certified residual bound.
+`spectrum(H)` returns every level, ascending, after checking the dense d x d
+matrix against DENSE_BYTES_CAP.  It orders H by reverse Cuthill-McKee (unless
+its row counts already rule a narrow band out), and where the band is narrow
+(d >= BAND_RATIO (b + 1), b the half-bandwidth) it solves the (b + 1) x d band
+with LAPACK's banded driver; otherwise it diagonalizes H, in its own order, as
+one dense d x d array, the only array that grows as d^2.  A hop a_j^dag b_k
+moves one atom between the wells, so in a breadth-first order a sector is a
+band: tridiagonal at n = 1, with b growing about as d^(2/3) at n = 2, while
+n = 3 sectors stay dense.  `lowest(H, D, xs)` returns the lowest level of
+H + x diag(D) for each x, by a plain Lanczos recurrence that runs all the
+shifts in lockstep, sparse end to end, and stops each shift on a certified
+residual bound.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eigh_tridiagonal, eigvalsh, norm
+from scipy.linalg import eig_banded, eigh_tridiagonal, eigvalsh, norm
 
 from .fock import FockSector, hop_operator
 
 __all__ = [
     "ModelParams",
     "build_hamiltonian",
+    "BAND_RATIO",
     "DENSE_BYTES_CAP",
     "check_dense_fits",
     "LOWEST_BLOCK_ENTRIES",
@@ -47,9 +54,23 @@ __all__ = [
 ]
 
 HERMITICITY_TOL = 1e-12
+# `spectrum` solves a sector as a band when d >= BAND_RATIO (b + 1), b being its
+# half-bandwidth in reverse Cuthill-McKee order.  The band then holds at most
+# d^2 / BAND_RATIO entries, and its solve is about as fast as the dense one or
+# faster: LAPACK's band reduction does fewer flops than the dense one, but as
+# plane rotations where the dense one runs blocked matrix products, so the two
+# break even between d / (b + 1) = 10.8 and 11.4.  Measured on n = 2 physical
+# sets (five: the benchmark's spectrum configs at seeds 41-43 and two random
+# ones), one BLAS thread, banded time over dense: N = 15 (d / (b + 1) = 10.1)
+# 1.23-1.40, N = 16 (10.8) 1.05-1.27, N = 17 (11.4) 0.90-0.99 on four sets and
+# 1.22 on one, N = 18 (12.1) 0.86-0.95, N = 21 (14.1) 0.75-1.00; n = 3, N = 8
+# (5.4) about 2.
+BAND_RATIO = 11
 # Largest dense matrix `spectrum` will allocate (1 GiB: d = 11585 in float64).
-# LAPACK works on that array in place, so a solve at the cap peaks at about
-# 1 GiB: the array plus LAPACK's O(d) workspace.
+# Every sector is checked against it, whichever path it takes.  On the dense
+# path LAPACK works on that array in place, so a solve at the cap peaks at
+# about 1 GiB: the array plus LAPACK's O(d) workspace.  On the banded path
+# the band is at most 1/BAND_RATIO of that array.
 DENSE_BYTES_CAP = 1 << 30
 # Entries d x G of one block of shifts that `lowest` runs in lockstep: 4 MiB
 # per float64 array, and a block holds at most about nine such arrays (peak
@@ -173,13 +194,30 @@ def build_hamiltonian(params: ModelParams, sector: FockSector) -> sp.csr_matrix:
 
 
 def _checked(H) -> sp.csr_matrix:
-    """H as a CSR matrix, after checking that it is square, that its entries are
-    finite and that max|H - H^dag| <= HERMITICITY_TOL; the checks stay sparse."""
+    """H as a canonical CSR matrix (sorted indices, no duplicates), after checking
+    that it is square, that its entries are finite and that
+    max|H - H^dag| <= HERMITICITY_TOL; the checks stay sparse.
+
+    Where H^T has the pattern of H, as it has for a Hermitian H unless H stores
+    an entry (an explicit zero, or one within HERMITICITY_TOL) without its
+    mirror, the two are compared entry by entry, from one transposed copy of H.
+    H - H^dag is formed only where the patterns differ or an entry fails, to
+    name the worst entry."""
     H = sp.csr_matrix(H)
     if H.shape[0] != H.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
     if not np.all(np.isfinite(H.data)):
         raise ValueError("matrix entries must be finite, not inf or nan")
+    if not H.has_canonical_format:
+        H = H.copy()  # sum_duplicates sorts in place, and H may share the caller's arrays
+        H.sum_duplicates()
+    T = H.T.tocsr()
+    # numpy has no boolean subtraction, which H - H^dag below upcasts
+    if H.dtype != bool and np.array_equal(T.indptr, H.indptr) and np.array_equal(T.indices, H.indices):
+        gap = np.conjugate(T.data, out=T.data)
+        gap -= H.data
+        if gap.size == 0 or np.abs(gap, out=gap).real.max() <= HERMITICITY_TOL:
+            return H
     gap = sp.coo_matrix(H - H.conj().T)
     size = np.abs(gap.data)
     if size.size and np.max(size) > HERMITICITY_TOL:
@@ -200,24 +238,64 @@ def check_dense_fits(d: int, dtype=np.float64):
 
 
 def spectrum(H) -> np.ndarray:
-    """Every eigenvalue of a Hermitian matrix, ascending, by dense diagonalization.
+    """Every eigenvalue of a Hermitian matrix, ascending: from its band where the
+    band is narrow, by dense diagonalization otherwise.
 
-    The only dense path.  The d x d matrix is checked against DENSE_BYTES_CAP
-    from the input's shape and dtype, before the input is converted or
-    checked, and all d eigenvalues are returned.  That array is the only
-    d x d one: it is built in Fortran order and LAPACK overwrites it in place,
-    so the peak is itemsize d^2 bytes plus LAPACK's O(d) workspace.  scipy
-    makes no finiteness mask of it: `_checked` has refused every non-finite
-    entry already.
+    The dense d x d matrix is checked against DENSE_BYTES_CAP from the input's
+    shape and dtype, before the input is converted or checked, whichever path
+    the sector then takes, and all d eigenvalues are returned.
+
+    Banded path: H is ordered by reverse Cuthill-McKee, and where its
+    half-bandwidth b in that order has d >= BAND_RATIO (b + 1), LAPACK's
+    ?sbevd / ?hbevd solves the (b + 1) x d lower band in place, so the peak is
+    itemsize d (b + 1) bytes plus O(nnz + d) for the ordering.  Dense path,
+    every other sector: H in its own order, built in Fortran order as the one
+    d x d array, which LAPACK's ?syevr / ?heevr overwrites in place (peak
+    itemsize d^2 bytes plus O(d) workspace).  Neither path makes scipy's
+    finiteness mask: `_checked` has refused every non-finite entry already.
     """
     if not sp.issparse(H):
         H = np.asarray(H)
     if H.ndim == 2:  # sized from shape and dtype, before _checked converts a dense array
         check_dense_fits(H.shape[0], np.result_type(H.dtype, np.float64))
     H = _checked(H)
+    band = _lower_band(H)
+    if band is not None:
+        return eig_banded(band, lower=True, eigvals_only=True, overwrite_a_band=True, check_finite=False)
     # toarray() always allocates a new array, so LAPACK may overwrite it; in
     # Fortran order LAPACK takes it as is, where a C-ordered one is copied first
     return eigvalsh(H.toarray(order="F"), overwrite_a=True, check_finite=False)
+
+
+def _lower_band(H):
+    """The lower band of canonical CSR H in reverse Cuthill-McKee order, as the
+    Fortran-ordered (b + 1, d) array LAPACK reads (band[i - j, j] = H'[i, j] for
+    i >= j), or None unless d >= BAND_RATIO (b + 1).  b is read from the
+    permuted coordinates of H's entries; the upper ones are never written.
+    Where no order could qualify, by the row counts of H, none is computed."""
+    d = H.shape[0]
+    # in any order the k off-diagonal entries of a row sit in k distinct
+    # columns, one at least k / 2 from the diagonal, and a symmetric pattern
+    # mirrors it below: b >= (entries in the row) // 2, so a sector that cannot
+    # qualify is never ordered
+    if d < BAND_RATIO * (int(np.diff(H.indptr).max(initial=0)) // 2 + 1):
+        return None
+    # imported here: scipy.sparse.csgraph loads scipy.sparse.linalg, about 3 MB
+    # of resident memory that no other path of the package needs
+    from scipy.sparse.csgraph import reverse_cuthill_mckee
+
+    inv = np.empty(d, dtype=np.intp)
+    inv[reverse_cuthill_mckee(H, symmetric_mode=True)] = np.arange(d)
+    coo = H.tocoo(copy=False)
+    cols = inv[coo.col]
+    offsets = inv[coo.row] - cols  # row - column of each entry in the new order
+    b = int(offsets.max(initial=0))
+    if d < BAND_RATIO * (b + 1):
+        return None
+    lower = offsets >= 0
+    band = np.zeros((b + 1, d), dtype=H.dtype, order="F")
+    band[offsets[lower], cols[lower]] = coo.data[lower]
+    return band
 
 
 def lowest(H, D=None, xs=(0.0,)) -> np.ndarray:

@@ -1,9 +1,12 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import eigvalsh
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -188,11 +191,25 @@ def test_spectrum_dense_input_equals_its_csr_form():
     assert np.array_equal(lowest(dense), lowest(H))
 
 
+def _non_canonical(H):
+    """H as a CSR matrix with each row's columns descending and its first
+    entry split into two halves: the same matrix, not in canonical form."""
+    rows = np.repeat(np.arange(H.shape[0]), np.diff(H.indptr))
+    order = np.lexsort((-H.indices, rows))
+    data, indices = H.data[order], H.indices[order]
+    data[0] /= 2
+    data, indices = np.insert(data, 1, data[0]), np.insert(indices, 1, indices[0])
+    messy = sp.csr_matrix((data, indices, H.indptr + (np.arange(H.shape[0] + 1) > 0)), shape=H.shape)
+    assert not messy.has_canonical_format
+    return messy
+
+
 def test_spectrum_never_writes_into_its_input():
-    # LAPACK overwrites the dense array it is given; that array must be spectrum's own
+    # LAPACK overwrites the dense array it is given; that array must be
+    # spectrum's own, and a non-canonical CSR is summed and sorted in a copy
     H = build_hamiltonian(random_params(np.random.default_rng(5), 2), enumerate_sector(2, 3))
     ref = spectrum(H)
-    for given_H in (H.toarray(), np.asfortranarray(H.toarray()), H.copy()):
+    for given_H in (H.toarray(), np.asfortranarray(H.toarray()), H.copy(), _non_canonical(H)):
         kept = given_H.copy()
         assert np.array_equal(spectrum(given_H), ref)
         if sp.issparse(given_H):
@@ -202,19 +219,26 @@ def test_spectrum_never_writes_into_its_input():
             assert np.array_equal(given_H, kept)
 
 
-@pytest.mark.parametrize("dtype", ["real", "complex"])
+@pytest.mark.parametrize("dtype", ["real", "complex", "complex-dense"])
 def test_spectrum_allocates_one_dense_matrix(dtype):
-    # the d x d array that check_dense_fits counts and LAPACK's O(d)
+    # at most the d x d array that check_dense_fits counts and LAPACK's O(d)
     # workspace: no second copy, and no d^2-byte finiteness mask (d > 800
-    # here, so a mask would exceed the bound)
+    # here, so a mask would exceed the bound).  The real sector (d / (b + 1)
+    # = 10.8) and the random complex pattern are solved dense; the
+    # tridiagonal takes the banded path, which stays far below
     if dtype == "real":
         H = build_hamiltonian(scan_params(mu2=0.3), enumerate_sector(2, 16))  # d = 969
+    elif dtype == "complex-dense":
+        rng, d = np.random.default_rng(6), 900
+        A = sp.random(d, d, density=0.01, random_state=rng) * (1 + 1j)
+        H = (A + A.conj().T + sp.diags(rng.standard_normal(d))).tocsr()
     else:
         # a complex Hermitian tridiagonal; LAPACK's heevr workspace is about
         # 780 d bytes (about 320 d for the real syevr)
         rng, d = np.random.default_rng(6), 1200
         off = rng.standard_normal(d - 1) + 1j * rng.standard_normal(d - 1)
         H = sp.diags([off.conj(), rng.standard_normal(d), off], [-1, 0, 1], format="csr")
+    assert (model._lower_band(model._checked(H)) is None) == (dtype != "complex")
     d, itemsize = H.shape[0], H.dtype.itemsize
     spectrum(H)  # first-call set-up is not the solve's
     tracemalloc.start()
@@ -224,6 +248,127 @@ def test_spectrum_allocates_one_dense_matrix(dtype):
     finally:
         tracemalloc.stop()
     assert peak <= itemsize * d * d + 800 * d
+
+
+def _banded_case(case):
+    rng = np.random.default_rng(30)
+    if case == "tridiagonal":  # n = 1: the two-mode Josephson model, b = 1
+        return build_hamiltonian(random_params(rng, 1), enumerate_sector(1, 2000))
+    if case == "n2":  # d = 2024, b = 143 in reverse Cuthill-McKee order
+        return build_hamiltonian(random_params(rng, 2), enumerate_sector(2, 21))
+    if case == "complex":  # a complex Hermitian band of half-bandwidth 6
+        d, b = 600, 6
+        A = sp.diags([rng.standard_normal(d - k) + 1j * rng.standard_normal(d - k) for k in range(b + 1)],
+                     range(b + 1), format="csr")
+        return ((A + A.conj().T) / 2).tocsr()
+    # a tridiagonal in a shuffled order: reverse Cuthill-McKee must undo it
+    d = 800
+    off = rng.standard_normal(d - 1)
+    perm = rng.permutation(d)
+    return sp.diags([off, rng.standard_normal(d), off], [-1, 0, 1], format="csr")[perm][:, perm].tocsr()
+
+
+@pytest.mark.parametrize("case", ["tridiagonal", "n2", "complex", "shuffled"])
+def test_banded_spectrum_agrees_with_dense(case):
+    H = _banded_case(case)
+    band = model._lower_band(model._checked(H))
+    assert band is not None and H.shape[0] >= model.BAND_RATIO * band.shape[0]
+    if case == "shuffled":
+        order = reverse_cuthill_mckee(H, symmetric_mode=True)
+        assert not np.array_equal(order, np.arange(H.shape[0]))
+        assert band.shape[0] == 2  # b = 1 again
+    levels = spectrum(H)
+    ref = eigvalsh(H.toarray())
+    assert np.all(np.diff(levels) >= 0.0)
+    assert np.max(np.abs(levels - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+    assert np.array_equal(spectrum(H), levels)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float32, np.complex64, bool])
+def test_both_paths_keep_the_precision_eigvalsh_picks(dtype):
+    # the band keeps H's dtype, so LAPACK runs in the precision eigvalsh picks
+    # for the dense array; d = 3 is below BAND_RATIO and solved dense
+    for d in (3, 60):
+        H = sp.diags([np.ones(d - 1), np.arange(d) % 2, np.ones(d - 1)], [-1, 0, 1], format="csr").astype(dtype)
+        assert (model._lower_band(model._checked(H)) is None) == (d < model.BAND_RATIO)
+        ref = eigvalsh(H.toarray())
+        levels = spectrum(H)
+        assert levels.dtype == ref.dtype
+        assert np.max(np.abs(levels - ref)) <= 1e-5
+
+
+def test_banded_spectrum_allocates_its_band():
+    # n = 2, N = 21: the (b + 1) x d band and O(d) for the ordering (measured
+    # about 290 bytes per state), where the dense path takes 8 d^2 = 33 MB
+    H = build_hamiltonian(random_params(np.random.default_rng(8), 2), enumerate_sector(2, 21))
+    d, itemsize = H.shape[0], H.dtype.itemsize
+    b = model._lower_band(model._checked(H)).shape[0] - 1
+    assert (d, b) == (2024, 143)
+    spectrum(H)  # first-call set-up is not the solve's
+    tracemalloc.start()
+    try:
+        spectrum(H)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= itemsize * d * (b + 1) + 600 * d
+    assert peak < itemsize * d * d / 5
+
+
+def _dense_case(case):
+    rng = np.random.default_rng(31)
+    if case in ("n3_4", "n3_6"):  # d / (b + 1) = 4 at N = 6
+        return build_hamiltonian(random_params(rng, 3), enumerate_sector(3, int(case[-1])))
+    if case == "ndarray":
+        A = rng.standard_normal((60, 60))
+        return A + A.T
+    # K_{m,m}: every state of one half hops to every state of the other, so
+    # no order gives a band narrower than about m
+    m = 30
+    B = sp.csr_matrix(rng.standard_normal((m, m)))
+    return sp.bmat([[sp.diags(rng.standard_normal(m)), B], [B.T, sp.diags(rng.standard_normal(m))]], format="csr")
+
+
+@pytest.mark.parametrize("case", ["n3_4", "n3_6", "ndarray", "bipartite"])
+def test_dense_path_keeps_the_input_order(case):
+    # each is refused the band: the n = 3 sectors on the bandwidth of their
+    # order, the others on their row counts, before any order is computed.
+    # The values are then eigvalsh's on the matrix as given, bit for bit
+    H = _dense_case(case)
+    assert H.shape[0] >= model.BAND_RATIO
+    assert model._lower_band(model._checked(H)) is None
+    dense = H.toarray() if sp.issparse(H) else H
+    assert np.array_equal(spectrum(H), eigvalsh(dense))
+
+
+def test_hermiticity_check_stays_sparse():
+    # H^T has the pattern of H, so the check makes one transposed copy of H (12
+    # bytes per entry) and no H - H^dag, which took 16.9 MB (49 bytes per entry)
+    H = build_hamiltonian(scan_params(mu2=0.5), enumerate_sector(2, 60))
+    model._checked(H)
+    tracemalloc.start()
+    try:
+        model._checked(H)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * H.nnz  # measured 4.6 MB, 13.5 bytes per entry
+
+
+@pytest.mark.parametrize(
+    "bad, where",
+    [
+        ([[1.0, 2.0], [3.0, 1.0]], "H[0,1]"),  # same pattern, values differ
+        ([[1.0, 1j], [1j, 1.0]], "H[0,1]"),  # symmetric, not Hermitian
+        ([[0.0, 0.0, 0.0], [0.0, 0.0, 0.5], [0.0, 0.4, 0.0]], "H[1,2]"),
+    ],
+)
+def test_hermiticity_error_names_the_worst_entry(bad, where):
+    # H^T has the pattern of H here, so the entry-by-entry comparison fails
+    # and the error path names the entry as test_eigensolve_rejects_non_hermitian
+    # sees it named where the patterns differ
+    with pytest.raises(ValueError, match=f"not Hermitian: \\|{re.escape(where)} - conj"):
+        spectrum(np.array(bad))
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
@@ -449,7 +594,7 @@ def test_lowest_stays_sparse_at_large_dimension():
     finally:
         tracemalloc.stop()
     dense = 8 * d * d  # 12.6 GB
-    assert peak < dense / 100  # measured: 17 MB, 0.13%
+    assert peak < dense / 100  # measured: 4.6 MB, 0.04%
     # reference: ARPACK's ground pair from its own start, certified by its residual
     ref_vals, ref_vecs = spla.eigsh(H, k=1, which="SA")
     ref, vec = ref_vals[0], ref_vecs[:, 0]
