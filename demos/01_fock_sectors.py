@@ -3,13 +3,12 @@
 dimension counting, and the sparse mode operators."""
 
 import numpy as np
+import scipy.sparse as sp
 
 from twowell import (
-    Mode,
     dimension,
     enumerate_sector,
     hop_operator,
-    number_operator,
     truncated_ladder,
 )
 
@@ -27,11 +26,12 @@ for n in (1, 2, 3):
         assert dimension(n, N) == enumerate_sector(n, N).dim
 print("\ndimension(n, N) == number of rows for n <= 3, N <= 5")
 
-# Number operators are diagonal.  Hops between the wells come from one
-# builder, hop_operator, which fills diag(d) + sum_jk coeffs[j, k]
-# (a_j^dag b_k + b_k^dag a_j) into the hop table the sector keeps; each term
-# moves one quantum and carries the usual sqrt matrix elements.
-n_a1 = number_operator(sector, Mode("a", 1))
+# Number operators are diagonal: N_a1 is the first occupation column.  Hops
+# between the wells come from one builder, hop_operator, which fills diag(d) +
+# sum_jk coeffs[j, k] (a_j^dag b_k + b_k^dag a_j) into the hop table the
+# sector keeps; each term moves one quantum and carries the usual sqrt matrix
+# elements.
+n_a1 = sp.diags(sector.occ[:, 0], dtype=float)
 print("\nN_a1 diagonal:", n_a1.diagonal())
 
 hop = hop_operator(sector, 0.0, [[1.0, 0.0], [0.0, 0.0]])  # a1^dag b1 + b1^dag a1

@@ -30,7 +30,7 @@ for N in (1, 2, 3):
     sector = enumerate_sector(2, N)
     ed = spectrum(build_hamiltonian(identify_parameters(ip), sector))
     report = match_spectrum(result.solutions, ed)
-    print(f"\nN = {N}: {result.unique} of {N + 1} Bethe states, "
+    print(f"\nN = {N}: {len(result.solutions)} of {N + 1} Bethe states, "
           f"{report.n_matched} matched to ED (of {report.n_eigenvalues} levels); "
           f"tridiagonal energies {np.round(collective_energies(ip, N), 6)}")
     for sol in result.solutions:

@@ -26,7 +26,9 @@ collective basis |m, N-m> of the modes A ~ s.a and B ~ t.b
 (`collective_energies`), with lambda0 = alpha N^2 + zeta^2/eta^2 - W^2 - E.
 Each state keeps that exact energy E.  Its roots are the zeros of the TQ null
 vector at its lambda0, polished by damped Newton with an analytic Jacobian,
-and kept only if `bethe_energy` gives E back from them.
+and kept only if `bethe_energy`, which reads N from the number of roots,
+gives E back from them.  `solve_bae` returns the kept states and the count
+of the others by reason; every other count follows from those two.
 
 C(v) never leaves the N+1 collective states, so neither does the solver: each
 kept state's Bethe vector is its N+1 amplitudes on |N-k, k>, k = N_b, and its
@@ -35,7 +37,7 @@ states, whatever the level count n.  `bethe_vector` alone writes a state into
 the Fock sector, d = C(N + 2n - 1, N) amplitudes.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -195,16 +197,12 @@ class BetheSolution:
 
 @dataclass
 class SolveResult:
-    """Solutions in ascending energy, with the count of states tried
-    (`attempts`, N+1), whose roots polished below the residual tolerance
-    (`converged`) and that passed every check (`unique`); `rejected` counts
-    the reasons for the rest."""
+    """The kept solutions in ascending energy, and in `rejected` the count of
+    the N+1 states left out for each reason; the states whose roots polished
+    below the residual tolerance are the N+1 less `rejected["unconverged"]`."""
 
     solutions: list
-    attempts: int
-    converged: int
-    unique: int
-    rejected: dict = field(default_factory=dict)
+    rejected: dict
 
 
 def _collective_hamiltonian(ip, N):
@@ -309,7 +307,6 @@ def solve_bae(ip: IntegrableParams, n_atoms: int) -> SolveResult:
     energies = collective_energies(ip, N)
     lam0 = ip.alpha * N * N + (zeta / eta) ** 2 - W * W - energies
 
-    converged = 0
     solutions = []
     for energy, lam in zip(energies, lam0):
         v = np.array([], dtype=complex)
@@ -318,7 +315,6 @@ def solve_bae(ip: IntegrableParams, n_atoms: int) -> SolveResult:
             if v is None:
                 rejected["unconverged"] += 1
                 continue
-        converged += 1
         v = np.sort_complex(v)  # by real part, then imaginary part
         gap, pole = _pair_gaps(v, ip.eta)
         if gap < COINCIDENT_TOL:
@@ -327,7 +323,7 @@ def solve_bae(ip: IntegrableParams, n_atoms: int) -> SolveResult:
         if pole < COINCIDENT_TOL:
             rejected["string_pole"] += 1
             continue
-        e_u = bethe_energy(v, ip, N, _admissible_eval_point(v))
+        e_u = bethe_energy(v, ip, _admissible_eval_point(v))
         if abs(e_u - energy) > 1e-9 * max(1.0, abs(energy)):
             rejected["energy_mismatch"] += 1
             continue
@@ -343,13 +339,7 @@ def solve_bae(ip: IntegrableParams, n_atoms: int) -> SolveResult:
             )
         )
 
-    return SolveResult(
-        solutions=solutions,
-        attempts=N + 1,
-        converged=converged,
-        unique=len(solutions),
-        rejected=rejected,
-    )
+    return SolveResult(solutions=solutions, rejected=rejected)
 
 
 def _eigen_residual(diag, off, vec, value):
@@ -388,8 +378,8 @@ def transfer_eigenvalue(u: complex, roots, ip: IntegrableParams) -> complex:
     return (u * u - W * W) * p_minus + (zeta**2 / eta**2) * p_plus
 
 
-def bethe_energy(roots, ip: IntegrableParams, n_atoms: int, u: complex = 0.0) -> complex:
-    """Energy of a Bethe state from its roots (Baxter's TQ relation),
+def bethe_energy(roots, ip: IntegrableParams, u: complex = 0.0) -> complex:
+    """Energy of a Bethe state of N atoms from its N roots (Baxter's TQ relation),
 
         E = u^2 + u eta N + alpha N^2 + zeta^2/eta^2 - W^2 - Lambda(u),
 
@@ -397,9 +387,7 @@ def bethe_energy(roots, ip: IntegrableParams, n_atoms: int, u: complex = 0.0) ->
     coincides with a root, where Lambda(u) has a pole.
     """
     v = np.asarray(roots, dtype=complex).reshape(-1)
-    N = int(n_atoms)
-    if v.size != N:
-        raise ValueError(f"expected {N} roots, got {v.size}")
+    N = v.size
     u = complex(u)
     eta, zeta, W = ip.eta, ip.zeta, ip.omega_sum
     lam = transfer_eigenvalue(u, v, ip)

@@ -7,7 +7,8 @@ Verbs:
             suite has them), after checking every sector they would enumerate
             against fock.SECTOR_DIM_CAP and rll's two Lax operators, the only
             dense matrices formed, against model.DENSE_BYTES_CAP
-            (yangbaxter.check_rll_fits sizes them as rll_residual builds them)
+            (yangbaxter.check_rll_fits, which rll_residual also calls before
+            it builds them, so that every refusal is found before any suite)
   spectrum  exact-diagonalization spectrum as CSV: every level of every
             sector (from its band where the band is narrow, densely
             otherwise), or an error if a sector's dense matrix would exceed
@@ -513,9 +514,10 @@ def cmd_bae(args) -> int:
          "t_residual": st.sol.t_residual, "matched_eigenvalue": st.level}
         for st in states
     ]
+    attempts = sum(N + 1 for N in atoms)  # every sector tries its N+1 states
     summary = {
-        "attempts": sum(result.attempts for result, _ in solved),
-        "converged": sum(result.converged for result, _ in solved),
+        "attempts": attempts,
+        "converged": attempts - sum(result.rejected["unconverged"] for result, _ in solved),
         "unique": len(states),
         "matched": matched,
         "spectrum_levels": sum(match.n_eigenvalues for _, match in solved),

@@ -12,20 +12,18 @@ the transfer matrix alike, is one fill of the sector's hop table
 (`FockSector.hops`).  The sector builds that table on first use, in one
 vectorized pass over every (j, k), and keeps it: the canonical CSR pattern of
 the diagonal and of every hop term, with the term and amplitude of each
-entry.  The ladder operators lower one mode on all rows at once.  A mode is
-named `Mode("a", j)` or `Mode("b", j)`.
+entry.  The ladder operators lower one mode on all rows at once.  The
+occupation of mode c on every row is the column `occ[:, c]`.
 """
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
-    "Mode",
     "FockSector",
     "TruncatedLadder",
     "dimension",
@@ -33,41 +31,24 @@ __all__ = [
     "check_sector_fits",
     "enumerate_sector",
     "hop_operator",
-    "number_operator",
     "total_number_operator",
     "truncated_ladder",
 ]
 
-WELLS = ("a", "b")
 # Largest basis `enumerate_sector` or `truncated_ladder` builds.  A sparse job
 # on a sector (occupations, the hop table the sector keeps, operators with up
 # to 1 + 2n^2 entries per row, and a one-point `lowest`) takes about 0.47 kB
-# per state (tracemalloc peak of enumerate_sector, build_hamiltonian and
-# lowest at n = 2, N = 60, reached while build_hamiltonian builds the table
-# and fills H; the table holds 65 bytes, and lowest, with its Hermiticity
-# check, peaks at 0.32 kB), so 2**20 states stay below model.DENSE_BYTES_CAP
-# (1 GiB); the largest sector the tests and the benchmark use (n = 2, N = 60:
-# 39711 states) is 26 times smaller.
+# per state at n = 2 (tracemalloc peak of enumerate_sector, build_hamiltonian
+# and lowest at n = 2, N = 60, reached while build_hamiltonian builds the
+# table and fills H; the table holds 65 bytes, and lowest, with its
+# Hermiticity check, peaks at 0.32 kB).  The cost per state grows with the
+# 2n columns of a row: the cli.SECTOR_ROW_ARRAYS comment records a peak of 5.0
+# int64 arrays of d rows x 2n columns at n = 1000, N = 1.  So 2**20 states
+# stay below model.DENSE_BYTES_CAP (1 GiB) only where that row bound holds
+# too: the CLI applies it to every sector a verb enumerates, a direct
+# `enumerate_sector` call does not.  The largest sector the tests and the
+# benchmark use (n = 2, N = 60: 39711 states) is 26 times smaller.
 SECTOR_DIM_CAP = 1 << 20
-
-
-@dataclass(frozen=True)
-class Mode:
-    """A single bosonic mode: well 'a' or 'b', on-well level 1..n."""
-
-    well: str
-    level: int
-
-    def __post_init__(self):
-        if self.well not in WELLS:
-            raise ValueError(f"well must be one of {WELLS}, got {self.well!r}")
-        if isinstance(self.level, bool) or not isinstance(self.level, numbers.Integral):
-            raise ValueError(f"level must be an integer, got {self.level!r}")
-        if self.level < 1:
-            raise ValueError(f"level must be >= 1, got {self.level}")
-
-    def __str__(self):
-        return f"{self.well}{self.level}"
 
 
 def dimension(n_levels: int, n_atoms: int) -> int:
@@ -213,13 +194,6 @@ class FockSector:
     def dim(self) -> int:
         return len(self.occ)
 
-    def mode_position(self, mode: Mode) -> int:
-        """Column of `mode` inside an occupation row."""
-        if mode.level > self.n_levels:
-            raise ValueError(f"mode {mode} invalid for a sector with {self.n_levels} levels")
-        offset = 0 if mode.well == "a" else self.n_levels
-        return offset + mode.level - 1
-
     def rank(self, occ):
         """Row of each occupation vector along the last axis of the integer array `occ`."""
         x = np.asarray(occ)
@@ -243,12 +217,6 @@ def enumerate_sector(n_levels: int, n_atoms: int) -> FockSector:
     dimension(n_levels, n_atoms)  # validates the arguments
     occ = _enumerate(2 * n_levels, n_atoms)
     return FockSector(n_levels=n_levels, n_atoms=n_atoms, occ=occ)
-
-
-def number_operator(sector: FockSector, mode: Mode) -> sp.csr_matrix:
-    """Diagonal matrix of the occupation of `mode` on each basis state."""
-    diag = sector.occ[:, sector.mode_position(mode)].astype(float)
-    return sp.csr_matrix(sp.diags(diag, shape=(sector.dim, sector.dim)))
 
 
 def total_number_operator(sector: FockSector) -> sp.csr_matrix:

@@ -229,11 +229,13 @@ def rll_residual(
     RLL_CUTOFF-truncated Fock space of one well, between the kept states, of
     total occupation <= RLL_CUTOFF - 2 (each side raises the occupation by at
     most two, so these elements carry no truncation artifacts).  The two Lax
-    operators, sized by `check_rll_fits`, span only the states of `_rll_ladder`.
+    operators span only the states of `_rll_ladder`; `check_rll_fits` refuses
+    them, with a ValueError, before either is built.
 
     `zeta_shift` perturbs the D-block to (zeta + shift)/eta, breaking the
     construction on purpose; used as a negative control.
     """
+    check_rll_fits(ip.n_levels)
     ladders = _rll_ladder(ip.n_levels)
     # rows go by total occupation, so the kept states lead; only kept rows of
     # left factors and kept columns of right ones are formed

@@ -123,8 +123,8 @@ def test_criterion_5_closed_form_single_atom():
     crit = Criterion(5, "closed-form single-atom case", 5.0)
     ip = default_integrable_params(2)
     result = solve_bae(ip, 1)
-    ok = result.unique == 2
-    detail = [f"{result.unique} solutions"]
+    ok = len(result.solutions) == 2
+    detail = [f"{len(result.solutions)} solutions"]
     if ok:
         by_sign = sorted(result.solutions, key=lambda s: s.roots[0].real)
         root_gap = max(
@@ -169,11 +169,11 @@ def test_criterion_6_bae_spectrum_equivalence():
         sector = enumerate_sector(2, N)
         ed = spectrum(build_hamiltonian(identify_parameters(ip), sector))
         report = match_spectrum(result.solutions, ed)
-        ok &= result.unique == N + 1
+        ok &= len(result.solutions) == N + 1
         ok &= report.n_matched == N + 1 and -1 not in report.index
         delta = max(abs(sol.energy - ed[i]) for sol, i in zip(result.solutions, report.index))
         details.append(
-            f"N={N}: {result.unique} of {N + 1} states, {report.n_matched} matched, "
+            f"N={N}: {len(result.solutions)} of {N + 1} states, {report.n_matched} matched, "
             f"max delta {delta:.1e}"
         )
     crit.finish(ok, "; ".join(details))

@@ -82,7 +82,7 @@ def test_residual_permutation_covariance():
 def test_solver_single_atom_closed_form():
     ip = default_integrable_params(2)
     result = solve_bae(ip, 1)
-    assert result.unique == 2
+    assert len(result.solutions) == 2
     roots = sorted(sol.roots[0].real for sol in result.solutions)
     assert abs(roots[0] + SQRT5) <= 1e-12
     assert abs(roots[1] - SQRT5) <= 1e-12
@@ -94,7 +94,7 @@ def test_solver_single_atom_closed_form():
 def test_solver_vacuum():
     ip = default_integrable_params(2)
     result = solve_bae(ip, 0)
-    assert result.unique == 1
+    assert len(result.solutions) == 1
     sol = result.solutions[0]
     assert sol.roots.size == 0
     assert abs(sol.energy) <= 1e-14
@@ -104,7 +104,7 @@ def test_solver_deterministic():
     ip = default_integrable_params(2)
     r1 = solve_bae(ip, 3)
     r2 = solve_bae(ip, 3)
-    assert r1.unique == r2.unique == 4
+    assert len(r1.solutions) == len(r2.solutions) == 4
     for a, b in zip(r1.solutions, r2.solutions):
         assert np.array_equal(a.roots, b.roots)
         assert a.energy == b.energy
@@ -125,8 +125,8 @@ def test_solver_finds_all_states(n, N):
     # n=1, N=3 is where a random multi-start search found 3 of the 4 states
     ip = default_integrable_params(n)
     result = solve_bae(ip, N)
-    assert result.attempts == result.converged == result.unique == N + 1
-    assert not any(result.rejected.values())
+    assert len(result.solutions) == N + 1
+    assert not any(result.rejected.values())  # every state converged and was kept
     energies = [sol.energy.real for sol in result.solutions]
     assert energies == sorted(energies)
     for sol in result.solutions:
@@ -146,7 +146,7 @@ def test_solver_random_proportional_couplings():
         ip = IntegrableParams(n, -0.7, rng.uniform(0.5, 1.5, n), s, t, alpha=0.8)
         for N in (2, 3):
             result = solve_bae(ip, N)
-            assert result.unique == N + 1
+            assert len(result.solutions) == N + 1
             assert max(s.residual for s in result.solutions) <= 1e-10
             assert max(max(s.h_residual, s.t_residual) for s in result.solutions) <= 1e-9
 
@@ -253,8 +253,8 @@ def test_solver_coverage_floor(params, n, N, floor):
     # states kept today out of N+1; a better root representation may raise these
     ip = params(n)
     result = solve_bae(ip, N)
-    assert result.unique >= floor
-    assert result.unique + sum(result.rejected.values()) == N + 1
+    assert len(result.solutions) >= floor
+    assert len(result.solutions) + sum(result.rejected.values()) == N + 1
     for sol in result.solutions:
         assert sol.residual <= 1e-10
         assert sol.h_residual <= 1e-7
@@ -284,7 +284,7 @@ def test_solver_keeps_states_under_gauge_rescaling(n):
             }
         energies = [sol.energy for sol in results[1.0].solutions]
         for c, result in results.items():
-            assert result.unique == results[1.0].unique, (c, N)
+            assert len(result.solutions) == len(results[1.0].solutions), (c, N)
             assert np.allclose([sol.energy for sol in result.solutions], energies, rtol=1e-12, atol=1e-12)
             assert all(sol.h_residual <= 1e-7 for sol in result.solutions)
 
@@ -297,14 +297,14 @@ def test_solver_refuses_nonproportional_couplings():
         solve_bae(ip, 1)
     with pytest.raises(ValueError, match="not proportional"):
         bethe.check_proportional(ip)
-    assert solve_bae(ip, 0).unique == 1  # no roots at N = 0: any s and t
+    assert len(solve_bae(ip, 0).solutions) == 1  # no roots at N = 0: any s and t
     bethe.check_proportional(dataclasses.replace(ip, t=-2.0 * ip.s))  # t = c s, c < 0 too
 
 
 def test_conjugation_closure_of_solutions():
     ip = default_integrable_params(2)
     result = solve_bae(ip, 3)
-    assert result.unique == 4
+    assert len(result.solutions) == 4
     for sol in result.solutions:
         v = sol.roots
         gaps = np.abs(v[:, None] - np.conj(v)[None, :])
@@ -322,21 +322,21 @@ def test_conjugation_closure_of_solutions():
 
 def test_energy_closed_form_values():
     ip = default_integrable_params(2)
-    assert bethe_energy([SQRT5], ip, 1) == pytest.approx(1.0 - SQRT5, abs=1e-12)
-    assert bethe_energy([-SQRT5], ip, 1) == pytest.approx(1.0 + SQRT5, abs=1e-12)
+    assert bethe_energy([SQRT5], ip) == pytest.approx(1.0 - SQRT5, abs=1e-12)
+    assert bethe_energy([-SQRT5], ip) == pytest.approx(1.0 + SQRT5, abs=1e-12)
 
 
 def test_energy_vacuum():
     ip = default_integrable_params(2)
     lam = transfer_eigenvalue(0.7, [], ip)
     assert lam == pytest.approx(0.7**2 - 4.0 + 1.0, abs=1e-14)
-    assert abs(bethe_energy([], ip, 0)) <= 1e-14
+    assert abs(bethe_energy([], ip)) <= 1e-14
 
 
 def test_energy_u_independent_on_solutions():
     ip = default_integrable_params(2)
-    e1 = bethe_energy([SQRT5], ip, 1, u=0.0)
-    e2 = bethe_energy([SQRT5], ip, 1, u=1.3)
+    e1 = bethe_energy([SQRT5], ip, u=0.0)
+    e2 = bethe_energy([SQRT5], ip, u=1.3)
     assert abs(e1 - e2) <= 1e-9 * max(1.0, abs(e1))
 
 
@@ -354,8 +354,8 @@ def test_energy_check_rejects_non_solutions(monkeypatch):
 
     monkeypatch.setattr(bethe, "_tq_roots", first_roots)
     result = solve_bae(ip, N)
-    assert result.converged == N + 1
-    assert result.unique == 1
+    assert result.rejected["unconverged"] == 0
+    assert len(result.solutions) == 1
     assert result.rejected["energy_mismatch"] == N
     assert result.solutions[0].energy == collective_energies(ip, N)[0]
 
@@ -363,7 +363,7 @@ def test_energy_check_rejects_non_solutions(monkeypatch):
 def test_energy_pole_guard():
     ip = default_integrable_params(2)
     with pytest.raises(ValueError, match="shifted"):
-        bethe_energy([SQRT5], ip, 1, u=SQRT5)
+        bethe_energy([SQRT5], ip, u=SQRT5)
 
 
 def test_transfer_eigenvalue_closed_form():
@@ -376,8 +376,8 @@ def test_energy_permutation_invariance():
     ip = default_integrable_params(2)
     result = solve_bae(ip, 3)
     roots = result.solutions[0].roots
-    e1 = bethe_energy(roots, ip, 3)
-    e2 = bethe_energy(roots[::-1], ip, 3)
+    e1 = bethe_energy(roots, ip)
+    e2 = bethe_energy(roots[::-1], ip)
     assert e1 == e2
 
 
@@ -418,7 +418,7 @@ def test_vector_eigen_residuals(n):
     ip = default_integrable_params(n)
     for N in (1, 2, 3):
         result = solve_bae(ip, N)
-        assert result.unique == N + 1
+        assert len(result.solutions) == N + 1
         for sol in result.solutions:
             assert sol.h_residual <= 1e-9
             assert sol.t_residual <= 1e-9
@@ -441,7 +441,7 @@ def test_solver_builds_no_fock_sector(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak < 10 * 2**20
-        assert result.unique >= (2 if n == 8 else N + 1)  # n = 8 keeps 2 of 9 today
+        assert len(result.solutions) >= (2 if n == 8 else N + 1)  # n = 8 keeps 2 of 9 today
         for sol in result.solutions:
             assert sol.vector.shape == (N + 1,)
             assert max(sol.h_residual, sol.t_residual) <= 1e-9
@@ -570,8 +570,8 @@ def test_match_oracle_equivalence(N):
     ed = spectrum(build_hamiltonian(identify_parameters(ip), sector))
     result = solve_bae(ip, N)
     report = match_spectrum(result.solutions, ed)
-    assert result.unique == N + 1
-    assert report.n_matched == result.unique
+    assert len(result.solutions) == N + 1
+    assert report.n_matched == len(result.solutions)
     assert -1 not in report.index
 
 

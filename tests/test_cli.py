@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from twowell import cli, fock, model, yangbaxter
+from twowell import bethe, cli, fock, model, yangbaxter
 from twowell.cli import (
     GRID_POINTS_CAP, LEVEL_MATRICES, SECTOR_ROW_ARRAYS, _model_from_config, _parse_grid, main, scan_params,
 )
@@ -294,6 +294,19 @@ def test_bae_report_counts_every_state(tmp_path, capsys):
     assert summary["attempts"] == summary["converged"] == summary["unique"] == 2 + 4
     assert summary["matched"] == 6
     assert "seed" not in report["config_echo"] and "budget" not in report["config_echo"]
+
+
+def test_bae_report_counts_a_rejected_state(tmp_path, capsys):
+    # n = 1, N = 8 keeps 8 of its 9 states: one is left unconverged, so the
+    # three counts are not all equal here
+    out = tmp_path / "bae.csv"
+    assert main(["bae", "--n", "1", "--atoms", "8", "--out", str(out)]) == 0
+    summary = json.loads(capsys.readouterr().out)["residual_summary"]
+    _, rows = read_csv(out)
+    rejected = bethe.solve_bae(default_integrable_params(1), 8).rejected
+    assert summary["attempts"] == 9
+    assert summary["converged"] == 9 - rejected["unconverged"]
+    assert summary["unique"] == len({r[0] for r in rows})
 
 
 @pytest.mark.parametrize("key", ["seed", "budget", "u"])

@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 
 from twowell import fock
 from twowell.fock import (
-    Mode,
     dimension,
     enumerate_sector,
     hop_operator,
-    number_operator,
     total_number_operator,
     truncated_ladder,
 )
@@ -134,35 +132,6 @@ def test_enumerate_sector_20_states():
     assert enumerate_sector(2, 3).dim == 20
 
 
-def test_number_operator_unit_state():
-    sector = enumerate_sector(2, 1)
-    n_a1 = number_operator(sector, Mode("a", 1)).toarray()
-    state = np.zeros(4)
-    state[sector.rank((1, 0, 0, 0))] = 1.0
-    assert n_a1 @ state @ state == 1.0
-
-
-def test_number_operator_vacuum_sector():
-    sector = enumerate_sector(2, 0)
-    assert number_operator(sector, Mode("b", 2)).nnz == 0
-
-
-def test_number_operator_trace_sums_to_total():
-    sector = enumerate_sector(2, 2)
-    trace = sum(
-        number_operator(sector, Mode(w, l)).diagonal().sum()
-        for w in "ab"
-        for l in (1, 2)
-    )
-    assert trace == 2 * 10
-
-
-def test_number_operator_invalid_mode():
-    sector = enumerate_sector(2, 1)
-    with pytest.raises(ValueError):
-        number_operator(sector, Mode("a", 3))
-
-
 def test_total_number_is_scalar():
     sector = enumerate_sector(2, 3)
     n_tot = total_number_operator(sector).toarray()
@@ -236,15 +205,6 @@ def test_canonical_commutation_below_cutoff(n_modes, cutoff):
             expected = np.eye(ladders.dim) if i == j else np.zeros((ladders.dim,) * 2)
             # sqrt(n)*sqrt(n) rounds at the last bit, hence the tiny atol
             assert np.allclose(comm[np.ix_(sub, sub)], expected[np.ix_(sub, sub)], atol=1e-14)
-
-
-def test_mode_validation():
-    for well, level in [("c", 1), ("a", 0), ("a", 1.5), ("a", 2.0), ("a", True), ("b", "1")]:
-        with pytest.raises(ValueError):
-            Mode(well, level)
-    # Python and NumPy integers name the same mode
-    assert Mode("a", np.int64(2)) == Mode("a", 2)
-    assert str(Mode("b", np.int32(1))) == "b1"
 
 
 def test_rank_refuses_occupations_outside_the_sector():

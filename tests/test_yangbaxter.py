@@ -252,11 +252,11 @@ def test_rll_stays_inside_its_precheck(n, monkeypatch):
     rll_residual(0.9, -0.4, ip)  # the ladder of n levels is built once, then reused
     operators = 2 * 4 * math.comb(n + yangbaxter.RLL_CUTOFF - 1, n) ** 2 * 16
     k = math.comb(n + yangbaxter.RLL_CUTOFF - 2, n)
-    monkeypatch.setattr(model, "DENSE_BYTES_CAP", operators)
-    yangbaxter.check_rll_fits(n)
     monkeypatch.setattr(model, "DENSE_BYTES_CAP", operators - 1)
     with pytest.raises(ValueError, match=f"Lax operators need {operators} bytes"):
         yangbaxter.check_rll_fits(n)
+    monkeypatch.setattr(model, "DENSE_BYTES_CAP", operators)
+    yangbaxter.check_rll_fits(n)
     tracemalloc.start()
     try:
         residual = rll_residual(0.9, -0.4, ip)
@@ -265,6 +265,23 @@ def test_rll_stays_inside_its_precheck(n, monkeypatch):
         tracemalloc.stop()
     assert residual <= 1e-12
     assert peak < operators + 8 * k * k * 16 + 16 * 1024
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_rll_residual_sizes_its_own_lax_operators(n, monkeypatch):
+    # a library call is refused as the verify verb is, before either Lax
+    # operator is built; at the cap equal to the count it runs
+    ip = default_integrable_params(n)
+    operators = 2 * 4 * math.comb(n + yangbaxter.RLL_CUTOFF - 1, n) ** 2 * 16
+    built = []
+    monkeypatch.setattr(yangbaxter, "lax_operator", lambda *a: built.append(1) or lax_operator(*a))
+    monkeypatch.setattr(model, "DENSE_BYTES_CAP", operators - 1)
+    with pytest.raises(ValueError, match="DENSE_BYTES_CAP"):
+        rll_residual(0.9, -0.4, ip)
+    assert not built
+    monkeypatch.setattr(model, "DENSE_BYTES_CAP", operators)
+    assert rll_residual(0.9, -0.4, ip) <= 1e-12
+    assert len(built) == 2
 
 
 # ---------------------------------------------------------------------------
