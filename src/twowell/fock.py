@@ -12,8 +12,10 @@ the transfer matrix alike, is one fill of the sector's hop table
 (`FockSector.hops`).  The sector builds that table on first use, in one
 vectorized pass over every (j, k), and keeps it: the canonical CSR pattern of
 the diagonal and of every hop term, with the term and amplitude of each
-entry.  The ladder operators lower one mode on all rows at once.  The
-occupation of mode c on every row is the column `occ[:, c]`.
+entry.  One fill can also give a stack: from P diagonals, one
+block-diagonal matrix of the P operators.  The ladder operators lower one
+mode on all rows at once.  The occupation of mode c on every row is the
+column `occ[:, c]`.
 """
 
 import functools
@@ -230,21 +232,34 @@ def hop_operator(sector: FockSector, diag, coeffs) -> sp.csr_matrix:
     `diag` holding one value per row or one for all rows.
 
     One fill of the sector's hop table; entries that come out zero are dropped,
-    so the matrix holds only the nonzero diagonal and the nonzero terms."""
+    so the matrix holds only the nonzero diagonal and the nonzero terms.  A
+    (P, d) `diag` gives the P operators with its rows as diagonals, the same
+    coeffs, as one P d x P d block-diagonal matrix: one fill of the table,
+    with the index offsets of each block, whose block p is bitwise the
+    operator of diag[p] alone (its zeros dropped as that fill drops them)."""
     n, d = sector.n_levels, sector.dim
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (n, n):
         raise ValueError(f"coeffs must have shape ({n}, {n}), got {coeffs.shape}")
-    diag = np.broadcast_to(diag, (d,))
+    diag = np.asarray(diag)
+    if diag.ndim > 2:
+        raise ValueError(f"diag must have at most 2 axes, got shape {diag.shape}")
+    diag = np.broadcast_to(diag, (len(diag) if diag.ndim == 2 else 1, d))
+    blocks = len(diag)
     table = sector.hops
-    data = np.empty(table.indices.size, dtype=np.result_type(diag, float))
-    hop = np.ones(data.size, dtype=bool)
+    nnz = table.indices.size
+    data = np.empty((blocks, nnz), dtype=np.result_type(diag, float))
+    hop = np.ones(nnz, dtype=bool)
     hop[table.diag] = False
-    data[hop] = coeffs.ravel()[table.pair] * np.sqrt(table.weight, dtype=float)
-    data[table.diag] = diag
-    # the copies are the caller's: eliminate_zeros and callers write into them
-    out = sp.csr_matrix((data, table.indices.copy(), table.indptr.copy()), shape=(d, d))
-    out.eliminate_zeros()
+    data[:, hop] = coeffs.ravel()[table.pair] * np.sqrt(table.weight, dtype=float)
+    data[:, table.diag] = diag
+    # new index arrays, the caller's: eliminate_zeros and callers write into them
+    index = np.int32 if blocks * nnz < 2**31 else np.int64
+    offsets = np.arange(blocks, dtype=index)[:, None]
+    indices = (table.indices + offsets * d).ravel()
+    indptr = np.concatenate([np.zeros(1, index), (table.indptr[1:] + offsets * nnz).ravel()])
+    out = sp.csr_matrix((data.ravel(), indices, indptr), shape=(blocks * d,) * 2)
+    out.eliminate_zeros()  # row by row, so block by block
     return out
 
 

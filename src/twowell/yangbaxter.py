@@ -10,10 +10,13 @@ t = +-s, the only one the Bethe-ansatz layer solves.
 
 Each operator has one construction and each relation one check: the
 constructors here do not check themselves, the residual functions (and the
-suites of `twowell verify`) do.  `r_matrix`, `ybe_residual` and
-`transfer_commutator_residual` take arrays, so a suite checks all its draws
-in one call: the Yang-Baxter draws as one stack of 8x8 products, the
-commutator pairs of one sector as one block-diagonal sparse product.
+suites of `twowell verify`) do.  The residual functions take arrays, so a
+suite checks all its draws in one call, and a scalar call is the one-draw
+case of the same code: the Yang-Baxter draws as one stack of 8x8 products;
+the RLL draws as stacks of Lax operators (`lax_operator` of an array u), one
+batched product per block pair; the commutator pairs of one sector as
+block-diagonal stacks of transfer matrices (`transfer_matrix` of an array u,
+one fill of the sector's hop table) and one sparse product per stack.
 
 Conventions:
 
@@ -199,32 +202,45 @@ def ybe_residual(u, v, eta):
 # Lax operator and RLL relation
 # ---------------------------------------------------------------------------
 
-def lax_operator(u: complex, ip: IntegrableParams, ladders: TruncatedLadder) -> np.ndarray:
+def lax_operator(u, ip, ladders: TruncatedLadder) -> np.ndarray:
     """Single-site Lax operator as a (2, 2, d, d) block array on the
-    occupation-truncated Fock space of one well."""
-    if ladders.n_modes != ip.n_levels:
+    occupation-truncated Fock space of one well.
+
+    With a 1-D array u of D draws, and `ip` one IntegrableParams or a
+    sequence of D, the D operators come as one (D, 2, 2, d, d) stack, each
+    bitwise the operator of its own scalar call."""
+    ips = [ip] if isinstance(ip, IntegrableParams) else list(ip)
+    if any(p.n_levels != ladders.n_modes for p in ips):
         raise ValueError(
-            f"ladders built for {ladders.n_modes} modes, params have {ip.n_levels}"
+            f"ladders built for {ladders.n_modes} modes, params have "
+            f"{sorted({p.n_levels for p in ips})} levels"
         )
+    eta, d_block = np.array([[p.eta] for p in ips]), np.array([[p.zeta / p.eta] for p in ips])
+    s, t = np.array([p.s for p in ips]), np.array([p.t for p in ips])
+    draws = np.reshape(u, (-1, 1))
     d = ladders.dim
-    blocks = np.zeros((2, 2, d, d), dtype=complex)
-    flat = blocks.reshape(2, 2, d * d)  # a view; d + 1 apart are the diagonals
-    flat[0, 0, :: d + 1] = u + ip.eta * ladders.totals
-    flat[1, 1, :: d + 1] = ip.zeta / ip.eta  # nonzero, as IntegrableParams checks
-    for j in range(ip.n_levels):  # in place; distinct modes hit distinct entries
+    blocks = np.zeros((np.broadcast_shapes(draws.shape, eta.shape)[0], 2, 2, d, d), dtype=complex)
+    flat = blocks.reshape(len(blocks), 2, 2, d * d)  # a view; d + 1 apart are the diagonals
+    flat[:, 0, 0, :: d + 1] = draws + eta * ladders.totals
+    flat[:, 1, 1, :: d + 1] = d_block  # nonzero, as IntegrableParams checks
+    for j in range(ladders.n_modes):  # distinct modes hit distinct entries
         lower = ladders.ann[j]  # CSR; a_j^dagger is its transpose
         rows = np.repeat(np.arange(d), np.diff(lower.indptr))
-        flat[0, 1].put(rows * d + lower.indices, ip.t[j] * lower.data)
-        flat[1, 0].put(lower.indices * d + rows, ip.s[j] * lower.data)
-    return blocks
+        flat[:, 0, 1, rows * d + lower.indices] = t[:, j, None] * lower.data
+        flat[:, 1, 0, lower.indices * d + rows] = s[:, j, None] * lower.data
+    return blocks[0] if np.ndim(u) == 0 and isinstance(ip, IntegrableParams) else blocks
 
 
-def rll_residual(
-    u: complex,
-    v: complex,
-    ip: IntegrableParams,
-    zeta_shift: float = 0.0,
-) -> float:
+# Most bytes of the Lax operators (u- and v-stacks together) of one stack of
+# `rll_residual` draws.  The time per draw levels off by this size while the
+# tracemalloc peak grows with the stack: 40 draws, one BLAS thread on a 2.0 GHz
+# Xeon, take 0.42 ms each alone and 0.10 ms stacked at n = 3; at n = 6 they take
+# 1.21 ms alone and 0.91 ms in stacks of 4 (peak 7 MiB), and no less in one
+# stack of 37 (35 MiB).  From n = 8 on (m = 165, 3.3 MiB a draw) draws run alone.
+RLL_STACK_BYTES = 4 << 20
+
+
+def rll_residual(u, v, ip, zeta_shift: float = 0.0):
     """Max-abs entry of R12(u-v) L1(u) L2(v) - L2(v) L1(u) R12(u-v) on the
     RLL_CUTOFF-truncated Fock space of one well, between the kept states, of
     total occupation <= RLL_CUTOFF - 2 (each side raises the occupation by at
@@ -232,26 +248,58 @@ def rll_residual(
     operators span only the states of `_rll_ladder`; `check_rll_fits` refuses
     them, with a ValueError, before either is built.
 
+    u and v broadcast together into draws; `ip` is one IntegrableParams for
+    all of them or a sequence with one per draw, all of the same n_levels.
+    The draws' Lax operators are built as one u-stack and one v-stack of at
+    most min(RLL_STACK_BYTES, DENSE_BYTES_CAP) bytes together, and each of
+    the 16 block pairs is one batched product over the stack; each draw's
+    residual is bitwise that of its own call.  A float for scalar arguments,
+    else an array of the broadcast shape.
+
     `zeta_shift` perturbs the D-block to (zeta + shift)/eta, breaking the
     construction on purpose; used as a negative control.
     """
-    check_rll_fits(ip.n_levels)
-    ladders = _rll_ladder(ip.n_levels)
+    u, v = np.broadcast_arrays(u, v)
+    shape = u.shape
+    u, v = u.ravel(), v.ravel()
+    ips = [ip] * u.size if isinstance(ip, IntegrableParams) else list(ip)
+    levels = sorted({p.n_levels for p in ips})
+    if len(ips) != u.size or len(levels) != 1:
+        raise ValueError(
+            f"need one IntegrableParams, or {u.size} of one n_levels, got {len(ips)} "
+            f"with n_levels {levels}"
+        )
+    check_rll_fits(levels[0])
+    ladders = _rll_ladder(levels[0])
     # rows go by total occupation, so the kept states lead; only kept rows of
     # left factors and kept columns of right ones are formed
     k, m = int(np.count_nonzero(ladders.totals <= RLL_CUTOFF - 2)), ladders.dim
-    Lu, Lv = (lax_operator(x, ip, ladders) for x in (u, v))
+    step = max(1, min(RLL_STACK_BYTES, model.DENSE_BYTES_CAP) // (2 * 4 * m * m * 16))
+    out = np.empty(u.size)
+    for first in range(0, u.size, step):
+        draws = slice(first, first + step)
+        out[draws] = _rll_stack(u[draws], v[draws], ips[draws], ladders, k, zeta_shift)
+    out = out.reshape(shape)
+    return float(out) if out.ndim == 0 else out
+
+
+def _rll_stack(u, v, ips, ladders, k, zeta_shift):
+    """`rll_residual` of one stack of draws, its Lax operators freed on return."""
+    m, eta = ladders.dim, np.array([p.eta for p in ips])
+    Lu, Lv = (lax_operator(x, ips, ladders) for x in (u, v))
     for L in (Lu, Lv):  # the D-block shift of the negative control
-        L[1, 1].reshape(-1)[:: m + 1] += zeta_shift / ip.eta
+        L.reshape(len(L), 4, m * m)[:, 3, :: m + 1] += (zeta_shift / eta)[:, None]
     # with X[a1 a2, b1 b2] = Lu[a1, b1] Lv[a2, b2] the blocks of L1(u) L2(v) and
     # Y[a1 a2, b1 b2] = Lv[a2, b2] Lu[a1, b1] those of L2(v) L1(u), R12 = b I + c P
-    # makes each residual block b (X - Y) + c (X[a2 a1, b1 b2] - Y[a1 a2, b2 b1])
-    b, c = r_matrix(u - v, ip.eta)[1, 1:3]
-    worst = 0.0
+    # makes each residual block b (X - Y) + c (X[a2 a1, b1 b2] - Y[a1 a2, b2 b1]),
+    # one batched product over the stack for each block pair
+    R = r_matrix(u - v, eta)
+    b, c = R[:, 1, 1, None, None], R[:, 1, 2, None, None]
+    worst = np.zeros(len(u))
     for a1, a2, b1, b2 in itertools.product((0, 1), repeat=4):
-        same = Lu[a1, b1, :k] @ Lv[a2, b2, :, :k] - Lv[a2, b2, :k] @ Lu[a1, b1, :, :k]
-        swapped = Lu[a2, b1, :k] @ Lv[a1, b2, :, :k] - Lv[a2, b1, :k] @ Lu[a1, b2, :, :k]
-        worst = max(worst, float(np.max(np.abs(b * same + c * swapped))))
+        same = Lu[:, a1, b1, :k] @ Lv[:, a2, b2, :, :k] - Lv[:, a2, b2, :k] @ Lu[:, a1, b1, :, :k]
+        swapped = Lu[:, a2, b1, :k] @ Lv[:, a1, b2, :, :k] - Lv[:, a2, b1, :k] @ Lu[:, a1, b2, :, :k]
+        np.maximum(worst, np.max(np.abs(b * same + c * swapped), axis=(1, 2)), out=worst)
     return worst
 
 
@@ -280,31 +328,35 @@ def check_rll_fits(n_levels: int):
 # ---------------------------------------------------------------------------
 
 def _transfer_diagonal(u, ip, sector):
-    """Diagonal of t(u) on the sector, one value per row."""
+    """Diagonal of t(u) on the sector, one value per row; one row of them for
+    each element of an array u, real if every u is."""
     if ip.n_levels != sector.n_levels:
         raise ValueError(
             f"params have {ip.n_levels} levels, sector has {sector.n_levels}"
         )
     n = ip.n_levels
     eta, zeta, W = ip.eta, ip.zeta, ip.omega_sum
-    u = complex(u)
-    if u.imag == 0.0:
-        u = u.real
+    N = float(sector.n_atoms)
 
+    # the terms without a row dependence, per u in Python arithmetic: numpy's
+    # complex product can differ from it in the last bit
+    def head(x):
+        x = complex(x)
+        if x.imag == 0.0:
+            x = x.real
+        return x * x + x * eta * N + (zeta**2 / eta**2 - W**2)
+
+    heads = np.array([head(x) for x in np.ravel(u)]).reshape(*np.shape(u), 1)
     na_tot = sector.occ[:, :n].sum(axis=1).astype(float)
     nb_tot = sector.occ[:, n:].sum(axis=1).astype(float)
-    N = float(sector.n_atoms)
-    return (
-        u * u
-        + u * eta * N
-        + (zeta**2 / eta**2 - W**2)
-        + eta * W * (nb_tot - na_tot)
-        + eta**2 * na_tot * nb_tot
-    )
+    return heads + eta * W * (nb_tot - na_tot) + eta**2 * na_tot * nb_tot
 
 
-def transfer_matrix(u: complex, ip: IntegrableParams, sector: FockSector) -> sp.csr_matrix:
-    """Two-site transfer matrix t(u) on the fixed-number sector."""
+def transfer_matrix(u, ip: IntegrableParams, sector: FockSector) -> sp.csr_matrix:
+    """Two-site transfer matrix t(u) on the fixed-number sector.
+
+    For a 1-D array u of P values, the P matrices as one P d x P d
+    block-diagonal stack: one `hop_operator` fill, block p bitwise t(u[p])."""
     return hop_operator(sector, _transfer_diagonal(u, ip, sector), np.outer(ip.s, ip.t))
 
 
@@ -312,18 +364,6 @@ def transfer_matrix(u: complex, ip: IntegrableParams, sector: FockSector) -> sp.
 # sector of more rows takes its pairs one at a time: all 20 pairs of n = 2,
 # N = 40 (12341 rows) in one stack peak at 760 MiB (tracemalloc), one at 34 MiB
 COMMUTATOR_STACK_ROWS = 1 << 10
-
-
-def _block_diag(mats):
-    """CSR block-diagonal matrix of equal-shape square CSR blocks; one block is returned as is."""
-    if len(mats) == 1:
-        return mats[0]
-    d = mats[0].shape[0]
-    offsets = np.cumsum([0] + [m.nnz for m in mats])
-    indptr = np.concatenate([[0], *(m.indptr[1:] + off for m, off in zip(mats, offsets))])
-    indices = np.concatenate([m.indices + i * d for i, m in enumerate(mats)])
-    data = np.concatenate([m.data for m in mats])
-    return sp.csr_matrix((data, indices, indptr), shape=(len(mats) * d,) * 2)
 
 
 def _block_max_abs(m, d):
@@ -341,25 +381,23 @@ def transfer_commutator_residual(u, v, ip: IntegrableParams, sector: FockSector)
     """Max-abs entry of [t(u), t(v)], normalized by max(1, |t(u)| |t(v)|),
     with |.| the max-abs entry; the matrices stay sparse.
 
-    u and v broadcast together into pairs.  Each t(u_i) and t(v_i) is its own
-    `transfer_matrix` build.  The pairs' commutators are formed as one
-    block-diagonal sparse product per stack of at most COMMUTATOR_STACK_ROWS
-    rows (one pair makes no stacked copy), and each pair's max-abs entries are
-    read from its block.  A float for scalar arguments, else an array of the
-    broadcast shape."""
+    u and v broadcast together into pairs.  Per stack of at most
+    COMMUTATOR_STACK_ROWS rows, the pairs' t(u_i) and t(v_i) are two
+    block-diagonal `transfer_matrix` stacks, their commutators one sparse
+    product, and each pair's max-abs entries are read from its block.  A
+    float for scalar arguments, else an array of the broadcast shape."""
     u, v = np.broadcast_arrays(u, v)
-    pairs = list(zip(u.ravel(), v.ravel()))
+    shape = u.shape
+    u, v = u.ravel(), v.ravel()
     d = sector.dim
     step = max(1, COMMUTATOR_STACK_ROWS // d)
-    out = np.empty(len(pairs))
-    for first in range(0, len(pairs), step):
-        chunk = pairs[first : first + step]
-        tu = [transfer_matrix(x, ip, sector) for x, _ in chunk]
-        tv = [transfer_matrix(y, ip, sector) for _, y in chunk]
-        TU, TV = _block_diag(tu), _block_diag(tv)
+    out = np.empty(u.size)
+    for first in range(0, u.size, step):
+        pairs = slice(first, first + step)
+        TU, TV = (transfer_matrix(x[pairs], ip, sector) for x in (u, v))
         comm_max, tu_max, tv_max = (_block_max_abs(m, d) for m in (TU @ TV - TV @ TU, TU, TV))
-        out[first : first + step] = comm_max / np.maximum(1.0, tu_max * tv_max)
-    out = out.reshape(u.shape)
+        out[pairs] = comm_max / np.maximum(1.0, tu_max * tv_max)
+    out = out.reshape(shape)
     return float(out) if out.ndim == 0 else out
 
 

@@ -855,6 +855,62 @@ def test_verify_tcommute_draws_as_the_scalar_loop_did(seed, monkeypatch):
         assert np.array_equal(np.column_stack([u, v]), pairs)
 
 
+@pytest.mark.parametrize("seed", [0, 7, 123])
+def test_verify_rll_draws_as_the_scalar_loop_did(seed, monkeypatch):
+    # the loop that called rll_residual once per draw drew ip, then (u, v)
+    rng = np.random.default_rng(seed)
+    want = []
+    for n in (1, 2):
+        for _ in range(20):
+            ip = cli._random_ip(rng, n)
+            want.append((ip, *cli._draw_away_from_poles(rng, ip.eta)))
+    calls = []
+
+    def record(u, v, ip, zeta_shift=0.0):
+        calls.append((u, v, ip, zeta_shift))
+        return np.zeros(np.shape(u))[()]
+
+    monkeypatch.setattr(yangbaxter, "rll_residual", record)
+    got = np.random.default_rng(seed)
+    cli._suite_rll(got, (1, 2), ())
+    assert got.bit_generator.state == rng.bit_generator.state
+    assert len(calls) == 4  # per level, its 20 draws in one call, then the control
+    for level, (u, v, ips, zeta_shift) in enumerate(calls[::2]):
+        draws = want[20 * level : 20 * level + 20]
+        assert zeta_shift == 0.0 and len(ips) == 20
+        assert np.array_equal(u, [x for _, x, _ in draws]) and np.array_equal(v, [y for *_, y in draws])
+        for ip, (drawn, *_) in zip(ips, draws):
+            assert ip.n_levels == level + 1
+            assert np.array_equal(ip.s, drawn.s) and np.array_equal(ip.t, drawn.t)
+    assert [call[3] for call in calls[1::2]] == [0.1, 0.1]
+
+
+def test_verify_enumerates_each_sector_once(monkeypatch, capsys):
+    # tcommute, charges and hrel share the run's sectors, each with one hop
+    # table: 15 sectors where each suite enumerating its own made 22
+    sectors, tables = [], []
+    enumerate_sector, build = fock.enumerate_sector, fock._hop_table
+    monkeypatch.setattr(fock, "enumerate_sector", lambda n, N: sectors.append((n, N)) or enumerate_sector(n, N))
+    monkeypatch.setattr(fock, "_hop_table", lambda occ, N: tables.append(N) or build(occ, N))
+    assert main(["verify"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert len(sectors) == len(set(sectors)) == 15
+    assert len(tables) == len(sectors)  # one table each
+
+
+def test_verify_out_max_residual_is_the_gated_checks(tmp_path, capsys):
+    # the zeta-shift controls are large on purpose; the summary leaves them out
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--suite", "all", "--seed", "3", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    results, summary = report["results"], report["residual_summary"]
+    controls = [r for r in results if "control" in r["check"]]
+    gated = [r["residual"] for r in results if r not in controls]
+    assert len(controls) == 3 and min(r["residual"] for r in controls) >= 1e-3
+    assert summary["max_residual"] == max(gated) <= 1e-10
+    assert summary["n_checks"] == len(results) and summary["n_failed"] == 0
+
+
 def test_verify_refuses_negative_seed(capsys):
     # numpy's generator takes no negative seed; this ended in a ValueError traceback
     assert main(["verify", "--suite", "ybe", "--seed", "-1"]) == 1

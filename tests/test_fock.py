@@ -215,3 +215,25 @@ def test_rank_refuses_occupations_outside_the_sector():
     # integers of any width, and the sector's own rows, are ranked
     assert sector.rank(np.array([0, 0, 1, 0], dtype=np.uint8)) == 2
     assert np.array_equal(sector.rank(sector.occ), np.arange(sector.dim))
+
+
+def _csr_bytes(m):
+    return m.dtype, m.shape, m.data.tobytes(), m.indices.tobytes(), m.indptr.tobytes()
+
+
+def test_hop_operator_stack_is_the_block_diagonal_of_single_fills():
+    # block 1 has zero diagonal entries and, with coeffs[0, 1] = 0, zero hop
+    # terms: a stacked fill drops them as its own fill does
+    rng = np.random.default_rng(12)
+    sector = enumerate_sector(2, 3)
+    coeffs = rng.standard_normal((2, 2))
+    coeffs[0, 1] = 0.0
+    diag = rng.standard_normal((3, sector.dim))
+    diag[1, ::2] = 0.0
+    stack = hop_operator(sector, diag, coeffs)
+    each = [hop_operator(sector, row, coeffs) for row in diag]
+    assert stack.shape == (3 * sector.dim,) * 2
+    assert each[1].nnz < each[0].nnz
+    assert _csr_bytes(stack) == _csr_bytes(sp.block_diag(each, format="csr"))
+    # the 1-D call is the one-block stack
+    assert _csr_bytes(hop_operator(sector, diag[:1], coeffs)) == _csr_bytes(each[0])

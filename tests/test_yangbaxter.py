@@ -284,6 +284,88 @@ def test_rll_residual_sizes_its_own_lax_operators(n, monkeypatch):
     assert len(built) == 2
 
 
+def rll_draws(rng, n, count):
+    """`count` (ip, u, v) draws with complex u, v, except a real pair and u = v."""
+    ips = [random_ip(rng, n) for _ in range(count)]
+    u = rng.uniform(-2, 2, count) + 1j * rng.uniform(-2, 2, count)
+    v = rng.uniform(-2, 2, count) + 1j * rng.uniform(-2, 2, count)
+    u[:2], v[:2] = [0.9, 0.4 - 0.3j], [-0.4, 0.4 - 0.3j]
+    return ips, u, v
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("zeta_shift", [0.0, 0.1])
+def test_rll_stack_equals_scalar_calls_bitwise(n, zeta_shift):
+    ips, u, v = rll_draws(np.random.default_rng(400 + n), n, 12)
+    stacked = rll_residual(u, v, ips, zeta_shift)
+    each = np.array([rll_residual(x, y, ip, zeta_shift) for x, y, ip in zip(u, v, ips)])
+    assert stacked.shape == (12,)
+    assert stacked.tobytes() == each.tobytes()
+    assert rll_residual(0.9, -0.4, ips[0], zeta_shift) == each[0]
+    shared = rll_residual(u, v, ips[3], zeta_shift)  # one ip for every draw
+    assert shared.tobytes() == np.array([rll_residual(x, y, ips[3], zeta_shift) for x, y in zip(u, v)]).tobytes()
+    assert stacked[1] == 0.0  # u = v: b = 0 and L1(u), L2(v) are the same blocks
+    if zeta_shift == 0.0:
+        assert np.max(stacked) <= 1e-12
+    else:
+        assert np.min(np.delete(stacked, 1)) >= 1e-3
+
+
+def test_lax_operator_stack_equals_scalar_calls_bitwise():
+    ips, u, _ = rll_draws(np.random.default_rng(410), 2, 5)
+    ladders = yangbaxter._rll_ladder(2)
+    stack = lax_operator(u, ips, ladders)
+    assert stack.shape == (5, 2, 2, ladders.dim, ladders.dim)
+    for L, x, ip in zip(stack, u, ips):
+        assert L.tobytes() == lax_operator(x, ip, ladders).tobytes()
+    assert lax_operator(u, ips[0], ladders).tobytes() == np.stack(
+        [lax_operator(x, ips[0], ladders) for x in u]).tobytes()
+
+
+def test_rll_stacks_split_bitwise(monkeypatch):
+    # a stack holds whole draws: at most RLL_STACK_BYTES of Lax operators, or
+    # DENSE_BYTES_CAP if lower, one draw if its own pair is larger
+    ips, u, v = rll_draws(np.random.default_rng(420), 2, 7)
+    pair = 2 * 4 * math.comb(2 + yangbaxter.RLL_CUTOFF - 1, 2) ** 2 * 16
+    whole = rll_residual(u, v, ips)
+    for limit in (3 * pair, pair, 1):  # stacks of 3, 1 and 1 draws
+        monkeypatch.setattr(yangbaxter, "RLL_STACK_BYTES", limit)
+        assert rll_residual(u, v, ips).tobytes() == whole.tobytes()
+    monkeypatch.setattr(yangbaxter, "RLL_STACK_BYTES", 100 * pair)
+    monkeypatch.setattr(model, "DENSE_BYTES_CAP", 2 * pair)
+    assert rll_residual(u, v, ips).tobytes() == whole.tobytes()
+
+
+def test_rll_residual_shapes_and_refusals():
+    ips, u, v = rll_draws(np.random.default_rng(430), 1, 6)
+    assert type(rll_residual(0.9, -0.4, ips[0])) is float
+    assert rll_residual(u.reshape(2, 3), v.reshape(2, 3), ips).shape == (2, 3)
+    assert rll_residual(u, 0.3, ips[0]).shape == (6,)
+    with pytest.raises(ValueError, match="6 of one n_levels, got 5"):
+        rll_residual(u, v, ips[:5])
+    with pytest.raises(ValueError, match=r"n_levels \[1, 2\]"):
+        rll_residual(u[:2], v[:2], [ips[0], default_integrable_params(2)])
+
+
+@pytest.mark.parametrize("n, draws", [(3, 20), (4, 26), (5, 10)])
+def test_rll_stack_peak_within_its_bound(n, draws):
+    # one stack of the draws' Lax operators (at most RLL_STACK_BYTES) and
+    # each draw's few k x k complex temporaries, as in a call of one draw
+    ips, u, v = rll_draws(np.random.default_rng(440 + n), n, draws)
+    rll_residual(u[:1], v[:1], ips[:1])  # the ladder of n levels is built once, then reused
+    stacked = draws * 2 * 4 * math.comb(n + yangbaxter.RLL_CUTOFF - 1, n) ** 2 * 16
+    k = math.comb(n + yangbaxter.RLL_CUTOFF - 2, n)
+    assert stacked <= yangbaxter.RLL_STACK_BYTES
+    tracemalloc.start()
+    try:
+        residual = rll_residual(u, v, ips)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.max(residual) <= 1e-12
+    assert peak < stacked + draws * 8 * k * k * 16 + 32 * 1024
+
+
 # ---------------------------------------------------------------------------
 # Transfer matrix, charges, Hamiltonian
 # ---------------------------------------------------------------------------
@@ -360,6 +442,22 @@ def test_transfer_commutator_stacks_split_bitwise(monkeypatch):
     for rows in (25, 10, 1):  # stacks of 2, 1 and 1 pairs
         monkeypatch.setattr(yangbaxter, "COMMUTATOR_STACK_ROWS", rows)
         assert transfer_commutator_residual(u, v, ip, sector).tobytes() == whole.tobytes()
+
+
+def test_transfer_matrix_stack_is_the_block_diagonal_of_single_fills():
+    # at n = 1, N = 2 of the reference set the diagonal entry of (1, 1) is
+    # (u + 1)^2, so the block of u = -1 drops it as its own fill does
+    ip = default_integrable_params(1)
+    sector = enumerate_sector(1, 2)
+    for u in (np.array([0.9, -1.0, 2.5]), np.array([0.9, -1.0, 0.3 + 0.2j])):
+        stack = transfer_matrix(u, ip, sector)
+        each = [transfer_matrix(x, ip, sector) for x in u]
+        assert each[1].nnz == each[0].nnz - 1
+        whole = sp.block_diag(each, format="csr").astype(stack.dtype)
+        assert np.array_equal(stack.indptr, whole.indptr)
+        assert np.array_equal(stack.indices, whole.indices)
+        assert np.array_equal(stack.data, whole.data)
+    assert stack.dtype == complex and transfer_matrix(u.real, ip, sector).dtype == float
 
 
 def test_transfer_commutator_broadcast_shapes_and_scalars():
