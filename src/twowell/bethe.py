@@ -37,11 +37,14 @@ states, whatever the level count n.  `bethe_vector` alone writes a state into
 the Fock sector, d = C(N + 2n - 1, N) amplitudes.
 """
 
+import itertools
+import math
+import operator
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
-from scipy.special import comb, gammaln
 
 from . import fock
 from .yangbaxter import IntegrableParams
@@ -235,15 +238,22 @@ def collective_energies(ip: IntegrableParams, n_atoms: int) -> np.ndarray:
     return eigh_tridiagonal(diag[::-1], -np.abs(off[::-1]), eigvals_only=True)
 
 
+# The largest float64 as an integer: `_tq_matrix` takes a binomial above it as inf.
+_FLOAT_MAX = int(sys.float_info.max)
+
+
 def _tq_matrix(N, eta, W, kappa):
     """Matrix of q -> (u^2 - W^2) q(u + eta) + kappa q(u - eta) - (u^2 + u eta N) q(u)
     on the monomials u^0..u^N; its eigenvalues are lambda0.  Degrees N+1 and
     N+2 cancel and are dropped."""
     T = np.zeros((N + 3, N + 1))
+    exact = [1]  # C(k, 0..k) as exact integers, each rounded once; row k + 1 by Pascal's rule
     for k in range(N + 1):
         j = np.arange(k + 1)
-        up = comb(k, j) * eta ** (k - j)  # coefficients of (u + eta)^k
-        down = comb(k, j) * (-eta) ** (k - j)  # of (u - eta)^k
+        binom = np.array([c if c <= _FLOAT_MAX else math.inf for c in exact], dtype=float)
+        exact = [a + b for a, b in zip([0, *exact], [*exact, 0])]
+        up = binom * eta ** (k - j)  # coefficients of (u + eta)^k
+        down = binom * (-eta) ** (k - j)  # of (u - eta)^k
         T[j + 2, k] += up
         T[j, k] += kappa * down - W**2 * up
         T[k + 2, k] -= 1.0
@@ -424,7 +434,10 @@ def bethe_vector(roots, ip: IntegrableParams) -> np.ndarray:
     n, sector = ip.n_levels, fock.enumerate_sector(ip.n_levels, v.size)
     occ = sector.occ
     k = occ[:, n:].sum(axis=1)
-    log_ratio = gammaln(sector.n_atoms - k + 1) + gammaln(k + 1) - gammaln(occ + 1).sum(axis=1)
+    # log i! of each exact factorial: rounded once, as accurate as a log-gamma
+    factorials = itertools.accumulate(range(1, sector.n_atoms + 1), operator.mul, initial=1)
+    log_factorial = np.array([math.log(f) for f in factorials])
+    log_ratio = log_factorial[sector.n_atoms - k] + log_factorial[k] - log_factorial[occ].sum(axis=1)
     s_hat = ip.s / np.linalg.norm(ip.s)
     weight = np.exp(0.5 * log_ratio) * np.prod(s_hat ** (occ[:, :n] + occ[:, n:]), axis=1)
     return weight * _collective_state(v, ip)[k]

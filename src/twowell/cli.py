@@ -10,7 +10,9 @@ Verbs:
             model.DENSE_BYTES_CAP (yangbaxter.check_rll_fits, which
             rll_residual also calls before it builds them, so that every
             refusal is found before any suite); each sector is enumerated
-            once per run and shared by the suites that use it
+            once per run and shared by the suites that use it, and hrel and
+            the charges' linear checks compare hop terms (fock.hop_gap), so
+            only tcommute and the charge commutators fill sparse matrices
   spectrum  exact-diagonalization spectrum as CSV: every level of every
             sector (from its band where the band is narrow, densely
             otherwise), or an error if a sector's dense matrix would exceed
@@ -58,7 +60,6 @@ import sys
 from typing import NamedTuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import bethe, fock, model, yangbaxter
 from .model import ModelParams
@@ -290,10 +291,13 @@ def _suite_rll(rng, levels, atoms):
         for _ in range(20):
             ip = _random_ip(rng, n)
             draws.append((ip, *_draw_away_from_poles(rng, ip.eta)))
-        ips, u, v = zip(*draws)
-        worst = float(np.max(yangbaxter.rll_residual(np.array(u), np.array(v), ips)))
-        checks.append(_gated(f"rll n={n} 20 draws", worst, 1e-12))
-        control = yangbaxter.rll_residual(0.9, -0.4, default_integrable_params(n), zeta_shift=0.1)
+        # the zeta-shift control is the call's 21st and last draw
+        ips, u, v = zip(*draws, (default_integrable_params(n), 0.9, -0.4))
+        shift = np.zeros(21)
+        shift[-1] = 0.1
+        *residuals, control = yangbaxter.rll_residual(np.array(u), np.array(v), ips, zeta_shift=shift)
+        checks.append(_gated(f"rll n={n} 20 draws", float(max(residuals)), 1e-12))
+        control = float(control)
         checks.append((f"rll n={n} zeta-shift control (>= 1e-3)", control, "control", control >= 1e-3))
     return checks
 
@@ -315,14 +319,17 @@ def _suite_charges(rng, levels, atoms, sector_of=fock.enumerate_sector):
     for n, N in itertools.product(levels, atoms):
         ip = default_integrable_params(n)
         sector = sector_of(n, N)
+        pairs = yangbaxter.charge_terms(ip, sector)  # (diag, coeffs) of C0, C1, C2
+        zero = np.zeros((n, n))
+        c1_gap = fock.hop_gap(sector, pairs[1], (ip.eta * N, zero))
+        c2_gap = fock.hop_gap(sector, pairs[2], (1.0, zero))
+        # u^2 C2 + u C1 + C0 at three u, one block each, against t(u) at all three
+        u = rng.uniform(-2, 2, size=(3, 1))
+        w = u[:, :, None]
+        (d0, c0), (d1, c1), (d2, c2) = pairs
+        recon = ((u * u) * d2 + u * d1 + d0, (w * w) * c2 + w * c1 + c0)
+        worst = fock.hop_gap(sector, yangbaxter.transfer_terms(u[:, 0], ip, sector), recon)
         C0, C1, C2 = yangbaxter.conserved_charges(ip, sector)
-        eye = sp.identity(sector.dim, format="csr")
-        c1_gap = abs(C1 - ip.eta * N * eye).max()
-        c2_gap = abs(C2 - eye).max()
-        worst = 0.0
-        for u in rng.uniform(-2, 2, size=3):
-            recon = (u * u) * C2 + u * C1 + C0
-            worst = max(worst, abs(yangbaxter.transfer_matrix(u, ip, sector) - recon).max())
         comm = max(abs(A @ B - B @ A).max() for A, B in ((C0, C1), (C0, C2), (C1, C2)))
         checks.append(_gated(f"charges n={n} N={N} reconstruction", worst, 1e-12))
         checks.append(_gated(f"charges n={n} N={N} commutators", comm, 1e-12))
@@ -339,9 +346,9 @@ def _suite_hrel(rng, levels, atoms, sector_of=fock.enumerate_sector):
             sector = sector_of(n, N)
             worst = 0.0
             for ip, mp in zip(ips, mps):
-                h_t = yangbaxter.hamiltonian_from_transfer(ip, sector)
-                h_m = model.build_hamiltonian(mp, sector)
-                worst = max(worst, abs(h_t - h_m).max())
+                h_t = yangbaxter.transfer_hamiltonian_terms(ip, sector)
+                h_m = model.hamiltonian_terms(mp, sector)
+                worst = max(worst, fock.hop_gap(sector, h_t, h_m))
             checks.append(_gated(f"hrel n={n} N={N}", worst, 1e-12))
     return checks
 

@@ -13,9 +13,10 @@ the transfer matrix alike, is one fill of the sector's hop table
 vectorized pass over every (j, k), and keeps it: the canonical CSR pattern of
 the diagonal and of every hop term, with the term and amplitude of each
 entry.  One fill can also give a stack: from P diagonals, one
-block-diagonal matrix of the P operators.  The ladder operators lower one
-mode on all rows at once.  The occupation of mode c on every row is the
-column `occ[:, c]`.
+block-diagonal matrix of the P operators.  `hop_gap` compares two such
+operators from their (diagonal, coefficients) pairs alone, with no fill.
+The ladder operators lower one mode on all rows at once.  The occupation of
+mode c on every row is the column `occ[:, c]`.
 """
 
 import functools
@@ -32,6 +33,7 @@ __all__ = [
     "SECTOR_DIM_CAP",
     "check_sector_fits",
     "enumerate_sector",
+    "hop_gap",
     "hop_operator",
     "total_number_operator",
     "truncated_ladder",
@@ -261,6 +263,33 @@ def hop_operator(sector: FockSector, diag, coeffs) -> sp.csr_matrix:
     out = sp.csr_matrix((data.ravel(), indices, indptr), shape=(blocks * d,) * 2)
     out.eliminate_zeros()  # row by row, so block by block
     return out
+
+
+def hop_gap(sector: FockSector, first, second) -> float:
+    """Max-abs entry of hop_operator(sector, *first) - hop_operator(sector, *second),
+    read from the two (diag, coeffs) pairs: neither matrix is filled.
+
+    The diagonal part is max |diag - diag'|, bitwise that of the two fills.
+    Each other entry is one term c_jk sqrt(w), w = n_bk (n_aj + 1), and on
+    the N-atom sector w reaches w_N = floor((N+1)/2) ceil((N+1)/2) for every
+    (j, k) (all N atoms in modes b_k and a_j, split evenly), so the off
+    part is max_jk |c_jk sqrt(w_N) - c'_jk sqrt(w_N)|: bitwise the fills'
+    where the coefficients agree, else within a few ulps of the terms.
+    Leading axes of the diagonals (a (P, d) diag, as to `hop_operator`) and
+    of the coefficients ((P, n, n)) broadcast together as blocks, and the
+    result is the max over all of them."""
+    n, d, N = sector.n_levels, sector.dim, sector.n_atoms
+    (diag, coeffs), (other_diag, other_coeffs) = first, second
+    coeffs, other_coeffs = (np.asarray(c, dtype=float) for c in (coeffs, other_coeffs))
+    if coeffs.shape[-2:] != (n, n) or other_coeffs.shape[-2:] != (n, n):
+        raise ValueError(f"coeffs must end in shape ({n}, {n}), got {coeffs.shape} and {other_coeffs.shape}")
+    diag, other_diag = (np.broadcast_to(x, (*np.shape(x)[:-1], d)) for x in (diag, other_diag))
+    gap = float(np.max(np.abs(diag - other_diag), initial=0.0))
+    w_N = ((N + 1) // 2) * ((N + 2) // 2)
+    if w_N:  # N = 0 has no hop term
+        root = math.sqrt(w_N)
+        gap = max(gap, float(np.max(np.abs(coeffs * root - other_coeffs * root))))
+    return gap
 
 
 @dataclass(frozen=True, eq=False)

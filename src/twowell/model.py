@@ -41,6 +41,7 @@ from .fock import FockSector, hop_operator
 __all__ = [
     "ModelParams",
     "build_hamiltonian",
+    "hamiltonian_terms",
     "BAND_RATIO",
     "DENSE_BYTES_CAP",
     "check_dense_fits",
@@ -182,15 +183,23 @@ def _diagonal_energy(params: ModelParams, occ: np.ndarray) -> np.ndarray:
     return diag
 
 
-def build_hamiltonian(params: ModelParams, sector: FockSector) -> sp.csr_matrix:
-    """Real symmetric Hamiltonian matrix on the given sector."""
+# an entry that overflows comes out inf or nan, which spectrum and lowest refuse
+@np.errstate(over="ignore", invalid="ignore")
+def hamiltonian_terms(params: ModelParams, sector: FockSector):
+    """(diag, coeffs) of H on the given sector, the pair `build_hamiltonian`
+    fills: the diagonal energy of each row and -Omega."""
     if params.n_levels != sector.n_levels:
         raise ValueError(
             f"params have {params.n_levels} levels, sector has {sector.n_levels}"
         )
-    # an entry that overflows comes out inf or nan, which spectrum and lowest refuse
-    with np.errstate(over="ignore", invalid="ignore"):
-        return hop_operator(sector, _diagonal_energy(params, sector.occ), -params.Omega)
+    return _diagonal_energy(params, sector.occ), -params.Omega
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def build_hamiltonian(params: ModelParams, sector: FockSector) -> sp.csr_matrix:
+    """Real symmetric Hamiltonian matrix on the given sector: one fill of
+    `hamiltonian_terms`."""
+    return hop_operator(sector, *hamiltonian_terms(params, sector))
 
 
 def _checked(H) -> sp.csr_matrix:

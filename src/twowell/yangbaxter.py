@@ -13,10 +13,19 @@ constructors here do not check themselves, the residual functions (and the
 suites of `twowell verify`) do.  The residual functions take arrays, so a
 suite checks all its draws in one call, and a scalar call is the one-draw
 case of the same code: the Yang-Baxter draws as one stack of 8x8 products;
-the RLL draws as stacks of Lax operators (`lax_operator` of an array u), one
-batched product per block pair; the commutator pairs of one sector as
-block-diagonal stacks of transfer matrices (`transfer_matrix` of an array u,
-one fill of the sector's hop table) and one sparse product per stack.
+the RLL draws, negative controls (a nonzero `zeta_shift`) among them, as
+stacks of Lax operators (`lax_operator` of an array u), one batched product
+per block pair; the commutator pairs of one sector as block-diagonal stacks
+of transfer matrices (`transfer_matrix` of an array u, one fill of the
+sector's hop table) and one sparse product per stack.
+
+t(u), the charges and the Hamiltonian each have a `*_terms` function that
+returns their (diagonal, coefficients) pairs, and each builder is one
+`fock.hop_operator` fill of its pair.  A linear relation (the charges'
+reconstruction of t(u), the Hamiltonian against the physical couplings')
+compares the pairs with `fock.hop_gap` and fills nothing; only the relations
+with a product (the commutators, RLL, Yang-Baxter) build matrices.  Each
+side of a comparison is still built on its own, from its own formula.
 
 Conventions:
 
@@ -37,7 +46,8 @@ Conventions:
   builder and the sector's hop table that the physical Hamiltonian uses with
   -Omega.
 * The Hamiltonian is H = (alpha N^2 + zeta^2/eta^2 - W^2) I - t(0), one
-  fill of the same table with coefficients -outer(s, t).
+  fill of the same table with coefficients -outer(s, t): the scalar less
+  t(0)'s pair.
 """
 
 import functools
@@ -53,7 +63,6 @@ from .fock import (
     FockSector,
     TruncatedLadder,
     hop_operator,
-    total_number_operator,
     truncated_ladder,
 )
 
@@ -66,9 +75,12 @@ __all__ = [
     "lax_operator",
     "rll_residual",
     "check_rll_fits",
+    "transfer_terms",
     "transfer_matrix",
     "transfer_commutator_residual",
+    "charge_terms",
     "conserved_charges",
+    "transfer_hamiltonian_terms",
     "hamiltonian_from_transfer",
     "identify_parameters",
     "validate_model",
@@ -240,7 +252,7 @@ def lax_operator(u, ip, ladders: TruncatedLadder) -> np.ndarray:
 RLL_STACK_BYTES = 4 << 20
 
 
-def rll_residual(u, v, ip, zeta_shift: float = 0.0):
+def rll_residual(u, v, ip, zeta_shift=0.0):
     """Max-abs entry of R12(u-v) L1(u) L2(v) - L2(v) L1(u) R12(u-v) on the
     RLL_CUTOFF-truncated Fock space of one well, between the kept states, of
     total occupation <= RLL_CUTOFF - 2 (each side raises the occupation by at
@@ -248,20 +260,22 @@ def rll_residual(u, v, ip, zeta_shift: float = 0.0):
     operators span only the states of `_rll_ladder`; `check_rll_fits` refuses
     them, with a ValueError, before either is built.
 
-    u and v broadcast together into draws; `ip` is one IntegrableParams for
-    all of them or a sequence with one per draw, all of the same n_levels.
+    u, v and `zeta_shift` broadcast together into draws; `ip` is one
+    IntegrableParams for all of them or a sequence with one per draw, all of
+    the same n_levels.
     The draws' Lax operators are built as one u-stack and one v-stack of at
     most min(RLL_STACK_BYTES, DENSE_BYTES_CAP) bytes together, and each of
     the 16 block pairs is one batched product over the stack; each draw's
     residual is bitwise that of its own call.  A float for scalar arguments,
     else an array of the broadcast shape.
 
-    `zeta_shift` perturbs the D-block to (zeta + shift)/eta, breaking the
-    construction on purpose; used as a negative control.
+    A nonzero `zeta_shift` perturbs the draw's D-block to (zeta + shift)/eta,
+    breaking the construction on purpose; used as a negative control, which
+    can share a stack with unshifted draws.
     """
-    u, v = np.broadcast_arrays(u, v)
+    u, v, zeta_shift = np.broadcast_arrays(u, v, zeta_shift)
     shape = u.shape
-    u, v = u.ravel(), v.ravel()
+    u, v, zeta_shift = u.ravel(), v.ravel(), zeta_shift.ravel()
     ips = [ip] * u.size if isinstance(ip, IntegrableParams) else list(ip)
     levels = sorted({p.n_levels for p in ips})
     if len(ips) != u.size or len(levels) != 1:
@@ -278,7 +292,7 @@ def rll_residual(u, v, ip, zeta_shift: float = 0.0):
     out = np.empty(u.size)
     for first in range(0, u.size, step):
         draws = slice(first, first + step)
-        out[draws] = _rll_stack(u[draws], v[draws], ips[draws], ladders, k, zeta_shift)
+        out[draws] = _rll_stack(u[draws], v[draws], ips[draws], ladders, k, zeta_shift[draws])
     out = out.reshape(shape)
     return float(out) if out.ndim == 0 else out
 
@@ -327,9 +341,10 @@ def check_rll_fits(n_levels: int):
 # Transfer matrix, charges, Hamiltonian reconstruction
 # ---------------------------------------------------------------------------
 
-def _transfer_diagonal(u, ip, sector):
-    """Diagonal of t(u) on the sector, one value per row; one row of them for
-    each element of an array u, real if every u is."""
+def transfer_terms(u, ip: IntegrableParams, sector: FockSector):
+    """(diag, coeffs) of t(u) on the sector, the pair `transfer_matrix` fills:
+    one diagonal value per row, one row of them for each element of an array
+    u (real if every u is), and coefficients outer(s, t)."""
     if ip.n_levels != sector.n_levels:
         raise ValueError(
             f"params have {ip.n_levels} levels, sector has {sector.n_levels}"
@@ -349,15 +364,17 @@ def _transfer_diagonal(u, ip, sector):
     heads = np.array([head(x) for x in np.ravel(u)]).reshape(*np.shape(u), 1)
     na_tot = sector.occ[:, :n].sum(axis=1).astype(float)
     nb_tot = sector.occ[:, n:].sum(axis=1).astype(float)
-    return heads + eta * W * (nb_tot - na_tot) + eta**2 * na_tot * nb_tot
+    diag = heads + eta * W * (nb_tot - na_tot) + eta**2 * na_tot * nb_tot
+    return diag, np.outer(ip.s, ip.t)
 
 
 def transfer_matrix(u, ip: IntegrableParams, sector: FockSector) -> sp.csr_matrix:
-    """Two-site transfer matrix t(u) on the fixed-number sector.
+    """Two-site transfer matrix t(u) on the fixed-number sector: one fill of
+    `transfer_terms`.
 
     For a 1-D array u of P values, the P matrices as one P d x P d
     block-diagonal stack: one `hop_operator` fill, block p bitwise t(u[p])."""
-    return hop_operator(sector, _transfer_diagonal(u, ip, sector), np.outer(ip.s, ip.t))
+    return hop_operator(sector, *transfer_terms(u, ip, sector))
 
 
 # Most rows of one block-diagonal stack of `transfer_commutator_residual`.  A
@@ -401,30 +418,44 @@ def transfer_commutator_residual(u, v, ip: IntegrableParams, sector: FockSector)
     return float(out) if out.ndim == 0 else out
 
 
+def charge_terms(ip: IntegrableParams, sector: FockSector):
+    """The (diag, coeffs) pairs of (C0, C1, C2), t(u) = C2 u^2 + C1 u + C0:
+    those of t(0), then eta N_row and 1 on each row with zero coefficients."""
+    zero = np.zeros((ip.n_levels, ip.n_levels))
+    n_row = sector.occ.sum(axis=1).astype(float)
+    return transfer_terms(0.0, ip, sector), (ip.eta * n_row, zero), (np.ones(sector.dim), zero)
+
+
 def conserved_charges(ip: IntegrableParams, sector: FockSector):
     """(C0, C1, C2) with t(u) = C2 u^2 + C1 u + C0: C2 = I, C1 = eta N, C0 = t(0).
 
-    A plain constructor; the reconstruction of t(u) and the pairwise
+    A plain constructor from `charge_terms`: C0 is one `hop_operator` fill,
+    C1 and C2 are diagonal.  The reconstruction of t(u) and the pairwise
     commutators are checked by `twowell verify --suite charges`."""
-    C2 = sp.identity(sector.dim, format="csr")
-    C1 = sp.csr_matrix(ip.eta * total_number_operator(sector))
-    C0 = transfer_matrix(0.0, ip, sector)
-    return C0, C1, C2
+    t0, (diag1, _), (diag2, _) = charge_terms(ip, sector)
+    return hop_operator(sector, *t0), sp.diags(diag1, format="csr"), sp.diags(diag2, format="csr")
 
 
-def hamiltonian_from_transfer(ip: IntegrableParams, sector: FockSector) -> sp.csr_matrix:
-    """Hamiltonian from the transfer matrix, real and sparse:
+def transfer_hamiltonian_terms(ip: IntegrableParams, sector: FockSector):
+    """(diag, coeffs) of the Hamiltonian from the transfer matrix,
 
         H = u^2 I + u C1 + (alpha/eta^2) C1^2 + (zeta^2/eta^2 - W^2) I - t(u)
           = (alpha N^2 + zeta^2/eta^2 - W^2) I - t(0),
 
     since C1 = eta N I on the sector; the u-dependent parts cancel against
-    t(u), so it is evaluated at u = 0.  One fill of the sector's hop table:
-    the scalar less the diagonal of t(0), with coefficients -outer(s, t)."""
+    t(u), so it is evaluated at u = 0: the scalar less the diagonal of t(0),
+    with coefficients -outer(s, t)."""
     eta, zeta, W = ip.eta, ip.zeta, ip.omega_sum
     N = float(sector.n_atoms)
     scalar = ip.alpha * N * N + zeta**2 / eta**2 - W**2
-    return hop_operator(sector, scalar - _transfer_diagonal(0.0, ip, sector), -np.outer(ip.s, ip.t))
+    diag, coeffs = transfer_terms(0.0, ip, sector)
+    return scalar - diag, -coeffs
+
+
+def hamiltonian_from_transfer(ip: IntegrableParams, sector: FockSector) -> sp.csr_matrix:
+    """Hamiltonian from the transfer matrix, real and sparse: one fill of
+    `transfer_hamiltonian_terms`."""
+    return hop_operator(sector, *transfer_hamiltonian_terms(ip, sector))
 
 
 # ---------------------------------------------------------------------------

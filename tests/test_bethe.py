@@ -407,6 +407,48 @@ def test_vector_single_atom_closed_form():
     assert np.max(np.abs(t0 @ vec - lam * vec)) <= 1e-12
 
 
+def test_vector_weights_equal_the_scipy_log_gamma_ones():
+    # bethe_vector's log-factorials are the logs of exact factorials; the
+    # scipy.special gammaln weights they replaced are the oracle, to rounding
+    from scipy.special import gammaln
+
+    ip = IntegrableParams(3, 1.0, np.ones(3), [0.3, -1.1, 0.8], [0.6, -2.2, 1.6], alpha=1.0)
+    for roots in ([0.7], [0.7, -1.3 + 0.2j, 2.1], [0.4 + 0.1j, -0.9, 1.7, 2.6, -2.2]):
+        sector = enumerate_sector(3, len(roots))
+        k = sector.occ[:, 3:].sum(axis=1)
+        log_ratio = gammaln(sector.n_atoms - k + 1) + gammaln(k + 1) - gammaln(sector.occ + 1).sum(axis=1)
+        s_hat = ip.s / np.linalg.norm(ip.s)
+        weight = np.exp(0.5 * log_ratio) * np.prod(s_hat ** (sector.occ[:, :3] + sector.occ[:, 3:]), axis=1)
+        want = weight * bethe._collective_state(np.asarray(roots, dtype=complex), ip)[k]
+        np.testing.assert_allclose(bethe_vector(roots, ip), want, rtol=1e-13, atol=0.0)
+
+
+@pytest.mark.parametrize("N", [0, 1, 5, 13, 30])
+def test_tq_matrix_binomials_are_scipy_comb_through_n_30(N):
+    # exact binomials rounded once; scipy.special.comb, the oracle, agrees with
+    # them bitwise through k = 30 (it first differs at C(31, 14)), so the TQ
+    # matrix of every sector up to N = 30 is bitwise the old one
+    from scipy.special import comb
+
+    eta, W, kappa = 0.37, 1.9, 0.61
+    T = np.zeros((N + 3, N + 1))
+    for k in range(N + 1):
+        j = np.arange(k + 1)
+        up, down = comb(k, j) * eta ** (k - j), comb(k, j) * (-eta) ** (k - j)
+        T[j + 2, k] += up
+        T[j, k] += kappa * down - W**2 * up
+        T[k + 2, k] -= 1.0
+        T[k + 1, k] -= eta * N
+    assert bethe._tq_matrix(N, eta, W, kappa).tobytes() == T[: N + 1].tobytes()
+
+
+def test_tq_matrix_binomials_past_the_float_range_are_inf():
+    # C(1030, 515) > 1.8e308 is inf, as scipy's comb gave, not an OverflowError
+    with np.errstate(invalid="ignore"):
+        T = bethe._tq_matrix(1030, 1.0, 0.0, 0.0)
+    assert np.isfinite(T[:, :1030]).all() and not np.isfinite(T[:, 1030]).all()
+
+
 def test_vector_vacuum():
     ip = default_integrable_params(2)
     vec = bethe_vector([], ip)

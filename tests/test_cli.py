@@ -1,6 +1,7 @@
 import dataclasses
 import errno
 import io
+import itertools
 import json
 import os
 import tracemalloc
@@ -9,6 +10,7 @@ from decimal import Decimal
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -874,28 +876,143 @@ def test_verify_rll_draws_as_the_scalar_loop_did(seed, monkeypatch):
     got = np.random.default_rng(seed)
     cli._suite_rll(got, (1, 2), ())
     assert got.bit_generator.state == rng.bit_generator.state
-    assert len(calls) == 4  # per level, its 20 draws in one call, then the control
-    for level, (u, v, ips, zeta_shift) in enumerate(calls[::2]):
+    assert len(calls) == 2  # per level one call: its 20 draws, then the control
+    for level, (u, v, ips, zeta_shift) in enumerate(calls):
         draws = want[20 * level : 20 * level + 20]
-        assert zeta_shift == 0.0 and len(ips) == 20
-        assert np.array_equal(u, [x for _, x, _ in draws]) and np.array_equal(v, [y for *_, y in draws])
+        assert len(ips) == len(u) == len(v) == len(zeta_shift) == 21
+        assert np.array_equal(zeta_shift, [0.0] * 20 + [0.1])
+        assert np.array_equal(u, [x for _, x, _ in draws] + [0.9])
+        assert np.array_equal(v, [y for *_, y in draws] + [-0.4])
         for ip, (drawn, *_) in zip(ips, draws):
             assert ip.n_levels == level + 1
             assert np.array_equal(ip.s, drawn.s) and np.array_equal(ip.t, drawn.t)
-    assert [call[3] for call in calls[1::2]] == [0.1, 0.1]
+        control, default = ips[-1], cli.default_integrable_params(level + 1)
+        assert np.array_equal(control.s, default.s) and np.array_equal(control.t, default.t)
 
 
 def test_verify_enumerates_each_sector_once(monkeypatch, capsys):
-    # tcommute, charges and hrel share the run's sectors, each with one hop
-    # table: 15 sectors where each suite enumerating its own made 22
+    # tcommute, charges and hrel share the run's sectors: 15 sectors where
+    # each suite enumerating its own made 22.  Only the products of tcommute
+    # and of the charge commutators fill matrices, so only the n = 2, N = 1..4
+    # sectors build a hop table, one each; hrel and the charges' linear checks
+    # compare hop terms
     sectors, tables = [], []
     enumerate_sector, build = fock.enumerate_sector, fock._hop_table
     monkeypatch.setattr(fock, "enumerate_sector", lambda n, N: sectors.append((n, N)) or enumerate_sector(n, N))
-    monkeypatch.setattr(fock, "_hop_table", lambda occ, N: tables.append(N) or build(occ, N))
+    monkeypatch.setattr(fock, "_hop_table", lambda occ, N: tables.append((occ.shape[1] // 2, N)) or build(occ, N))
     assert main(["verify"]) == 0
     assert "FAIL" not in capsys.readouterr().out
     assert len(sectors) == len(set(sectors)) == 15
-    assert len(tables) == len(sectors)  # one table each
+    assert sorted(tables) == [(2, 1), (2, 2), (2, 3), (2, 4)]
+
+
+def assembled_charges(rng, levels, atoms, params_of=default_integrable_params):
+    """(reconstruction, C1 = eta N and C2 = I) residuals of each charges sector
+    as abs(A - B).max() of assembled matrices, with the draws of the suite."""
+    out = []
+    for n, N in itertools.product(levels, atoms):
+        ip = params_of(n)
+        sector = fock.enumerate_sector(n, N)
+        C0, C1, C2 = yangbaxter.conserved_charges(ip, sector)
+        eye = sp.identity(sector.dim, format="csr")
+        worst = 0.0
+        for u in rng.uniform(-2, 2, size=3):
+            recon = (u * u) * C2 + u * C1 + C0
+            worst = max(worst, abs(yangbaxter.transfer_matrix(u, ip, sector) - recon).max())
+        out += [worst, max(abs(C1 - ip.eta * N * eye).max(), abs(C2 - eye).max())]
+    return out
+
+
+def assembled_hrel(rng, levels, atoms):
+    """The hrel residual of each sector as abs(A - B).max() of the two assembled Hamiltonians."""
+    out = []
+    for n in levels:
+        ips = [default_integrable_params(n), cli._random_ip(rng, n)]
+        mps = [yangbaxter.identify_parameters(ip) for ip in ips]
+        for N in atoms:
+            sector = fock.enumerate_sector(n, N)
+            worst = 0.0
+            for ip, mp in zip(ips, mps):
+                h_t = yangbaxter.hamiltonian_from_transfer(ip, sector)
+                h_m = model.build_hamiltonian(mp, sector)
+                worst = max(worst, abs(h_t - h_m).max())
+            out.append(worst)
+    return out
+
+
+def term_residuals(suite, seed, levels, atoms):
+    checks = suite(np.random.default_rng(seed), levels, atoms)
+    return [residual for name, residual, _, _ in checks if "commutators" not in name]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123, 99999])
+def test_verify_term_residuals_equal_the_assembled_matrices(seed, monkeypatch):
+    # hrel and the charges' linear checks read hop terms; the matrices they
+    # stand for give bitwise the same residuals, on the default sets and on
+    # random ones (hrel's second set; charges with a random set per level)
+    levels, atoms = (1, 2, 3), (0, 1, 2, 3, 4)
+    assert term_residuals(cli._suite_hrel, seed, levels, atoms) == assembled_hrel(
+        np.random.default_rng(seed), levels, atoms)
+    assert term_residuals(cli._suite_charges, seed, levels, atoms) == assembled_charges(
+        np.random.default_rng(seed), levels, atoms)
+    params = np.random.default_rng(seed + 1)
+    random_ips = {n: cli._random_ip(params, n) for n in levels}
+    monkeypatch.setattr(cli, "default_integrable_params", random_ips.get)
+    assert term_residuals(cli._suite_charges, seed, levels, atoms) == assembled_charges(
+        np.random.default_rng(seed), levels, atoms, random_ips.get)
+
+
+def bumped(pair, part, where):
+    """A (diag, coeffs) pair with entry `where` of its diagonal (part 0) or coefficients (part 1) raised by 1e-9."""
+    pair = [np.array(x, dtype=float) for x in pair]
+    pair[part][where] += 1e-9
+    return tuple(pair)
+
+
+@pytest.mark.parametrize("part, where", [(0, 3), (1, (0, 1))])
+def test_verify_hrel_terms_fail_as_the_matrices_do(part, where, monkeypatch, capsys):
+    # a wrong diagonal entry or coefficient of the physical Hamiltonian fails
+    # the term check and the assembled one alike, with the same residual to a
+    # few ulps of the entries (bitwise where only the diagonal differs)
+    terms = model.hamiltonian_terms
+    monkeypatch.setattr(model, "hamiltonian_terms", lambda mp, sector: bumped(terms(mp, sector), part, where))
+    levels, atoms = (2,), (2, 3, 4)
+    got = term_residuals(cli._suite_hrel, 5, levels, atoms)
+    want = assembled_hrel(np.random.default_rng(5), levels, atoms)
+    assert min(got) > 1e-12 and min(want) > 1e-12
+    if part == 0:
+        assert got == want
+    else:
+        assert got == pytest.approx(want, rel=0.0, abs=4 * np.spacing(16.0))
+    assert main(["verify", "--suite", "hrel", "--n", "2", "--atoms", "2"]) == 2
+    assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("charge, part, where", [(0, 1, (1, 0)), (0, 0, 2), (1, 0, 4)])
+def test_verify_charges_terms_fail_as_the_matrices_do(charge, part, where, monkeypatch, capsys):
+    # a wrong coefficient or diagonal entry of C0, or a wrong entry of C1, fails
+    # the reconstruction (and for C1 the C1 = eta N check) in terms and in
+    # assembled matrices alike
+    terms = yangbaxter.charge_terms
+
+    def charge_terms(ip, sector):
+        pairs = list(terms(ip, sector))
+        pairs[charge] = bumped(pairs[charge], part, where)
+        return tuple(pairs)
+
+    monkeypatch.setattr(yangbaxter, "charge_terms", charge_terms)
+    levels, atoms = (2,), (2, 3)
+    got = term_residuals(cli._suite_charges, 5, levels, atoms)
+    want = assembled_charges(np.random.default_rng(5), levels, atoms)
+    failing = [r > (1e-12 if i % 2 == 0 else 0.0) for i, r in enumerate(want)]
+    assert failing == [r > (1e-12 if i % 2 == 0 else 0.0) for i, r in enumerate(got)]
+    assert all(failing[::2]) and failing[1::2] == [charge == 1] * len(atoms)
+    if part == 0:
+        assert got == want
+    else:
+        assert got == pytest.approx(want, rel=0.0, abs=4 * np.spacing(16.0))
+    assert main(["verify", "--suite", "charges", "--atoms", "2"]) == 2
+    assert "FAIL" in capsys.readouterr().out
 
 
 def test_verify_out_max_residual_is_the_gated_checks(tmp_path, capsys):

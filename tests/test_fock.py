@@ -11,6 +11,7 @@ from twowell import fock
 from twowell.fock import (
     dimension,
     enumerate_sector,
+    hop_gap,
     hop_operator,
     total_number_operator,
     truncated_ladder,
@@ -237,3 +238,43 @@ def test_hop_operator_stack_is_the_block_diagonal_of_single_fills():
     assert _csr_bytes(stack) == _csr_bytes(sp.block_diag(each, format="csr"))
     # the 1-D call is the one-block stack
     assert _csr_bytes(hop_operator(sector, diag[:1], coeffs)) == _csr_bytes(each[0])
+
+
+def filled_gap(sector, first, second):
+    """The max-abs entry of the difference of the two assembled fills."""
+    return abs(hop_operator(sector, *first) - hop_operator(sector, *second)).max()
+
+
+@pytest.mark.parametrize("n, N", [(1, 0), (1, 1), (1, 4), (2, 0), (2, 1), (2, 3), (2, 4), (3, 2), (3, 5)])
+def test_hop_gap_is_the_max_entry_of_the_filled_difference(n, N):
+    # equal coefficients: bitwise the assembled difference, its off-diagonal
+    # entries all zero; other coefficients: the same to a few ulps of the terms
+    rng = np.random.default_rng(100 * n + N)
+    sector = enumerate_sector(n, N)
+    coeffs, diag, other = rng.standard_normal((n, n)), *rng.standard_normal((2, sector.dim))
+    w_N = max((occ[n + k] * (occ[j] + 1) for occ in sector.occ for j in range(n) for k in range(n)), default=0)
+    assert w_N == ((N + 1) // 2) * ((N + 2) // 2)
+    assert hop_gap(sector, (diag, coeffs), (diag, coeffs)) == 0.0
+    assert hop_gap(sector, (diag, coeffs), (other, coeffs)) == filled_gap(sector, (diag, coeffs), (other, coeffs))
+    assert hop_gap(sector, (diag, coeffs), (2.5, coeffs)) == filled_gap(sector, (diag, coeffs), (2.5, coeffs))
+    for changed in (coeffs + 1e-9 * rng.standard_normal((n, n)), 2.0 * coeffs, np.zeros((n, n))):
+        ulps = 4 * np.spacing(np.max(np.abs(np.concatenate([coeffs, changed]))) * math.sqrt(max(w_N, 1)))
+        got = hop_gap(sector, (diag, coeffs), (diag, changed))
+        assert got == pytest.approx(filled_gap(sector, (diag, coeffs), (diag, changed)), rel=0.0, abs=ulps)
+        assert (got > 0.0) == (N > 0)  # N = 0 has no hop term to differ in
+
+
+def test_hop_gap_reads_stacks_and_refuses_bad_coeffs():
+    # a (P, d) diag, and (P, n, n) coefficients, are blocks; the gap is the max over all
+    rng = np.random.default_rng(13)
+    sector = enumerate_sector(2, 3)
+    coeffs, diag = rng.standard_normal((2, 2)), rng.standard_normal((3, sector.dim))
+    other = diag.copy()
+    other[2, 5] += 1e-3
+    assert hop_gap(sector, (diag, coeffs), (other, coeffs)) == filled_gap(sector, (diag, coeffs), (other, coeffs))
+    assert hop_gap(sector, (diag, coeffs), (other, coeffs)) == abs(diag[2, 5] - other[2, 5])
+    blocks = np.stack([coeffs, coeffs, 3.0 * coeffs])
+    want = max(filled_gap(sector, (row, block), (row, coeffs)) for row, block in zip(diag, blocks))
+    assert hop_gap(sector, (diag, blocks), (diag, coeffs)) == pytest.approx(want, rel=0.0, abs=8 * np.spacing(want))
+    with pytest.raises(ValueError, match="coeffs must end in shape"):
+        hop_gap(sector, (diag, coeffs[:1]), (diag, coeffs))

@@ -311,6 +311,27 @@ def test_rll_stack_equals_scalar_calls_bitwise(n, zeta_shift):
         assert np.min(np.delete(stacked, 1)) >= 1e-3
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 6])
+def test_rll_mixed_shift_stack_equals_scalar_calls_bitwise(n):
+    # shifted and unshifted draws share a stack (at n = 6, three stacks of
+    # four), as verify runs each level's zeta-shift control as the last of
+    # its draws: each residual is bitwise that of its own call
+    ips, u, v = rll_draws(np.random.default_rng(420 + n), n, 12)
+    control = default_integrable_params(n)
+    ips[-1], u[-1], v[-1] = control, 0.9, -0.4
+    shift = np.zeros(12)
+    shift[[0, 4, 7]], shift[-1] = -0.37, 0.1
+    stacked = rll_residual(u, v, ips, shift)
+    each = np.array([rll_residual(x, y, ip, z) for x, y, ip, z in zip(u, v, ips, shift)])
+    assert stacked.tobytes() == each.tobytes()
+    assert stacked[-1] == rll_residual(0.9, -0.4, control, zeta_shift=0.1)  # the real scalar call
+    assert np.max(stacked[shift == 0.0]) <= 1e-12
+    assert np.min(stacked[shift != 0.0]) >= 1e-3
+    # one draw, two shifts: the shift alone broadcasts
+    pair = rll_residual(0.9, -0.4, control, [0.0, 0.1])
+    assert pair.tobytes() == np.array([rll_residual(0.9, -0.4, control), stacked[-1]]).tobytes()
+
+
 def test_lax_operator_stack_equals_scalar_calls_bitwise():
     ips, u, _ = rll_draws(np.random.default_rng(410), 2, 5)
     ladders = yangbaxter._rll_ladder(2)
