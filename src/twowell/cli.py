@@ -5,7 +5,7 @@ Verbs:
             charges, hrel, all) with the levels and atom numbers of the
             SUITES table (--n and --atoms are refused where no selected
             suite has them), after checking every sector they would enumerate
-            against fock.SECTOR_DIM_CAP and the two Lax operators of one rll
+            with fock.check_sector_fits and the two Lax operators of one rll
             draw, the only dense matrices formed, against
             model.DENSE_BYTES_CAP (yangbaxter.check_rll_fits, which
             rll_residual also calls before it builds them, so that every
@@ -24,7 +24,7 @@ Verbs:
   fig2      ground-state scan E0/mu1 versus mu2/mu1 for the reference
             non-integrable parameter set, as CSV (lowest level only: one
             sparse Lanczos call per sector solves its whole grid; every sector
-            checked against fock.SECTOR_DIM_CAP first)
+            checked with fock.check_sector_fits first)
   identify  map physical couplings to the integrable family, report as JSON
 
 Each verb parses its input, checks the size of all it will build, computes
@@ -39,8 +39,9 @@ model is built unless LEVEL_MATRICES n x n float64 matrices fit
 model.DENSE_BYTES_CAP: no sector check bounds them, since N = 0 has one state.
 A config's JSON is parsed before this check, which does not bound the parser.
 Atom numbers, from --atoms or a config's n_atoms, are refused if one repeats.
-Every sector a verb enumerates is also refused unless SECTOR_ROW_ARRAYS int64
-arrays of its d rows x 2n columns fit model.DENSE_BYTES_CAP.
+Every sector a verb enumerates is sized, before any is built, by the checks
+of the modules that allocate it (`_sector_errors`): the CLI's own bounds,
+LEVEL_MATRICES and GRID_POINTS_CAP, bound only what it parses.
 
 Configs are single JSON documents whose only top-level keys are 'model' and
 'n_atoms'; numbers are printed with 17 significant digits so CSV output is
@@ -71,11 +72,6 @@ GRID_POINTS_CAP = 100_000
 # three temporaries of yangbaxter.validate_model's rank-1 check (tracemalloc
 # peak 7.06 n^2 doubles at n = 600; identify_parameters peaks at 5.03)
 LEVEL_MATRICES = 7
-# int64 arrays of d rows x 2n columns a sector of d states costs, since the
-# occupations and fock._hop_terms' temporaries grow with the row width
-# (tracemalloc peak of enumerate_sector + hamiltonian_from_transfer: 5.0 at
-# n = 1000, N = 1; 7.4 at n = 50..150, N = 2; 16 at n = 2; 19.3 at n = 8, N = 8)
-SECTOR_ROW_ARRAYS = 20
 
 
 class _Refused(Exception):
@@ -116,13 +112,12 @@ def _load_config(path, errors):
 def _levels_error(name, n):
     """Why n levels are refused, or None: LEVEL_MATRICES n x n float64 matrices
     must fit model.DENSE_BYTES_CAP.  n < 1 is left to the callers."""
-    need = LEVEL_MATRICES * 8 * n * n
-    if n < 1 or need <= model.DENSE_BYTES_CAP:
-        return None
-    return (
-        f"{name} = {n}: {LEVEL_MATRICES} n x n float64 coupling matrices need {need} bytes "
-        f"> DENSE_BYTES_CAP = {model.DENSE_BYTES_CAP} bytes"
-    )
+    try:
+        model.check_fits(f"{name} = {n}: {LEVEL_MATRICES} n x n float64 coupling matrices need",
+                         LEVEL_MATRICES * 8 * max(n, 0) ** 2)
+    except ValueError as exc:
+        return str(exc)
+    return None
 
 
 def _model_from_config(cfg, errors):
@@ -201,7 +196,7 @@ def _model_front(args):
     atoms = _atoms_from(cfg, args, errors)
     _refuse_if(errors)
     kind, params = parsed
-    _refuse_if(_sector_errors([(params.n_levels, N) for N in atoms], model.check_dense_fits))
+    _refuse_if(_sector_errors([(params.n_levels, N) for N in atoms], dense=True))
     mp = params if kind == "physical" else yangbaxter.identify_parameters(params)
     return kind, params, mp, atoms
 
@@ -365,21 +360,17 @@ SUITES = {
 }
 
 
-def _sector_errors(pairs, check):
+def _sector_errors(pairs, dense=False):
     """One message per sector (n_levels, N) refused before it is enumerated: by
-    `check` of its dimension d (fock.check_sector_fits, or model.check_dense_fits
-    for a dense matrix), or by its SECTOR_ROW_ARRAYS arrays of d x 2n int64s."""
+    model.check_dense_fits of its dimension d where `dense` (spectrum and bae
+    form its d x d matrix), then by fock.check_sector_fits of its d rows."""
     errors = []
     for n, N in pairs:
         d = fock.dimension(n, N)
-        need = SECTOR_ROW_ARRAYS * 8 * 2 * n * d
         try:
-            check(d)
-            if need > model.DENSE_BYTES_CAP:
-                raise ValueError(
-                    f"{SECTOR_ROW_ARRAYS} int64 arrays of {d} rows x {2 * n} columns need "
-                    f"{need} bytes > DENSE_BYTES_CAP = {model.DENSE_BYTES_CAP} bytes"
-                )
+            if dense:
+                model.check_dense_fits(d)
+            fock.check_sector_fits(d, 2 * n)
         except ValueError as exc:
             errors.append(f"sector n={n}, N={N}: {exc}")
     return errors
@@ -408,7 +399,7 @@ def cmd_verify(args) -> int:
         for name, (suite, levels, atoms) in selected.items()
     }
     sectors = {(n, N) for _, levels, atoms in plan.values() for n in levels for N in atoms}
-    errors = _sector_errors(sorted(sectors), fock.check_sector_fits)
+    errors = _sector_errors(sorted(sectors))
     for n in plan.get("rll", (None, (), ()))[1]:  # rll forms the only dense matrices
         try:
             yangbaxter.check_rll_fits(n)
@@ -597,7 +588,7 @@ def cmd_fig2(args) -> int:
         errors.append(f"mu1 must be finite and nonzero (output is normalized by it), got {mu1!r}")
     elif grid and not all(math.isfinite(x * mu1) for x in (grid[0], grid[-1])):
         errors.append(f"mu2 = (mu2/mu1) * mu1 overflows on the grid {args.grid!r}")
-    _refuse_if(errors or _sector_errors([(2, N) for N in atoms], fock.check_sector_fits))
+    _refuse_if(errors or _sector_errors([(2, N) for N in atoms]))
 
     buf = io.StringIO()
     buf.write("N,mu2_over_mu1,E0_over_mu1\n")

@@ -31,6 +31,7 @@ __all__ = [
     "TruncatedLadder",
     "dimension",
     "SECTOR_DIM_CAP",
+    "SECTOR_ROW_ARRAYS",
     "check_sector_fits",
     "enumerate_sector",
     "hop_gap",
@@ -46,13 +47,18 @@ __all__ = [
 # and lowest at n = 2, N = 60, reached while build_hamiltonian builds the
 # table and fills H; the table holds 65 bytes, and lowest, with its
 # Hermiticity check, peaks at 0.32 kB).  The cost per state grows with the
-# 2n columns of a row: the cli.SECTOR_ROW_ARRAYS comment records a peak of 5.0
-# int64 arrays of d rows x 2n columns at n = 1000, N = 1.  So 2**20 states
-# stay below model.DENSE_BYTES_CAP (1 GiB) only where that row bound holds
-# too: the CLI applies it to every sector a verb enumerates, a direct
-# `enumerate_sector` call does not.  The largest sector the tests and the
-# benchmark use (n = 2, N = 60: 39711 states) is 26 times smaller.
+# 2n columns of a row, which SECTOR_ROW_ARRAYS bounds for every basis too.
+# The largest sector the tests and the benchmark use (n = 2, N = 60: 39711
+# states) is 26 times smaller.
 SECTOR_DIM_CAP = 1 << 20
+# int64 arrays of d rows x w columns (w = 2n for a sector) that a basis of d
+# states may cost: the occupations and `_hop_terms`' temporaries grow with w.
+# Tracemalloc peaks of enumerate_sector and build_hamiltonian (transfer_matrix
+# at one complex u), in such arrays: n = 2, N = 30 14.1 (14.3); n = 3, N = 12
+# 15.4 (15.5); n = 8, N = 5 13.9 (14.0); n = 100, N = 2 7.3; n = 1000, N = 1
+# 5.0.  It bounds those fills, which every verb makes, and not the products
+# of tcommute's commutators, about 90 such arrays at n = 2.
+SECTOR_ROW_ARRAYS = 20
 
 
 def dimension(n_levels: int, n_atoms: int) -> int:
@@ -68,10 +74,15 @@ def dimension(n_levels: int, n_atoms: int) -> int:
     return math.comb(2 * n_levels - 1 + n_atoms, n_atoms)
 
 
-def check_sector_fits(d: int):
-    """Raise ValueError if a basis of d states exceeds SECTOR_DIM_CAP."""
+def check_sector_fits(d: int, width: int):
+    """Raise ValueError if a basis of d states exceeds SECTOR_DIM_CAP, or if
+    SECTOR_ROW_ARRAYS int64 arrays of its d rows x `width` columns exceed model.DENSE_BYTES_CAP."""
+    from . import model  # at call time, since model imports this module
+
     if d > SECTOR_DIM_CAP:
         raise ValueError(f"{d} states > SECTOR_DIM_CAP = {SECTOR_DIM_CAP} states")
+    need = SECTOR_ROW_ARRAYS * 8 * width * d
+    model.check_fits(f"{SECTOR_ROW_ARRAYS} int64 arrays of {d} rows x {width} columns need", need)
 
 
 def _enumerate(n_modes, total):
@@ -80,7 +91,7 @@ def _enumerate(n_modes, total):
     atoms left spawns the heads rest, rest - 1, ..., 0 in turn.  Each level
     keeps only its heads and their parents; the rows are then written once,
     column by column from the last mode back, along the parent chain."""
-    check_sector_fits(math.comb(total + n_modes - 1, total))
+    check_sector_fits(math.comb(total + n_modes - 1, total), n_modes)
     rest = np.array([total], dtype=np.int64)
     levels = []
     for _ in range(n_modes - 1):
@@ -217,7 +228,7 @@ class FockSector:
 def enumerate_sector(n_levels: int, n_atoms: int) -> FockSector:
     """Enumerate the fixed-number basis in descending lexicographic order.
 
-    Raises ValueError, before allocating, above SECTOR_DIM_CAP states."""
+    Raises ValueError, before allocating, where `check_sector_fits` refuses it."""
     dimension(n_levels, n_atoms)  # validates the arguments
     occ = _enumerate(2 * n_levels, n_atoms)
     return FockSector(n_levels=n_levels, n_atoms=n_atoms, occ=occ)
@@ -315,7 +326,8 @@ class TruncatedLadder:
 
 
 def truncated_ladder(n_modes: int, cutoff: int) -> TruncatedLadder:
-    """Build the annihilators on the occupation-truncated Fock space."""
+    """Build the annihilators on the occupation-truncated Fock space; raises
+    ValueError, before allocating, where `check_sector_fits` refuses its basis."""
     if n_modes < 1:
         raise ValueError(f"n_modes must be >= 1, got {n_modes}")
     if cutoff < 1:

@@ -44,6 +44,7 @@ __all__ = [
     "hamiltonian_terms",
     "BAND_RATIO",
     "DENSE_BYTES_CAP",
+    "check_fits",
     "check_dense_fits",
     "LOWEST_BLOCK_ENTRIES",
     "LOWEST_STEP_CAP",
@@ -236,14 +237,15 @@ def _checked(H) -> sp.csr_matrix:
     return H
 
 
+def check_fits(what: str, need: int):
+    """Raise ValueError if `need` bytes exceed DENSE_BYTES_CAP, its message `what` then the bytes."""
+    if need > DENSE_BYTES_CAP:
+        raise ValueError(f"{what} {need} bytes > DENSE_BYTES_CAP = {DENSE_BYTES_CAP} bytes")
+
+
 def check_dense_fits(d: int, dtype=np.float64):
     """Raise ValueError if one dense d x d matrix of `dtype` exceeds DENSE_BYTES_CAP."""
-    need = d * d * np.dtype(dtype).itemsize
-    if need > DENSE_BYTES_CAP:
-        raise ValueError(
-            f"dimension {d} needs a dense {d}x{d} matrix of {need} bytes "
-            f"> DENSE_BYTES_CAP = {DENSE_BYTES_CAP} bytes"
-        )
+    check_fits(f"dimension {d} needs a dense {d}x{d} matrix of", d * d * np.dtype(dtype).itemsize)
 
 
 def spectrum(H) -> np.ndarray:
@@ -322,10 +324,10 @@ def lowest(H, D=None, xs=(0.0,)) -> np.ndarray:
     A check comes every _CHECK_EVERY steps, at every step from step d on (the
     Krylov space is complete there in exact arithmetic; later steps only
     add rounding), at the step cap, and at once where beta = 0 (an invariant
-    subspace, where T is exact).  A shift whose shifted diagonal or recurrence
-    overflows float64 raises `ShiftError`; one still unconverged after
-    LOWEST_STEP_CAP steps raises `NotConverged`.  Both name the first such
-    shift in xs order, and every shifted diagonal is checked before any solve.
+    subspace, where T is exact).  A shift whose recurrence overflows float64
+    (||T|| turns non-finite, from step 1 where x diag(D) does) raises
+    `ShiftError`; one unconverged after LOWEST_STEP_CAP steps, `NotConverged`.
+    Either names the first failing shift in xs order, whichever way it fails.
     """
     H = _checked(H)
     d = H.shape[0]
@@ -335,24 +337,15 @@ def lowest(H, D=None, xs=(0.0,)) -> np.ndarray:
     if not np.all(np.isfinite(D)):
         raise ValueError("D must be finite, not inf or nan")
     xs = np.asarray(xs, dtype=float).reshape(-1)
-    diagonal = H.diagonal().real
     # a fixed but unstructured start, so that no symmetry of H makes it
     # orthogonal to the ground state (a uniform vector can be)
     start = np.random.default_rng(0).standard_normal(d).astype(H.dtype)
     start /= np.linalg.norm(start)
     width = max(1, LOWEST_BLOCK_ENTRIES // d)
-    blocks = range(0, xs.size, width)
     levels = np.empty(xs.size)
     # overflow is read from the values, never raised as a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for first in blocks:  # every shifted diagonal, before any solve
-            finite = np.isfinite(diagonal[:, None] + D[:, None] * xs[first:first + width]).all(axis=0)
-            if not finite.all():
-                k = first + int(np.argmin(finite))
-                raise ShiftError(
-                    f"xs[{k}] = {float(xs[k])!r}: the diagonal of H + x diag(D) overflows float64", k
-                )
-        for first in blocks:
+        for first in range(0, xs.size, width):
             block = D[:, None] * xs[first:first + width]
             levels[first:first + width], failed = _lanczos_lowest(H, block, start)
             if failed:
@@ -396,8 +389,10 @@ def _lanczos_lowest(H, shifts, start):
         W -= np.multiply(V, a, out=scratch)
         W -= np.multiply(V_prev, b_prev, out=scratch)
         b = np.sqrt(_re_dots(W, W))
-        if b.max() == np.inf:  # |W| above ~1e154: the squares overflow
-            b = np.array([norm(w) for w in W.T])  # BLAS nrm2, which scales
+        # |W| above ~1e154: the squares overflow (tested per column, since a
+        # column that overflowed, and fails anyway, may hold nan)
+        if np.isinf(b).any():
+            b = np.array([norm(w, check_finite=False) for w in W.T])  # BLAS nrm2, which scales
         if step == alpha.shape[0]:  # the coefficients grow with the step count
             alpha, beta = (np.concatenate([c, np.empty_like(c)]) for c in (alpha, beta))
         alpha[step], beta[step] = a, b

@@ -170,9 +170,11 @@ def r_matrix(u, eta) -> np.ndarray:
     """Rational R-matrix with b = u/(u+eta), c = eta/(u+eta): one 4x4 matrix
     for each element of u and eta broadcast together, shape (..., 4, 4).
 
-    Raises ValueError if any element sits at the pole u = -eta."""
+    Raises ValueError if any element sits at the pole u = -eta.  The
+    divisions are complex for every input, so an element gets bitwise the same
+    matrix whether its u is real or complex, alone or in a stack."""
     u, eta = np.broadcast_arrays(np.asarray(u), np.asarray(eta))
-    den = u + eta
+    den = np.add(u, eta, dtype=complex)
     pole = np.abs(den) <= 1e-14 * np.maximum(1.0, np.maximum(np.abs(u), np.abs(eta)))
     if np.any(pole):
         at = np.argwhere(pole)[0] if pole.ndim else ()
@@ -329,12 +331,7 @@ def check_rll_fits(n_levels: int):
     `rll_residual`, m = C(n_levels + RLL_CUTOFF - 1, n_levels), fit
     model.DENSE_BYTES_CAP."""
     m = math.comb(n_levels + RLL_CUTOFF - 1, n_levels)
-    need = 2 * 4 * m * m * 16
-    if need > model.DENSE_BYTES_CAP:
-        raise ValueError(
-            f"two (2, 2, {m}, {m}) complex128 Lax operators need {need} bytes "
-            f"> DENSE_BYTES_CAP = {model.DENSE_BYTES_CAP} bytes"
-        )
+    model.check_fits(f"two (2, 2, {m}, {m}) complex128 Lax operators need", 2 * 4 * m * m * 16)
 
 
 # ---------------------------------------------------------------------------

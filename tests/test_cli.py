@@ -15,9 +15,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twowell import bethe, cli, fock, model, yangbaxter
-from twowell.cli import (
-    GRID_POINTS_CAP, LEVEL_MATRICES, SECTOR_ROW_ARRAYS, _model_from_config, _parse_grid, main, scan_params,
-)
+from twowell.cli import GRID_POINTS_CAP, LEVEL_MATRICES, _model_from_config, _parse_grid, main, scan_params
+from twowell.fock import SECTOR_ROW_ARRAYS
 from twowell.yangbaxter import IntegrableParams, default_integrable_params
 
 SQRT5 = np.sqrt(5.0)
@@ -680,7 +679,7 @@ def test_verify_dense_sizes_checked_before_any_suite(capsys, monkeypatch):
     # rll at n=1 builds two (2, 2, 4, 4) complex Lax operators, 2048 bytes
     # (m = C(4, 1)); tcommute, on sectors of 100 and 101 states at n=1, N=99
     # and 100, forms no dense matrix (81608 bytes at d = 101): only their rows
-    # are held to the cap, cli.SECTOR_ROW_ARRAYS x 101 x 2 int64s (32320 bytes)
+    # are held to the cap, fock.SECTOR_ROW_ARRAYS x 101 x 2 int64s (32320 bytes)
     suites = {name: getattr(yangbaxter, name) for name in (
         "ybe_residual", "rll_residual", "transfer_commutator_residual",
         "conserved_charges", "hamiltonian_from_transfer")}

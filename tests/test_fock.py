@@ -7,7 +7,8 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twowell import fock
+from twowell import fock, model
+from twowell.bethe import bethe_vector
 from twowell.fock import (
     dimension,
     enumerate_sector,
@@ -16,6 +17,7 @@ from twowell.fock import (
     total_number_operator,
     truncated_ladder,
 )
+from twowell.yangbaxter import default_integrable_params
 
 
 def test_dimension_reference_values():
@@ -127,6 +129,31 @@ def test_enumerate_refuses_sectors_above_cap(monkeypatch):
     with pytest.raises(ValueError, match="SECTOR_DIM_CAP"):
         truncated_ladder(3, 4)  # C(7, 3) = 35 states
     assert truncated_ladder(3, 3).dim == 20
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: enumerate_sector(3, 2),
+        lambda: truncated_ladder(5, 2),  # a slack mode and five: the same 21 rows of 6 columns
+        lambda: bethe_vector([0.3, -0.7], default_integrable_params(3)),
+    ],
+    ids=["enumerate_sector", "truncated_ladder", "bethe_vector"],
+)
+def test_every_basis_counts_its_row_width(build, monkeypatch):
+    # the bound the CLI applies, reached from the library: SECTOR_ROW_ARRAYS
+    # int64 arrays of the 21 rows x 6 columns of n = 3, N = 2
+    need = fock.SECTOR_ROW_ARRAYS * 8 * 6 * 21
+    monkeypatch.setattr(model, "DENSE_BYTES_CAP", need - 1)
+    refusal = (
+        f"^{fock.SECTOR_ROW_ARRAYS} int64 arrays of 21 rows x 6 columns need {need} bytes "
+        f"> DENSE_BYTES_CAP = {need - 1} bytes$"
+    )
+    with pytest.raises(ValueError, match=refusal):
+        build()
+    monkeypatch.setattr(model, "DENSE_BYTES_CAP", need)
+    built = build()  # a basis, or the Bethe vector over one
+    assert len(getattr(built, "occ", built)) == 21
 
 
 def test_enumerate_sector_20_states():

@@ -494,7 +494,7 @@ def test_lowest_complex_hermitian_equals_spectrum():
 
 def test_lowest_line_refuses_the_first_overflowing_shift():
     H = np.diag([1.0, 2.0, 3.0])
-    with pytest.raises(model.ShiftError, match=r"^xs\[1\] = 1e\+308: the diagonal of H \+ x diag\(D\) overflows float64$") as exc:
+    with pytest.raises(model.ShiftError, match=r"^xs\[1\] = 1e\+308: the Lanczos recurrence overflows float64$") as exc:
         lowest(H, [0.0, 2.0, 1.0], [1.0, 1e308, 1.7e308])
     assert exc.value.index == 1 and not isinstance(exc.value, model.NotConverged)
     # a finite diagonal whose Lanczos coefficients overflow; at 1e200 only
@@ -502,6 +502,22 @@ def test_lowest_line_refuses_the_first_overflowing_shift():
     with pytest.raises(model.ShiftError, match=r"^xs\[0\] = 1.5e\+308: the Lanczos recurrence overflows float64$"):
         lowest(H, [0.0, 1.0, -1.0], [1.5e308])
     assert lowest(H, [0.0, 1.0, -1.0], [1e200])[0] == pytest.approx(-1e200, rel=1e-12)
+
+
+def test_lowest_names_the_first_failing_shift_whichever_way_it_fails(monkeypatch):
+    # xs[0] needs the scaled norms (its squares overflow) in a block where
+    # xs[1]'s recurrence turns nan (x diag(D) holds +inf and -inf): it is
+    # still solved, and xs[1] is the one refused
+    with pytest.raises(model.ShiftError, match=r"^xs\[1\] = 1e\+308: the Lanczos recurrence overflows") as exc:
+        lowest(np.diag([1.0, 2.0, 3.0]), [0.0, 2.0, -2.0], [1e200, 1e308])
+    assert exc.value.index == 1
+    # xs[0] stops unconverged at the step cap and xs[1] overflows at step 1,
+    # in one block: the first in xs order is refused, as it is across blocks
+    H = sp.diags([np.ones(4), np.arange(1.0, 6.0), np.ones(4)], [-1, 0, 1])
+    monkeypatch.setattr(model, "LOWEST_STEP_CAP", 2)
+    with pytest.raises(model.NotConverged, match=r"^xs\[0\] = 0.5: not converged in 2 Lanczos steps$") as exc:
+        lowest(H, [0.0, 0.0, 0.0, 0.0, 2.0], [0.5, 1e308])
+    assert exc.value.index == 0
 
 
 def test_lowest_line_memory_is_bounded_by_its_block():

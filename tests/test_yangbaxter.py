@@ -108,7 +108,7 @@ def test_ybe_arrays_equal_scalar_calls():
     stacked = ybe_residual(u, v, eta)
     each = [ybe_residual(*args) for args in zip(u, v, eta)]
     assert stacked.shape == u.shape
-    assert np.max(np.abs(stacked - each)) <= 1e-15
+    assert np.array_equal(stacked, each)
     assert max(each) <= 1e-12
 
 
@@ -305,6 +305,10 @@ def test_rll_stack_equals_scalar_calls_bitwise(n, zeta_shift):
     shared = rll_residual(u, v, ips[3], zeta_shift)  # one ip for every draw
     assert shared.tobytes() == np.array([rll_residual(x, y, ips[3], zeta_shift) for x, y in zip(u, v)]).tobytes()
     assert stacked[1] == 0.0  # u = v: b = 0 and L1(u), L2(v) are the same blocks
+    # a real draw alone and stacked with a complex one: R(u - v) divides alike
+    control = default_integrable_params(n)
+    mixed = rll_residual(np.array([0.5, u[2]]), np.array([1.1, v[2]]), control, zeta_shift)
+    assert mixed[0] == rll_residual(0.5, 1.1, control, zeta_shift)
     if zeta_shift == 0.0:
         assert np.max(stacked) <= 1e-12
     else:
