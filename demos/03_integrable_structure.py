@@ -11,11 +11,12 @@ from twowell import (
     conserved_charges,
     default_integrable_params,
     enumerate_sector,
-    hamiltonian_from_transfer,
+    hop_operator,
     identify_parameters,
     r_matrix,
     rll_residual,
     transfer_commutator_residual,
+    transfer_hamiltonian_terms,
     transfer_matrix,
     validate_model,
     ybe_residual,
@@ -54,7 +55,7 @@ print(f"C1 = eta N: {np.allclose(C1.toarray(), 3.0 * np.eye(sector.dim))}")
 
 # The physical Hamiltonian is a linear combination of the charges; the
 # identified couplings rebuild it entry for entry.
-H_t = hamiltonian_from_transfer(ip, sector)
+H_t = hop_operator(sector, *transfer_hamiltonian_terms(ip, sector))
 H_m = build_hamiltonian(identify_parameters(ip), sector)
 print(f"\n|H_transfer - H_model|: {np.max(np.abs((H_t - H_m).toarray())):.2e}")
 

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from . import fock
+from . import fock, model
 from .yangbaxter import IntegrableParams
 
 __all__ = [
@@ -56,6 +56,8 @@ __all__ = [
     "bae_residual",
     "collective_energies",
     "check_proportional",
+    "SOLVE_SQUARES",
+    "check_solve_fits",
     "solve_bae",
     "bethe_energy",
     "transfer_eigenvalue",
@@ -73,6 +75,12 @@ BAE_TOL = 1e-10
 MAX_NEWTON_ITER = 8
 # Largest |E_Bethe - E_ED| at which `match_spectrum` pairs a state with a level.
 MATCH_TOL = 1e-8
+# float64 (N+1) x (N+1) arrays that `solve_bae` holds at its peak, in the TQ
+# null-vector work of one state (T - lambda0 I, its SVD, np.roots' companion
+# matrix).  Tracemalloc peaks of solve_bae, in such arrays: n = 1 and 2,
+# N = 100 and 150, 12.96; N = 50 13.0 (n = 2) and 15.6 (n = 1); the rest is
+# O(N), which only small N shows.
+SOLVE_SQUARES = 13
 
 
 def _pair_gaps(v, eta):
@@ -278,6 +286,13 @@ def check_proportional(ip: IntegrableParams):
         )
 
 
+def check_solve_fits(n_atoms: int):
+    """Raise ValueError unless `solve_bae`'s SOLVE_SQUARES float64 (N+1) x (N+1)
+    arrays fit model.DENSE_BYTES_CAP."""
+    m = int(n_atoms) + 1
+    model.check_fits(f"solve_bae's {SOLVE_SQUARES} ({m}, {m}) float64 arrays need", SOLVE_SQUARES * 8 * m * m)
+
+
 def solve_bae(ip: IntegrableParams, n_atoms: int) -> SolveResult:
     """All N+1 solutions of the rapidity equations, in ascending energy.
 
@@ -296,13 +311,15 @@ def solve_bae(ip: IntegrableParams, n_atoms: int) -> SolveResult:
     that of H at E(u).  No Fock sector is built, so the cost does not grow
     with the level count n.
 
-    Raises ValueError for N > 0 unless s and t are proportional
+    Raises ValueError, before anything is built, where `check_solve_fits`
+    refuses N, and for N > 0 unless s and t are proportional
     (`check_proportional`): otherwise the self-adjoint t(u) is not the
     monodromy trace the equations solve.
     """
     N = int(n_atoms)
     if N < 0:
         raise ValueError(f"n_atoms must be >= 0, got {N}")
+    check_solve_fits(N)
     rejected = {"unconverged": 0, "coincident": 0, "string_pole": 0, "energy_mismatch": 0}
 
     if N:

@@ -14,13 +14,15 @@ Verbs:
             the charges' linear checks compare hop terms (fock.hop_gap), so
             only tcommute and the charge commutators fill sparse matrices
   spectrum  exact-diagonalization spectrum as CSV: every level of every
-            sector (from its band where the band is narrow, densely
-            otherwise), or an error if a sector's dense matrix would exceed
+            sector (H with its rows sorted by the atoms in well a, solved
+            from its band where the band is narrow, densely otherwise), or
+            an error if a sector's dense matrix would exceed
             model.DENSE_BYTES_CAP, whichever path it would take
   bae       solve the rapidity equations in the gauge t = +-s, cross-check
             against the spectrum of the couplings as given, emit CSV rows (and
             with --out a JSON report on stdout); each state's energy is exact,
-            and its roots are kept only if they give it back
+            and its roots are kept only if they give it back; each sector is
+            also sized as spectrum sizes it, and by bethe.check_solve_fits
   fig2      ground-state scan E0/mu1 versus mu2/mu1 for the reference
             non-integrable parameter set, as CSV (lowest level only: one
             sparse Lanczos call per sector solves its whole grid; every sector
@@ -378,8 +380,13 @@ def _sector_errors(pairs, dense=False):
 
 def _ed_levels(mp, N):
     """Every level of `mp` in the N-atom sector; refused where H overflows float64."""
+    sector = fock.enumerate_sector(mp.n_levels, N)
+    # a hop a_j^dag b_k moves one atom between the wells, so with the rows
+    # sorted by N_a (the atoms in well a) H is block tridiagonal: the band
+    # that spectrum reads in the order it is given
+    o = np.argsort(-sector.occ[:, :mp.n_levels].sum(1), kind="stable")
     try:
-        return model.spectrum(model.build_hamiltonian(mp, fock.enumerate_sector(mp.n_levels, N)))
+        return model.spectrum(model.build_hamiltonian(mp, sector)[o][:, o])
     except ValueError as exc:
         raise _Refused(f"sector n={mp.n_levels}, N={N}: H overflows float64 ({exc})") from None
 
@@ -479,6 +486,13 @@ def _bae_csv(states):
 
 def cmd_bae(args) -> int:
     kind, params, mp, atoms = _model_front(args)
+    errors = []
+    for N in atoms:  # the TQ work of solve_bae, which the dense check does not count
+        try:
+            bethe.check_solve_fits(N)
+        except ValueError as exc:
+            errors.append(f"sector n={params.n_levels}, N={N}: {exc}")
+    _refuse_if(errors)
     ip = params  # physical couplings are replaced by their integrable gauge
     if kind == "physical":
         report, violations = _validated(params)

@@ -36,7 +36,6 @@ __all__ = [
     "enumerate_sector",
     "hop_gap",
     "hop_operator",
-    "total_number_operator",
     "truncated_ladder",
 ]
 
@@ -232,12 +231,6 @@ def enumerate_sector(n_levels: int, n_atoms: int) -> FockSector:
     dimension(n_levels, n_atoms)  # validates the arguments
     occ = _enumerate(2 * n_levels, n_atoms)
     return FockSector(n_levels=n_levels, n_atoms=n_atoms, occ=occ)
-
-
-def total_number_operator(sector: FockSector) -> sp.csr_matrix:
-    """Sum of all mode number operators; equals n_atoms * identity on the sector."""
-    diag = sector.occ.sum(axis=1).astype(float)
-    return sp.csr_matrix(sp.diags(diag, shape=(sector.dim, sector.dim)))
 
 
 def hop_operator(sector: FockSector, diag, coeffs) -> sp.csr_matrix:

@@ -17,17 +17,18 @@ All couplings share one arbitrary energy unit.
 Eigenvalues come from one of two entry points, one per question.  Both read
 H as one CSR matrix and refuse it unless it is square, finite and Hermitian:
 `spectrum(H)` returns every level, ascending, after checking the dense d x d
-matrix against DENSE_BYTES_CAP.  It orders H by reverse Cuthill-McKee (unless
-its row counts already rule a narrow band out), and where the band is narrow
-(d >= BAND_RATIO (b + 1), b the half-bandwidth) it solves the (b + 1) x d band
-with LAPACK's banded driver; otherwise it diagonalizes H, in its own order, as
-one dense d x d array, the only array that grows as d^2.  A hop a_j^dag b_k
-moves one atom between the wells, so in a breadth-first order a sector is a
-band: tridiagonal at n = 1, with b growing about as d^(2/3) at n = 2, while
-n = 3 sectors stay dense.  `lowest(H, D, xs)` returns the lowest level of
-H + x diag(D) for each x, by a plain Lanczos recurrence that runs all the
-shifts in lockstep, sparse end to end, and stops each shift on a certified
-residual bound.
+matrix against DENSE_BYTES_CAP.  It reads the half-bandwidth b of H in the
+order H is given, and where the band is narrow (d >= BAND_RATIO (b + 1)) it
+solves the (b + 1) x d band with LAPACK's banded driver; otherwise it
+diagonalizes H as one dense d x d array, the only array that grows as d^2.  A
+hop a_j^dag b_k moves one atom between the wells, so with a sector's rows
+sorted by N_a, the atoms in well a (the layer order, in which the CLI passes
+every sector), H is block tridiagonal: b = 1 at n = 1, and at n = 2
+b = max_k (k + 1)(N - k + 1) + ceil(N / 2) for a full Omega (at most that for
+any Omega), about d^(2/3); n = 3 sectors stay dense.  `lowest(H, D, xs)`
+returns the lowest level of H + x diag(D) for each x, by a plain Lanczos
+recurrence that runs all the shifts in lockstep, sparse end to end, and stops
+each shift on a certified residual bound.
 """
 
 from dataclasses import dataclass
@@ -57,16 +58,19 @@ __all__ = [
 
 HERMITICITY_TOL = 1e-12
 # `spectrum` solves a sector as a band when d >= BAND_RATIO (b + 1), b being its
-# half-bandwidth in reverse Cuthill-McKee order.  The band then holds at most
-# d^2 / BAND_RATIO entries, and its solve is about as fast as the dense one or
-# faster: LAPACK's band reduction does fewer flops than the dense one, but as
-# plane rotations where the dense one runs blocked matrix products, so the two
-# break even between d / (b + 1) = 10.8 and 11.4.  Measured on n = 2 physical
-# sets (five: the benchmark's spectrum configs at seeds 41-43 and two random
-# ones), one BLAS thread, banded time over dense: N = 15 (d / (b + 1) = 10.1)
-# 1.23-1.40, N = 16 (10.8) 1.05-1.27, N = 17 (11.4) 0.90-0.99 on four sets and
-# 1.22 on one, N = 18 (12.1) 0.86-0.95, N = 21 (14.1) 0.75-1.00; n = 3, N = 8
-# (5.4) about 2.
+# half-bandwidth in the order it is given.  The path is chosen for memory: the
+# band holds at most d^2 / BAND_RATIO entries.  With one BLAS thread its solve
+# is also about as fast as the dense one or faster: LAPACK's band reduction
+# does fewer flops than the dense one, but as plane rotations where the dense
+# one runs blocked matrix products, so the two break even between
+# d / (b + 1) = 10.8 and 11.4.  Measured on n = 2 physical sets (five: the
+# benchmark's spectrum configs at seeds 41-43 and two random ones), one BLAS
+# thread, banded time over dense: N = 15 (d / (b + 1) = 10.1) 1.23-1.40,
+# N = 16 (10.8) 1.05-1.27, N = 17 (11.4) 0.90-0.99 on four sets and 1.22 on
+# one, N = 18 (12.1) 0.86-0.95, N = 21 (14.1) 0.75-1.00; n = 3, N = 8 (5.4)
+# about 2.  With two BLAS threads the dense solve was faster on n = 2 sectors
+# the band takes: 1.8-2.6 s against 2.7-3.2 s at N = 25, 7.4-8.6 s against
+# 11.5-14.4 s at N = 30 (12.8 s band against 16.0 s dense on one thread).
 BAND_RATIO = 11
 # Largest dense matrix `spectrum` will allocate (1 GiB: d = 11585 in float64).
 # Every sector is checked against it, whichever path it takes.  On the dense
@@ -256,13 +260,15 @@ def spectrum(H) -> np.ndarray:
     shape and dtype, before the input is converted or checked, whichever path
     the sector then takes, and all d eigenvalues are returned.
 
-    Banded path: H is ordered by reverse Cuthill-McKee, and where its
-    half-bandwidth b in that order has d >= BAND_RATIO (b + 1), LAPACK's
-    ?sbevd / ?hbevd solves the (b + 1) x d lower band in place, so the peak is
-    itemsize d (b + 1) bytes plus O(nnz + d) for the ordering.  Dense path,
-    every other sector: H in its own order, built in Fortran order as the one
-    d x d array, which LAPACK's ?syevr / ?heevr overwrites in place (peak
-    itemsize d^2 bytes plus O(d) workspace).  Neither path makes scipy's
+    Banded path: where the half-bandwidth b of H in the order it is given
+    (the largest row - column over its entries) has d >= BAND_RATIO (b + 1),
+    LAPACK's ?sbevd / ?hbevd solves the (b + 1) x d lower band in place, so the
+    peak is itemsize d (b + 1) bytes plus O(nnz + d).  H is not reordered: a
+    caller who wants the band passes H in a banded order, as the CLI passes a
+    Fock sector's H with its rows sorted by N_a (a hop moves one atom between
+    the wells).  Dense path, every other sector: H built in Fortran order as
+    the one d x d array, which LAPACK's ?syevr / ?heevr overwrites in place
+    (peak itemsize d^2 bytes plus O(d) workspace).  Neither path makes scipy's
     finiteness mask: `_checked` has refused every non-finite entry already.
     """
     if not sp.issparse(H):
@@ -279,33 +285,18 @@ def spectrum(H) -> np.ndarray:
 
 
 def _lower_band(H):
-    """The lower band of canonical CSR H in reverse Cuthill-McKee order, as the
-    Fortran-ordered (b + 1, d) array LAPACK reads (band[i - j, j] = H'[i, j] for
-    i >= j), or None unless d >= BAND_RATIO (b + 1).  b is read from the
-    permuted coordinates of H's entries; the upper ones are never written.
-    Where no order could qualify, by the row counts of H, none is computed."""
+    """The lower band of canonical CSR H in its own order, as the
+    Fortran-ordered (b + 1, d) array LAPACK reads (band[i - j, j] = H[i, j] for
+    i >= j), or None unless d >= BAND_RATIO (b + 1), b = max(row - column)
+    over H's entries; the upper ones are never written."""
     d = H.shape[0]
-    # in any order the k off-diagonal entries of a row sit in k distinct
-    # columns, one at least k / 2 from the diagonal, and a symmetric pattern
-    # mirrors it below: b >= (entries in the row) // 2, so a sector that cannot
-    # qualify is never ordered
-    if d < BAND_RATIO * (int(np.diff(H.indptr).max(initial=0)) // 2 + 1):
-        return None
-    # imported here: scipy.sparse.csgraph loads scipy.sparse.linalg, about 3 MB
-    # of resident memory that no other path of the package needs
-    from scipy.sparse.csgraph import reverse_cuthill_mckee
-
-    inv = np.empty(d, dtype=np.intp)
-    inv[reverse_cuthill_mckee(H, symmetric_mode=True)] = np.arange(d)
-    coo = H.tocoo(copy=False)
-    cols = inv[coo.col]
-    offsets = inv[coo.row] - cols  # row - column of each entry in the new order
+    offsets = np.repeat(np.arange(d), np.diff(H.indptr)) - H.indices  # row - column of each entry
     b = int(offsets.max(initial=0))
     if d < BAND_RATIO * (b + 1):
         return None
     lower = offsets >= 0
     band = np.zeros((b + 1, d), dtype=H.dtype, order="F")
-    band[offsets[lower], cols[lower]] = coo.data[lower]
+    band[offsets[lower], H.indices[lower]] = H.data[lower]
     return band
 
 

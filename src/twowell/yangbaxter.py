@@ -20,8 +20,9 @@ of transfer matrices (`transfer_matrix` of an array u, one fill of the
 sector's hop table) and one sparse product per stack.
 
 t(u), the charges and the Hamiltonian each have a `*_terms` function that
-returns their (diagonal, coefficients) pairs, and each builder is one
-`fock.hop_operator` fill of its pair.  A linear relation (the charges'
+returns their (diagonal, coefficients) pairs; the builders of t(u) and the
+charges are one `fock.hop_operator` fill of their pair, and the Hamiltonian's
+matrix is that fill of `transfer_hamiltonian_terms`.  A linear relation (the charges'
 reconstruction of t(u), the Hamiltonian against the physical couplings')
 compares the pairs with `fock.hop_gap` and fills nothing; only the relations
 with a product (the commutators, RLL, Yang-Baxter) build matrices.  Each
@@ -81,7 +82,6 @@ __all__ = [
     "charge_terms",
     "conserved_charges",
     "transfer_hamiltonian_terms",
-    "hamiltonian_from_transfer",
     "identify_parameters",
     "validate_model",
 ]
@@ -447,12 +447,6 @@ def transfer_hamiltonian_terms(ip: IntegrableParams, sector: FockSector):
     scalar = ip.alpha * N * N + zeta**2 / eta**2 - W**2
     diag, coeffs = transfer_terms(0.0, ip, sector)
     return scalar - diag, -coeffs
-
-
-def hamiltonian_from_transfer(ip: IntegrableParams, sector: FockSector) -> sp.csr_matrix:
-    """Hamiltonian from the transfer matrix, real and sparse: one fill of
-    `transfer_hamiltonian_terms`."""
-    return hop_operator(sector, *transfer_hamiltonian_terms(ip, sector))
 
 
 # ---------------------------------------------------------------------------

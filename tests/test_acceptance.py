@@ -9,16 +9,16 @@ import pytest
 
 from twowell.bethe import match_spectrum, solve_bae
 from twowell.cli import main
-from twowell.fock import dimension, enumerate_sector
+from twowell.fock import dimension, enumerate_sector, hop_operator
 from twowell.model import build_hamiltonian, spectrum
 from twowell.yangbaxter import (
     IntegrableParams,
     conserved_charges,
     default_integrable_params,
-    hamiltonian_from_transfer,
     identify_parameters,
     rll_residual,
     transfer_commutator_residual,
+    transfer_hamiltonian_terms,
     transfer_matrix,
     ybe_residual,
 )
@@ -112,7 +112,7 @@ def test_criterion_4_hamiltonian_transfer_relation():
         for ip in (default_integrable_params(n), random_unit_ip(rng, n)):
             for N in range(5):
                 sector = enumerate_sector(n, N)
-                gap = hamiltonian_from_transfer(ip, sector) - build_hamiltonian(
+                gap = hop_operator(sector, *transfer_hamiltonian_terms(ip, sector)) - build_hamiltonian(
                     identify_parameters(ip), sector
                 )
                 worst = max(worst, 0.0 if gap.nnz == 0 else float(np.max(np.abs(gap.data))))

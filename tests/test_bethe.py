@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from twowell import bethe, fock
+from twowell import bethe, fock, model
 from twowell.bethe import (
     MATCH_TOL,
     bae_residual,
@@ -20,13 +20,13 @@ from twowell.bethe import (
     solve_bae,
     transfer_eigenvalue,
 )
-from twowell.fock import dimension, enumerate_sector
+from twowell.fock import dimension, enumerate_sector, hop_operator
 from twowell.model import build_hamiltonian, spectrum
 from twowell.yangbaxter import (
     IntegrableParams,
     default_integrable_params,
-    hamiltonian_from_transfer,
     identify_parameters,
+    transfer_hamiltonian_terms,
     transfer_matrix,
     validate_model,
 )
@@ -301,6 +301,37 @@ def test_solver_refuses_nonproportional_couplings():
     bethe.check_proportional(dataclasses.replace(ip, t=-2.0 * ip.s))  # t = c s, c < 0 too
 
 
+def test_solver_sizes_its_tq_work(monkeypatch):
+    # a library call is refused before anything is built, with the count
+    # check_solve_fits gives; at a cap equal to the count it runs
+    ip = default_integrable_params(1)
+    need = bethe.SOLVE_SQUARES * 8 * 9 * 9  # N = 8
+    built = []
+    collective = bethe._collective_hamiltonian
+    monkeypatch.setattr(bethe, "_collective_hamiltonian", lambda *a: built.append(1) or collective(*a))
+    monkeypatch.setattr(model, "DENSE_BYTES_CAP", need - 1)
+    with pytest.raises(ValueError, match=rf"\(9, 9\) float64 arrays need {need} bytes > DENSE_BYTES_CAP"):
+        solve_bae(ip, 8)
+    assert not built
+    monkeypatch.setattr(model, "DENSE_BYTES_CAP", need)
+    assert len(solve_bae(ip, 8).solutions) == 8
+    assert built
+
+
+def test_solver_peak_is_the_counted_squares():
+    # SOLVE_SQUARES (N+1)^2 float64 arrays and O(N) more (measured 54 kB at
+    # N = 50, where no state of n = 1 is kept)
+    ip = default_integrable_params(1)
+    solve_bae(ip, 3)  # first-call set-up is not the solve's
+    tracemalloc.start()
+    try:
+        solve_bae(ip, 50)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= bethe.SOLVE_SQUARES * 8 * 51 * 51 + 64 * 1024
+
+
 def test_conjugation_closure_of_solutions():
     ip = default_integrable_params(2)
     result = solve_bae(ip, 3)
@@ -398,7 +429,7 @@ def test_vector_single_atom_closed_form():
     expected[sector.rank((0, 0, 0, 1))] = amp_b
     assert np.allclose(vec, expected, atol=1e-14)
 
-    H = hamiltonian_from_transfer(ip, sector).toarray()
+    H = hop_operator(sector, *transfer_hamiltonian_terms(ip, sector)).toarray()
     resid = H @ vec - (1.0 - SQRT5) * vec
     assert np.max(np.abs(resid)) <= 1e-12
 
@@ -512,7 +543,7 @@ def test_t_residual_is_the_transfer_matrix_residual(params, n):
         ip = IntegrableParams(n, base.eta, base.omega, base.s, sign * base.t, alpha=base.alpha)
         for N in range(9):
             sector = enumerate_sector(n, N)
-            H_t = hamiltonian_from_transfer(ip, sector)
+            H_t = hop_operator(sector, *transfer_hamiltonian_terms(ip, sector))
             H_m = build_hamiltonian(identify_parameters(ip), sector)
             for sol in solve_bae(ip, N).solutions:
                 vec = bethe_vector(sol.roots, ip)

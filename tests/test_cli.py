@@ -591,6 +591,25 @@ def test_every_verb_counts_the_row_width(argv, capsys, monkeypatch):
     )
 
 
+def test_bae_sizes_solve_bae_before_any_sector(capsys, monkeypatch):
+    # n = 1, N = 8: the dense matrix (8 x 9 x 9 bytes) and the rows fit a cap
+    # that solve_bae's SOLVE_SQUARES (9, 9) float64 arrays do not
+    need = bethe.SOLVE_SQUARES * 8 * 9 * 9
+    argv = ["bae", "--n", "1", "--atoms", "2,8"]
+    monkeypatch.setattr(model, "DENSE_BYTES_CAP", need)
+    assert main(argv) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(model, "DENSE_BYTES_CAP", need - 1)
+    monkeypatch.setattr(fock, "_enumerate", lambda *a: pytest.fail("a sector was enumerated"))
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: sector n=1, N=8: solve_bae's {bethe.SOLVE_SQUARES} (9, 9) float64 arrays need "
+        f"{need} bytes > DENSE_BYTES_CAP = {need - 1} bytes\n"
+    )
+
+
 def test_identify_integrable_roundtrip(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -682,7 +701,7 @@ def test_verify_dense_sizes_checked_before_any_suite(capsys, monkeypatch):
     # are held to the cap, fock.SECTOR_ROW_ARRAYS x 101 x 2 int64s (32320 bytes)
     suites = {name: getattr(yangbaxter, name) for name in (
         "ybe_residual", "rll_residual", "transfer_commutator_residual",
-        "conserved_charges", "hamiltonian_from_transfer")}
+        "conserved_charges", "transfer_hamiltonian_terms")}
     for name in suites:
         monkeypatch.setattr(yangbaxter, name, no_suite)
     # at the real cap the first level refused is n = 24 (m = 2925, 1.1e9
@@ -932,7 +951,7 @@ def assembled_hrel(rng, levels, atoms):
             sector = fock.enumerate_sector(n, N)
             worst = 0.0
             for ip, mp in zip(ips, mps):
-                h_t = yangbaxter.hamiltonian_from_transfer(ip, sector)
+                h_t = fock.hop_operator(sector, *yangbaxter.transfer_hamiltonian_terms(ip, sector))
                 h_m = model.build_hamiltonian(mp, sector)
                 worst = max(worst, abs(h_t - h_m).max())
             out.append(worst)

@@ -6,13 +6,12 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigvalsh
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twowell import model
+from twowell import cli, model, yangbaxter
 from twowell.cli import scan_params
-from twowell.fock import dimension, enumerate_sector, total_number_operator
+from twowell.fock import dimension, enumerate_sector
 from twowell.model import ModelParams, build_hamiltonian, lowest, spectrum
 
 SQRT5 = np.sqrt(5.0)
@@ -45,6 +44,14 @@ def random_params(rng, n):
         eps_b=rng.standard_normal(n),
         Omega=rng.standard_normal((n, n)),
     )
+
+
+def layered_hamiltonian(params, N):
+    """H on the N-atom sector with its rows sorted by N_a, the layer order in
+    which the CLI passes every sector to `spectrum`."""
+    sector = enumerate_sector(params.n_levels, N)
+    o = np.argsort(-sector.occ[:, :params.n_levels].sum(1), kind="stable")
+    return build_hamiltonian(params, sector)[o][:, o]
 
 
 def test_same_well_couplings_stored_exactly_symmetric():
@@ -224,8 +231,8 @@ def test_spectrum_allocates_one_dense_matrix(dtype):
     # at most the d x d array that check_dense_fits counts and LAPACK's O(d)
     # workspace: no second copy, and no d^2-byte finiteness mask (d > 800
     # here, so a mask would exceed the bound).  The real sector (d / (b + 1)
-    # = 10.8) and the random complex pattern are solved dense; the
-    # tridiagonal takes the banded path, which stays far below
+    # = 10.8 even in layer order) and the random complex pattern are solved
+    # dense; the tridiagonal takes the banded path, which stays far below
     if dtype == "real":
         H = build_hamiltonian(scan_params(mu2=0.3), enumerate_sector(2, 16))  # d = 969
     elif dtype == "complex-dense":
@@ -254,29 +261,22 @@ def _banded_case(case):
     rng = np.random.default_rng(30)
     if case == "tridiagonal":  # n = 1: the two-mode Josephson model, b = 1
         return build_hamiltonian(random_params(rng, 1), enumerate_sector(1, 2000))
-    if case == "n2":  # d = 2024, b = 143 in reverse Cuthill-McKee order
-        return build_hamiltonian(random_params(rng, 2), enumerate_sector(2, 21))
-    if case == "complex":  # a complex Hermitian band of half-bandwidth 6
-        d, b = 600, 6
-        A = sp.diags([rng.standard_normal(d - k) + 1j * rng.standard_normal(d - k) for k in range(b + 1)],
-                     range(b + 1), format="csr")
-        return ((A + A.conj().T) / 2).tocsr()
-    # a tridiagonal in a shuffled order: reverse Cuthill-McKee must undo it
-    d = 800
-    off = rng.standard_normal(d - 1)
-    perm = rng.permutation(d)
-    return sp.diags([off, rng.standard_normal(d), off], [-1, 0, 1], format="csr")[perm][:, perm].tocsr()
+    if case == "n2":  # d = 2024, b = 143 in layer order
+        return layered_hamiltonian(random_params(rng, 2), 21)
+    # a complex Hermitian band of half-bandwidth 6
+    d, b = 600, 6
+    A = sp.diags([rng.standard_normal(d - k) + 1j * rng.standard_normal(d - k) for k in range(b + 1)],
+                 range(b + 1), format="csr")
+    return ((A + A.conj().T) / 2).tocsr()
 
 
-@pytest.mark.parametrize("case", ["tridiagonal", "n2", "complex", "shuffled"])
+@pytest.mark.parametrize("case", ["tridiagonal", "n2", "complex"])
 def test_banded_spectrum_agrees_with_dense(case):
     H = _banded_case(case)
     band = model._lower_band(model._checked(H))
     assert band is not None and H.shape[0] >= model.BAND_RATIO * band.shape[0]
-    if case == "shuffled":
-        order = reverse_cuthill_mckee(H, symmetric_mode=True)
-        assert not np.array_equal(order, np.arange(H.shape[0]))
-        assert band.shape[0] == 2  # b = 1 again
+    if case == "n2":
+        assert band.shape == (144, 2024)
     levels = spectrum(H)
     ref = eigvalsh(H.toarray())
     assert np.all(np.diff(levels) >= 0.0)
@@ -298,9 +298,9 @@ def test_both_paths_keep_the_precision_eigvalsh_picks(dtype):
 
 
 def test_banded_spectrum_allocates_its_band():
-    # n = 2, N = 21: the (b + 1) x d band and O(d) for the ordering (measured
-    # about 290 bytes per state), where the dense path takes 8 d^2 = 33 MB
-    H = build_hamiltonian(random_params(np.random.default_rng(8), 2), enumerate_sector(2, 21))
+    # n = 2, N = 21 in layer order: the (b + 1) x d band and O(nnz + d) for
+    # its coordinates, where the dense path takes 8 d^2 = 33 MB
+    H = layered_hamiltonian(random_params(np.random.default_rng(8), 2), 21)
     d, itemsize = H.shape[0], H.dtype.itemsize
     b = model._lower_band(model._checked(H)).shape[0] - 1
     assert (d, b) == (2024, 143)
@@ -315,13 +315,52 @@ def test_banded_spectrum_allocates_its_band():
     assert peak < itemsize * d * d / 5
 
 
+def _cli_half_bandwidth(mp, N, monkeypatch):
+    """b of the matrix that `cli._ed_levels` hands to spectrum for the N-atom sector."""
+    seen = []
+    monkeypatch.setattr(model, "spectrum", lambda H: seen.append(H.tocoo()))
+    cli._ed_levels(mp, N)
+    return int((seen[0].row - seen[0].col).max(initial=0))
+
+
+def test_layer_order_half_bandwidth(monkeypatch):
+    # a hop moves one atom between the wells, so in the layer order the CLI
+    # passes, b is a formula in (n, N): 1 at n = 1, and at n = 2, for a full
+    # Omega, the largest layer (k + 1)(N - k + 1) plus ceil(N / 2); with a
+    # diagonal Omega H has a subset of those entries, so b is at most that
+    rng = np.random.default_rng(40)
+    full, diagonal = random_params(rng, 2), random_params(rng, 2)
+    diagonal.Omega = np.diag(np.diag(diagonal.Omega))
+    assert {_cli_half_bandwidth(random_params(rng, 1), N, monkeypatch) for N in (1, 2, 7, 300)} == {1}
+    for N in range(1, 41):
+        b = max((k + 1) * (N - k + 1) for k in range(N + 1)) + (N + 1) // 2
+        assert _cli_half_bandwidth(scan_params(mu2=0.3), N, monkeypatch) == b
+        assert _cli_half_bandwidth(full, N, monkeypatch) == b
+        assert _cli_half_bandwidth(diagonal, N, monkeypatch) <= b
+
+
+def test_cli_sectors_take_the_band_from_n_17(monkeypatch):
+    # the default n = 2 model: every sector up to N = 16 is solved dense, and
+    # from N = 17 as a band
+    mp = yangbaxter.identify_parameters(yangbaxter.default_integrable_params(2))
+    widths = {N: _cli_half_bandwidth(mp, N, monkeypatch) for N in range(22)}
+    assert [widths[N] for N in (17, 18, 21)] == [99, 109, 143]
+    for N, b in widths.items():
+        assert (dimension(2, N) >= model.BAND_RATIO * (b + 1)) == (N >= 17)
+
+
 def _dense_case(case):
     rng = np.random.default_rng(31)
-    if case in ("n3_4", "n3_6"):  # d / (b + 1) = 4 at N = 6
-        return build_hamiltonian(random_params(rng, 3), enumerate_sector(3, int(case[-1])))
+    if case in ("n3_4", "n3_6"):  # in layer order, d / (b + 1) = 2.6 at N = 4 and 3.5 at N = 6
+        return layered_hamiltonian(random_params(rng, 3), int(case[-1]))
     if case == "ndarray":
         A = rng.standard_normal((60, 60))
         return A + A.T
+    if case == "shuffled":  # a tridiagonal in a shuffled order, which spectrum keeps
+        d = 800
+        off = rng.standard_normal(d - 1)
+        perm = rng.permutation(d)
+        return sp.diags([off, rng.standard_normal(d), off], [-1, 0, 1], format="csr")[perm][:, perm].tocsr()
     # K_{m,m}: every state of one half hops to every state of the other, so
     # no order gives a band narrower than about m
     m = 30
@@ -329,11 +368,11 @@ def _dense_case(case):
     return sp.bmat([[sp.diags(rng.standard_normal(m)), B], [B.T, sp.diags(rng.standard_normal(m))]], format="csr")
 
 
-@pytest.mark.parametrize("case", ["n3_4", "n3_6", "ndarray", "bipartite"])
+@pytest.mark.parametrize("case", ["n3_4", "n3_6", "ndarray", "bipartite", "shuffled"])
 def test_dense_path_keeps_the_input_order(case):
-    # each is refused the band: the n = 3 sectors on the bandwidth of their
-    # order, the others on their row counts, before any order is computed.
-    # The values are then eigvalsh's on the matrix as given, bit for bit
+    # each is refused the band on its half-bandwidth in the order given; H is
+    # never reordered, so the values are eigvalsh's on the matrix as given,
+    # bit for bit
     H = _dense_case(case)
     assert H.shape[0] >= model.BAND_RATIO
     assert model._lower_band(model._checked(H)) is None
@@ -590,7 +629,7 @@ def test_spectrum_invariant_under_well_relabeling(params, N):
         Omega=params.Omega.T,
     )
     sector = enumerate_sector(params.n_levels, N)
-    n_total = total_number_operator(sector)
+    n_total = sp.diags(sector.occ.sum(1).astype(float), format="csr")
     H, H_swapped = build_hamiltonian(params, sector), build_hamiltonian(swapped, sector)
     for h in (H, H_swapped):
         assert abs(h @ n_total - n_total @ h).max() == 0.0
@@ -660,7 +699,7 @@ def test_conservation_laws(tunneling):
     def commutator(A):
         return abs(H @ A - A @ H).max()
 
-    assert commutator(total_number_operator(sector)) == 0.0
+    assert commutator(sp.diags(sector.occ.sum(1).astype(float), format="csr")) == 0.0
     modes = [sp.diags(sector.occ[:, c], dtype=float) for c in range(4)]  # N_a1, N_a2, N_b1, N_b2
     levels = [modes[j] + modes[2 + j] for j in (0, 1)]
     if tunneling == "diagonal":
