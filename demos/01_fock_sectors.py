@@ -16,7 +16,7 @@ from twowell import (
 # well a, then n in well b) with a fixed total atom number N.
 sector = enumerate_sector(2, 2)
 print(f"n = 2 levels, N = 2 atoms: dimension {sector.dim}")
-print("occupation rows (descending lexicographic):")
+print("occupation rows (layer order: N_a descending, then descending lexicographic):")
 for state in sector.occ.tolist():
     print("  ", tuple(state))
 

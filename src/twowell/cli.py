@@ -5,16 +5,17 @@ Verbs:
             charges, hrel, all) with the levels and atom numbers of the
             SUITES table (--n and --atoms are refused where no selected
             suite has them), after checking every sector they would enumerate
-            with fock.check_sector_fits and the two Lax operators of one rll
-            draw, the only dense matrices formed, against
-            model.DENSE_BYTES_CAP (yangbaxter.check_rll_fits, which
-            rll_residual also calls before it builds them, so that every
-            refusal is found before any suite); each sector is enumerated
+            with fock.check_sector_fits, and the two Lax operators of one rll
+            draw, the only dense matrices formed, and tcommute's commutator
+            stacks against model.DENSE_BYTES_CAP (yangbaxter.check_rll_fits
+            and check_commutator_fits, which rll_residual and
+            transfer_commutator_residual also call before they build, so that
+            every refusal is found before any suite); each sector is enumerated
             once per run and shared by the suites that use it, and hrel and
             the charges' linear checks compare hop terms (fock.hop_gap), so
             only tcommute and the charge commutators fill sparse matrices
   spectrum  exact-diagonalization spectrum as CSV: every level of every
-            sector (H with its rows sorted by the atoms in well a, solved
+            sector (H in the layer order of fock.enumerate_sector, solved
             from its band where the band is narrow, densely otherwise), or
             an error if a sector's dense matrix would exceed
             model.DENSE_BYTES_CAP, whichever path it would take
@@ -381,12 +382,8 @@ def _sector_errors(pairs, dense=False):
 def _ed_levels(mp, N):
     """Every level of `mp` in the N-atom sector; refused where H overflows float64."""
     sector = fock.enumerate_sector(mp.n_levels, N)
-    # a hop a_j^dag b_k moves one atom between the wells, so with the rows
-    # sorted by N_a (the atoms in well a) H is block tridiagonal: the band
-    # that spectrum reads in the order it is given
-    o = np.argsort(-sector.occ[:, :mp.n_levels].sum(1), kind="stable")
     try:
-        return model.spectrum(model.build_hamiltonian(mp, sector)[o][:, o])
+        return model.spectrum(model.build_hamiltonian(mp, sector))
     except ValueError as exc:
         raise _Refused(f"sector n={mp.n_levels}, N={N}: H overflows float64 ({exc})") from None
 
@@ -412,6 +409,12 @@ def cmd_verify(args) -> int:
             yangbaxter.check_rll_fits(n)
         except ValueError as exc:
             errors.append(f"rll n={n}: {exc}")
+    _, levels, atoms = plan.get("tcommute", (None, (), ()))
+    for n, N in itertools.product(levels, atoms):  # its sparse products outgrow the sector's rows
+        try:
+            yangbaxter.check_commutator_fits(n, N)
+        except ValueError as exc:
+            errors.append(f"tcommute n={n}, N={N}: {exc}")
     _refuse_if(errors)
 
     checks = []  # (name, residual, gate text, passed)

@@ -2,9 +2,12 @@
 
 A sector holds every occupation vector of ``2 * n_levels`` modes (the n
 on-well levels of well ``a`` first, then those of well ``b``) with a fixed
-total atom number as the rows of one int64 array, `FockSector.occ`, in
-descending lexicographic order.  A row is found by its exact combinatorial
-rank (`FockSector.rank`), not by a lookup table.  Every operator is built
+total atom number as the rows of one int64 array, `FockSector.occ`, in layer
+order: sorted by N_a, the atoms in well a, descending, and each layer in
+descending lexicographic order.  A hop moves one atom between the wells, so
+every operator of a sector is block tridiagonal in this order, and its band
+is the basis's own.  A row is found by its exact combinatorial rank
+(`FockSector.rank`), not by a lookup table.  Every operator is built
 with no loop over basis states, and builders return ``scipy.sparse`` CSR
 matrices.  `hop_operator` is the one hop builder: every operator of the form
 diag(d) + sum_jk c_jk (a_j^dagger b_k + h.c.), the physical Hamiltonian and
@@ -54,9 +57,9 @@ SECTOR_DIM_CAP = 1 << 20
 # states may cost: the occupations and `_hop_terms`' temporaries grow with w.
 # Tracemalloc peaks of enumerate_sector and build_hamiltonian (transfer_matrix
 # at one complex u), in such arrays: n = 2, N = 30 14.1 (14.3); n = 3, N = 12
-# 15.4 (15.5); n = 8, N = 5 13.9 (14.0); n = 100, N = 2 7.3; n = 1000, N = 1
-# 5.0.  It bounds those fills, which every verb makes, and not the products
-# of tcommute's commutators, about 90 such arrays at n = 2.
+# 15.4 (15.5); n = 8, N = 5 13.9 (14.0); n = 100, N = 2 7.5; n = 1000, N = 1
+# 6.0.  It bounds those fills, which every verb makes; the products of
+# tcommute's commutators are sized by yangbaxter.check_commutator_fits.
 SECTOR_ROW_ARRAYS = 20
 
 
@@ -137,25 +140,46 @@ def _rank(occ):
     return rank
 
 
+def _layers(n_levels, n_atoms):
+    """(count, start) of the layer order of the N-atom sector: count[t] =
+    C(t + n - 1, t) rows of one well hold t atoms, and layer L, the rows with
+    N_b = L atoms in well b, holds count[N - L] count[L] rows from row
+    start[L] on."""
+    count = _binomials(n_atoms + 1, n_levels)[1:, -1]
+    start = np.zeros(n_atoms + 2, dtype=np.int64)
+    np.cumsum(count[::-1] * count, out=start[1:])
+    return count, start
+
+
 def _hop_terms(occ, n_atoms):
     """Every term a_j^dagger b_k on every row of `occ` with n_bk > 0, in one
     pass: (src, dst, pair, weight) are the source row, the target row, the
     index j * n + k into the flattened coefficients and n_bk (n_aj + 1).
 
-    The term moves an atom from column q = n + k to column p = j < q, so the
-    atoms r right of column i fall by one for p <= i < q, and by Pascal's
-    rule term i of `_rank`, C(r + k_i - 1, k_i), falls by C(r + k_i - 2,
-    k_i - 1): the target's rank is the source's, its row, less a difference
-    of running sums of those falls."""
+    A row of layer L with well ranks (a, b) (`_rank` of each well's columns)
+    is row start[L] + a count[L] + b, so a and b come from the row's own
+    index.  The term takes the row to layer L - 1 and, by Pascal's rule,
+    raises term i < j of well a's rank, C(r + k_i - 1, k_i) with r the atoms
+    right of column i, by C(r + k_i - 1, k_i - 1), and lowers term i < k of
+    well b's by C(r + k_i - 2, k_i - 1): running sums of those rises and
+    falls give the target's well ranks."""
     d, m = occ.shape
     n = m // 2
+    count, start = _layers(n, n_atoms)
+    cum = np.cumsum(occ.reshape(d, 2, n), axis=2)  # each well's running sums
+    layer = cum[:, 1, -1]
+    a, b = np.divmod(np.arange(d) - start[layer], count[layer])
+    below = np.maximum(layer - 1, 0)  # the targets' layer (layer 0 has no term)
+    base = start[below] + a * count[below] + b  # the target of a term with no rise or fall
+    right = cum[:, :, -1:] - cum[:, :, :-1]  # r for each column i < n - 1
+    right[:, 0] += 1  # well a's rises read the table at r + 1
+    steps = np.zeros((d, 2, n), dtype=np.int64)
+    np.cumsum(_binomials(n_atoms + 1, n)[right, np.arange(n - 2, -1, -1)], axis=2, out=steps[:, :, 1:])
+    steps[:, 0] *= count[below][:, None]  # a rise of well a's rank moves count[L - 1] rows
     src, k = np.nonzero(occ[:, n:])
-    src, q, p = np.repeat(src, n), np.repeat(n + k, n), np.tile(np.arange(n), src.size)
-    right = np.cumsum(occ[:, :0:-1], axis=1)[:, ::-1]  # r for each column i < m - 1
-    falls = np.zeros((d, m), dtype=np.int64)
-    np.cumsum(_binomials(n_atoms, m)[right, np.arange(m - 2, -1, -1)], axis=1, out=falls[:, 1:])
-    dst = src - (falls[src, q] - falls[src, p])
-    return src, dst, p * n + q - n, occ[src, q] * (occ[src, p] + 1)
+    src, k, j = np.repeat(src, n), np.repeat(k, n), np.tile(np.arange(n), src.size)
+    dst = base[src] + steps[src, 0, j] - steps[src, 1, k]
+    return src, dst, j * n + k, occ[src, n + k] * (occ[src, j] + 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,7 +240,11 @@ class FockSector:
         rows = x.astype(np.int64, copy=False).reshape(-1, 2 * self.n_levels)
         if np.any(rows < 0) or np.any(rows.sum(axis=1) != self.n_atoms):
             raise ValueError(f"occupations {occ!r} are not in the N={self.n_atoms} sector")
-        return _rank(rows).reshape(x.shape[:-1])[()]
+        n = self.n_levels
+        count, start = _layers(n, self.n_atoms)
+        layer = rows[:, n:].sum(axis=1)
+        rank = start[layer] + _rank(rows[:, :n]) * count[layer] + _rank(rows[:, n:])
+        return rank.reshape(x.shape[:-1])[()]
 
     @functools.cached_property
     def hops(self) -> _HopTable:
@@ -225,11 +253,16 @@ class FockSector:
 
 
 def enumerate_sector(n_levels: int, n_atoms: int) -> FockSector:
-    """Enumerate the fixed-number basis in descending lexicographic order.
+    """Enumerate the fixed-number basis in layer order: the rows sorted by N_a,
+    the atoms in well a, descending, and each layer in descending
+    lexicographic order.  A hop moves one atom between the wells, so an
+    operator of `hop_operator` is block tridiagonal in this order.
 
     Raises ValueError, before allocating, where `check_sector_fits` refuses it."""
     dimension(n_levels, n_atoms)  # validates the arguments
     occ = _enumerate(2 * n_levels, n_atoms)
+    # stable, by N_b ascending: N_a descending, each layer kept in lexicographic order
+    occ = occ.take(np.argsort(occ[:, n_levels:].sum(axis=1), kind="stable"), axis=0)
     return FockSector(n_levels=n_levels, n_atoms=n_atoms, occ=occ)
 
 

@@ -21,9 +21,9 @@ matrix against DENSE_BYTES_CAP.  It reads the half-bandwidth b of H in the
 order H is given, and where the band is narrow (d >= BAND_RATIO (b + 1)) it
 solves the (b + 1) x d band with LAPACK's banded driver; otherwise it
 diagonalizes H as one dense d x d array, the only array that grows as d^2.  A
-hop a_j^dag b_k moves one atom between the wells, so with a sector's rows
-sorted by N_a, the atoms in well a (the layer order, in which the CLI passes
-every sector), H is block tridiagonal: b = 1 at n = 1, and at n = 2
+hop a_j^dag b_k moves one atom between the wells, so in the layer order of
+`fock.enumerate_sector` (its rows sorted by N_a, the atoms in well a) a
+sector's H is block tridiagonal: b = 1 at n = 1, and at n = 2
 b = max_k (k + 1)(N - k + 1) + ceil(N / 2) for a full Omega (at most that for
 any Omega), about d^(2/3); n = 3 sectors stay dense.  `lowest(H, D, xs)`
 returns the lowest level of H + x diag(D) for each x, by a plain Lanczos
@@ -45,6 +45,7 @@ __all__ = [
     "hamiltonian_terms",
     "BAND_RATIO",
     "DENSE_BYTES_CAP",
+    "DENSE_INPUT_SQUARES",
     "check_fits",
     "check_dense_fits",
     "LOWEST_BLOCK_ENTRIES",
@@ -78,6 +79,12 @@ BAND_RATIO = 11
 # about 1 GiB: the array plus LAPACK's O(d) workspace.  On the banded path
 # the band is at most 1/BAND_RATIO of that array.
 DENSE_BYTES_CAP = 1 << 30
+# d x d arrays of the solve's dtype that `spectrum` holds at its peak on a dense
+# (numpy) input, while `_checked` converts it to CSR: int64 coordinates and
+# the values of every entry, then the CSR arrays.  Tracemalloc peaks of
+# spectrum on full random arrays, d = 600 and 1500, in such arrays: 4.0 for
+# float64, 3.5 for complex128, 3.5 for float32 (solved in float64).
+DENSE_INPUT_SQUARES = 4
 # Entries d x G of one block of shifts that `lowest` runs in lockstep: 4 MiB
 # per float64 array, and a block holds at most about nine such arrays (peak
 # 21 MB on a 50-point line at n = 2, N = 60, against 80 MB as one block).
@@ -258,15 +265,16 @@ def spectrum(H) -> np.ndarray:
 
     The dense d x d matrix is checked against DENSE_BYTES_CAP from the input's
     shape and dtype, before the input is converted or checked, whichever path
-    the sector then takes, and all d eigenvalues are returned.
+    the sector then takes, and all d eigenvalues are returned.  A dense (numpy)
+    input is checked as DENSE_INPUT_SQUARES such matrices, the peak of its
+    conversion to CSR.
 
     Banded path: where the half-bandwidth b of H in the order it is given
     (the largest row - column over its entries) has d >= BAND_RATIO (b + 1),
     LAPACK's ?sbevd / ?hbevd solves the (b + 1) x d lower band in place, so the
     peak is itemsize d (b + 1) bytes plus O(nnz + d).  H is not reordered: a
-    caller who wants the band passes H in a banded order, as the CLI passes a
-    Fock sector's H with its rows sorted by N_a (a hop moves one atom between
-    the wells).  Dense path, every other sector: H built in Fortran order as
+    Fock sector's H is banded in its basis's own layer order.  Dense path,
+    every other sector: H built in Fortran order as
     the one d x d array, which LAPACK's ?syevr / ?heevr overwrites in place
     (peak itemsize d^2 bytes plus O(d) workspace).  Neither path makes scipy's
     finiteness mask: `_checked` has refused every non-finite entry already.
@@ -274,7 +282,12 @@ def spectrum(H) -> np.ndarray:
     if not sp.issparse(H):
         H = np.asarray(H)
     if H.ndim == 2:  # sized from shape and dtype, before _checked converts a dense array
-        check_dense_fits(H.shape[0], np.result_type(H.dtype, np.float64))
+        d, dtype = H.shape[0], np.result_type(H.dtype, np.float64)
+        if sp.issparse(H):
+            check_dense_fits(d, dtype)
+        else:
+            check_fits(f"dimension {d}: a dense input takes {DENSE_INPUT_SQUARES} {d}x{d} {dtype} arrays,",
+                       DENSE_INPUT_SQUARES * dtype.itemsize * d * d)
     H = _checked(H)
     band = _lower_band(H)
     if band is not None:

@@ -63,6 +63,7 @@ from . import model
 from .fock import (
     FockSector,
     TruncatedLadder,
+    dimension,
     hop_operator,
     truncated_ladder,
 )
@@ -79,6 +80,8 @@ __all__ = [
     "transfer_terms",
     "transfer_matrix",
     "transfer_commutator_residual",
+    "COMMUTATOR_ROW_BYTES",
+    "check_commutator_fits",
     "charge_terms",
     "conserved_charges",
     "transfer_hamiltonian_terms",
@@ -378,6 +381,26 @@ def transfer_matrix(u, ip: IntegrableParams, sector: FockSector) -> sp.csr_matri
 # sector of more rows takes its pairs one at a time: all 20 pairs of n = 2,
 # N = 40 (12341 rows) in one stack peak at 760 MiB (tracemalloc), one at 34 MiB
 COMMUTATOR_STACK_ROWS = 1 << 10
+# Bytes that one stack of `transfer_commutator_residual` holds at its peak,
+# per row and per (1 + w)^2, w the mean entries per row of t(u): a row of a
+# product t(u) t(v) holds up to w^2 entries.  Tracemalloc peaks of the call,
+# in these units: n = 1, N = 20000 36.2; n = 2, N = 10, 40 and 80 27.9, 33.1
+# and 32.9; n = 3, N = 16 and 20 31.1 and 30.9; n = 4, N = 10 29.8; n = 8,
+# N = 4 26.0; n = 12, N = 3 23.3.
+COMMUTATOR_ROW_BYTES = 37
+
+
+def check_commutator_fits(n_levels: int, n_atoms: int):
+    """Raise ValueError unless one stack of `transfer_commutator_residual` on
+    the (n, N) sector fits model.DENSE_BYTES_CAP: COMMUTATOR_ROW_BYTES
+    (1 + w)^2 bytes for each of max(d, COMMUTATOR_STACK_ROWS) rows, where
+    t(u) holds d + 2 n^2 dimension(n, N - 1) entries, w per row (a term
+    a_j^dag b_k and its adjoint on each row with n_bk > 0)."""
+    d = dimension(n_levels, n_atoms)
+    entries = d + (2 * n_levels**2 * dimension(n_levels, n_atoms - 1) if n_atoms else 0)
+    rows = max(d, COMMUTATOR_STACK_ROWS)
+    need = -(-COMMUTATOR_ROW_BYTES * rows * (d + entries) ** 2 // (d * d))
+    model.check_fits(f"transfer commutators of {rows} rows, {entries / d:.3g} entries each, need", need)
 
 
 def _block_max_abs(m, d):
@@ -399,7 +422,11 @@ def transfer_commutator_residual(u, v, ip: IntegrableParams, sector: FockSector)
     COMMUTATOR_STACK_ROWS rows, the pairs' t(u_i) and t(v_i) are two
     block-diagonal `transfer_matrix` stacks, their commutators one sparse
     product, and each pair's max-abs entries are read from its block.  A
-    float for scalar arguments, else an array of the broadcast shape."""
+    float for scalar arguments, else an array of the broadcast shape.
+
+    Raises ValueError, before anything is built, where
+    `check_commutator_fits` refuses the sector."""
+    check_commutator_fits(sector.n_levels, sector.n_atoms)
     u, v = np.broadcast_arrays(u, v)
     shape = u.shape
     u, v = u.ravel(), v.ravel()

@@ -565,7 +565,8 @@ def test_wide_rows_refused_before_enumeration(argv, capsys, monkeypatch):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["verify", "--suite", "tcommute", "--n", "3", "--atoms", "2"],
+        # hrel: tcommute's commutator stacks need more than the rows
+        ["verify", "--suite", "hrel", "--n", "3", "--atoms", "2"],
         ["spectrum", "--n", "3", "--atoms", "2"],
         ["bae", "--n", "3", "--atoms", "2"],
         ["fig2", "--atoms", "3", "--grid", "0:1:1"],
@@ -697,8 +698,9 @@ def test_verify_dense_sizes_checked_before_any_suite(capsys, monkeypatch):
 
     # rll at n=1 builds two (2, 2, 4, 4) complex Lax operators, 2048 bytes
     # (m = C(4, 1)); tcommute, on sectors of 100 and 101 states at n=1, N=99
-    # and 100, forms no dense matrix (81608 bytes at d = 101): only their rows
-    # are held to the cap, fock.SECTOR_ROW_ARRAYS x 101 x 2 int64s (32320 bytes)
+    # and 100, forms no dense matrix: its commutator stacks of 1024 rows are
+    # held to the cap, yangbaxter.check_commutator_fits (600221 bytes at
+    # N=100, 600162 at N=99)
     suites = {name: getattr(yangbaxter, name) for name in (
         "ybe_residual", "rll_residual", "transfer_commutator_residual",
         "conserved_charges", "transfer_hamiltonian_terms")}
@@ -712,10 +714,15 @@ def test_verify_dense_sizes_checked_before_any_suite(capsys, monkeypatch):
     err = captured.err.strip().splitlines()
     assert captured.out == ""
     assert len(err) == 1 and err[0].startswith("error: rll n=24: two (2, 2, 2925, 2925)")
-    monkeypatch.setattr(model, "DENSE_BYTES_CAP", 40000)
+    tcommute = ["verify", "--suite", "tcommute", "--n", "1", "--atoms", "99,100"]
+    monkeypatch.setattr(model, "DENSE_BYTES_CAP", 600220)
+    assert main(tcommute) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: tcommute n=1, N=100: transfer commutators of 1024 rows")
+    monkeypatch.setattr(model, "DENSE_BYTES_CAP", 600221)
     for name in ("rll_residual", "transfer_commutator_residual"):
         monkeypatch.setattr(yangbaxter, name, suites[name])
-    assert main(["verify", "--suite", "tcommute", "--n", "1", "--atoms", "99,100"]) == 0
+    assert main(tcommute) == 0
     out = capsys.readouterr().out
     assert "tcommute n=1 N=100 20 pairs" in out and "FAIL" not in out
     monkeypatch.setattr(model, "DENSE_BYTES_CAP", 2048)
@@ -725,6 +732,19 @@ def test_verify_dense_sizes_checked_before_any_suite(capsys, monkeypatch):
     assert main(["verify", "--suite", "rll", "--n", "1"]) == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: rll n=1:")
+
+
+def test_verify_sizes_tcommute_products_before_any_sector(capsys, monkeypatch):
+    # n = 2, N = 150: its 585276 rows fit fock.check_sector_fits, but one
+    # commutator pair peaks near 3 kB per row, about 1.7 GB
+    monkeypatch.setattr(fock, "_enumerate", lambda *a: pytest.fail("a sector was enumerated"))
+    assert main(["verify", "--suite", "tcommute", "--atoms", "150"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: tcommute n=2, N=150: transfer commutators of 585276 rows, 8.84 entries each, "
+        "need 2098116127 bytes > DENSE_BYTES_CAP = 1073741824 bytes\n"
+    )
 
 
 def test_verify_rll_past_the_old_precheck(capsys):

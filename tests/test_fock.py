@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twowell import fock, model
@@ -56,8 +56,9 @@ def test_enumerate_matches_dimension_exhaustively():
             assert sector.dim == dimension(n, N)
             states = [tuple(row) for row in sector.occ.tolist()]
             assert all(sum(state) == N for state in states)
-            # strictly descending lexicographic order, rank is the inverse map
-            assert states == sorted(states, reverse=True)
+            # layer order: N_a descending, each layer strictly descending
+            # lexicographic; rank is the inverse map
+            assert states == sorted(states, key=lambda state: (sum(state[:n]), state), reverse=True)
             assert all(sector.rank(state) == i for i, state in enumerate(states))
 
 
@@ -95,9 +96,11 @@ def test_occupation_array_rank_and_hopping(n, N):
     occ = sector.occ
     assert occ.shape == (dimension(n, N), 2 * n)
     assert np.all(occ.sum(axis=1) == N)
-    # consecutive rows are distinct and strictly descending-lex: the first
-    # column where they differ is larger in the earlier row
-    step = occ[:-1] - occ[1:]
+    # consecutive rows are distinct and in layer order: with N_a put in front
+    # of each row, the first column where they differ is larger in the
+    # earlier row
+    keyed = np.column_stack([occ[:, :n].sum(axis=1), occ])
+    step = keyed[:-1] - keyed[1:]
     first = np.argmax(step != 0, axis=1)
     assert np.all(step[np.arange(len(step)), first] > 0)
     assert np.array_equal(sector.rank(occ), np.arange(sector.dim))
@@ -106,8 +109,8 @@ def test_occupation_array_rank_and_hopping(n, N):
     for c, k in itertools.product(range(n), repeat=2):
         a = n + k  # column of b_k
         tunnel = hop_operator(sector, 0.0, np.outer(np.eye(n)[c], np.eye(n)[k]))
-        # a_c^dag b_k raises column c, the first column where target and source
-        # differ, so in descending-lex order its half lies above the diagonal
+        # a_c^dag b_k raises N_a, so in layer order its half lies above the
+        # diagonal
         hop = sp.triu(tunnel, k=1).tocoo()
         # checked against the rows themselves, without rank
         assert np.array_equal(occ[hop.row], occ[hop.col] + eye[c] - eye[a])
@@ -115,6 +118,36 @@ def test_occupation_array_rank_and_hopping(n, N):
         assert np.array_equal(hop.data, np.sqrt((n_c + 1.0) * n_a))
         assert hop.nnz == np.count_nonzero(occ[:, a])
         assert (tunnel - hop - hop.T).nnz == 0  # the other half is b_k^dag a_c
+
+
+def compositions(total, parts):
+    """Every tuple of `parts` nonnegative integers summing to `total`."""
+    if parts == 1:
+        yield (total,)
+        return
+    for head in range(total + 1):
+        for rest in compositions(total - head, parts - 1):
+            yield (head, *rest)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 4), N=st.integers(0, 8))
+@example(n=2, N=40)
+@example(n=8, N=5)
+def test_layer_order_ranks_rows_and_hop_targets(n, N):
+    # the rows are every composition, sorted by (-N_a, descending lex); rank
+    # inverts them; each hop term's target, which the table finds from its
+    # source's index, is the rank of the moved row
+    sector = enumerate_sector(n, N)
+    layered = sorted(compositions(N, 2 * n), key=lambda state: (-sum(state[:n]), [-x for x in state]))
+    assert sector.occ.tolist() == [list(state) for state in layered]
+    assert np.array_equal(sector.rank(sector.occ), np.arange(sector.dim))
+    src, dst, pair, _ = fock._hop_terms(sector.occ, N)
+    j, k = np.divmod(pair, n)
+    moved = sector.occ[src]
+    moved[np.arange(src.size), j] += 1
+    moved[np.arange(src.size), n + k] -= 1
+    assert np.array_equal(dst, sector.rank(moved))
 
 
 def test_enumerate_refuses_sectors_above_cap(monkeypatch):

@@ -46,14 +46,6 @@ def random_params(rng, n):
     )
 
 
-def layered_hamiltonian(params, N):
-    """H on the N-atom sector with its rows sorted by N_a, the layer order in
-    which the CLI passes every sector to `spectrum`."""
-    sector = enumerate_sector(params.n_levels, N)
-    o = np.argsort(-sector.occ[:, :params.n_levels].sum(1), kind="stable")
-    return build_hamiltonian(params, sector)[o][:, o]
-
-
 def test_same_well_couplings_stored_exactly_symmetric():
     # within 1e-12 of symmetric, U is stored as (U + U^T) / 2; near the largest
     # float64 the halves keep the stored couplings finite
@@ -231,8 +223,8 @@ def test_spectrum_allocates_one_dense_matrix(dtype):
     # at most the d x d array that check_dense_fits counts and LAPACK's O(d)
     # workspace: no second copy, and no d^2-byte finiteness mask (d > 800
     # here, so a mask would exceed the bound).  The real sector (d / (b + 1)
-    # = 10.8 even in layer order) and the random complex pattern are solved
-    # dense; the tridiagonal takes the banded path, which stays far below
+    # = 10.8) and the random complex pattern are solved dense; the
+    # tridiagonal takes the banded path, which stays far below
     if dtype == "real":
         H = build_hamiltonian(scan_params(mu2=0.3), enumerate_sector(2, 16))  # d = 969
     elif dtype == "complex-dense":
@@ -261,8 +253,8 @@ def _banded_case(case):
     rng = np.random.default_rng(30)
     if case == "tridiagonal":  # n = 1: the two-mode Josephson model, b = 1
         return build_hamiltonian(random_params(rng, 1), enumerate_sector(1, 2000))
-    if case == "n2":  # d = 2024, b = 143 in layer order
-        return layered_hamiltonian(random_params(rng, 2), 21)
+    if case == "n2":  # d = 2024, b = 143
+        return build_hamiltonian(random_params(rng, 2), enumerate_sector(2, 21))
     # a complex Hermitian band of half-bandwidth 6
     d, b = 600, 6
     A = sp.diags([rng.standard_normal(d - k) + 1j * rng.standard_normal(d - k) for k in range(b + 1)],
@@ -298,9 +290,9 @@ def test_both_paths_keep_the_precision_eigvalsh_picks(dtype):
 
 
 def test_banded_spectrum_allocates_its_band():
-    # n = 2, N = 21 in layer order: the (b + 1) x d band and O(nnz + d) for
-    # its coordinates, where the dense path takes 8 d^2 = 33 MB
-    H = layered_hamiltonian(random_params(np.random.default_rng(8), 2), 21)
+    # n = 2, N = 21: the (b + 1) x d band and O(nnz + d) for its
+    # coordinates, where the dense path takes 8 d^2 = 33 MB
+    H = build_hamiltonian(random_params(np.random.default_rng(8), 2), enumerate_sector(2, 21))
     d, itemsize = H.shape[0], H.dtype.itemsize
     b = model._lower_band(model._checked(H)).shape[0] - 1
     assert (d, b) == (2024, 143)
@@ -315,28 +307,38 @@ def test_banded_spectrum_allocates_its_band():
     assert peak < itemsize * d * d / 5
 
 
+def _half_bandwidth(H):
+    """b = max(row - column) over the entries of H."""
+    H = H.tocoo()
+    return int((H.row - H.col).max(initial=0))
+
+
 def _cli_half_bandwidth(mp, N, monkeypatch):
     """b of the matrix that `cli._ed_levels` hands to spectrum for the N-atom sector."""
     seen = []
-    monkeypatch.setattr(model, "spectrum", lambda H: seen.append(H.tocoo()))
+    monkeypatch.setattr(model, "spectrum", seen.append)
     cli._ed_levels(mp, N)
-    return int((seen[0].row - seen[0].col).max(initial=0))
+    return _half_bandwidth(seen[0])
 
 
-def test_layer_order_half_bandwidth(monkeypatch):
-    # a hop moves one atom between the wells, so in the layer order the CLI
-    # passes, b is a formula in (n, N): 1 at n = 1, and at n = 2, for a full
-    # Omega, the largest layer (k + 1)(N - k + 1) plus ceil(N / 2); with a
-    # diagonal Omega H has a subset of those entries, so b is at most that
+def test_layer_order_half_bandwidth():
+    # a hop moves one atom between the wells, so in the layer order of
+    # enumerate_sector b is a formula in (n, N): 1 at n = 1, and at n = 2,
+    # for a full Omega, the largest layer (k + 1)(N - k + 1) plus ceil(N / 2);
+    # with a diagonal Omega H has a subset of those entries, so b is at most that
     rng = np.random.default_rng(40)
     full, diagonal = random_params(rng, 2), random_params(rng, 2)
     diagonal.Omega = np.diag(np.diag(diagonal.Omega))
-    assert {_cli_half_bandwidth(random_params(rng, 1), N, monkeypatch) for N in (1, 2, 7, 300)} == {1}
+
+    def b_of(mp, N):
+        return _half_bandwidth(build_hamiltonian(mp, enumerate_sector(mp.n_levels, N)))
+
+    assert {b_of(random_params(rng, 1), N) for N in (1, 2, 7, 300)} == {1}
     for N in range(1, 41):
         b = max((k + 1) * (N - k + 1) for k in range(N + 1)) + (N + 1) // 2
-        assert _cli_half_bandwidth(scan_params(mu2=0.3), N, monkeypatch) == b
-        assert _cli_half_bandwidth(full, N, monkeypatch) == b
-        assert _cli_half_bandwidth(diagonal, N, monkeypatch) <= b
+        assert b_of(scan_params(mu2=0.3), N) == b
+        assert b_of(full, N) == b
+        assert b_of(diagonal, N) <= b
 
 
 def test_cli_sectors_take_the_band_from_n_17(monkeypatch):
@@ -351,8 +353,8 @@ def test_cli_sectors_take_the_band_from_n_17(monkeypatch):
 
 def _dense_case(case):
     rng = np.random.default_rng(31)
-    if case in ("n3_4", "n3_6"):  # in layer order, d / (b + 1) = 2.6 at N = 4 and 3.5 at N = 6
-        return layered_hamiltonian(random_params(rng, 3), int(case[-1]))
+    if case in ("n3_4", "n3_6"):  # d / (b + 1) = 2.6 at N = 4 and 3.5 at N = 6
+        return build_hamiltonian(random_params(rng, 3), enumerate_sector(3, int(case[-1])))
     if case == "ndarray":
         A = rng.standard_normal((60, 60))
         return A + A.T
@@ -682,6 +684,33 @@ def test_spectrum_sizes_a_dense_array_before_converting_it(monkeypatch, dtype):
     finally:
         tracemalloc.stop()
     assert peak < d * d / 10
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_spectrum_counts_a_dense_arrays_conversion(monkeypatch, dtype):
+    # a full dense array: converting it to CSR peaks at DENSE_INPUT_SQUARES
+    # d x d arrays (measured 4.0 of them in float64, 3.5 in complex128), which
+    # the check counts; the solve after it holds less
+    d = 600
+    rng = np.random.default_rng(9)
+    H = rng.standard_normal((d, d)).astype(dtype)
+    if dtype == np.complex128:
+        H += 1j * rng.standard_normal((d, d))
+    H += H.conj().T
+    need = model.DENSE_INPUT_SQUARES * H.itemsize * d * d
+    spectrum(H[:10, :10])  # first-call set-up is not the solve's
+    tracemalloc.start()
+    try:
+        levels = spectrum(H)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= need + 800 * d
+    monkeypatch.setattr(model, "DENSE_BYTES_CAP", need)
+    assert np.array_equal(spectrum(H), levels)
+    monkeypatch.setattr(model, "DENSE_BYTES_CAP", need - 1)
+    with pytest.raises(ValueError, match=f"^dimension {d}: a dense input takes {model.DENSE_INPUT_SQUARES} "):
+        spectrum(H)
 
 
 @pytest.mark.parametrize("tunneling", ["random", "diagonal", "full"])

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 
 from twowell.fock import enumerate_sector, hop_operator, truncated_ladder
 from twowell.model import build_hamiltonian, spectrum
-from twowell import model, yangbaxter
+from twowell import fock, model, yangbaxter
 from twowell.yangbaxter import (
     IntegrableParams,
     conserved_charges,
@@ -470,6 +470,50 @@ def test_transfer_commutator_stacks_split_bitwise(monkeypatch):
     for rows in (25, 10, 1):  # stacks of 2, 1 and 1 pairs
         monkeypatch.setattr(yangbaxter, "COMMUTATOR_STACK_ROWS", rows)
         assert transfer_commutator_residual(u, v, ip, sector).tobytes() == whole.tobytes()
+
+
+def commutator_bytes(n, N):
+    """COMMUTATOR_ROW_BYTES (1 + w)^2 bytes for each of max(d, COMMUTATOR_STACK_ROWS)
+    rows, w the entries per row of t(u), counted from the sector's rows."""
+    occ = enumerate_sector(n, N).occ
+    d = len(occ)
+    entries = d + 2 * n * np.count_nonzero(occ[:, n:])  # a_j^dag b_k and its adjoint
+    return math.ceil(yangbaxter.COMMUTATOR_ROW_BYTES * max(d, yangbaxter.COMMUTATOR_STACK_ROWS) * (1 + entries / d) ** 2)
+
+
+def test_transfer_commutators_are_sized_before_anything_is_built(monkeypatch):
+    # a library call is refused with the count check_commutator_fits gives,
+    # before the sector's hop table is built; at a cap equal to the count it runs
+    ip = default_integrable_params(2)
+    need = commutator_bytes(2, 3)  # 1024 rows of w = 5 entries
+    assert need == 37 * 1024 * 36
+    built = []
+    table = fock._hop_table
+    monkeypatch.setattr(fock, "_hop_table", lambda *a: built.append(1) or table(*a))
+    monkeypatch.setattr(model, "DENSE_BYTES_CAP", need - 1)
+    with pytest.raises(ValueError, match=f"^transfer commutators of 1024 rows, 5 entries each, need {need} bytes"):
+        transfer_commutator_residual(0.3, 0.7j, ip, enumerate_sector(2, 3))
+    assert not built
+    monkeypatch.setattr(model, "DENSE_BYTES_CAP", need)
+    assert transfer_commutator_residual(0.3, 0.7j, ip, enumerate_sector(2, 3)) <= 1e-10
+    assert built
+
+
+@pytest.mark.parametrize("n, N", [(1, 500), (2, 20), (3, 8)])
+def test_transfer_commutator_peak_is_within_its_count(n, N):
+    # 20 pairs, as verify draws them, on a new sector (its hop table built
+    # inside the call): measured 95%, 90% and 85% of the count
+    ip = default_integrable_params(n)
+    u, v = np.random.default_rng(32).uniform(-3, 3, size=(20, 4)).view(complex).T
+    transfer_commutator_residual(u[:2], v[:2], ip, enumerate_sector(n, 1))  # first-call set-up
+    sector = enumerate_sector(n, N)
+    tracemalloc.start()
+    try:
+        transfer_commutator_residual(u, v, ip, sector)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= commutator_bytes(n, N)
 
 
 def test_transfer_matrix_stack_is_the_block_diagonal_of_single_fills():
