@@ -47,8 +47,9 @@ of the modules that allocate it (`_sector_errors`): the CLI's own bounds,
 LEVEL_MATRICES and GRID_POINTS_CAP, bound only what it parses.
 
 Configs are single JSON documents whose only top-level keys are 'model' and
-'n_atoms'; numbers are printed with 17 significant digits so CSV output is
-byte-deterministic for a fixed config (and, for verify, seed).
+'n_atoms', and whose couplings are JSON numbers or arrays of them, never
+strings or booleans; numbers are printed with 17 significant digits so CSV
+output is byte-deterministic for a fixed config (and, for verify, seed).
 Exit codes: 0 success/all-pass, 1 validation or integrability failure,
 2 numerical-threshold failure.
 """
@@ -86,6 +87,18 @@ def _refuse_if(errors):
         raise _Refused(*errors)
 
 
+def _refusals(rows):
+    """One `label: message` line per (label, check, *args) row whose
+    check(*args) raises ValueError, in row order."""
+    errors = []
+    for label, check, *args in rows:
+        try:
+            check(*args)
+        except ValueError as exc:
+            errors.append(f"{label}: {exc}")
+    return errors
+
+
 def _fmt(x) -> str:
     return format(float(x), ".17g")
 
@@ -100,7 +113,7 @@ def _load_config(path, errors):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:  # recursion: arrays nested too deep
         raise _Refused(f"config {path}: {exc}") from None
     if not isinstance(cfg, dict):
         raise _Refused(f"config {path}: top level must be a JSON object")
@@ -112,15 +125,24 @@ def _load_config(path, errors):
     return cfg
 
 
-def _levels_error(name, n):
-    """Why n levels are refused, or None: LEVEL_MATRICES n x n float64 matrices
-    must fit model.DENSE_BYTES_CAP.  n < 1 is left to the callers."""
-    try:
-        model.check_fits(f"{name} = {n}: {LEVEL_MATRICES} n x n float64 coupling matrices need",
-                         LEVEL_MATRICES * 8 * max(n, 0) ** 2)
-    except ValueError as exc:
-        return str(exc)
-    return None
+def _levels_errors(name, n):
+    """Why n levels are refused, if they are: LEVEL_MATRICES n x n float64
+    matrices must fit model.DENSE_BYTES_CAP.  n < 1 is left to the callers."""
+    return _refusals([(f"{name} = {n}", model.check_fits, f"{LEVEL_MATRICES} n x n float64 coupling matrices need",
+                       LEVEL_MATRICES * 8 * max(n, 0) ** 2)])
+
+
+def _numbers_only(value):
+    """True for a JSON number or an array, nested to any depth, of numbers only
+    (a bool is not a number)."""
+    stack = [value]
+    while stack:
+        item = stack.pop()
+        if type(item) is list:
+            stack.extend(item)
+        elif type(item) not in (int, float):
+            return False
+    return True
 
 
 def _model_from_config(cfg, errors):
@@ -150,13 +172,17 @@ def _model_from_config(cfg, errors):
     if type(block["n_levels"]) is not int:
         errors.append(f"config: model.n_levels must be an integer, got {block['n_levels']!r}")
         return None
-    error = _levels_error("config: model.n_levels", block["n_levels"])
-    if error:
-        errors.append(error)
+    if level_errors := _levels_errors("config: model.n_levels", block["n_levels"]):
+        errors += level_errors
+        return None
+    # couplings are JSON numbers, which the parameter classes would also read from strings
+    strings = [f for f in fields if f != "n_levels" and not _numbers_only(block[f])]
+    if strings:
+        errors.append(f"config: model fields {strings} must be JSON numbers or arrays of numbers")
         return None
     try:
         params = cls(**{f: block[f] for f in fields})
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:  # overflow: an integer beyond float64
         errors.append(f"config: invalid model parameters: {exc}")
         return None
     return kind, params
@@ -367,16 +393,12 @@ def _sector_errors(pairs, dense=False):
     """One message per sector (n_levels, N) refused before it is enumerated: by
     model.check_dense_fits of its dimension d where `dense` (spectrum and bae
     form its d x d matrix), then by fock.check_sector_fits of its d rows."""
-    errors = []
-    for n, N in pairs:
+    def check(n, N):
         d = fock.dimension(n, N)
-        try:
-            if dense:
-                model.check_dense_fits(d)
-            fock.check_sector_fits(d, 2 * n)
-        except ValueError as exc:
-            errors.append(f"sector n={n}, N={N}: {exc}")
-    return errors
+        if dense:
+            model.check_dense_fits(d)
+        fock.check_sector_fits(d, 2 * n)
+    return _refusals((f"sector n={n}, N={N}", check, n, N) for n, N in pairs)
 
 
 def _ed_levels(mp, N):
@@ -403,19 +425,12 @@ def cmd_verify(args) -> int:
         for name, (suite, levels, atoms) in selected.items()
     }
     sectors = {(n, N) for _, levels, atoms in plan.values() for n in levels for N in atoms}
-    errors = _sector_errors(sorted(sectors))
-    for n in plan.get("rll", (None, (), ()))[1]:  # rll forms the only dense matrices
-        try:
-            yangbaxter.check_rll_fits(n)
-        except ValueError as exc:
-            errors.append(f"rll n={n}: {exc}")
+    # rll forms the only dense matrices; tcommute's sparse products outgrow the sector's rows
+    rows = [(f"rll n={n}", yangbaxter.check_rll_fits, n) for n in plan.get("rll", (None, (), ()))[1]]
     _, levels, atoms = plan.get("tcommute", (None, (), ()))
-    for n, N in itertools.product(levels, atoms):  # its sparse products outgrow the sector's rows
-        try:
-            yangbaxter.check_commutator_fits(n, N)
-        except ValueError as exc:
-            errors.append(f"tcommute n={n}, N={N}: {exc}")
-    _refuse_if(errors)
+    rows += [(f"tcommute n={n}, N={N}", yangbaxter.check_commutator_fits, n, N)
+             for n, N in itertools.product(levels, atoms)]
+    _refuse_if(_sector_errors(sorted(sectors)) + _refusals(rows))
 
     checks = []  # (name, residual, gate text, passed)
     sector_of = functools.cache(fock.enumerate_sector)  # each (n, N) once, with its hop table
@@ -489,13 +504,8 @@ def _bae_csv(states):
 
 def cmd_bae(args) -> int:
     kind, params, mp, atoms = _model_front(args)
-    errors = []
-    for N in atoms:  # the TQ work of solve_bae, which the dense check does not count
-        try:
-            bethe.check_solve_fits(N)
-        except ValueError as exc:
-            errors.append(f"sector n={params.n_levels}, N={N}: {exc}")
-    _refuse_if(errors)
+    # the TQ work of solve_bae, which the dense check does not count
+    _refuse_if(_refusals((f"sector n={params.n_levels}, N={N}", bethe.check_solve_fits, N) for N in atoms))
     ip = params  # physical couplings are replaced by their integrable gauge
     if kind == "physical":
         report, violations = _validated(params)
@@ -727,9 +737,7 @@ def main(argv=None) -> int:
     n = getattr(args, "n", None)
     try:
         if n is not None:
-            error = f"--n must be >= 1, got {n}" if n < 1 else _levels_error("--n", n)
-            if error:
-                raise _Refused(error)
+            _refuse_if([f"--n must be >= 1, got {n}"] if n < 1 else _levels_errors("--n", n))
         # looked up per call, so a cmd_* replaced on the module is the one that runs
         return globals()[f"cmd_{args.command}"](args)
     except _Refused as exc:

@@ -14,8 +14,9 @@ general form; for n = 2 the conventional single-count cross coupling
 equals the stored off-diagonal entry (the 1/2 and the double count cancel).
 All couplings share one arbitrary energy unit.
 
-Eigenvalues come from one of two entry points, one per question.  Both read
-H as one CSR matrix and refuse it unless it is square, finite and Hermitian:
+Eigenvalues come from one of two entry points, one per question.  Both take
+H sparse, as `build_hamiltonian` returns it (any other input is refused
+unconverted), and refuse it unless it is square, finite and Hermitian:
 `spectrum(H)` returns every level, ascending, after checking the dense d x d
 matrix against DENSE_BYTES_CAP.  It reads the half-bandwidth b of H in the
 order H is given, and where the band is narrow (d >= BAND_RATIO (b + 1)) it
@@ -45,7 +46,6 @@ __all__ = [
     "hamiltonian_terms",
     "BAND_RATIO",
     "DENSE_BYTES_CAP",
-    "DENSE_INPUT_SQUARES",
     "check_fits",
     "check_dense_fits",
     "LOWEST_BLOCK_ENTRIES",
@@ -79,12 +79,6 @@ BAND_RATIO = 11
 # about 1 GiB: the array plus LAPACK's O(d) workspace.  On the banded path
 # the band is at most 1/BAND_RATIO of that array.
 DENSE_BYTES_CAP = 1 << 30
-# d x d arrays of the solve's dtype that `spectrum` holds at its peak on a dense
-# (numpy) input, while `_checked` converts it to CSR: int64 coordinates and
-# the values of every entry, then the CSR arrays.  Tracemalloc peaks of
-# spectrum on full random arrays, d = 600 and 1500, in such arrays: 4.0 for
-# float64, 3.5 for complex128, 3.5 for float32 (solved in float64).
-DENSE_INPUT_SQUARES = 4
 # Entries d x G of one block of shifts that `lowest` runs in lockstep: 4 MiB
 # per float64 array, and a block holds at most about nine such arrays (peak
 # 21 MB on a 50-point line at n = 2, N = 60, against 80 MB as one block).
@@ -216,14 +210,16 @@ def build_hamiltonian(params: ModelParams, sector: FockSector) -> sp.csr_matrix:
 
 def _checked(H) -> sp.csr_matrix:
     """H as a canonical CSR matrix (sorted indices, no duplicates), after checking
-    that it is square, that its entries are finite and that
-    max|H - H^dag| <= HERMITICITY_TOL; the checks stay sparse.
+    that it is a scipy.sparse matrix (anything else is refused unconverted),
+    square, finite and Hermitian to HERMITICITY_TOL; the checks stay sparse.
 
     Where H^T has the pattern of H, as it has for a Hermitian H unless H stores
     an entry (an explicit zero, or one within HERMITICITY_TOL) without its
     mirror, the two are compared entry by entry, from one transposed copy of H.
     H - H^dag is formed only where the patterns differ or an entry fails, to
     name the worst entry."""
+    if not sp.issparse(H):
+        raise ValueError(f"expected a scipy.sparse matrix, got {type(H).__name__}")
     H = sp.csr_matrix(H)
     if H.shape[0] != H.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
@@ -263,11 +259,10 @@ def spectrum(H) -> np.ndarray:
     """Every eigenvalue of a Hermitian matrix, ascending: from its band where the
     band is narrow, by dense diagonalization otherwise.
 
-    The dense d x d matrix is checked against DENSE_BYTES_CAP from the input's
-    shape and dtype, before the input is converted or checked, whichever path
-    the sector then takes, and all d eigenvalues are returned.  A dense (numpy)
-    input is checked as DENSE_INPUT_SQUARES such matrices, the peak of its
-    conversion to CSR.
+    H is a scipy.sparse matrix; anything else is refused by `_checked`.  The
+    dense d x d matrix is checked against DENSE_BYTES_CAP from H's shape and
+    dtype, before H is copied or checked, whichever path the sector then
+    takes, and all d eigenvalues are returned.
 
     Banded path: where the half-bandwidth b of H in the order it is given
     (the largest row - column over its entries) has d >= BAND_RATIO (b + 1),
@@ -279,15 +274,8 @@ def spectrum(H) -> np.ndarray:
     (peak itemsize d^2 bytes plus O(d) workspace).  Neither path makes scipy's
     finiteness mask: `_checked` has refused every non-finite entry already.
     """
-    if not sp.issparse(H):
-        H = np.asarray(H)
-    if H.ndim == 2:  # sized from shape and dtype, before _checked converts a dense array
-        d, dtype = H.shape[0], np.result_type(H.dtype, np.float64)
-        if sp.issparse(H):
-            check_dense_fits(d, dtype)
-        else:
-            check_fits(f"dimension {d}: a dense input takes {DENSE_INPUT_SQUARES} {d}x{d} {dtype} arrays,",
-                       DENSE_INPUT_SQUARES * dtype.itemsize * d * d)
+    if sp.issparse(H):  # sized from shape and dtype, before _checked copies anything
+        check_dense_fits(H.shape[0], np.result_type(H.dtype, np.float64))
     H = _checked(H)
     band = _lower_band(H)
     if band is not None:
@@ -316,8 +304,9 @@ def _lower_band(H):
 def lowest(H, D=None, xs=(0.0,)) -> np.ndarray:
     """The lowest eigenvalue of H + x diag(D) for each x in xs, by plain Lanczos.
 
-    H is checked once (square, finite, Hermitian, as for `spectrum`); D, of
-    length d, defaults to zeros, so `lowest(H)[0]` is the ground level of H.
+    H is a scipy.sparse matrix with at least one row, checked once (square,
+    finite, Hermitian, as for `spectrum`); D, of length d, defaults to zeros,
+    so `lowest(H)[0]` is the ground level of H.
     Every shift starts from the same fixed pseudo-random vector, and the
     shifts run in lockstep: blocks of at most LOWEST_BLOCK_ENTRIES d x G
     entries, one sparse product H @ V per step for the whole block.  The
@@ -335,6 +324,8 @@ def lowest(H, D=None, xs=(0.0,)) -> np.ndarray:
     """
     H = _checked(H)
     d = H.shape[0]
+    if d == 0:
+        raise ValueError("a 0 x 0 matrix has no lowest level")
     D = np.zeros(d) if D is None else np.asarray(D, dtype=float)
     if D.shape != (d,):
         raise ValueError(f"D must have shape ({d},), got {D.shape}")

@@ -669,7 +669,8 @@ def test_config_top_level_keys_are_model_and_n_atoms(tmp_path, capsys, verb, key
     (None, "No such file"),
     ("{\"model\": ", "Expecting value"),
     ("[1, 2]", "top level must be a JSON object"),
-], ids=["missing", "malformed", "non-object"])
+    ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+], ids=["missing", "malformed", "non-object", "nested-too-deep"])
 def test_unreadable_config_gives_one_error_line(tmp_path, capsys, verb, content, reason):
     # a config that cannot be read is not parsed as a model: no second line
     # "config: missing 'model' block" after the reason
@@ -1217,6 +1218,39 @@ def test_config_counts_must_be_integers(tmp_path, capsys, verb, payload):
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("verb", ["spectrum", "bae", "identify"])
+@pytest.mark.parametrize("kind", ["integrable", "physical"])
+def test_config_couplings_must_be_json_numbers(tmp_path, capsys, verb, kind):
+    # the parameter classes read "1.5" as 1.5 and true as 1.0, so these ran as
+    # numbers: spectrum printed four levels
+    if kind == "integrable":
+        block = integrable_block(2) | {"eta": "1", "alpha": "1.5", "omega": ["1", "1"], "s": [True, 0.5]}
+        bad = ["eta", "omega", "s", "alpha"]
+    else:
+        block = physical_block(yangbaxter.identify_parameters(default_integrable_params(2)))
+        block["U_ab"][1][0], block["mu"][0] = "0", False
+        bad = ["U_ab", "mu"]
+    assert main([verb, "--config", write_config(tmp_path, {"model": block, "n_atoms": [1]})]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"error: config: model fields {bad} must be JSON numbers or arrays of numbers"]
+
+
+@pytest.mark.parametrize("verb", ["spectrum", "bae"])
+def test_config_couplings_read_json_integers(tmp_path, capsys, verb):
+    # integers are JSON numbers: the same levels as the float block, and an
+    # integer beyond float64 is one error line, not a traceback
+    outputs = []
+    for value in (1.0, 1):
+        block = integrable_block(2) | {"eta": value, "omega": [value, 0.5], "s": [value, value], "alpha": value}
+        assert main([verb, "--config", write_config(tmp_path, {"model": block, "n_atoms": [1, 2]})]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    block = integrable_block(2) | {"omega": [1, 10**400]}
+    assert main([verb, "--config", write_config(tmp_path, {"model": block})]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: config: invalid model parameters: int too large to convert to float"]
 
 
 @pytest.mark.parametrize("verb", ["spectrum", "bae"])

@@ -140,7 +140,7 @@ def test_diagonal_matches_decoupled_plus_cross():
         cross = na @ params.U_ab @ nb
         assert H[i, i] == pytest.approx(e_a + e_b + cross, rel=1e-14, abs=1e-14)
     # spectrum of the decoupled model is the sorted diagonal
-    assert np.allclose(spectrum(H), np.sort(np.diag(H)), atol=1e-12)
+    assert np.allclose(spectrum(sp.csr_matrix(H)), np.sort(np.diag(H)), atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -170,24 +170,44 @@ def test_eigensolve_closed_form_spectrum():
 
 
 def test_eigensolve_trivial_cases():
-    assert spectrum(np.zeros((1, 1))) == pytest.approx([0.0])
-    diag = np.diag([3.0, -1.0, 2.0])
+    assert spectrum(sp.csr_matrix(np.zeros((1, 1)))) == pytest.approx([0.0])
+    diag = sp.csr_matrix(np.diag([3.0, -1.0, 2.0]))
     assert np.allclose(spectrum(diag), [-1.0, 2.0, 3.0], atol=0.0)
 
 
 def test_eigensolve_rejects_non_hermitian():
-    bad = np.array([[0.0, 1.0], [0.0, 0.0]])
+    bad = sp.csr_matrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError, match=r"H\[0,1\]"):
         spectrum(bad)
 
 
-def test_spectrum_dense_input_equals_its_csr_form():
-    # both are read as CSR, so the dense array and its sparse form give the same bits
-    rng = np.random.default_rng(2)
-    H = build_hamiltonian(random_params(rng, 2), enumerate_sector(2, 3))
-    dense = H.toarray()
-    assert np.array_equal(spectrum(dense), spectrum(H))
-    assert np.array_equal(lowest(dense), lowest(H))
+@pytest.mark.parametrize("solve", [spectrum, lowest])
+def test_eigen_entry_points_refuse_a_dense_input(solve):
+    # only scipy.sparse matrices are read: an array or a nested list is refused
+    # as it is, so the refusal allocates nothing of size d^2 (d * 64 bytes is
+    # 0.4% of one float64 d x d array)
+    d = 2000
+    for H in (np.zeros((d, d)), np.zeros((d, d), dtype=np.complex128), [[0.0] * d] * d):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^expected a scipy.sparse matrix, got {type(H).__name__}$"):
+                solve(H)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < d * 64
+    for H in (np.eye(3), [[1.0]]):
+        with pytest.raises(ValueError, match="^expected a scipy.sparse matrix"):
+            solve(H)
+
+
+def test_lowest_refuses_an_empty_matrix():
+    # a 0 x 0 matrix has no levels: spectrum lists none, and lowest has none to
+    # return (it divided by d = 0 sizing its blocks)
+    H = sp.csr_matrix((0, 0))
+    assert spectrum(H).shape == (0,)
+    with pytest.raises(ValueError, match="^a 0 x 0 matrix has no lowest level$"):
+        lowest(H)
 
 
 def _non_canonical(H):
@@ -204,18 +224,15 @@ def _non_canonical(H):
 
 
 def test_spectrum_never_writes_into_its_input():
-    # LAPACK overwrites the dense array it is given; that array must be
-    # spectrum's own, and a non-canonical CSR is summed and sorted in a copy
+    # LAPACK overwrites the dense array it is given, which is spectrum's own,
+    # and a non-canonical CSR is summed and sorted in a copy
     H = build_hamiltonian(random_params(np.random.default_rng(5), 2), enumerate_sector(2, 3))
     ref = spectrum(H)
-    for given_H in (H.toarray(), np.asfortranarray(H.toarray()), H.copy(), _non_canonical(H)):
+    for given_H in (H.copy(), _non_canonical(H)):
         kept = given_H.copy()
         assert np.array_equal(spectrum(given_H), ref)
-        if sp.issparse(given_H):
-            for part in ("data", "indices", "indptr"):
-                assert np.array_equal(getattr(given_H, part), getattr(kept, part))
-        else:
-            assert np.array_equal(given_H, kept)
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(given_H, part), getattr(kept, part))
 
 
 @pytest.mark.parametrize("dtype", ["real", "complex", "complex-dense"])
@@ -355,9 +372,6 @@ def _dense_case(case):
     rng = np.random.default_rng(31)
     if case in ("n3_4", "n3_6"):  # d / (b + 1) = 2.6 at N = 4 and 3.5 at N = 6
         return build_hamiltonian(random_params(rng, 3), enumerate_sector(3, int(case[-1])))
-    if case == "ndarray":
-        A = rng.standard_normal((60, 60))
-        return A + A.T
     if case == "shuffled":  # a tridiagonal in a shuffled order, which spectrum keeps
         d = 800
         off = rng.standard_normal(d - 1)
@@ -370,7 +384,7 @@ def _dense_case(case):
     return sp.bmat([[sp.diags(rng.standard_normal(m)), B], [B.T, sp.diags(rng.standard_normal(m))]], format="csr")
 
 
-@pytest.mark.parametrize("case", ["n3_4", "n3_6", "ndarray", "bipartite", "shuffled"])
+@pytest.mark.parametrize("case", ["n3_4", "n3_6", "bipartite", "shuffled"])
 def test_dense_path_keeps_the_input_order(case):
     # each is refused the band on its half-bandwidth in the order given; H is
     # never reordered, so the values are eigvalsh's on the matrix as given,
@@ -378,8 +392,7 @@ def test_dense_path_keeps_the_input_order(case):
     H = _dense_case(case)
     assert H.shape[0] >= model.BAND_RATIO
     assert model._lower_band(model._checked(H)) is None
-    dense = H.toarray() if sp.issparse(H) else H
-    assert np.array_equal(spectrum(H), eigvalsh(dense))
+    assert np.array_equal(spectrum(H), eigvalsh(H.toarray()))
 
 
 def test_hermiticity_check_stays_sparse():
@@ -409,13 +422,14 @@ def test_hermiticity_error_names_the_worst_entry(bad, where):
     # and the error path names the entry as test_eigensolve_rejects_non_hermitian
     # sees it named where the patterns differ
     with pytest.raises(ValueError, match=f"not Hermitian: \\|{re.escape(where)} - conj"):
-        spectrum(np.array(bad))
+        spectrum(sp.csr_matrix(bad))
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_non_finite_entries_refused(bad):
     H = np.diag([1.0, 2.0, 3.0, 4.0])
     H[1, 1] = bad
+    H = sp.csr_matrix(H)
     for solve in (spectrum, lowest):
         with pytest.raises(ValueError, match="must be finite"):
             solve(H)
@@ -424,7 +438,7 @@ def test_non_finite_entries_refused(bad):
 def test_non_square_refused():
     for solve in (spectrum, lowest):
         with pytest.raises(ValueError, match="square"):
-            solve(np.zeros((2, 3)))
+            solve(sp.csr_matrix(np.zeros((2, 3))))
 
 
 def test_iterative_ground_state_agrees_with_dense():
@@ -436,19 +450,20 @@ def test_iterative_ground_state_agrees_with_dense():
         assert iterative.size == 1
         assert abs(iterative[0] - spectrum(H)[0]) < 1e-10
     # d = 2: the recurrence ends at step d, where T is H in the Lanczos basis
-    assert lowest(np.diag([2.0, 1.0]))[0] == pytest.approx(1.0, abs=1e-15)
+    assert lowest(sp.csr_matrix(np.diag([2.0, 1.0])))[0] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_lowest_rejects_non_hermitian_and_bad_k():
     bad = np.diag([1.0, 2.0, 3.0, 4.0])
     bad[2, 1] = 1e-6
+    bad = sp.csr_matrix(bad)
     with pytest.raises(ValueError, match=r"H\[2,1\]"):
         lowest(bad)
     # the shift direction D takes the place of the level count k
     with pytest.raises(ValueError, match=r"D must have shape \(3,\)"):
-        lowest(np.eye(3), np.ones(4), [0.0])
+        lowest(sp.csr_matrix(np.eye(3)), np.ones(4), [0.0])
     with pytest.raises(ValueError, match="D must be finite"):
-        lowest(np.eye(3), [0.0, np.nan, 0.0], [0.0])
+        lowest(sp.csr_matrix(np.eye(3)), [0.0, np.nan, 0.0], [0.0])
 
 
 def test_lowest_finds_ground_state_orthogonal_to_uniform_vector():
@@ -471,7 +486,7 @@ def test_lowest_finds_ground_state_orthogonal_to_uniform_vector():
 
 
 def test_lowest_zero_operator():
-    assert np.array_equal(lowest(np.zeros((5, 5))), [0.0])
+    assert np.array_equal(lowest(sp.csr_matrix(np.zeros((5, 5)))), [0.0])
 
 
 def _dense_line(H, D, xs):
@@ -518,9 +533,10 @@ def test_lowest_line_degenerate_ground_level():
 def test_lowest_line_at_one_state_and_on_the_zero_operator():
     # d = 1 and the zero operator end at once, on beta = 0: exactly what dense gives
     xs = [-1.5, 0.0, 2.25]
-    assert np.array_equal(lowest([[2.5]], [1.0], xs), _dense_line([[2.5]], [1.0], xs))
-    assert np.array_equal(lowest(np.zeros((5, 5)), None, xs), np.zeros(3))
-    assert lowest(np.zeros((5, 5)), None, []).shape == (0,)
+    one, zero = sp.csr_matrix([[2.5]]), sp.csr_matrix(np.zeros((5, 5)))
+    assert np.array_equal(lowest(one, [1.0], xs), _dense_line(one, [1.0], xs))
+    assert np.array_equal(lowest(zero, None, xs), np.zeros(3))
+    assert lowest(zero, None, []).shape == (0,)
 
 
 def test_lowest_complex_hermitian_equals_spectrum():
@@ -534,7 +550,7 @@ def test_lowest_complex_hermitian_equals_spectrum():
 
 
 def test_lowest_line_refuses_the_first_overflowing_shift():
-    H = np.diag([1.0, 2.0, 3.0])
+    H = sp.csr_matrix(np.diag([1.0, 2.0, 3.0]))
     with pytest.raises(model.ShiftError, match=r"^xs\[1\] = 1e\+308: the Lanczos recurrence overflows float64$") as exc:
         lowest(H, [0.0, 2.0, 1.0], [1.0, 1e308, 1.7e308])
     assert exc.value.index == 1 and not isinstance(exc.value, model.NotConverged)
@@ -550,7 +566,7 @@ def test_lowest_names_the_first_failing_shift_whichever_way_it_fails(monkeypatch
     # xs[1]'s recurrence turns nan (x diag(D) holds +inf and -inf): it is
     # still solved, and xs[1] is the one refused
     with pytest.raises(model.ShiftError, match=r"^xs\[1\] = 1e\+308: the Lanczos recurrence overflows") as exc:
-        lowest(np.diag([1.0, 2.0, 3.0]), [0.0, 2.0, -2.0], [1e200, 1e308])
+        lowest(sp.csr_matrix(np.diag([1.0, 2.0, 3.0])), [0.0, 2.0, -2.0], [1e200, 1e308])
     assert exc.value.index == 1
     # xs[0] stops unconverged at the step cap and xs[1] overflows at step 1,
     # in one block: the first in xs order is refused, as it is across blocks
@@ -671,11 +687,12 @@ def test_spectrum_refuses_above_byte_cap(monkeypatch):
 @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
 def test_spectrum_sizes_a_dense_array_before_converting_it(monkeypatch, dtype):
     # the cap is read from the shape and dtype: nothing of size d^2 is made
-    # (converting this array to CSR and forming H - H^dag took 60 d^2 bytes)
+    # (checking this full matrix would copy its d^2 entries at least once)
     d = 1000
-    H = np.random.default_rng(7).standard_normal((d, d)).astype(dtype)
-    H += H.T
-    monkeypatch.setattr(model, "DENSE_BYTES_CAP", H.nbytes - 1)
+    dense = np.random.default_rng(7).standard_normal((d, d)).astype(dtype)
+    dense += dense.T
+    monkeypatch.setattr(model, "DENSE_BYTES_CAP", dense.nbytes - 1)
+    H = sp.csr_matrix(dense)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="DENSE_BYTES_CAP"):
@@ -684,33 +701,6 @@ def test_spectrum_sizes_a_dense_array_before_converting_it(monkeypatch, dtype):
     finally:
         tracemalloc.stop()
     assert peak < d * d / 10
-
-
-@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-def test_spectrum_counts_a_dense_arrays_conversion(monkeypatch, dtype):
-    # a full dense array: converting it to CSR peaks at DENSE_INPUT_SQUARES
-    # d x d arrays (measured 4.0 of them in float64, 3.5 in complex128), which
-    # the check counts; the solve after it holds less
-    d = 600
-    rng = np.random.default_rng(9)
-    H = rng.standard_normal((d, d)).astype(dtype)
-    if dtype == np.complex128:
-        H += 1j * rng.standard_normal((d, d))
-    H += H.conj().T
-    need = model.DENSE_INPUT_SQUARES * H.itemsize * d * d
-    spectrum(H[:10, :10])  # first-call set-up is not the solve's
-    tracemalloc.start()
-    try:
-        levels = spectrum(H)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= need + 800 * d
-    monkeypatch.setattr(model, "DENSE_BYTES_CAP", need)
-    assert np.array_equal(spectrum(H), levels)
-    monkeypatch.setattr(model, "DENSE_BYTES_CAP", need - 1)
-    with pytest.raises(ValueError, match=f"^dimension {d}: a dense input takes {model.DENSE_INPUT_SQUARES} "):
-        spectrum(H)
 
 
 @pytest.mark.parametrize("tunneling", ["random", "diagonal", "full"])
