@@ -28,15 +28,16 @@ sector's H is block tridiagonal: b = 1 at n = 1, and at n = 2
 b = max_k (k + 1)(N - k + 1) + ceil(N / 2) for a full Omega (at most that for
 any Omega), about d^(2/3); n = 3 sectors stay dense.  `lowest(H, D, xs)`
 returns the lowest level of H + x diag(D) for each x, by a plain Lanczos
-recurrence that runs all the shifts in lockstep, sparse end to end, and stops
-each shift on a certified residual bound.
+recurrence that runs the shifts in lockstep, one row of a block each, sparse
+end to end, and stops each shift on a certified residual bound.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import eig_banded, eigh_tridiagonal, eigvalsh, norm
+from scipy.linalg import LinAlgError, eig_banded, eigvalsh, norm
+from scipy.linalg.lapack import dstebz, dstein
 
 from .fock import FockSector, hop_operator
 
@@ -79,15 +80,15 @@ BAND_RATIO = 11
 # about 1 GiB: the array plus LAPACK's O(d) workspace.  On the banded path
 # the band is at most 1/BAND_RATIO of that array.
 DENSE_BYTES_CAP = 1 << 30
-# Entries d x G of one block of shifts that `lowest` runs in lockstep: 4 MiB
-# per float64 array, and a block holds at most about nine such arrays (peak
-# 21 MB on a 50-point line at n = 2, N = 60, against 80 MB as one block).
-# Measured per point on n = 2 scan lines, one shift at a time -> this bound:
-# N = 24 (d = 2925) 9.1 -> 5.8 ms, N = 40 33.5 -> 33.2 ms, N = 60 (d = 39711)
-# 142 -> 154 ms.  At 1 << 18, N = 60 runs blocks of 6 shifts at 231 ms: below
-# about 8 columns the row-by-row broadcast of the alpha and beta updates costs
-# more than the shared sparse product saves.
-LOWEST_BLOCK_ENTRIES = 1 << 19
+# Entries G x d of one block of G shifts that `lowest` runs in lockstep: 1 MiB
+# per float64 array (tracemalloc peak 6.4 MB on a 50-point line at n = 2,
+# N = 60, against 96 MB as one block).  The block's sparse product transposes
+# it twice a step, which costs more than its shared product saves once the
+# block outgrows the cache.  Per point on n = 2 lines, one thread, 1 << 19 ->
+# this bound (one shift at a time): fig2's 101-point default grid at N = 24
+# (d = 2925) 6.9 -> 5.8 (8.3) ms, N = 30 16.4 -> 11.1 (13.2) ms; 17 points at
+# N = 40 26.6 -> 24.8 (25.7) ms, N = 60 (d = 39711) 159 -> 139 (108) ms.
+LOWEST_BLOCK_ENTRIES = 1 << 17
 # Lanczos steps after which `lowest` refuses a shift as unconverged; the n = 2
 # scan needs at most 368 (N = 60), about 6 N.
 LOWEST_STEP_CAP = 5000
@@ -99,10 +100,10 @@ LOWEST_STEP_CAP = 5000
 # 0.5).  Plain Lanczos drives the bound to about eps ||H|| before ghost copies
 # appear, so it is reachable at every scale of H.
 LOWEST_TOL = 1e-13
-# Steps between two convergence checks of a shift.  A check (one tridiagonal
-# eigen solve) costs about two steps of a column at N = 24, so checking every
-# 16 steps costs about as much as the 8 steps a column overruns on average
-# (on the bench grids, 73 checks at N = 24 against 140 every 8 steps).
+# Steps between two convergence checks of a shift.  A check (LAPACK's dstebz
+# and dstein on T: 22 us at m = 48 steps, 97 us at m = 176) costs about one
+# step of a shift at N = 24 (about 40 us in a block of 8); checking every 8 or
+# 32 steps took as long on the bench grids (N = 24: 135 or 38 checks, not 70).
 _CHECK_EVERY = 16
 
 
@@ -306,14 +307,16 @@ def lowest(H, D=None, xs=(0.0,)) -> np.ndarray:
 
     H is a scipy.sparse matrix with at least one row, checked once (square,
     finite, Hermitian, as for `spectrum`); D, of length d, defaults to zeros,
-    so `lowest(H)[0]` is the ground level of H.
-    Every shift starts from the same fixed pseudo-random vector, and the
-    shifts run in lockstep: blocks of at most LOWEST_BLOCK_ENTRIES d x G
-    entries, one sparse product H @ V per step for the whole block.  The
-    three-term recurrence keeps no basis and does not reorthogonalize.
+    so `lowest(H)[0]` is the ground level of H; a non-finite shift is refused,
+    naming the first.  Every shift starts from the same fixed pseudo-random
+    vector, and the shifts run in lockstep: blocks of G shifts, one row of d
+    entries each and at most LOWEST_BLOCK_ENTRIES in all, with one sparse
+    product H @ V^T per step for the block.  The three-term recurrence keeps
+    no basis and does not reorthogonalize.
 
-    A shift's value is the lowest Ritz value of its tridiagonal T at the first
-    check where the residual bound beta |s_last| is at most LOWEST_TOL ||T||.
+    A shift's value is the lowest Ritz value of its tridiagonal T (LAPACK's
+    dstebz and dstein) at the first check where the residual bound
+    beta |s_last| is at most LOWEST_TOL ||T||.
     A check comes every _CHECK_EVERY steps, at every step from step d on (the
     Krylov space is complete there in exact arithmetic; later steps only
     add rounding), at the step cap, and at once where beta = 0 (an invariant
@@ -332,6 +335,9 @@ def lowest(H, D=None, xs=(0.0,)) -> np.ndarray:
     if not np.all(np.isfinite(D)):
         raise ValueError("D must be finite, not inf or nan")
     xs = np.asarray(xs, dtype=float).reshape(-1)
+    bad = np.flatnonzero(~np.isfinite(xs))
+    if bad.size:
+        raise ValueError(f"xs[{bad[0]}] = {float(xs[bad[0]])!r}: shifts must be finite, not inf or nan")
     # a fixed but unstructured start, so that no symmetry of H makes it
     # orthogonal to the ground state (a uniform vector can be)
     start = np.random.default_rng(0).standard_normal(d).astype(H.dtype)
@@ -341,7 +347,7 @@ def lowest(H, D=None, xs=(0.0,)) -> np.ndarray:
     # overflow is read from the values, never raised as a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, xs.size, width):
-            block = D[:, None] * xs[first:first + width]
+            block = xs[first:first + width, None] * D
             levels[first:first + width], failed = _lanczos_lowest(H, block, start)
             if failed:
                 k, overflowed = min(failed.items())
@@ -354,40 +360,55 @@ def lowest(H, D=None, xs=(0.0,)) -> np.ndarray:
 
 
 def _re_dots(X, Y):
-    """Re(x^H y) for each column pair of two C-ordered (d, G) blocks, read as
+    """Re(x^H y) for each row pair of two C-ordered (G, d) blocks, read as
     real arrays so that one einsum serves real and complex blocks."""
-    d, g = X.shape
-    return np.einsum("ijk,ijk->j", X.view(np.float64).reshape(d, g, -1), Y.view(np.float64).reshape(d, g, -1))
+    return np.einsum("ij,ij->i", X.view(np.float64), Y.view(np.float64))
+
+
+def _lowest_ritz(a, b):
+    """(lowest eigenvalue, last component of its eigenvector) of the tridiagonal
+    with diagonal a and off-diagonal b, by LAPACK's dstebz and dstein as
+    eigh_tridiagonal(select="i", select_range=(0, 0)) calls them; a 1 x 1 T
+    is answered here, as there (f2py takes no empty b)."""
+    if a.size == 1:
+        return a[0], 1.0
+    _, w, block, split, info = dstebz(a, b, 2, 0.0, 1.0, 1, 1, 0.0, "B")
+    if info == 0:
+        z, info = dstein(a, b, w[:1], block, split)
+    if info != 0:
+        raise LinAlgError(f"LAPACK tridiagonal eigensolver failed (info = {info})")
+    return w[0], z[-1, 0]
 
 
 def _lanczos_lowest(H, shifts, start):
-    """Lowest eigenvalue of H + diag(shifts[:, c]) for each column c, in lockstep.
+    """Lowest eigenvalue of H + diag(shifts[r]) for each row r, in lockstep.
 
-    Returns the values (nan where there is none) and, for each column without
-    one, {column: True if it overflowed, False if LOWEST_STEP_CAP steps did not
-    converge it}.  A column leaves the block when it converges or fails.
+    Returns the values (nan where there is none) and, for each row without
+    one, {row: True if it overflowed, False if LOWEST_STEP_CAP steps did not
+    converge it}.  A row leaves the block when it converges or fails.
     """
-    d, g = shifts.shape
-    V = np.repeat(start[:, None], g, axis=1)
+    g, d = shifts.shape
+    V = np.repeat(start[None, :], g, axis=0)
     V_prev = np.zeros_like(V)
     scratch = np.empty_like(V)
-    live = np.arange(g)  # the column of `shifts` each block column solves
+    live = np.arange(g)  # the row of `shifts` each block row solves
     alpha, beta = np.empty((16, g)), np.empty((16, g))
-    t_norm = np.zeros(g)  # ||T||_inf of each column's tridiagonal, beta_m included
+    t_norm = np.zeros(g)  # ||T||_inf of each row's tridiagonal, beta_m included
     b_prev = np.zeros(g)
     levels = np.full(g, np.nan)
     failed = {}
     for step in range(LOWEST_STEP_CAP):
-        W = H @ V
+        # one sparse product for the block, on its (d, G) transpose
+        W = np.ascontiguousarray((H @ V.T).T)
         W += np.multiply(shifts, V, out=scratch)
         a = _re_dots(V, W)
-        W -= np.multiply(V, a, out=scratch)
-        W -= np.multiply(V_prev, b_prev, out=scratch)
+        W -= np.multiply(V, a[:, None], out=scratch)
+        W -= np.multiply(V_prev, b_prev[:, None], out=scratch)
         b = np.sqrt(_re_dots(W, W))
-        # |W| above ~1e154: the squares overflow (tested per column, since a
-        # column that overflowed, and fails anyway, may hold nan)
+        # |W| above ~1e154: the squares overflow (tested per row, since a
+        # row that overflowed, and fails anyway, may hold nan)
         if np.isinf(b).any():
-            b = np.array([norm(w, check_finite=False) for w in W.T])  # BLAS nrm2, which scales
+            b = np.array([norm(w, check_finite=False) for w in W])  # BLAS nrm2, which scales
         if step == alpha.shape[0]:  # the coefficients grow with the step count
             alpha, beta = (np.concatenate([c, np.empty_like(c)]) for c in (alpha, beta))
         alpha[step], beta[step] = a, b
@@ -395,30 +416,28 @@ def _lanczos_lowest(H, shifts, start):
         m = step + 1
         due = m % _CHECK_EVERY == 0 or m >= d or m == LOWEST_STEP_CAP
         # between checks only beta = 0 (an invariant subspace: T is exact, and
-        # beta is no divisor) or an overflow (||T|| inf or nan) stops a column
+        # beta is no divisor) or an overflow (||T|| inf or nan) stops a row
         if due or not (b.min() > 0.0 and t_norm.max() < np.inf):
             stop = ~np.isfinite(t_norm)
-            failed.update((live[c], True) for c in np.flatnonzero(stop))
-            for c in np.flatnonzero(~stop & (due | (b == 0.0))):
+            failed.update((live[r], True) for r in np.flatnonzero(stop))
+            for r in np.flatnonzero(~stop & (due | (b == 0.0))):
                 # T over a power of two near ||T||, exactly: LAPACK's stebz
                 # squares the off-diagonal, which overflows above ~1e154
-                scale = np.ldexp(1.0, -np.frexp(t_norm[c])[1])
-                theta, s = eigh_tridiagonal(
-                    alpha[:m, c] * scale, beta[:m - 1, c] * scale, select="i", select_range=(0, 0)
-                )
-                if b[c] * abs(s[-1, 0]) <= LOWEST_TOL * t_norm[c]:
-                    levels[live[c]] = theta[0] / scale
-                    stop[c] = True
+                scale = np.ldexp(1.0, -np.frexp(t_norm[r])[1])
+                theta, s_last = _lowest_ritz(alpha[:m, r] * scale, beta[:m - 1, r] * scale)
+                if b[r] * abs(s_last) <= LOWEST_TOL * t_norm[r]:
+                    levels[live[r]] = theta / scale
+                    stop[r] = True
             if stop.any():
                 keep = ~stop
                 live = live[keep]
                 if live.size == 0:
                     return levels, failed
-                V, V_prev, W, shifts = V[:, keep], V_prev[:, keep], W[:, keep], shifts[:, keep]
+                V, V_prev, W, shifts = V[keep], V_prev[keep], W[keep], shifts[keep]
                 scratch = np.empty_like(V)
                 b, t_norm = b[keep], t_norm[keep]
                 alpha, beta = alpha[:, keep], beta[:, keep]
-        W /= b
+        W /= b[:, None]
         V_prev, V, b_prev = V, W, b
-    failed.update((c, False) for c in live)
+    failed.update((r, False) for r in live)
     return levels, failed

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import eigvalsh
+from scipy.linalg import LinAlgError, eigh_tridiagonal, eigvalsh
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -495,15 +495,96 @@ def _dense_line(H, D, xs):
     return np.array([spectrum(H + sp.diags(x * np.asarray(D, dtype=float)))[0] for x in xs])
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_lowest_line_matches_dense_per_point(n):
-    rng = np.random.default_rng(20 + n)
-    xs = np.linspace(-2.0, 2.0, 9)
+# a line whose shifts converge at different steps, so that rows leave a block
+# while the rows after them run on: the last one at 128 steps and the others
+# at 64 on the n = 2, N = 10 sector, the outer ones first on the complex H
+_STAGGERED = np.array([50.0, 5.0, 1.0, 0.2, 0.0, -0.2, -1.0, -5.0, -50.0])
+
+
+def _lines(case):
+    """(H, D, xs) lines: the sectors N = 0..5 at n = case on [-2, 2], or one
+    staggered line on a real n = 2 sector or a complex Hermitian H."""
+    if case == "real staggered":
+        sector = enumerate_sector(2, 10)
+        H = build_hamiltonian(random_params(np.random.default_rng(22), 2), sector)
+        return [(H, sector.occ[:, 2] - sector.occ[:, 0], _STAGGERED)]
+    if case == "complex staggered":
+        rng = np.random.default_rng(13)
+        d = 120
+        A = sp.random(d, d, density=0.1, random_state=rng) + 1j * sp.random(d, d, density=0.1, random_state=rng)
+        H = (A + A.conj().T) / 2 + sp.diags(rng.standard_normal(d))
+        return [(H, rng.standard_normal(d), _STAGGERED)]
+    rng = np.random.default_rng(20 + case)
+    lines = []
     for N in range(6):
-        sector = enumerate_sector(n, N)
-        H = build_hamiltonian(random_params(rng, n), sector)
-        D = sector.occ[:, n] - sector.occ[:, 0]  # N_b1 - N_a1
-        np.testing.assert_allclose(lowest(H, D, xs), _dense_line(H, D, xs), rtol=1e-12, atol=0.0)
+        sector = enumerate_sector(case, N)
+        H = build_hamiltonian(random_params(rng, case), sector)
+        lines.append((H, sector.occ[:, case] - sector.occ[:, 0], np.linspace(-2.0, 2.0, 9)))  # D = N_b1 - N_a1
+    return lines
+
+
+@pytest.mark.parametrize("case", [1, 2, 3, "real staggered", "complex staggered"])
+def test_lowest_line_matches_dense_per_point(case, monkeypatch):
+    # the line in blocks of 1, 2, 4 and all its shifts, so that rows leave a
+    # block at different steps: every value is its single-shift run's and the
+    # dense one's
+    staggered, steps = not isinstance(case, int), []
+    if staggered:
+        ritz = model._lowest_ritz
+        monkeypatch.setattr(model, "_lowest_ritz", lambda a, b: steps.append(a.size) or ritz(a, b))
+    for H, D, xs in _lines(case):
+        dense = _dense_line(H, D, xs)
+        single = [lowest(H, D, [x])[0] for x in xs]
+        np.testing.assert_allclose(single, dense, rtol=1e-12, atol=0.0)
+        for width in (1, 2, 4, xs.size):
+            monkeypatch.setattr(model, "LOWEST_BLOCK_ENTRIES", width * H.shape[0])
+            steps.clear()
+            line = lowest(H, D, xs)
+            np.testing.assert_allclose(line, single, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(line, dense, rtol=1e-12, atol=0.0)
+    if staggered:
+        # in the last run, one block, the rows checked at each step: fewer later
+        live = [steps.count(m) for m in sorted(set(steps))]
+        assert live[0] == xs.size > live[-1] > 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("at", [0, 1])
+def test_lowest_refuses_a_non_finite_shift_before_any_step(bad, at, monkeypatch):
+    # refused as D is, naming the first bad shift, not as an overflow of the
+    # recurrence, which never starts
+    monkeypatch.setattr(model, "_lanczos_lowest", None)
+    xs = [0.5, 1.0, 1.5]
+    xs[at] = bad
+    xs[2] = np.nan
+    with pytest.raises(ValueError, match=rf"^xs\[{at}\] = {bad!r}: shifts must be finite, not inf or nan$") as exc:
+        lowest(sp.csr_matrix(np.eye(3)), [1.0, 2.0, 3.0], xs)
+    assert not isinstance(exc.value, model.ShiftError)
+
+
+def test_lowest_ritz_is_eigh_tridiagonals_lowest_pair():
+    # LAPACK's dstebz and dstein called directly: the lowest value and the
+    # last component of its vector, as eigh_tridiagonal returns them, over
+    # scales whose squares stebz needs and an off-diagonal that splits T (at
+    # 2^500 dstein's vector overflows to nan, in both; lowest scales T to
+    # about 1 first)
+    rng = np.random.default_rng(29)
+    for m in range(1, 201):
+        for scale in (1.0, 2.0**500, 2.0**-500):
+            a = rng.standard_normal(m) * scale
+            b = rng.standard_normal(m - 1) * scale
+            for off in (b, np.where(np.arange(m - 1) == m // 2, 0.0, b)):
+                theta, s_last = model._lowest_ritz(a, off)
+                w, v = eigh_tridiagonal(a, off, select="i", select_range=(0, 0))
+                assert np.array_equal([theta, abs(s_last)], [w[0], abs(v[-1, 0])], equal_nan=True)
+
+
+@pytest.mark.parametrize("routine", ["dstebz", "dstein"])
+def test_lowest_ritz_raises_a_lapack_failure(routine, monkeypatch):
+    real = getattr(model, routine)
+    monkeypatch.setattr(model, routine, lambda *args: (*real(*args)[:-1], 3))
+    with pytest.raises(LinAlgError, match=r"info = 3"):
+        model._lowest_ritz(np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.5]))
 
 
 def test_lowest_line_degenerate_ground_level():
@@ -593,8 +674,8 @@ def test_lowest_line_memory_is_bounded_by_its_block():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # ten float64 arrays of one block (42 MB; measured peak 21 MB), where
-    # five arrays of the whole line as one block would need 79 MB
+    # ten float64 arrays of one block, where five arrays of the whole line
+    # as one block would need 79 MB
     assert peak < 10 * 8 * model.LOWEST_BLOCK_ENTRIES < 5 * 8 * d * xs.size
     single = [lowest(H, D, [x])[0] for x in xs[[0, -1]]]
     np.testing.assert_allclose(levels[[0, -1]], single, rtol=1e-12, atol=0.0)
