@@ -10,7 +10,9 @@ The equations for N rapidities {v_i} read
 and solutions make prod_i C(v_i)|0> an exact eigenvector of the transfer
 matrix and of the derived Hamiltonian.  The layer serves only the gauge
 where s and t are proportional, which `validate_model` returns for every
-integrable coupling set; `solve_bae` refuses any other.
+integrable coupling set; for N > 0 the collective basis below exists only
+there, and `collective_energies`, `bethe_vector` and `solve_bae` refuse any
+other.
 
 The solver finds all N+1 solutions without a search.  With q(u) = prod_i
 (u - v_i), the transfer eigenvalue is equivalent to Baxter's TQ relation
@@ -89,24 +91,25 @@ def _pair_gaps(v, eta):
     return tuple(float(np.min(np.abs(x), initial=np.inf)) for x in (diff, diff + eta))
 
 
-def _residual(v, ip):
-    """Residual vector of the rapidity equations (no pole guarding)."""
-    eta, zeta, W = ip.eta, ip.zeta, ip.omega_sum
-    lhs = eta**2 * (v**2 - W**2) / zeta**2
+def _products(v, eta):
+    """(diff, P): diff_ij = v_i - v_j and P_i = prod_{j != i} (diff_ij - eta) / (diff_ij + eta)."""
     diff = v[:, None] - v[None, :]
     ratio = (diff - eta) / (diff + eta)
     np.fill_diagonal(ratio, 1.0)
-    return lhs - np.prod(ratio, axis=1)
+    return diff, np.prod(ratio, axis=1)
+
+
+def _residual(v, ip):
+    """Residual vector of the rapidity equations (no pole guarding)."""
+    eta, zeta, W = ip.eta, ip.zeta, ip.omega_sum
+    return eta**2 * (v**2 - W**2) / zeta**2 - _products(v, eta)[1]
 
 
 def _jacobian(v, ip):
     """Complex Jacobian dF_i/dv_k of the residual map."""
     eta, zeta = ip.eta, ip.zeta
     J = np.diag(2.0 * eta**2 * v / zeta**2)
-    diff = v[:, None] - v[None, :]
-    ratio = (diff - eta) / (diff + eta)
-    np.fill_diagonal(ratio, 1.0)
-    P = np.prod(ratio, axis=1)
+    diff, P = _products(v, eta)
     K = 1.0 / (diff - eta) - 1.0 / (diff + eta)
     np.fill_diagonal(K, 0.0)
     J -= np.diag(P * K.sum(axis=1))
@@ -224,7 +227,10 @@ def _collective_hamiltonian(ip, N):
         alpha Na^2 + alpha Nb^2 + (2 alpha - eta^2) Na Nb + eta W (Na - Nb)
 
     (Na = N - k, Nb = k) and off-diagonal <N-k-1, k+1|H|N-k, k> =
-    -zeta sqrt((N-k)(k+1)), zeta = s.t with its sign, so t = -s is included."""
+    -zeta sqrt((N-k)(k+1)), zeta = s.t with its sign, so t = -s is included.
+    For N > 0 there is no such basis unless `check_proportional` passes."""
+    if N:
+        check_proportional(ip)
     nb = np.arange(N + 1, dtype=float)
     na = N - nb
     alpha, eta, W = ip.alpha, ip.eta, ip.omega_sum
@@ -234,31 +240,23 @@ def _collective_hamiltonian(ip, N):
 
 def collective_energies(ip: IntegrableParams, n_atoms: int) -> np.ndarray:
     """Ascending energies of the N+1 Bethe states: the spectrum of
-    `_collective_hamiltonian`.  The sign of zeta is the gauge (-1)^k of the
-    basis, so the eigenvalues are taken, in order of Na, from the tridiagonal
-    with off-diagonal -|zeta| sqrt((Na+1) Nb)."""
+    `_collective_hamiltonian`, as built.  Raises ValueError for N > 0 unless s
+    and t are proportional (`check_proportional`)."""
     N = int(n_atoms)
     if N < 0:
         raise ValueError(f"n_atoms must be >= 0, got {N}")
-    diag, off = _collective_hamiltonian(ip, N)
-    if N == 0:
-        return diag
-    return eigh_tridiagonal(diag[::-1], -np.abs(off[::-1]), eigvals_only=True)
-
-
-# The largest float64 as an integer: `_tq_matrix` takes a binomial above it as inf.
-_FLOAT_MAX = int(sys.float_info.max)
+    return eigh_tridiagonal(*_collective_hamiltonian(ip, N), eigvals_only=True)
 
 
 def _tq_matrix(N, eta, W, kappa):
     """Matrix of q -> (u^2 - W^2) q(u + eta) + kappa q(u - eta) - (u^2 + u eta N) q(u)
     on the monomials u^0..u^N; its eigenvalues are lambda0.  Degrees N+1 and
-    N+2 cancel and are dropped."""
+    N+2 cancel and are dropped; `check_solve_fits` keeps its binomials finite."""
     T = np.zeros((N + 3, N + 1))
     exact = [1]  # C(k, 0..k) as exact integers, each rounded once; row k + 1 by Pascal's rule
     for k in range(N + 1):
         j = np.arange(k + 1)
-        binom = np.array([c if c <= _FLOAT_MAX else math.inf for c in exact], dtype=float)
+        binom = np.array(exact, dtype=float)
         exact = [a + b for a, b in zip([0, *exact], [*exact, 0])]
         up = binom * eta ** (k - j)  # coefficients of (u + eta)^k
         down = binom * (-eta) ** (k - j)  # of (u - eta)^k
@@ -277,7 +275,7 @@ def _tq_roots(T, lam):
 
 def check_proportional(ip: IntegrableParams):
     """Raise ValueError unless s and t are proportional (|s||t| = |s.t| to 1e-10
-    relative), the gauge in which `solve_bae` solves a sector of N > 0 atoms."""
+    relative), the gauge of the collective basis of a sector of N > 0 atoms."""
     st_gap = np.linalg.norm(ip.s) * np.linalg.norm(ip.t) - abs(ip.zeta)
     if st_gap > 1e-10 * max(1.0, abs(ip.zeta)):
         raise ValueError(
@@ -288,9 +286,14 @@ def check_proportional(ip: IntegrableParams):
 
 def check_solve_fits(n_atoms: int):
     """Raise ValueError unless `solve_bae`'s SOLVE_SQUARES float64 (N+1) x (N+1)
-    arrays fit model.DENSE_BYTES_CAP."""
-    m = int(n_atoms) + 1
+    arrays fit model.DENSE_BYTES_CAP, and then unless float64 holds the largest
+    binomial of its TQ matrix, C(N, N // 2): N <= 1029."""
+    N = int(n_atoms)
+    m = N + 1
     model.check_fits(f"solve_bae's {SOLVE_SQUARES} ({m}, {m}) float64 arrays need", SOLVE_SQUARES * 8 * m * m)
+    if math.comb(N, N // 2) > sys.float_info.max:
+        past = f"past the largest float64 {sys.float_info.max:.17g}"
+        raise ValueError(f"solve_bae's TQ matrix needs the binomial C({N}, {N // 2}), {past}")
 
 
 def solve_bae(ip: IntegrableParams, n_atoms: int) -> SolveResult:
@@ -313,18 +316,14 @@ def solve_bae(ip: IntegrableParams, n_atoms: int) -> SolveResult:
 
     Raises ValueError, before anything is built, where `check_solve_fits`
     refuses N, and for N > 0 unless s and t are proportional
-    (`check_proportional`): otherwise the self-adjoint t(u) is not the
-    monodromy trace the equations solve.
+    (`_collective_hamiltonian`'s `check_proportional`): otherwise the
+    self-adjoint t(u) is not the monodromy trace the equations solve.
     """
     N = int(n_atoms)
     if N < 0:
         raise ValueError(f"n_atoms must be >= 0, got {N}")
     check_solve_fits(N)
     rejected = {"unconverged": 0, "coincident": 0, "string_pole": 0, "energy_mismatch": 0}
-
-    if N:
-        check_proportional(ip)
-
     diag, off = _collective_hamiltonian(ip, N)  # shared by all states
 
     eta, zeta, W = ip.eta, ip.zeta, ip.omega_sum
@@ -446,8 +445,11 @@ def bethe_vector(roots, ip: IntegrableParams) -> np.ndarray:
     (`_collective_state`); the result is written into the Fock sector once.
     A row with N_b = k has overlap w = <ka; kb|m, k> with the normalized
     collective state |m, k> = (A^dag)^m (B^dag)^k|0> / (|s|^(m+k) sqrt(m! k!)),
-    w = sqrt(m! k! / prod_j ka_j! kb_j!) prod_j (s_j/|s|)^(ka_j + kb_j)."""
+    w = sqrt(m! k! / prod_j ka_j! kb_j!) prod_j (s_j/|s|)^(ka_j + kb_j).
+    For N > 0 there are no such states unless `check_proportional` passes."""
     v = np.asarray(roots, dtype=complex).reshape(-1)
+    if v.size:
+        check_proportional(ip)
     n, sector = ip.n_levels, fock.enumerate_sector(ip.n_levels, v.size)
     occ = sector.occ
     k = occ[:, n:].sum(axis=1)

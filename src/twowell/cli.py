@@ -231,13 +231,11 @@ def _model_front(args):
 
 
 def _validated(params):
-    """validate_model's report on physical couplings and its violations as
-    {"constraint", "lhs", "rhs"} records; refused where they overflow float64."""
+    """validate_model's report on physical couplings; refused where they overflow float64."""
     try:
-        report = yangbaxter.validate_model(params)
+        return yangbaxter.validate_model(params)
     except ValueError as exc:
         raise _Refused(str(exc)) from None
-    return report, [{"constraint": c, "lhs": l, "rhs": r} for c, l, r in report.violations]
 
 
 def _echo_model(kind, params):
@@ -504,15 +502,14 @@ def _bae_csv(states):
 
 def cmd_bae(args) -> int:
     kind, params, mp, atoms = _model_front(args)
-    # the TQ work of solve_bae, which the dense check does not count
+    # the TQ work and binomials of solve_bae, which the dense check does not count
     _refuse_if(_refusals((f"sector n={params.n_levels}, N={N}", bethe.check_solve_fits, N) for N in atoms))
     ip = params  # physical couplings are replaced by their integrable gauge
     if kind == "physical":
-        report, violations = _validated(params)
-        if not report.integrable:
-            payload = {"integrable": False, "violations": violations}
-            print(_report_json("bae", _echo_model(kind, params), payload, {}), file=sys.stderr)
-            raise _Refused("physical couplings are not integrable")
+        report = _validated(params)
+        if not report.integrable:  # identify writes the full report
+            constraints = "; ".join(c for c, _, _ in report.violations)
+            raise _Refused(f"physical couplings are not integrable: {constraints}")
         ip = report.derived
     if any(atoms):  # solve_bae refuses N > 0 off this gauge: refuse before any sector
         try:
@@ -653,18 +650,16 @@ def cmd_identify(args) -> int:
     if not args.config:
         raise _Refused("identify requires --config with a physical model block")
     errors = []
-    cfg = _load_config(args.config, errors)
-    _refuse_if(errors)
-    parsed = _model_from_config(cfg, errors)
+    parsed = _model_from_config(_load_config(args.config, errors), errors)
     _refuse_if(errors)
     kind, params = parsed
     if kind != "physical":
         raise _Refused("identify requires model.kind == 'physical'")
 
-    report, violations = _validated(params)
+    report = _validated(params)
     results = {
         "integrable": report.integrable,
-        "violations": violations,
+        "violations": [{"constraint": c, "lhs": l, "rhs": r} for c, l, r in report.violations],
         "derived": _echo_model("integrable", report.derived) if report.derived else None,
     }
     text = _report_json("identify", _echo_model(kind, params), results, {})

@@ -84,10 +84,10 @@ DENSE_BYTES_CAP = 1 << 30
 # per float64 array (tracemalloc peak 6.4 MB on a 50-point line at n = 2,
 # N = 60, against 96 MB as one block).  The block's sparse product transposes
 # it twice a step, which costs more than its shared product saves once the
-# block outgrows the cache.  Per point on n = 2 lines, one thread, 1 << 19 ->
-# this bound (one shift at a time): fig2's 101-point default grid at N = 24
-# (d = 2925) 6.9 -> 5.8 (8.3) ms, N = 30 16.4 -> 11.1 (13.2) ms; 17 points at
-# N = 40 26.6 -> 24.8 (25.7) ms, N = 60 (d = 39711) 159 -> 139 (108) ms.
+# block outgrows the cache.  Per point on n = 2 lines, one thread, at this
+# bound (one shift at a time): fig2's 101-point default grid at N = 24
+# (d = 2925) 5.8 (8.3) ms, N = 30 11.1 (13.2) ms; 17 points at N = 40 24.8
+# (25.7) ms, N = 60 (d = 39711) 139 (108) ms.
 LOWEST_BLOCK_ENTRIES = 1 << 17
 # Lanczos steps after which `lowest` refuses a shift as unconverged; the n = 2
 # scan needs at most 368 (N = 60), about 6 N.

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 from twowell import bethe, fock, model
 from twowell.bethe import (
@@ -260,6 +261,41 @@ def test_solver_coverage_floor(params, n, N, floor):
         assert sol.h_residual <= 1e-7
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_collective_energies_equal_the_reversed_form_bitwise(n):
+    # the form collective_energies replaced, kept here as the reference: the
+    # tridiagonal reversed into order of Na, with off-diagonal -|off| (t = -s
+    # flips the sign of off), and its diagonal alone at N = 0
+    s = np.linspace(0.6, 1.1, n)
+    ips = [default_integrable_params(n), _generic_params(n),
+           IntegrableParams(n, -0.7, np.full(n, 0.9), s, -1.3 * s, alpha=-0.4)]
+    for ip in ips:
+        for N in range(61):
+            diag, off = bethe._collective_hamiltonian(ip, N)
+            want = diag if N == 0 else eigh_tridiagonal(diag[::-1], -np.abs(off[::-1]), eigvals_only=True)
+            assert collective_energies(ip, N).tobytes() == want.tobytes(), (ip, N)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        collective_energies,
+        lambda ip, N: bethe_vector(np.linspace(-1.0, 1.0, N) + 0.3j, ip),
+        solve_bae,
+    ],
+    ids=["collective_energies", "bethe_vector", "solve_bae"],
+)
+def test_collective_basis_refuses_nonproportional_couplings(build):
+    # s = (1, 0.3), t = (0.2, 1.1) has no collective basis: the energies
+    # collective_energies gave sat 0.046-0.18 from every ED level (N = 1..3);
+    # N = 0 has no roots, so any s and t
+    ip = IntegrableParams(2, 1.0, np.ones(2), np.array([1.0, 0.3]), np.array([0.2, 1.1]), alpha=1.0)
+    for N in (1, 2, 3):
+        with pytest.raises(ValueError, match="not proportional"):
+            build(ip, N)
+    build(ip, 0)
+
+
 def test_newton_budget_per_state(monkeypatch):
     # at most 8 damped steps and 2 polishing steps for each of the N+1 states
     solves = []
@@ -473,11 +509,30 @@ def test_tq_matrix_binomials_are_scipy_comb_through_n_30(N):
     assert bethe._tq_matrix(N, eta, W, kappa).tobytes() == T[: N + 1].tobytes()
 
 
-def test_tq_matrix_binomials_past_the_float_range_are_inf():
-    # C(1030, 515) > 1.8e308 is inf, as scipy's comb gave, not an OverflowError
-    with np.errstate(invalid="ignore"):
-        T = bethe._tq_matrix(1030, 1.0, 0.0, 0.0)
-    assert np.isfinite(T[:, :1030]).all() and not np.isfinite(T[:, 1030]).all()
+def test_solve_refuses_tq_binomials_past_float64(monkeypatch):
+    # C(1029, 514) <= DBL_MAX < C(1030, 515): a binomial of the TQ matrix at
+    # N = 1030 was clamped to inf, whose only product, inf * 0, is nan
+    class Built(Exception):
+        pass
+
+    built = []
+    tq_matrix = bethe._tq_matrix
+
+    def spy(*args):  # checks the matrix solve_bae builds, then stops the solve
+        built.append(np.isfinite(tq_matrix(*args)).all())
+        raise Built
+
+    monkeypatch.setattr(bethe, "_tq_matrix", spy)
+    for n in (1, 2, 3):
+        with pytest.raises(Built):
+            solve_bae(default_integrable_params(n), 1029)
+    assert built == [True] * 3
+    bethe.check_solve_fits(1029)
+    with pytest.raises(ValueError, match=r"TQ matrix needs the binomial C\(1030, 515\)"):
+        bethe.check_solve_fits(1030)
+    with pytest.raises(ValueError, match=r"C\(1030, 515\)"):
+        solve_bae(default_integrable_params(1), 1030)
+    assert len(built) == 3
 
 
 def test_vector_vacuum():

@@ -155,6 +155,11 @@ def test_bae_rejects_non_integrable_couplings(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "not integrable" in err
     assert "eps_a2 - mu_2" in err
+    # one line, as every refusal; identify writes the violations report
+    assert err == (
+        "error: physical couplings are not integrable: eps_a2 - mu_2 equals eps_a1 - mu_1; "
+        "eps_b1 + mu_1 equals -(eps_a1 - mu_1); eps_b2 + mu_2 equals -(eps_a1 - mu_1)\n"
+    )
 
 
 def physical_block(mp):
@@ -611,6 +616,21 @@ def test_bae_sizes_solve_bae_before_any_sector(capsys, monkeypatch):
     )
 
 
+@pytest.mark.parametrize("atoms", ["1030", "1029,1030"])
+def test_bae_refuses_tq_binomials_past_float64_before_any_sector(capsys, monkeypatch, atoms):
+    # N = 1030 fits the memory cap, but C(1030, 515) does not fit float64; it
+    # ended in a LinAlgError from the nan of its inf binomial
+    monkeypatch.setattr(fock, "_enumerate", lambda *a: pytest.fail("a sector was enumerated"))
+    monkeypatch.setattr(bethe, "_collective_hamiltonian", lambda *a: pytest.fail("a Bethe sector was built"))
+    assert main(["bae", "--n", "1", "--atoms", atoms]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: sector n=1, N=1030: solve_bae's TQ matrix needs the binomial C(1030, 515), "
+        "past the largest float64 1.7976931348623157e+308\n"
+    )
+
+
 def test_identify_integrable_roundtrip(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -662,6 +682,20 @@ def test_config_top_level_keys_are_model_and_n_atoms(tmp_path, capsys, verb, key
     err = captured.err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and repr(key) in err[0]
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("verb", ["spectrum", "bae", "identify"])
+def test_config_errors_of_every_verb_come_in_one_pass(tmp_path, capsys, verb):
+    # identify stopped at the unknown key, where spectrum and bae went on to the model block
+    block = physical_block(rank_one_tunneling("nonparallel"))
+    del block["Omega"]
+    assert main([verb, "--config", write_config(tmp_path, {"model": block, "seed": 1})]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: config: unknown top-level keys ['seed']; the keys are 'model' and 'n_atoms'\n"
+        "error: config: model block missing fields ['Omega']\n"
+    )
 
 
 @pytest.mark.parametrize("verb", ["spectrum", "bae"])
