@@ -27,10 +27,11 @@ eigenvalues come instead from the equivalent real symmetric tridiagonal on the
 collective basis |m, N-m> of the modes A ~ s.a and B ~ t.b
 (`collective_energies`), with lambda0 = alpha N^2 + zeta^2/eta^2 - W^2 - E.
 Each state keeps that exact energy E.  Its roots are the zeros of the TQ null
-vector at its lambda0, polished by damped Newton with an analytic Jacobian,
-and kept only if `bethe_energy`, which reads N from the number of roots,
-gives E back from them.  `solve_bae` returns the kept states and the count
-of the others by reason; every other count follows from those two.
+vector at its lambda0, polished by damped Newton (one evaluation per point,
+which the analytic Jacobian reuses), and kept only if `bethe_energy`, which
+reads N from the number of roots, gives E back from them.  `solve_bae`
+returns the kept states and the count of the others by reason; every other
+count follows from those two.
 
 C(v) never leaves the N+1 collective states, so neither does the solver: each
 kept state's Bethe vector is its N+1 amplitudes on |N-k, k>, k = N_b, and its
@@ -39,6 +40,7 @@ states, whatever the level count n.  `bethe_vector` alone writes a state into
 the Fock sector, d = C(N + 2n - 1, N) amplitudes.
 """
 
+import collections
 import itertools
 import math
 import operator
@@ -77,43 +79,58 @@ BAE_TOL = 1e-10
 MAX_NEWTON_ITER = 8
 # Largest |E_Bethe - E_ED| at which `match_spectrum` pairs a state with a level.
 MATCH_TOL = 1e-8
-# float64 (N+1) x (N+1) arrays that `solve_bae` holds at its peak, in the TQ
+# float64 (N+1) x (N+1) arrays that `solve_bae` holds at its peak: the TQ
 # null-vector work of one state (T - lambda0 I, its SVD, np.roots' companion
-# matrix).  Tracemalloc peaks of solve_bae, in such arrays: n = 1 and 2,
-# N = 100 and 150, 12.96; N = 50 13.0 (n = 2) and 15.6 (n = 1); the rest is
-# O(N), which only small N shows.
+# matrix), or T and five complex N x N arrays of its Newton iteration.
+# Tracemalloc peaks of solve_bae, in such arrays: 11.0-11.4 at n = 1..3 and
+# N = 50, 100 and 150; the rest is O(N), which only small N shows.
 SOLVE_SQUARES = 13
 
 
-def _pair_gaps(v, eta):
-    """(min |v_i - v_j|, min |v_i - v_j + eta|) over i != j; inf for N < 2."""
-    diff = (v[:, None] - v[None, :])[~np.eye(v.size, dtype=bool)]
-    return tuple(float(np.min(np.abs(x), initial=np.inf)) for x in (diff, diff + eta))
-
-
-def _products(v, eta):
-    """(diff, P): diff_ij = v_i - v_j and P_i = prod_{j != i} (diff_ij - eta) / (diff_ij + eta)."""
+def _pairs(v, eta):
+    """(diff, min |diff_ij|, min |diff_ij + eta|) with diff_ij = v_i - v_j, the
+    minima over i != j (inf for N < 2)."""
     diff = v[:, None] - v[None, :]
-    ratio = (diff - eta) / (diff + eta)
-    np.fill_diagonal(ratio, 1.0)
-    return diff, np.prod(ratio, axis=1)
+    off = diff[~np.eye(v.size, dtype=bool)]  # a copy, shifted in place
+    gap = float(np.min(np.abs(off), initial=np.inf))
+    off += eta
+    return diff, gap, float(np.min(np.abs(off), initial=np.inf))
 
 
-def _residual(v, ip):
-    """Residual vector of the rapidity equations (no pole guarding)."""
+def _residual(v, diff, ip):
+    """(F, P): the residual F of the rapidity equations at v, whose differences
+    are diff, and its ratio products P_i = prod_{j != i} (diff_ij - eta) / (diff_ij + eta)."""
     eta, zeta, W = ip.eta, ip.zeta, ip.omega_sum
-    return eta**2 * (v**2 - W**2) / zeta**2 - _products(v, eta)[1]
+    ratio = diff - eta
+    ratio /= diff + eta
+    np.fill_diagonal(ratio, 1.0)
+    P = np.prod(ratio, axis=1)
+    return eta**2 * (v**2 - W**2) / zeta**2 - P, P
 
 
-def _jacobian(v, ip):
-    """Complex Jacobian dF_i/dv_k of the residual map."""
-    eta, zeta = ip.eta, ip.zeta
-    J = np.diag(2.0 * eta**2 * v / zeta**2)
-    diff, P = _products(v, eta)
-    K = 1.0 / (diff - eta) - 1.0 / (diff + eta)
+# A Newton point: roots v, residual f and max |f|, and the diff and P `_jacobian` reads.
+_Point = collections.namedtuple("_Point", "v f fmax diff P")
+
+
+def _point(v, ip):
+    """The `_Point` at v from one `_residual`; None within 1e-13 of a
+    coincidence or a pole, or where the residual is not finite."""
+    diff, gap, pole = _pairs(v, ip.eta)
+    if gap < 1e-13 or pole < 1e-13:
+        return None
+    f, P = _residual(v, diff, ip)
+    if not np.all(np.isfinite(f)):
+        return None
+    return _Point(v, f, float(np.max(np.abs(f))), diff, P)
+
+
+def _jacobian(point, ip):
+    """Complex Jacobian dF_i/dv_k of the residual map at a `_Point`."""
+    J = np.diag(2.0 * ip.eta**2 * point.v / ip.zeta**2)
+    K = 1.0 / (point.diff - ip.eta) - 1.0 / (point.diff + ip.eta)
     np.fill_diagonal(K, 0.0)
-    J -= np.diag(P * K.sum(axis=1))
-    J += P[:, None] * K
+    J -= np.diag(point.P * K.sum(axis=1))
+    J += point.P[:, None] * K
     return J
 
 
@@ -121,71 +138,57 @@ def bae_residual(roots, ip: IntegrableParams) -> np.ndarray:
     """Componentwise residuals of the rapidity equations; all-zero for
     exact solutions."""
     v = np.asarray(roots, dtype=complex).reshape(-1)
-    gap, pole = _pair_gaps(v, ip.eta)
+    diff, gap, pole = _pairs(v, ip.eta)
     if gap < COINCIDENT_TOL:
         raise ValueError(f"coincident roots (min pair distance {gap:.3e})")
     if pole < 1e-12:
         raise ValueError("pole: v_i - v_j = -eta for some pair")
-    return _residual(v, ip)
-
-
-def _safe_norms(v, ip):
-    """Residual and its sup-norm, or None near a pole."""
-    gap, pole = _pair_gaps(v, ip.eta)
-    if gap < 1e-13 or pole < 1e-13:
-        return None, np.inf
-    f = _residual(v, ip)
-    if not np.all(np.isfinite(f)):
-        return None, np.inf
-    return f, float(np.max(np.abs(f)))
+    return _residual(v, diff, ip)[0]
 
 
 def _newton(v0, ip):
     """Damped Newton iteration on the N complex roots.
 
-    Returns the converged roots or None.  Steps are damped by Armijo
-    backtracking on the squared residual norm; once the residual is below
-    BAE_TOL, up to two undamped steps polish toward machine precision.  At
-    most MAX_NEWTON_ITER damped steps are taken.
+    Returns the converged roots or None.  Each point is one `_Point`, which
+    its step reuses.  Steps are damped by Armijo backtracking on the squared
+    residual norm; below BAE_TOL, up to two undamped steps polish toward
+    machine precision.  At most MAX_NEWTON_ITER damped steps are taken.
     """
-    v = np.asarray(v0, dtype=complex).copy()
-    f, fmax = _safe_norms(v, ip)
-    if f is None:
+    p = _point(np.asarray(v0, dtype=complex), ip)
+    if p is None:
         return None
     for _ in range(MAX_NEWTON_ITER):
-        if fmax <= BAE_TOL:
+        if p.fmax <= BAE_TOL:
             # undamped polish toward machine precision
             for _ in range(2):
-                step = _newton_step(v, f, ip)
+                step = _newton_step(p, ip)
                 if step is None:
                     break
-                cand = v + step
-                fc, fcmax = _safe_norms(cand, ip)
-                if fc is None or fcmax >= fmax:
+                cand = _point(p.v + step, ip)
+                if cand is None or cand.fmax >= p.fmax:
                     break
-                v, f, fmax = cand, fc, fcmax
-            return v
-        step = _newton_step(v, f, ip)
+                p = cand
+            return p.v
+        step = _newton_step(p, ip)
         if step is None:
             return None
         lam = 1.0
-        sq = float(np.sum(np.abs(f) ** 2))
+        sq = float(np.sum(np.abs(p.f) ** 2))
         while True:
-            cand = v + lam * step
-            fc, fcmax = _safe_norms(cand, ip)
-            if fc is not None and float(np.sum(np.abs(fc) ** 2)) <= (1.0 - 1e-4 * lam) * sq:
-                v, f, fmax = cand, fc, fcmax
+            cand = _point(p.v + lam * step, ip)
+            if cand is not None and float(np.sum(np.abs(cand.f) ** 2)) <= (1.0 - 1e-4 * lam) * sq:
+                p = cand
                 break
             lam *= 0.5
             if lam < 1e-7:
                 return None
-    return v if fmax <= BAE_TOL else None
+    return p.v if p.fmax <= BAE_TOL else None
 
 
-def _newton_step(v, f, ip):
-    """Solve J dv = -f; the residual map is holomorphic, so J is its complex Jacobian."""
+def _newton_step(point, ip):
+    """Solve J dv = -F at a `_Point`; the residual map is holomorphic, so J is its complex Jacobian."""
     try:
-        dv = np.linalg.solve(_jacobian(v, ip), -f)
+        dv = np.linalg.solve(_jacobian(point, ip), -point.f)
     except np.linalg.LinAlgError:
         return None
     return dv if np.all(np.isfinite(dv)) else None
@@ -278,10 +281,8 @@ def check_proportional(ip: IntegrableParams):
     relative), the gauge of the collective basis of a sector of N > 0 atoms."""
     st_gap = np.linalg.norm(ip.s) * np.linalg.norm(ip.t) - abs(ip.zeta)
     if st_gap > 1e-10 * max(1.0, abs(ip.zeta)):
-        raise ValueError(
-            "s and t are not proportional: the Bethe layer solves only t = c s, "
-            "the gauge validate_model returns for physical couplings"
-        )
+        raise ValueError("s and t are not proportional: the Bethe layer solves only t = c s, "
+                         "the gauge validate_model returns for physical couplings")
 
 
 def check_solve_fits(n_atoms: int):
@@ -299,20 +300,20 @@ def check_solve_fits(n_atoms: int):
 def solve_bae(ip: IntegrableParams, n_atoms: int) -> SolveResult:
     """All N+1 solutions of the rapidity equations, in ascending energy.
 
-    Each state's energy E is exact, from `collective_energies`; its roots
-    come from the null vector of the TQ operator at lambda0 = alpha N^2 +
-    zeta^2/eta^2 - W^2 - E, polished by Newton until the equation residual
+    Each state's energy E is exact, an eigenvalue of the sector's one
+    tridiagonal `_collective_hamiltonian` (as in `collective_energies`); its
+    roots come from the null vector of the TQ operator at lambda0 = alpha N^2
+    + zeta^2/eta^2 - W^2 - E, polished by Newton until the equation residual
     is at most 1e-10.  The roots are kept only if `bethe_energy` gives back
     E from them to 1e-9 relative.  States whose roots do not reach the
     residual, show a standard pathology (coincident roots, a pair at
     v_i - v_j = -eta) or fail the energy check are left out and counted in
     `rejected`.  Each kept state carries its Bethe vector, the N+1
     amplitudes on the collective states |N-k, k>, and its eigen-residuals
-    against H and t(u), with u the point at which its energy was checked.
-    Both are read from the one tridiagonal `_collective_hamiltonian` of the
-    sector: on it t(u) = (E(u) + Lambda(u)) I - H, so the t(u)-residual is
-    that of H at E(u).  No Fock sector is built, so the cost does not grow
-    with the level count n.
+    against H and t(u), with u the point at which its energy was checked,
+    both read from the same tridiagonal: on it t(u) = (E(u) + Lambda(u)) I
+    - H, so the t(u)-residual is that of H at E(u).  No Fock sector is
+    built, so the cost does not grow with the level count n.
 
     Raises ValueError, before anything is built, where `check_solve_fits`
     refuses N, and for N > 0 unless s and t are proportional
@@ -324,13 +325,13 @@ def solve_bae(ip: IntegrableParams, n_atoms: int) -> SolveResult:
         raise ValueError(f"n_atoms must be >= 0, got {N}")
     check_solve_fits(N)
     rejected = {"unconverged": 0, "coincident": 0, "string_pole": 0, "energy_mismatch": 0}
-    diag, off = _collective_hamiltonian(ip, N)  # shared by all states
+    diag, off = _collective_hamiltonian(ip, N)  # the energies and every state's residuals
 
     eta, zeta, W = ip.eta, ip.zeta, ip.omega_sum
     # u = scale x keeps the monomial coefficients of q of comparable size
     scale = max(abs(W), abs(zeta / eta), abs(eta) * N, 1.0)
     T = _tq_matrix(N, eta / scale, W / scale, (zeta / eta / scale) ** 2)
-    energies = collective_energies(ip, N)
+    energies = eigh_tridiagonal(diag, off, eigvals_only=True)
     lam0 = ip.alpha * N * N + (zeta / eta) ** 2 - W * W - energies
 
     solutions = []
@@ -342,7 +343,7 @@ def solve_bae(ip: IntegrableParams, n_atoms: int) -> SolveResult:
                 rejected["unconverged"] += 1
                 continue
         v = np.sort_complex(v)  # by real part, then imaginary part
-        gap, pole = _pair_gaps(v, ip.eta)
+        diff, gap, pole = _pairs(v, eta)
         if gap < COINCIDENT_TOL:
             rejected["coincident"] += 1
             continue
@@ -357,7 +358,7 @@ def solve_bae(ip: IntegrableParams, n_atoms: int) -> SolveResult:
         solutions.append(
             BetheSolution(
                 roots=v,
-                residual=float(np.max(np.abs(_residual(v, ip)), initial=0.0)),
+                residual=float(np.max(np.abs(_residual(v, diff, ip)[0]), initial=0.0)),
                 energy=float(energy),
                 vector=vector,
                 h_residual=_eigen_residual(diag, off, vector, energy),
@@ -395,9 +396,7 @@ def transfer_eigenvalue(u: complex, roots, ip: IntegrableParams) -> complex:
     v = np.sort_complex(np.asarray(roots, dtype=complex).reshape(-1))
     u = complex(u)
     if v.size and np.min(np.abs(v - u)) < 1e-9:
-        raise ValueError(
-            "evaluation point coincides with a root; evaluate at a shifted u"
-        )
+        raise ValueError("evaluation point coincides with a root; evaluate at a shifted u")
     eta, zeta, W = ip.eta, ip.zeta, ip.omega_sum
     p_minus = np.prod((v - u - eta) / (v - u))
     p_plus = np.prod((v - u + eta) / (v - u))
@@ -425,13 +424,14 @@ def _collective_state(v, ip):
     C(v)|m, k> = |s| [(v - W + eta k) sqrt(m+1) |m+1, k> + (zeta/eta) sqrt(k+1) |m, k+1>],
     one update of the amplitudes over k per root.  The amplitude of |0, N> is
     (|s| zeta/eta)^N sqrt(N!), so for zeta != 0 the state never vanishes."""
+    W, eta, ratio, norm_s = ip.omega_sum, ip.eta, ip.zeta / ip.eta, np.linalg.norm(ip.s)
     amp = np.array([1.0 + 0.0j])
     for n, vi in enumerate(v):
         k = np.arange(n + 1)
         nxt = np.zeros(n + 2, dtype=complex)
-        nxt[:-1] = (vi - ip.omega_sum + ip.eta * k) * np.sqrt(n + 1 - k) * amp
-        nxt[1:] += (ip.zeta / ip.eta) * np.sqrt(k + 1) * amp
-        amp = np.linalg.norm(ip.s) * nxt
+        nxt[:-1] = (vi - W + eta * k) * np.sqrt(n + 1 - k) * amp
+        nxt[1:] += ratio * np.sqrt(k + 1) * amp
+        amp = norm_s * nxt
     return amp
 
 

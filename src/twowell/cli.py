@@ -508,7 +508,7 @@ def cmd_bae(args) -> int:
     if kind == "physical":
         report = _validated(params)
         if not report.integrable:  # identify writes the full report
-            constraints = "; ".join(c for c, _, _ in report.violations)
+            constraints = "; ".join(c for c, *_ in report.violations)
             raise _Refused(f"physical couplings are not integrable: {constraints}")
         ip = report.derived
     if any(atoms):  # solve_bae refuses N > 0 off this gauge: refuse before any sector
@@ -659,7 +659,7 @@ def cmd_identify(args) -> int:
     report = _validated(params)
     results = {
         "integrable": report.integrable,
-        "violations": [{"constraint": c, "lhs": l, "rhs": r} for c, l, r in report.violations],
+        "violations": [{"constraint": c, "lhs": l, "rhs": r, "scale": sc} for c, l, r, sc in report.violations],
         "derived": _echo_model("integrable", report.derived) if report.derived else None,
     }
     text = _report_json("identify", _echo_model(kind, params), results, {})

@@ -5,7 +5,7 @@ operator, the two-site transfer matrix and its conserved charges, and checks
 the defining relations numerically (Yang-Baxter, RLL between the kept states
 of the RLL_CUTOFF-truncated Fock space of one well, commuting transfer
 matrices, Hamiltonian reconstruction).  Also maps the algebraic data (eta, omega, s, t, alpha) to
-physical couplings and back, to IDENTIFY_TOL; the way back returns the gauge
+physical couplings and back, to IDENTIFY_TOL relative; the way back returns the gauge
 t = +-s, the only one the Bethe-ansatz layer solves.
 
 Each operator has one construction and each relation one check: the
@@ -91,17 +91,20 @@ __all__ = [
 
 # Occupation cutoff of the one-well Fock space on which `rll_residual` checks RLL.
 RLL_CUTOFF = 4
-# Largest max-abs deviation from a constraint that `validate_model` accepts.
+# Largest max-abs deviation from a constraint that `validate_model` accepts, in
+# units of the largest |entry| among the couplings the constraint reads.
 IDENTIFY_TOL = 1e-10
 
 
-@dataclass
+@dataclass(frozen=True)
 class IntegrableParams:
     """Algebraic data entering the Lax and transfer-matrix construction.
 
     eta must be a nonzero real, and zeta = s . t must be nonzero.  Only the
     sum W = sum_j omega_j enters any physical quantity, and zeta^2/eta^2 - W^2,
-    eta W and 2 alpha - eta^2 must not overflow float64.
+    eta W and 2 alpha - eta^2 must not overflow float64.  The set is frozen,
+    its arrays read-only copies, so zeta and W are computed once; change a
+    field with `dataclasses.replace`, which validates the new set.
     """
 
     n_levels: int
@@ -118,17 +121,18 @@ class IntegrableParams:
         eta = complex(self.eta)
         if eta.imag != 0.0:
             raise ValueError("eta must be real")
-        self.eta = float(eta.real)
+        object.__setattr__(self, "eta", float(eta.real))
         if self.eta == 0.0:
             raise ValueError("eta must be nonzero")
         for name in ("omega", "s", "t"):
-            v = np.asarray(getattr(self, name), dtype=float)
+            v = np.array(getattr(self, name), dtype=float)
             if v.shape != (n,):
                 raise ValueError(f"{name} must have shape ({n},), got {v.shape}")
             if not np.all(np.isfinite(v)):
                 raise ValueError(f"{name} contains non-finite entries")
-            setattr(self, name, v)
-        self.alpha = float(self.alpha)
+            v.flags.writeable = False
+            object.__setattr__(self, name, v)
+        object.__setattr__(self, "alpha", float(self.alpha))
         if not np.isfinite(self.eta) or not np.isfinite(self.alpha):
             raise ValueError(f"eta and alpha must be finite, got {self.eta} and {self.alpha}")
         with np.errstate(over="ignore"):  # an overflow shows as inf
@@ -138,11 +142,11 @@ class IntegrableParams:
         if self.zeta == 0.0:
             raise ValueError("zeta = sum_j s_j t_j must be nonzero")
 
-    @property
+    @functools.cached_property
     def zeta(self) -> float:
         return float(np.dot(self.s, self.t))
 
-    @property
+    @functools.cached_property
     def omega_sum(self) -> float:
         """W = sum_j omega_j."""
         return float(np.sum(self.omega))
@@ -228,10 +232,8 @@ def lax_operator(u, ip, ladders: TruncatedLadder) -> np.ndarray:
     bitwise the operator of its own scalar call."""
     ips = [ip] if isinstance(ip, IntegrableParams) else list(ip)
     if any(p.n_levels != ladders.n_modes for p in ips):
-        raise ValueError(
-            f"ladders built for {ladders.n_modes} modes, params have "
-            f"{sorted({p.n_levels for p in ips})} levels"
-        )
+        raise ValueError(f"ladders built for {ladders.n_modes} modes, params have "
+                         f"{sorted({p.n_levels for p in ips})} levels")
     eta, d_block = np.array([[p.eta] for p in ips]), np.array([[p.zeta / p.eta] for p in ips])
     s, t = np.array([p.s for p in ips]), np.array([p.t for p in ips])
     draws = np.reshape(u, (-1, 1))
@@ -284,10 +286,8 @@ def rll_residual(u, v, ip, zeta_shift=0.0):
     ips = [ip] * u.size if isinstance(ip, IntegrableParams) else list(ip)
     levels = sorted({p.n_levels for p in ips})
     if len(ips) != u.size or len(levels) != 1:
-        raise ValueError(
-            f"need one IntegrableParams, or {u.size} of one n_levels, got {len(ips)} "
-            f"with n_levels {levels}"
-        )
+        raise ValueError(f"need one IntegrableParams, or {u.size} of one n_levels, got {len(ips)} "
+                         f"with n_levels {levels}")
     check_rll_fits(levels[0])
     ladders = _rll_ladder(levels[0])
     # rows go by total occupation, so the kept states lead; only kept rows of
@@ -346,9 +346,7 @@ def transfer_terms(u, ip: IntegrableParams, sector: FockSector):
     one diagonal value per row, one row of them for each element of an array
     u (real if every u is), and coefficients outer(s, t)."""
     if ip.n_levels != sector.n_levels:
-        raise ValueError(
-            f"params have {ip.n_levels} levels, sector has {sector.n_levels}"
-        )
+        raise ValueError(f"params have {ip.n_levels} levels, sector has {sector.n_levels}")
     n = ip.n_levels
     eta, zeta, W = ip.eta, ip.zeta, ip.omega_sum
     N = float(sector.n_atoms)
@@ -540,18 +538,24 @@ def _rank_one_factors(Omega):
     return s, sign, residual
 
 
+def _scale(*couplings):
+    """Largest |entry| among the couplings a constraint reads: the unit of its deviation."""
+    return max(float(np.max(np.abs(c), initial=0.0)) for c in couplings)
+
+
 @np.errstate(over="ignore")  # an overflowing deviation shows as inf
 def validate_model(mp: model.ModelParams) -> IdentificationReport:
     """Check whether physical couplings sit on the integrable manifold, each
-    constraint to IDENTIFY_TOL (max-abs).
+    constraint to IDENTIFY_TOL times its scale: the largest |entry| among the
+    couplings it reads, so that all couplings may share any energy unit.
 
     Constraints: (i) a common alpha on all same-well diagonals, (ii) same-well
     off-diagonals equal to 2 alpha, (iii) a common positive eta^2 =
     2 alpha - U_abjk, (iv) nonzero rank-1 tunneling Omega = sigma_1 u_1 v_1^T,
     (v) eps_aj - mu_j level-independent and opposite to eps_bj + mu_j, fixing
-    eta W.  Violations are reported with both sides, and a deviation that
-    overflows float64 is one; eta^2, eps_a - mu, eps_b + mu or a derived
-    parameter that overflows raises ValueError.
+    eta W.  Violations are reported as (constraint, lhs, rhs, scale), and a
+    deviation that overflows float64 is one; eta^2, eps_a - mu, eps_b + mu or
+    a derived parameter that overflows raises ValueError.
 
     The derived parameters are in the gauge t = +-s: s = sqrt(sigma_1) u_1,
     t = sign(u_1 . v_1) s.  For symmetric Omega these are its own factors.
@@ -564,56 +568,51 @@ def validate_model(mp: model.ModelParams) -> IdentificationReport:
 
     diags = np.concatenate([np.diag(mp.U_aa), np.diag(mp.U_bb)])
     alpha = float(diags[0])
-    if np.max(np.abs(diags - alpha)) > IDENTIFY_TOL:
-        violations.append(("U_ppjj common alpha", diags.tolist(), alpha))
+    scale = _scale(diags)
+    if np.max(np.abs(diags - alpha)) > IDENTIFY_TOL * scale:
+        violations.append(("U_ppjj common alpha", diags.tolist(), alpha, scale))
 
-    if max(_max_off_diagonal_dev(U, 2.0 * alpha) for U in (mp.U_aa, mp.U_bb)) > IDENTIFY_TOL:
+    scale = _scale(mp.U_aa, mp.U_bb)
+    if max(_max_off_diagonal_dev(U, 2.0 * alpha) for U in (mp.U_aa, mp.U_bb)) > IDENTIFY_TOL * scale:
         off_mask = ~np.eye(n, dtype=bool)
         offs = np.concatenate([mp.U_aa[off_mask], mp.U_bb[off_mask]])
-        violations.append(("U_ppjk (j != k) equals 2 alpha", offs.tolist(), 2.0 * alpha))
+        violations.append(("U_ppjk (j != k) equals 2 alpha", offs.tolist(), 2.0 * alpha, scale))
 
     eta_sq = float(np.mean(2.0 * alpha - mp.U_ab))  # finite only if every entry is
     lin_a = mp.eps_a - mp.mu
     lin_b = mp.eps_b + mp.mu
     if not np.all(np.isfinite([eta_sq, *lin_a, *lin_b])):
         raise ValueError("2 alpha - U_ab, eps_a - mu and eps_b + mu must be finite in float64")
-    if _max_abs(2.0 * alpha - mp.U_ab - eta_sq) > IDENTIFY_TOL:
+    scale = _scale(mp.U_ab, alpha)
+    if _max_abs(2.0 * alpha - mp.U_ab - eta_sq) > IDENTIFY_TOL * scale:
         violations.append(
-            ("U_abjk common value 2 alpha - eta^2", mp.U_ab.tolist(), 2.0 * alpha - eta_sq)
-        )
+            ("U_abjk common value 2 alpha - eta^2", mp.U_ab.tolist(), 2.0 * alpha - eta_sq, scale))
     if eta_sq <= 0.0:
-        violations.append(("eta^2 = 2 alpha - U_abjk positive", eta_sq, 0.0))
+        violations.append(("eta^2 = 2 alpha - U_abjk positive", eta_sq, 0.0, scale))
 
-    if np.max(np.abs(mp.Omega)) == 0.0:
-        violations.append(("Omega nonzero (zeta != 0)", 0.0, "nonzero"))
+    scale = _scale(mp.Omega)
+    if scale == 0.0:
+        violations.append(("Omega nonzero (zeta != 0)", 0.0, "nonzero", scale))
     else:
         s, sign, r1_residual = _rank_one_factors(mp.Omega)
-        if r1_residual > IDENTIFY_TOL:
-            violations.append(("Omega rank-1", r1_residual, 0.0))
+        if r1_residual > IDENTIFY_TOL * scale:
+            violations.append(("Omega rank-1", r1_residual, 0.0, scale))
 
     eta_W = float(lin_a[0])
+    scale = _scale(mp.eps_a, mp.eps_b, mp.mu)
     for j in range(1, n):
-        if abs(lin_a[j] - eta_W) > IDENTIFY_TOL:
-            violations.append(
-                (f"eps_a{j + 1} - mu_{j + 1} equals eps_a1 - mu_1", float(lin_a[j]), eta_W)
-            )
+        if abs(lin_a[j] - eta_W) > IDENTIFY_TOL * scale:
+            name = f"eps_a{j + 1} - mu_{j + 1} equals eps_a1 - mu_1"
+            violations.append((name, float(lin_a[j]), eta_W, scale))
     for j in range(n):
-        if abs(lin_b[j] + eta_W) > IDENTIFY_TOL:
-            violations.append(
-                (f"eps_b{j + 1} + mu_{j + 1} equals -(eps_a1 - mu_1)", float(lin_b[j]), -eta_W)
-            )
+        if abs(lin_b[j] + eta_W) > IDENTIFY_TOL * scale:
+            name = f"eps_b{j + 1} + mu_{j + 1} equals -(eps_a1 - mu_1)"
+            violations.append((name, float(lin_b[j]), -eta_W, scale))
 
     if violations:
         return IdentificationReport(integrable=False, violations=violations)
 
     eta = float(np.sqrt(eta_sq))
     W = eta_W / eta
-    derived = IntegrableParams(
-        n_levels=n,
-        eta=eta,
-        omega=np.full(n, W / n),
-        s=s,
-        t=sign * s,
-        alpha=alpha,
-    )
+    derived = IntegrableParams(n_levels=n, eta=eta, omega=np.full(n, W / n), s=s, t=sign * s, alpha=alpha)
     return IdentificationReport(integrable=True, derived=derived, violations=[])

@@ -300,9 +300,49 @@ def test_newton_budget_per_state(monkeypatch):
     # at most 8 damped steps and 2 polishing steps for each of the N+1 states
     solves = []
     jacobian = bethe._jacobian
-    monkeypatch.setattr(bethe, "_jacobian", lambda v, ip: solves.append(1) or jacobian(v, ip))
+    monkeypatch.setattr(bethe, "_jacobian", lambda point, ip: solves.append(1) or jacobian(point, ip))
     solve_bae(default_integrable_params(1), 16)
     assert len(solves) <= 17 * (8 + 2)
+
+
+@pytest.mark.parametrize("N", [8, 16])
+def test_newton_forms_products_once_per_point(monkeypatch, N):
+    # each Newton point forms its differences and ratio products in one
+    # `_residual`, and its Jacobian reuses them; the only other `_residual`
+    # of a solve is the reported residual of each kept state (8 of 9 at
+    # N = 8, none at N = 16)
+    stack, owners, counts = [], [], {"_point": 0, "_jacobian": 0}
+
+    def spy(name, f):
+        def wrapped(*args):
+            if name == "_residual":
+                owners.append(stack[-1] if stack else None)
+            else:
+                counts[name] += 1
+            stack.append(name)
+            try:
+                return f(*args)
+            finally:
+                stack.pop()
+        return wrapped
+
+    for name in ("_point", "_residual", "_jacobian"):
+        monkeypatch.setattr(bethe, name, spy(name, getattr(bethe, name)))
+    result = solve_bae(default_integrable_params(1), N)
+    assert counts["_jacobian"] > 0 and "_jacobian" not in owners
+    assert 0 < owners.count("_point") <= counts["_point"]
+    assert owners.count(None) == len(result.solutions) == {8: 8, 16: 0}[N]
+    assert len(owners) == owners.count("_point") + owners.count(None)
+
+
+@pytest.mark.parametrize("N", [0, 1, 5])
+def test_solve_builds_the_collective_hamiltonian_once(monkeypatch, N):
+    # the energies and every state's residuals come from one tridiagonal
+    built = []
+    collective = bethe._collective_hamiltonian
+    monkeypatch.setattr(bethe, "_collective_hamiltonian", lambda *a: built.append(1) or collective(*a))
+    solve_bae(default_integrable_params(2), N)
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

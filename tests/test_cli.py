@@ -664,6 +664,19 @@ def test_identify_reports_all_violations(tmp_path, capsys):
     assert len(report["results"]["violations"]) >= 2
 
 
+def test_identify_reports_the_scale_of_each_violation(tmp_path, capsys):
+    # each constraint is judged on the largest |entry| of the couplings it
+    # reads; bae's refusal names the constraints alone, as before
+    cfg = scan_config(tmp_path, mu2=1.0)
+    assert main(["identify", "--config", cfg]) == 1
+    violations = json.loads(capsys.readouterr().out)["results"]["violations"]
+    assert violations and all(set(v) == {"constraint", "lhs", "rhs", "scale"} for v in violations)
+    assert {v["scale"] for v in violations if v["constraint"].startswith("eps_")} == {2.0}
+    assert main(["bae", "--config", cfg]) == 1
+    names = "; ".join(v["constraint"] for v in violations)
+    assert capsys.readouterr().err == f"error: physical couplings are not integrable: {names}\n"
+
+
 def test_config_errors_reported_together(tmp_path, capsys):
     cfg = write_config(tmp_path, {"n_atoms": [-1, "x"]})
     assert main(["spectrum", "--config", cfg]) == 1

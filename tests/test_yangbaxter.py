@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -821,3 +822,65 @@ def test_integrable_params_validation():
         IntegrableParams(2, 1.0, np.ones(2), np.array([1.0, 0.0]), np.array([0.0, 1.0]), alpha=1.0)
     with pytest.raises(ValueError):
         IntegrableParams(2, 1.0, np.ones(3), np.ones(2), np.ones(2), alpha=1.0)
+
+
+def test_integrable_params_are_frozen_after_validation():
+    # a field set after validation used to reach the Bethe solver unchecked:
+    # eta = 0 ended in ZeroDivisionError, a nan entry in scipy's own error
+    ip = default_integrable_params(2)
+    zeta, W = ip.zeta, ip.omega_sum
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ip.eta = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ip.s = [1.0, np.nan]
+    with pytest.raises(ValueError, match="read-only"):
+        ip.s[1] = np.nan  # the arrays too, so the computed zeta and W stay right
+    with pytest.raises(ValueError, match="eta must be nonzero"):
+        dataclasses.replace(ip, eta=0.0)
+    with pytest.raises(ValueError, match="non-finite"):
+        dataclasses.replace(ip, s=[1.0, np.nan])
+    # a replaced set is validated and computes its own zeta and W
+    other = dataclasses.replace(ip, t=2.0 * ip.s, omega=[1.0, 3.0])
+    assert (other.zeta, other.omega_sum) == (2.0 * zeta, 4.0)
+    assert (ip.zeta, ip.omega_sum, ip.eta) == (zeta, W, 1.0)
+    # the caller's arrays are copied, not frozen in place
+    s = np.array([0.6, 0.8])
+    IntegrableParams(2, 1.0, np.ones(2), s, s, alpha=1.0)
+    s[0] = 0.0
+
+
+def _scaled(mp, c):
+    """The couplings of `mp`, each multiplied by c."""
+    names = ("U_aa", "U_bb", "U_ab", "mu", "eps_a", "eps_b", "Omega")
+    return model.ModelParams(mp.n_levels, *(c * getattr(mp, name) for name in names))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_identification_in_the_couplings_own_unit(n):
+    # every coupling shares one energy unit, so an exact rescale keeps the
+    # outcome: the n = 2 defaults times 2^20 were refused (Omega rank-1
+    # residual 1.16e-10 against an absolute 1e-10)
+    rng = np.random.default_rng(400 + n)
+    for ip in (default_integrable_params(n), random_ip(rng, n, eta=0.8)):
+        mp = identify_parameters(ip)
+        for k in range(-40, 41):
+            report = validate_model(_scaled(mp, 2.0**k))
+            assert report.integrable and not report.violations, (k, report.violations)
+            assert report.derived.alpha == 2.0**k * ip.alpha
+            assert report.derived.eta == pytest.approx(2.0 ** (k / 2) * abs(ip.eta), rel=1e-12)
+
+
+def test_validate_refuses_scaled_nonintegrable_couplings():
+    # scan_params(0.37) times 1e-11 was accepted: each of its deviations is
+    # below 1e-10 in absolute terms
+    from twowell.cli import scan_params
+
+    for c in (1e-11, 1.0, 1e11):
+        report = validate_model(_scaled(scan_params(0.37), c))
+        assert not report.integrable
+        by_name = {v[0]: v for v in report.violations}
+        # mu = (1, 0.37), eps_a = (-2, 2) and eps_b = (1, -1): eps_a2 - mu_2 is not eps_a1 - mu_1
+        constraint, lhs, rhs, scale = by_name["eps_a2 - mu_2 equals eps_a1 - mu_1"]
+        assert (lhs, rhs) == (c * 2.0 - c * 0.37, c * -2.0 - c * 1.0)
+        assert scale == 2.0 * c
+        assert all(len(v) == 4 and v[3] > 0.0 for v in report.violations)
