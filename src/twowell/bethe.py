@@ -194,7 +194,7 @@ def _newton_step(point, ip):
     return dv if np.all(np.isfinite(dv)) else None
 
 
-@dataclass
+@dataclass(eq=False)
 class BetheSolution:
     """One Bethe state: its exact energy, the roots that reproduce it, and
     its Bethe vector with the eigen-residuals against H and t(u).
@@ -212,7 +212,7 @@ class BetheSolution:
     t_residual: float
 
 
-@dataclass
+@dataclass(eq=False)
 class SolveResult:
     """The kept solutions in ascending energy, and in `rejected` the count of
     the N+1 states left out for each reason; the states whose roots polished

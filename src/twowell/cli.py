@@ -119,9 +119,7 @@ def _load_config(path, errors):
         raise _Refused(f"config {path}: top level must be a JSON object")
     unknown = [k for k in cfg if k not in ("model", "n_atoms")]
     if unknown:
-        errors.append(
-            f"config: unknown top-level keys {unknown}; the keys are 'model' and 'n_atoms'"
-        )
+        errors.append(f"config: unknown top-level keys {unknown}; the keys are 'model' and 'n_atoms'")
     return cfg
 
 

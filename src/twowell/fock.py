@@ -50,8 +50,8 @@ __all__ = [
 # table and fills H; the table holds 65 bytes, and lowest, with its
 # Hermiticity check, peaks at 0.32 kB).  The cost per state grows with the
 # 2n columns of a row, which SECTOR_ROW_ARRAYS bounds for every basis too.
-# The largest sector the tests and the benchmark use (n = 2, N = 60: 39711
-# states) is 26 times smaller.
+# The largest sector CI and the tests use (n = 2, N = 60: 39711 states) is
+# 26 times smaller; the benchmark's largest n = 2 sector is N = 24.
 SECTOR_DIM_CAP = 1 << 20
 # int64 arrays of d rows x w columns (w = 2n for a sector) that a basis of d
 # states may cost: the occupations and `_hop_terms`' temporaries grow with w.

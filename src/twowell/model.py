@@ -121,26 +121,30 @@ class NotConverged(ShiftError):
 
 
 def _as_array(name, value, shape):
-    m = np.asarray(value, dtype=float)
+    """`value` as a read-only float64 view (of it, if it is float64) of `shape`, finite."""
+    m = np.asarray(value, dtype=float).view()
+    m.setflags(write=False)
     if m.shape != shape:
         raise ValueError(f"{name} must have shape {shape}, got {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
 
 def _symmetrized(name, m):
-    """(m + m^T) / 2, exactly symmetric (m itself if it is), from halves that
-    cannot overflow; ValueError unless m is symmetric to 1e-12 relative."""
+    """(m + m^T) / 2, exactly symmetric and read-only (m itself if it is), from
+    halves that cannot overflow; ValueError unless m is symmetric to 1e-12 relative."""
     half = 0.5 * m
     out = half - half.T
     skew = np.max(np.abs(out, out=out))
     if skew > 1e-12 * max(0.5, np.max(half), -np.min(half)):
         raise ValueError(f"{name} must be symmetric in the level indices")
-    return m if skew == 0.0 else np.add(half, half.T, out=out)
+    sym = m if skew == 0.0 else np.add(half, half.T, out=out)
+    sym.setflags(write=False)
+    return sym
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ModelParams:
     """Physical couplings of the two-well model.
 
@@ -149,6 +153,10 @@ class ModelParams:
     mu         : (n,) relative external potentials.
     eps_a/b    : (n,) on-well state energies.
     Omega      : (n, n) tunneling amplitudes, Omega[j, k] for a_j <-> b_k.
+
+    Frozen and compared by identity: `dataclasses.replace` validates a changed set.
+    Each array is a read-only view of the float64 array passed in (new only for a
+    U_aa or U_bb symmetrized to rounding), so a caller's later edit reaches the model.
     """
 
     n_levels: int
@@ -165,11 +173,11 @@ class ModelParams:
         if n < 1:
             raise ValueError(f"n_levels must be >= 1, got {n}")
         for name in ("U_aa", "U_bb", "U_ab", "Omega"):
-            setattr(self, name, _as_array(name, getattr(self, name), (n, n)))
+            object.__setattr__(self, name, _as_array(name, getattr(self, name), (n, n)))
         for name in ("mu", "eps_a", "eps_b"):
-            setattr(self, name, _as_array(name, getattr(self, name), (n,)))
+            object.__setattr__(self, name, _as_array(name, getattr(self, name), (n,)))
         for name in ("U_aa", "U_bb"):
-            setattr(self, name, _symmetrized(name, getattr(self, name)))
+            object.__setattr__(self, name, _symmetrized(name, getattr(self, name)))
 
 
 def _diagonal_energy(params: ModelParams, occ: np.ndarray) -> np.ndarray:
@@ -196,9 +204,7 @@ def hamiltonian_terms(params: ModelParams, sector: FockSector):
     """(diag, coeffs) of H on the given sector, the pair `build_hamiltonian`
     fills: the diagonal energy of each row and -Omega."""
     if params.n_levels != sector.n_levels:
-        raise ValueError(
-            f"params have {params.n_levels} levels, sector has {sector.n_levels}"
-        )
+        raise ValueError(f"params have {params.n_levels} levels, sector has {sector.n_levels}")
     return _diagonal_energy(params, sector.occ), -params.Omega
 
 

@@ -96,15 +96,15 @@ RLL_CUTOFF = 4
 IDENTIFY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntegrableParams:
     """Algebraic data entering the Lax and transfer-matrix construction.
 
     eta must be a nonzero real, and zeta = s . t must be nonzero.  Only the
     sum W = sum_j omega_j enters any physical quantity, and zeta^2/eta^2 - W^2,
-    eta W and 2 alpha - eta^2 must not overflow float64.  The set is frozen,
-    its arrays read-only copies, so zeta and W are computed once; change a
-    field with `dataclasses.replace`, which validates the new set.
+    eta W and 2 alpha - eta^2 must not overflow float64.  The set is frozen and
+    compared by identity, its arrays read-only copies, so zeta and W are computed
+    once; change a field with `dataclasses.replace`, which validates the new set.
     """
 
     n_levels: int
@@ -124,14 +124,8 @@ class IntegrableParams:
         object.__setattr__(self, "eta", float(eta.real))
         if self.eta == 0.0:
             raise ValueError("eta must be nonzero")
-        for name in ("omega", "s", "t"):
-            v = np.array(getattr(self, name), dtype=float)
-            if v.shape != (n,):
-                raise ValueError(f"{name} must have shape ({n},), got {v.shape}")
-            if not np.all(np.isfinite(v)):
-                raise ValueError(f"{name} contains non-finite entries")
-            v.flags.writeable = False
-            object.__setattr__(self, name, v)
+        for name in ("omega", "s", "t"):  # copies, which the cached zeta and W read
+            object.__setattr__(self, name, model._as_array(name, np.array(getattr(self, name), dtype=float), (n,)))
         object.__setattr__(self, "alpha", float(self.alpha))
         if not np.isfinite(self.eta) or not np.isfinite(self.alpha):
             raise ValueError(f"eta and alpha must be finite, got {self.eta} and {self.alpha}")
@@ -478,7 +472,7 @@ def transfer_hamiltonian_terms(ip: IntegrableParams, sector: FockSector):
 # Parameter identification
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class IdentificationReport:
     """Outcome of checking physical couplings against the integrable family."""
 
@@ -501,7 +495,7 @@ def identify_parameters(ip: IntegrableParams) -> model.ModelParams:
     np.fill_diagonal(U_same, alpha)
     return model.ModelParams(
         n_levels=n,
-        U_aa=U_same,  # ModelParams stores a symmetrized copy of each
+        U_aa=U_same,  # symmetric: ModelParams keeps a read-only view for each
         U_bb=U_same,
         U_ab=np.full((n, n), 2.0 * alpha - eta**2),
         mu=np.zeros(n),

@@ -807,3 +807,16 @@ def test_match_agrees_with_greedy_oracle(energies, levels):
     assert report.index == _greedy_oracle(energies, levels)
     assert report.n_matched == sum(i >= 0 for i in report.index)
     assert report.n_eigenvalues == len(levels)
+
+
+@pytest.mark.parametrize("reason, apart", [("coincident", 1e-11), ("string_pole", -1.0 + 1e-11)])
+def test_solve_counts_pathological_roots_once_and_keeps_none(monkeypatch, reason, apart):
+    # Newton returns roots 1e-11 apart, or with v_0 - v_1 = -eta + 1e-11
+    # (eta = 1): each state is rejected for its one reason, and none is kept
+    ip = default_integrable_params(2)
+    N = 2
+    monkeypatch.setattr(bethe, "_newton", lambda v0, ip: np.array([0.3 + 0.1j, 0.3 + 0.1j - apart]))
+    result = solve_bae(ip, N)
+    assert result.solutions == []
+    assert result.rejected == {"unconverged": 0, "coincident": 0, "string_pole": 0, "energy_mismatch": 0,
+                               reason: N + 1}

@@ -178,8 +178,7 @@ def rank_one_tunneling(name):
         ip = IntegrableParams(2, 1.0, [1.0, 1.0], s=[0.9, 0.3], t=[0.2, 0.8], alpha=1.0)
         return yangbaxter.identify_parameters(ip)
     mp = yangbaxter.identify_parameters(yangbaxter.default_integrable_params(2))
-    mp.Omega = np.array([[0.0, 0.5], [0.0, 0.0]])
-    return mp
+    return dataclasses.replace(mp, Omega=np.array([[0.0, 0.5], [0.0, 0.0]]))
 
 
 @pytest.mark.parametrize("name", ["nonparallel", "perpendicular"])
@@ -252,7 +251,7 @@ def test_bae_report_agrees_with_its_csv(tmp_path, capsys, config):
         argv = ["bae", "--n", "2", "--atoms", "0,1,2,3"]
     else:  # the n = 2 default integrable set with Omega all 0.5
         mp = yangbaxter.identify_parameters(default_integrable_params(2))
-        mp.Omega = np.full((2, 2), 0.5)
+        mp = dataclasses.replace(mp, Omega=np.full((2, 2), 0.5))
         argv = ["bae", "--config", physical_config(tmp_path, mp, [0, 1, 2, 3])]
     assert main([*argv, "--out", str(out)]) == 0
     report = json.loads(capsys.readouterr().out)
@@ -1480,3 +1479,20 @@ def test_bae_formats_its_report_only_for_out(tmp_path, capsys, monkeypatch):
     assert reports == ["bae"]
     assert json.loads(capsys.readouterr().out)["command"] == "bae"
     assert out.read_text(encoding="utf-8") == stdout
+
+
+@pytest.mark.parametrize("argv, config, line", [
+    (["spectrum"], {"model": integrable_block() | {"kind": "foo"}, "n_atoms": [1]},
+     "config: model.kind must be 'integrable' or 'physical', got 'foo'"),
+    (["spectrum", "--atoms=-1,2"], None, "atom numbers must be >= 0, got [-1]"),
+    (["bae"], {"model": integrable_block(2), "n_atoms": [2, -1]}, "atom numbers must be >= 0, got [-1]"),
+    (["verify", "--atoms=-2"], None, "atom numbers must be >= 0, got [-2]"),
+    (["fig2", "--grid", "1:0:0.5"], None, "invalid grid '1:0:0.5': need step > 0 and stop >= start"),
+    (["identify"], {"model": integrable_block(2), "n_atoms": [1]}, "identify requires model.kind == 'physical'"),
+], ids=["model-kind", "spectrum-atoms", "bae-config-atoms", "verify-atoms", "fig2-grid", "identify-integrable"])
+def test_refusals_print_one_error_line(tmp_path, capsys, argv, config, line):
+    if config is not None:
+        argv = [*argv, "--config", write_config(tmp_path, config)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {line}\n")

@@ -337,3 +337,15 @@ def test_hop_gap_reads_stacks_and_refuses_bad_coeffs():
     assert hop_gap(sector, (diag, blocks), (diag, coeffs)) == pytest.approx(want, rel=0.0, abs=8 * np.spacing(want))
     with pytest.raises(ValueError, match="coeffs must end in shape"):
         hop_gap(sector, (diag, coeffs[:1]), (diag, coeffs))
+
+
+def test_public_builders_refuse_bad_shapes_and_sizes():
+    sector = enumerate_sector(2, 2)
+    with pytest.raises(ValueError, match=r"^coeffs must have shape \(2, 2\), got \(3, 3\)$"):
+        hop_operator(sector, 0.0, np.zeros((3, 3)))
+    with pytest.raises(ValueError, match=r"^diag must have at most 2 axes, got shape \(1, 1, 10\)$"):
+        hop_operator(sector, np.zeros((1, 1, sector.dim)), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match=r"^n_modes must be >= 1, got 0$"):
+        truncated_ladder(0, 3)
+    with pytest.raises(ValueError, match=r"^cutoff must be >= 1, got 0$"):
+        truncated_ladder(2, 0)

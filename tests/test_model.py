@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 
@@ -119,12 +120,34 @@ def test_hamiltonian_exactly_symmetric():
     assert (H - H.T).nnz == 0
 
 
+def test_model_params_are_frozen_read_only_views():
+    U = np.array([[1.0, 2.0], [2.0, 1.0]])
+    Omega = np.full((2, 2), 0.5)
+    mp = ModelParams(2, U, U, np.ones((2, 2)), [0.3, 0.0], [-2.0, 2.0], [1.0, -1.0], Omega)
+    for f in dataclasses.fields(mp):
+        value = getattr(mp, f.name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(mp, f.name, value)
+        if f.name != "n_levels":
+            with pytest.raises(ValueError, match="read-only"):
+                value[0] = 7.0
+    with pytest.raises(ValueError, match="must be symmetric"):
+        dataclasses.replace(mp, U_aa=[[1, 7], [2, 1]])
+    # a float64 array is viewed, not copied: the caller's own edit reaches the model
+    assert np.shares_memory(mp.U_aa, U) and np.shares_memory(mp.Omega, Omega)
+    Omega[0, 1] = 0.25
+    assert mp.Omega[0, 1] == 0.25
+    # a U_aa symmetric only to rounding is replaced by a new array, read-only too
+    skewed = dataclasses.replace(mp, U_aa=[[1.0, 2.0], [2.0 + 4e-16, 1.0]])
+    assert skewed.U_aa[0, 1] == skewed.U_aa[1, 0] and not skewed.U_aa.flags.writeable
+
+
 def test_diagonal_matches_decoupled_plus_cross():
     # with the tunneling off, H is diagonal: each product state has the energy
     # of well a alone, plus well b alone, plus the cross-well density term
     rng = np.random.default_rng(1)
     params = random_params(rng, 2)
-    params.Omega = np.zeros((2, 2))
+    params = dataclasses.replace(params, Omega=np.zeros((2, 2)))
     sector = enumerate_sector(2, 3)
     H = build_hamiltonian(params, sector).toarray()
     assert np.allclose(H, np.diag(np.diag(H)), atol=0.0)
@@ -345,7 +368,7 @@ def test_layer_order_half_bandwidth():
     # with a diagonal Omega H has a subset of those entries, so b is at most that
     rng = np.random.default_rng(40)
     full, diagonal = random_params(rng, 2), random_params(rng, 2)
-    diagonal.Omega = np.diag(np.diag(diagonal.Omega))
+    diagonal = dataclasses.replace(diagonal, Omega=np.diag(np.diag(diagonal.Omega)))
 
     def b_of(mp, N):
         return _half_bandwidth(build_hamiltonian(mp, enumerate_sector(mp.n_levels, N)))
@@ -790,9 +813,9 @@ def test_conservation_laws(tunneling):
     # N_aj + N_bj, and a full one conserves no single mode or level number
     params = random_params(np.random.default_rng(4), 2)
     if tunneling == "diagonal":
-        params.Omega = np.diag([0.7, -0.3])
+        params = dataclasses.replace(params, Omega=np.diag([0.7, -0.3]))
     elif tunneling == "full":
-        params.Omega = np.full((2, 2), 0.5)
+        params = dataclasses.replace(params, Omega=np.full((2, 2), 0.5))
     sector = enumerate_sector(2, 3)
     H = build_hamiltonian(params, sector)
 
@@ -835,7 +858,7 @@ def test_ground_state_concave_in_mu():
     grid = np.linspace(-2.0, 2.0, 21)
     energies = []
     for mu1 in grid:
-        params.mu = np.array([mu1, 0.3])
+        params = dataclasses.replace(params, mu=np.array([mu1, 0.3]))
         energies.append(spectrum(build_hamiltonian(params, sector))[0])
     second = np.diff(energies, 2)
     assert np.all(second <= 1e-9)

@@ -625,7 +625,9 @@ def test_hamiltonian_matches_identified_model(n):
     # both sides share fock.hop_operator; a detuned coupling must still show
     sector = enumerate_sector(n, 2)
     mp = identify_parameters(ip)
-    mp.Omega[0, -1] += 1e-6
+    omega = mp.Omega.copy()
+    omega[0, -1] += 1e-6
+    mp = dataclasses.replace(mp, Omega=omega)
     gap = transfer_hamiltonian(ip, sector) - build_hamiltonian(mp, sector)
     assert np.max(np.abs(gap.data)) > 1e-7
 
@@ -703,8 +705,7 @@ def test_operators_equal_the_reference_assembly_bitwise(n):
             assert_same_csr(transfer_hamiltonian(ip, sector), reference_hamiltonian_from_transfer(ip, sector))
             mp = identify_parameters(ip)
             assert_same_csr(build_hamiltonian(mp, sector), reference_hamiltonian(mp, sector))
-        mp = identify_parameters(ips[1])
-        mp.Omega = omega
+        mp = dataclasses.replace(identify_parameters(ips[1]), Omega=omega)
         assert_same_csr(build_hamiltonian(mp, sector), reference_hamiltonian(mp, sector))
     # the zero entries are dropped, not stored: t(0) on the dark vacuum is empty
     assert transfer_matrix(0.0, ips[2], enumerate_sector(n, 0)).nnz == 0
@@ -756,7 +757,7 @@ def test_validate_reference_scan_set_not_integrable():
 
 def test_validate_rank_one_factorization():
     mp = identify_parameters(default_integrable_params(2))
-    mp.Omega = np.array([[1.0, 2.0], [2.0, 4.0]])
+    mp = dataclasses.replace(mp, Omega=np.array([[1.0, 2.0], [2.0, 4.0]]))
     report = validate_model(mp)
     # Omega itself is fine; the single-particle sector still matches, so the
     # factorization must reproduce Omega and the equal-norm gauge.
@@ -768,7 +769,7 @@ def test_validate_rank_one_factorization():
     assert np.allclose(derived.s, [1.0, 2.0], atol=1e-12)
     assert np.allclose(derived.t, [1.0, 2.0], atol=1e-12)
     # negative-definite Omega: u_1 . v_1 < 0, so the gauge takes t = -s
-    mp.Omega = -mp.Omega
+    mp = dataclasses.replace(mp, Omega=-mp.Omega)
     derived = validate_model(mp).derived
     assert np.allclose(np.outer(derived.s, derived.t), mp.Omega, atol=1e-12)
     assert np.allclose(derived.s, [1.0, 2.0], atol=1e-12)
@@ -777,7 +778,7 @@ def test_validate_rank_one_factorization():
 
 def test_validate_rejects_full_rank_omega():
     mp = identify_parameters(default_integrable_params(2))
-    mp.Omega = np.array([[1.0, 0.0], [0.0, 1.0]])
+    mp = dataclasses.replace(mp, Omega=np.array([[1.0, 0.0], [0.0, 1.0]]))
     report = validate_model(mp)
     assert not report.integrable
     assert any("rank-1" in v[0] for v in report.violations)
@@ -786,7 +787,7 @@ def test_validate_rejects_full_rank_omega():
 def test_validate_reports_negative_eta_squared():
     ip = default_integrable_params(2)
     mp = identify_parameters(ip)
-    mp.U_ab = np.full((2, 2), 3.0)  # 2 alpha - U_ab = -1
+    mp = dataclasses.replace(mp, U_ab=np.full((2, 2), 3.0))  # 2 alpha - U_ab = -1
     report = validate_model(mp)
     assert not report.integrable
     assert any("eta^2" in v[0] for v in report.violations)
