@@ -290,7 +290,7 @@ def _gated(name, residual, threshold):
 def _suite_ybe(rng, levels, atoms):
     draws = []  # (u, v, eta), drawn in turn; checked as one stack
     for _ in range(100):
-        eta = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 3.0)
+        eta = (-1.0, 1.0)[rng.integers(2)] * rng.uniform(0.1, 3.0)
         draws.append((*_draw_away_from_poles(rng, eta), eta))
     u, v, eta = (np.array(column) for column in zip(*draws))
     return [_gated("ybe 100 draws", float(np.max(yangbaxter.ybe_residual(u, v, eta))), 1e-12)]

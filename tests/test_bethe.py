@@ -297,28 +297,30 @@ def test_collective_basis_refuses_nonproportional_couplings(build):
 
 
 def test_newton_budget_per_state(monkeypatch):
-    # at most 8 damped steps and 2 polishing steps for each of the N+1 states
+    # at most 8 damped steps and 2 polishing steps for each of the N+1 states:
+    # the Jacobians formed, counted by state, whatever the blocks
     solves = []
     jacobian = bethe._jacobian
-    monkeypatch.setattr(bethe, "_jacobian", lambda point, ip: solves.append(1) or jacobian(point, ip))
+    monkeypatch.setattr(bethe, "_jacobian", lambda points, ip: solves.append(len(points.v)) or jacobian(points, ip))
     solve_bae(default_integrable_params(1), 16)
-    assert len(solves) <= 17 * (8 + 2)
+    assert 0 < sum(solves) <= 17 * (8 + 2)
 
 
 @pytest.mark.parametrize("N", [8, 16])
 def test_newton_forms_products_once_per_point(monkeypatch, N):
     # each Newton point forms its differences and ratio products in one
-    # `_residual`, and its Jacobian reuses them; the only other `_residual`
-    # of a solve is the reported residual of each kept state (8 of 9 at
-    # N = 8, none at N = 16)
-    stack, owners, counts = [], [], {"_point": 0, "_jacobian": 0}
+    # `_residual` row, and its Jacobian reuses them; the only other `_residual`
+    # rows of a solve are the reported residuals of the kept states (8 of 9 at
+    # N = 8, none at N = 16).  Every count is of states (rows), not of calls.
+    stack, owners, counts = [], [], {"_points": 0, "_jacobian": 0}
 
     def spy(name, f):
         def wrapped(*args):
+            rows = len(args[0]) if name != "_jacobian" else len(args[0].v)
             if name == "_residual":
-                owners.append(stack[-1] if stack else None)
+                owners.extend([stack[-1] if stack else None] * rows)
             else:
-                counts[name] += 1
+                counts[name] += rows
             stack.append(name)
             try:
                 return f(*args)
@@ -326,13 +328,13 @@ def test_newton_forms_products_once_per_point(monkeypatch, N):
                 stack.pop()
         return wrapped
 
-    for name in ("_point", "_residual", "_jacobian"):
+    for name in ("_points", "_residual", "_jacobian"):
         monkeypatch.setattr(bethe, name, spy(name, getattr(bethe, name)))
     result = solve_bae(default_integrable_params(1), N)
     assert counts["_jacobian"] > 0 and "_jacobian" not in owners
-    assert 0 < owners.count("_point") <= counts["_point"]
+    assert 0 < owners.count("_points") <= counts["_points"]
     assert owners.count(None) == len(result.solutions) == {8: 8, 16: 0}[N]
-    assert len(owners) == owners.count("_point") + owners.count(None)
+    assert len(owners) == owners.count("_points") + owners.count(None)
 
 
 @pytest.mark.parametrize("N", [0, 1, 5])
@@ -381,7 +383,7 @@ def test_solver_sizes_its_tq_work(monkeypatch):
     # a library call is refused before anything is built, with the count
     # check_solve_fits gives; at a cap equal to the count it runs
     ip = default_integrable_params(1)
-    need = bethe.SOLVE_SQUARES * 8 * 9 * 9  # N = 8
+    need = _solve_model_bytes(8)
     built = []
     collective = bethe._collective_hamiltonian
     monkeypatch.setattr(bethe, "_collective_hamiltonian", lambda *a: built.append(1) or collective(*a))
@@ -394,18 +396,26 @@ def test_solver_sizes_its_tq_work(monkeypatch):
     assert built
 
 
+def _solve_model_bytes(N):
+    """check_solve_fits' count: SOLVE_SQUARES (N+1)^2 float64 arrays for each
+    state of one lockstep block."""
+    return bethe._block_states(N) * bethe.SOLVE_SQUARES * 8 * (N + 1) ** 2
+
+
 def test_solver_peak_is_the_counted_squares():
-    # SOLVE_SQUARES (N+1)^2 float64 arrays and O(N) more (measured 54 kB at
-    # N = 50, where no state of n = 1 is kept)
-    ip = default_integrable_params(1)
-    solve_bae(ip, 3)  # first-call set-up is not the solve's
-    tracemalloc.start()
-    try:
-        solve_bae(ip, 50)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= bethe.SOLVE_SQUARES * 8 * 51 * 51 + 64 * 1024
+    # the check_solve_fits model and O(N) more (measured 54 kB at N = 50 one
+    # state at a time, where no state of n = 1 is kept): N = 50 runs 7 states
+    # per block, and n = 2, N = 8 all 9 states as one stack
+    solve_bae(default_integrable_params(1), 3)  # first-call set-up is not the solve's
+    for n, N in ((1, 50), (2, 8)):
+        tracemalloc.start()
+        try:
+            solve_bae(default_integrable_params(n), N)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= _solve_model_bytes(N) + 64 * 1024, (n, N)
+    assert bethe._block_states(8) == 9 and 1 < bethe._block_states(50) < 51
 
 
 def test_conjugation_closure_of_solutions():
@@ -456,8 +466,8 @@ def test_energy_check_rejects_non_solutions(monkeypatch):
 
     def first_roots(T, lam):
         if not seeds:
-            seeds.append(tq_roots(T, lam))
-        return seeds[0]
+            seeds.append(tq_roots(T, lam[:1]))
+        return np.repeat(seeds[0], len(lam), axis=0)
 
     monkeypatch.setattr(bethe, "_tq_roots", first_roots)
     result = solve_bae(ip, N)
@@ -642,7 +652,7 @@ def test_t_residual_is_the_transfer_matrix_residual(params, n):
             H_m = build_hamiltonian(identify_parameters(ip), sector)
             for sol in solve_bae(ip, N).solutions:
                 vec = bethe_vector(sol.roots, ip)
-                u = bethe._admissible_eval_point(sol.roots)
+                u = bethe._admissible_eval_points(sol.roots[None])[0]
                 h_ref = _fock_residual(H_t, vec, sol.energy)
                 t_ref = _fock_residual(
                     transfer_matrix(u, ip, sector), vec, transfer_eigenvalue(u, sol.roots, ip)
@@ -815,8 +825,237 @@ def test_solve_counts_pathological_roots_once_and_keeps_none(monkeypatch, reason
     # (eta = 1): each state is rejected for its one reason, and none is kept
     ip = default_integrable_params(2)
     N = 2
-    monkeypatch.setattr(bethe, "_newton", lambda v0, ip: np.array([0.3 + 0.1j, 0.3 + 0.1j - apart]))
+    roots = np.array([0.3 + 0.1j, 0.3 + 0.1j - apart])
+    monkeypatch.setattr(bethe, "_newton", lambda v0, ip: (np.tile(roots, (len(v0), 1)), np.ones(len(v0), dtype=bool)))
     result = solve_bae(ip, N)
     assert result.solutions == []
     assert result.rejected == {"unconverged": 0, "coincident": 0, "string_pole": 0, "energy_mismatch": 0,
                                reason: N + 1}
+
+
+def test_tq_roots_are_np_roots_of_each_null_vector(monkeypatch):
+    # one stacked SVD, then np.roots' companion arithmetic for each row: rows
+    # with 0, 1 and N - 1 roots at 0 (zero low coefficients) and a row whose
+    # roots are all real, whose imaginary parts np.roots returns as +0, all
+    # bitwise np.roots of their own null vector (set here through the SVD)
+    rng = np.random.default_rng(5)
+    N = 6
+    c = rng.standard_normal((5, N + 1))
+    c[1, :1] = c[2, : N - 1] = c[4, :1] = 0.0
+    c[3] = 0.7 * np.poly([-2.5, -1.0, 0.3, 1.1, 2.0, 3.7])[::-1]
+    vh = np.concatenate([np.zeros((len(c), N, N + 1)), c[:, None]], axis=1)
+    monkeypatch.setattr(np.linalg, "svd", lambda M: (None, None, vh))
+    roots = bethe._tq_roots(np.zeros((N + 1, N + 1)), np.zeros(len(c)))
+    assert not np.any(roots[3].imag) and np.any(roots[0].imag)
+    for got, ci in zip(roots, c):
+        assert got.tobytes() == np.roots(ci[::-1] / ci[-1]).astype(complex).tobytes()
+
+
+def test_newton_steps_fall_back_to_one_state_where_the_stack_is_singular(monkeypatch):
+    # each state's step is bitwise its own np.linalg.solve; a singular Jacobian
+    # fails only its own state
+    rng = np.random.default_rng(9)
+    J = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    f = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    points = bethe._Points(None, f, None, None, None)
+    monkeypatch.setattr(bethe, "_jacobian", lambda p, ip: J)
+    each = np.array([np.linalg.solve(J[k], -f[k]) for k in range(3)])
+    solved, dv = bethe._newton_steps(points, None)
+    assert solved.all() and dv.tobytes() == each.tobytes()
+    J[1] = 0.0
+    solved, dv = bethe._newton_steps(points, None)
+    assert solved.tolist() == [True, False, True]
+    assert dv.tobytes() == each[[0, 2]].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the per-state solve that the lockstep one replaced, kept as its bitwise
+# reference: one state at a time, each Newton point one `_ref_point`
+# ---------------------------------------------------------------------------
+
+def _ref_pairs(v, eta):
+    diff = v[:, None] - v[None, :]
+    off = diff[~np.eye(v.size, dtype=bool)]  # a copy, shifted in place
+    gap = float(np.min(np.abs(off), initial=np.inf))
+    off += eta
+    return diff, gap, float(np.min(np.abs(off), initial=np.inf))
+
+
+def _ref_residual(v, diff, ip):
+    eta, zeta, W = ip.eta, ip.zeta, ip.omega_sum
+    ratio = diff - eta
+    ratio /= diff + eta
+    np.fill_diagonal(ratio, 1.0)
+    P = np.prod(ratio, axis=1)
+    return eta**2 * (v**2 - W**2) / zeta**2 - P, P
+
+
+def _ref_point(v, ip):
+    diff, gap, pole = _ref_pairs(v, ip.eta)
+    if gap < 1e-13 or pole < 1e-13:
+        return None
+    f, P = _ref_residual(v, diff, ip)
+    if not np.all(np.isfinite(f)):
+        return None
+    return SimpleNamespace(v=v, f=f, fmax=float(np.max(np.abs(f))), diff=diff, P=P)
+
+
+def _ref_step(p, ip):
+    J = np.diag(2.0 * ip.eta**2 * p.v / ip.zeta**2)
+    K = 1.0 / (p.diff - ip.eta) - 1.0 / (p.diff + ip.eta)
+    np.fill_diagonal(K, 0.0)
+    J -= np.diag(p.P * K.sum(axis=1))
+    J += p.P[:, None] * K
+    try:
+        dv = np.linalg.solve(J, -p.f)
+    except np.linalg.LinAlgError:
+        return None
+    return dv if np.all(np.isfinite(dv)) else None
+
+
+def _ref_newton(v0, ip):
+    p = _ref_point(v0, ip)
+    if p is None:
+        return None
+    for _ in range(bethe.MAX_NEWTON_ITER):
+        if p.fmax <= bethe.BAE_TOL:
+            for _ in range(2):  # undamped polish
+                step = _ref_step(p, ip)
+                if step is None:
+                    break
+                cand = _ref_point(p.v + step, ip)
+                if cand is None or cand.fmax >= p.fmax:
+                    break
+                p = cand
+            return p.v
+        step = _ref_step(p, ip)
+        if step is None:
+            return None
+        lam, sq = 1.0, float(np.sum(np.abs(p.f) ** 2))
+        while True:
+            cand = _ref_point(p.v + lam * step, ip)
+            if cand is not None and float(np.sum(np.abs(cand.f) ** 2)) <= (1.0 - 1e-4 * lam) * sq:
+                p = cand
+                break
+            lam *= 0.5
+            if lam < 1e-7:
+                return None
+    return p.v if p.fmax <= bethe.BAE_TOL else None
+
+
+def _ref_state(v, ip):
+    W, eta, ratio, norm_s = ip.omega_sum, ip.eta, ip.zeta / ip.eta, np.linalg.norm(ip.s)
+    amp = np.array([1.0 + 0.0j])
+    for n, vi in enumerate(v):
+        k = np.arange(n + 1)
+        nxt = np.zeros(n + 2, dtype=complex)
+        nxt[:-1] = (vi - W + eta * k) * np.sqrt(n + 1 - k) * amp
+        nxt[1:] += ratio * np.sqrt(k + 1) * amp
+        amp = norm_s * nxt
+    return amp
+
+
+def _ref_eigen_residual(diag, off, vec, value):
+    r = (diag - value) * vec
+    r[:-1] += off * vec[1:]
+    r[1:] += off * vec[:-1]
+    return float(np.max(np.abs(r)) / np.max(np.abs(vec)))
+
+
+def _per_state_solve(ip, N):
+    """(rejected, [(roots, residual, energy, vector, h_residual, t_residual)])."""
+    rejected = dict.fromkeys(("unconverged", "coincident", "string_pole", "energy_mismatch"), 0)
+    diag, off = bethe._collective_hamiltonian(ip, N)
+    eta, zeta, W = ip.eta, ip.zeta, ip.omega_sum
+    scale = max(abs(W), abs(zeta / eta), abs(eta) * N, 1.0)
+    T = bethe._tq_matrix(N, eta / scale, W / scale, (zeta / eta / scale) ** 2)
+    energies = eigh_tridiagonal(diag, off, eigvals_only=True)
+    lam0 = ip.alpha * N * N + (zeta / eta) ** 2 - W * W - energies
+    solutions = []
+    for energy, lam in zip(energies, lam0):
+        v = np.array([], dtype=complex)
+        if N:
+            c = np.linalg.svd(T - lam / scale**2 * np.eye(N + 1))[2][-1]
+            v = _ref_newton(scale * np.roots(c[::-1] / c[-1]).astype(complex), ip)
+            if v is None:
+                rejected["unconverged"] += 1
+                continue
+        v = np.sort_complex(v)
+        diff, gap, pole = _ref_pairs(v, eta)
+        reason = "coincident" if gap < bethe.COINCIDENT_TOL else "string_pole" if pole < bethe.COINCIDENT_TOL else None
+        u = 0j
+        while reason is None and v.size and np.min(np.abs(v - u)) < 1e-6:
+            u += 0.5
+        if reason is None:
+            p_minus, p_plus = np.prod((v - u - eta) / (v - u)), np.prod((v - u + eta) / (v - u))
+            lam_u = (u * u - W * W) * p_minus + (zeta**2 / eta**2) * p_plus
+            e_u = u * u + u * eta * N + ip.alpha * N * N + zeta**2 / eta**2 - W * W - lam_u
+            if abs(e_u - energy) > 1e-9 * max(1.0, abs(energy)):
+                reason = "energy_mismatch"
+        if reason:
+            rejected[reason] += 1
+            continue
+        vector = _ref_state(v, ip)
+        residual = float(np.max(np.abs(_ref_residual(v, diff, ip)[0]), initial=0.0))
+        solutions.append((v.tobytes(), residual, float(energy), vector.tobytes(),
+                          _ref_eigen_residual(diag, off, vector, energy), _ref_eigen_residual(diag, off, vector, e_u)))
+    return rejected, solutions
+
+
+def _flipped_random_params(n):
+    rng = np.random.default_rng(70 + n)
+    s = rng.standard_normal(n)
+    return IntegrableParams(n, -0.8, rng.uniform(0.5, 1.5, n), s, -rng.uniform(0.5, 2.0) * s, alpha=rng.uniform(-0.5, 1.5))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lockstep_solve_equals_the_per_state_solve_bitwise(n):
+    # every state, kept or rejected, as the per-state solve gives it: the same
+    # bytes of roots and vector, the same floats, the same reasons; N = 16 and
+    # 24 run in blocks where some or all states are rejected
+    for ip in (default_integrable_params(n), _generic_params(n), _flipped_random_params(n)):
+        for N in [*range(13), 16, 24]:
+            rejected, want = _per_state_solve(ip, N)
+            result = solve_bae(ip, N)
+            got = [(s.roots.tobytes(), s.residual, s.energy, s.vector.tobytes(), s.h_residual, s.t_residual)
+                   for s in result.solutions]
+            assert (result.rejected, got) == (rejected, want), (ip, N)
+            assert all(type(x) is float for sol in got for x in sol[1:3] + sol[4:])
+
+
+@pytest.mark.parametrize("N", [2, 4, 7])
+def test_lockstep_newton_equals_the_per_state_newton_from_perturbed_roots(N):
+    # solutions moved by 1e-6 to 3 in random directions: the far starts reach
+    # deep backtracking, its lam < 1e-7 cut-off and the guard, which TQ seeds
+    # seldom do; each row of one stack ends as the per-state iteration does
+    rng = np.random.default_rng(50 + N)
+    ip = default_integrable_params(2)
+    kept = np.array([sol.roots for sol in solve_bae(ip, N).solutions])
+    scales = np.repeat([1e-6, 1e-2, 0.3, 1.0, 3.0], 12)
+    v0 = kept[rng.integers(len(kept), size=scales.size)] + scales[:, None] * (
+        rng.standard_normal((scales.size, N)) + 1j * rng.standard_normal((scales.size, N)))
+    v0[0, 1] = v0[0, 0]  # a start on a coincidence, which the guard refuses at once
+    roots, converged = bethe._newton(v0.copy(), ip)
+    for k, start in enumerate(v0):
+        want = _ref_newton(start, ip)
+        assert converged[k] == (want is not None), k
+        if want is not None:
+            assert roots[k].tobytes() == want.tobytes(), k
+    assert 0 < converged.sum() < len(v0) and not converged[0]
+
+
+def test_backtrack_tries_each_lam_down_to_the_last_above_1e_minus_7():
+    # near solutions the Newton step dv roughly halves the distance: a step of
+    # 3 * 2^22 dv overshoots at every lam down to 2^-22 and is accepted at
+    # 2^-23, the last lam >= 1e-7 (the point 1.5 dv on); 3 * 2^23 dv would
+    # need 2^-24 < 1e-7, and is refused
+    ip = default_integrable_params(2)
+    kept = np.array([sol.roots for sol in solve_bae(ip, 4).solutions])
+    ok, p = bethe._points(kept + 1e-3, ip)
+    solved, dv = bethe._newton_steps(p, ip)
+    assert ok.all() and solved.all()
+    step = 3 * 2.0**22 * dv
+    accepted, q = bethe._backtrack(bethe._Points(*(a.copy() for a in p)), step, ip)
+    assert accepted.all() and q.v.tobytes() == (p.v + 2.0**-23 * step).tobytes()
+    accepted, _ = bethe._backtrack(bethe._Points(*(a.copy() for a in p)), 2 * step, ip)
+    assert not accepted.any()

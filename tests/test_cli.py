@@ -598,8 +598,10 @@ def test_every_verb_counts_the_row_width(argv, capsys, monkeypatch):
 
 def test_bae_sizes_solve_bae_before_any_sector(capsys, monkeypatch):
     # n = 1, N = 8: the dense matrix (8 x 9 x 9 bytes) and the rows fit a cap
-    # that solve_bae's SOLVE_SQUARES (9, 9) float64 arrays do not
-    need = bethe.SOLVE_SQUARES * 8 * 9 * 9
+    # that solve_bae's SOLVE_SQUARES (9, 9) float64 arrays for each of its 9
+    # states, run as one block, do not
+    squares = bethe._block_states(8) * bethe.SOLVE_SQUARES
+    need = squares * 8 * 9 * 9
     argv = ["bae", "--n", "1", "--atoms", "2,8"]
     monkeypatch.setattr(model, "DENSE_BYTES_CAP", need)
     assert main(argv) == 0
@@ -610,7 +612,7 @@ def test_bae_sizes_solve_bae_before_any_sector(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        f"error: sector n=1, N=8: solve_bae's {bethe.SOLVE_SQUARES} (9, 9) float64 arrays need "
+        f"error: sector n=1, N=8: solve_bae's {squares} (9, 9) float64 arrays need "
         f"{need} bytes > DENSE_BYTES_CAP = {need - 1} bytes\n"
     )
 

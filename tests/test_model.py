@@ -634,6 +634,18 @@ def test_lowest_line_degenerate_ground_level():
     np.testing.assert_allclose(lowest(H, D, xs), dense, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("d", [200, 1000])
+@pytest.mark.parametrize("delta", [1e-6, 1e-7, 1e-8])
+def test_lowest_near_degenerate_ground_level(delta, d):
+    # H diagonal: levels 0 and delta, and d - 2 levels drawn from U(1, 10).  The
+    # residual stop returns E0 to rounding (at most 8.9e-16 on these draws); a
+    # Kato-Temple stop that took theta_2 - r_2 as the gap returned E0 off by
+    # 5.2e-7 at delta = 1e-6, d = 1000
+    rng = np.random.default_rng(d)
+    levels = rng.permutation(np.concatenate([[0.0, delta], rng.uniform(1.0, 10.0, d - 2)]))
+    assert abs(lowest(sp.diags(levels).tocsr())[0]) <= 1e-12
+
+
 def test_lowest_line_at_one_state_and_on_the_zero_operator():
     # d = 1 and the zero operator end at once, on beta = 0: exactly what dense gives
     xs = [-1.5, 0.0, 2.25]
