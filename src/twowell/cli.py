@@ -11,9 +11,9 @@ Verbs:
             and check_commutator_fits, which rll_residual and
             transfer_commutator_residual also call before they build, so that
             every refusal is found before any suite); each sector is enumerated
-            once per run and shared by the suites that use it, and hrel and
-            the charges' linear checks compare hop terms (fock.hop_gap), so
-            only tcommute and the charge commutators fill sparse matrices
+            once per run and shared by the suites that use it; hrel and the
+            charges compare hop terms (fock.hop_gap) or read C0's entries,
+            so only tcommute multiplies sparse matrices
   spectrum  exact-diagonalization spectrum as CSV: every level of every
             sector (H in the layer order of fock.enumerate_sector, solved
             from its band where the band is narrow, densely otherwise), or
@@ -334,6 +334,14 @@ def _suite_tcommute(rng, levels, atoms, sector_of=fock.enumerate_sector):
     return checks
 
 
+def _diag_commutator_gap(A, c):
+    """Max-abs entry of A @ D - D @ A, D = diag(c), read from the CSR entries
+    of A: entry (i, j) is x c_j - c_i x, the two products and one difference
+    the sparse products compute, so bitwise their value; 0.0 if A stores none."""
+    x = A.data
+    return float(np.max(np.abs(x * c[A.indices] - np.repeat(c, np.diff(A.indptr)) * x), initial=0.0))
+
+
 def _suite_charges(rng, levels, atoms, sector_of=fock.enumerate_sector):
     checks = []
     for n, N in itertools.product(levels, atoms):
@@ -349,8 +357,9 @@ def _suite_charges(rng, levels, atoms, sector_of=fock.enumerate_sector):
         (d0, c0), (d1, c1), (d2, c2) = pairs
         recon = ((u * u) * d2 + u * d1 + d0, (w * w) * c2 + w * c1 + c0)
         worst = fock.hop_gap(sector, yangbaxter.transfer_terms(u[:, 0], ip, sector), recon)
-        C0, C1, C2 = yangbaxter.conserved_charges(ip, sector)
-        comm = max(abs(A @ B - B @ A).max() for A, B in ((C0, C1), (C0, C2), (C1, C2)))
+        C0 = fock.hop_operator(sector, d0, c0)
+        comm = max(_diag_commutator_gap(C0, d1), _diag_commutator_gap(C0, d2),
+                   float(np.max(np.abs(d1 * d2 - d2 * d1), initial=0.0)))
         checks.append(_gated(f"charges n={n} N={N} reconstruction", worst, 1e-12))
         checks.append(_gated(f"charges n={n} N={N} commutators", comm, 1e-12))
         checks.append(_gated(f"charges n={n} N={N} C1=etaN, C2=I", max(c1_gap, c2_gap), 0.0))

@@ -55,11 +55,13 @@ __all__ = [
 SECTOR_DIM_CAP = 1 << 20
 # int64 arrays of d rows x w columns (w = 2n for a sector) that a basis of d
 # states may cost: the occupations and `_hop_terms`' temporaries grow with w.
-# Tracemalloc peaks of enumerate_sector and build_hamiltonian (transfer_matrix
-# at one complex u), in such arrays: n = 2, N = 30 14.1 (14.3); n = 3, N = 12
-# 15.4 (15.5); n = 8, N = 5 13.9 (14.0); n = 100, N = 2 7.5; n = 1000, N = 1
-# 6.0.  It bounds those fills, which every verb makes; the products of
-# tcommute's commutators are sized by yangbaxter.check_commutator_fits.
+# Tracemalloc peaks in such arrays, traced from before enumerate_sector, of
+# the sector with its hop table; verify's hrel; charges; a 17-shift fig2
+# `lowest` with build_hamiltonian (identify_parameters' couplings if n != 2):
+# n = 1, N = 200000 10.5, 10.5, 12.6 (lowest does not converge); n = 2, N = 60
+# 14.4, 14.4, 14.4, 14.7; n = 3, N = 30 18.0, 18.0, 18.0, 18.2; n = 4, N = 12
+# 17.5, 17.5, 17.5, 17.6; n = 8, N = 4 11.9, 11.9, 11.9, 14.8.  It bounds
+# every sector job of every verb; tcommute's products and solve_bae have theirs.
 SECTOR_ROW_ARRAYS = 20
 
 

@@ -446,8 +446,9 @@ def conserved_charges(ip: IntegrableParams, sector: FockSector):
     """(C0, C1, C2) with t(u) = C2 u^2 + C1 u + C0: C2 = I, C1 = eta N, C0 = t(0).
 
     A plain constructor from `charge_terms`: C0 is one `hop_operator` fill,
-    C1 and C2 are diagonal.  The reconstruction of t(u) and the pairwise
-    commutators are checked by `twowell verify --suite charges`."""
+    C1 and C2 are diagonal.  `twowell verify --suite charges` checks t(u)
+    and the commutators from `charge_terms` instead: the commutators from C0's
+    entries and the two diagonals, with no sparse product."""
     t0, (diag1, _), (diag2, _) = charge_terms(ip, sector)
     return hop_operator(sector, *t0), sp.diags(diag1, format="csr"), sp.diags(diag2, format="csr")
 

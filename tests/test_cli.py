@@ -752,7 +752,7 @@ def test_verify_dense_sizes_checked_before_any_suite(capsys, monkeypatch):
     # N=100, 600162 at N=99)
     suites = {name: getattr(yangbaxter, name) for name in (
         "ybe_residual", "rll_residual", "transfer_commutator_residual",
-        "conserved_charges", "transfer_hamiltonian_terms")}
+        "charge_terms", "transfer_hamiltonian_terms")}
     for name in suites:
         monkeypatch.setattr(yangbaxter, name, no_suite)
     # at the real cap the first level refused is n = 24 (m = 2925, 1.1e9
@@ -1100,6 +1100,43 @@ def test_verify_charges_terms_fail_as_the_matrices_do(charge, part, where, monke
         assert got == pytest.approx(want, rel=0.0, abs=4 * np.spacing(16.0))
     assert main(["verify", "--suite", "charges", "--atoms", "2"]) == 2
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_charge_commutators_equal_the_sparse_products(n):
+    # the charges suite reads [C0, diag(c)] from C0's entries; on a sector
+    # its diagonals are constant and the value 0, so non-constant ones, from
+    # 1e-3 to 1e3, check the formula: bitwise the products', and nonzero
+    rng = np.random.default_rng(n)
+    for ip in (default_integrable_params(n), cli._random_ip(rng, n)):
+        for N in range(7):
+            sector = fock.enumerate_sector(n, N)
+            A = fock.hop_operator(sector, *yangbaxter.charge_terms(ip, sector)[0])
+            for _ in range(3):
+                c = 10.0 ** rng.uniform(-3, 3, size=sector.dim)
+                D = sp.diags(c, format="csr")
+                gap = cli._diag_commutator_gap(A, c)
+                assert gap == abs(A @ D - D @ A).max()
+                assert gap > 0 or N == 0
+    # a fill that stores no entry: the one N = 0 state with a zero diagonal
+    empty = fock.hop_operator(fock.enumerate_sector(n, 0), 0.0, np.zeros((n, n)))
+    assert empty.nnz == 0 and cli._diag_commutator_gap(empty, np.zeros(1)) == 0.0
+
+
+@pytest.mark.parametrize("n, N", [(2, 40), (3, 16), (4, 10)])
+def test_sector_suites_fit_the_row_bound(n, N):
+    # hrel and charges, with the sector and its hop table built inside the
+    # trace as verify keeps them, peak within fock.check_sector_fits' bound:
+    # about 14, 16 and 16 arrays of 20
+    bound = SECTOR_ROW_ARRAYS * 8 * 2 * n * fock.dimension(n, N)
+    for suite in (cli._suite_hrel, cli._suite_charges):
+        def run():
+            sector = fock.enumerate_sector(n, N)
+            sector.hops
+            checks = suite(np.random.default_rng(0), (n,), (N,), lambda *_: sector)
+            assert all(passed for *_, passed in checks)
+
+        assert _peak_bytes(run) <= bound
 
 
 def test_verify_out_max_residual_is_the_gated_checks(tmp_path, capsys):
