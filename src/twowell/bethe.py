@@ -33,6 +33,14 @@ C(v) never leaves the N+1 collective states, so neither does the solver: a kept
 state's Bethe vector is its N+1 amplitudes on |N-k, k>, k = N_b, its residuals
 read from the one tridiagonal of H there, whatever the level count n.
 `bethe_vector` alone writes a state into the Fock sector, C(N + 2n - 1, N) rows.
+
+The energies are checked against the physical couplings as given, not the
+gauge: `collective_levels` reads their H in the Fock sector on the N+1
+collective states of Omega's leading singular pair, in O(nnz) with no d x d
+array, and returns its levels there with the residual norm that certifies
+each one within it of a distinct eigenvalue of H (Rayleigh-Ritz).
+`match_spectrum` pairs an energy with a level only where the gap and that
+residual together stay within MATCH_TOL.
 """
 
 import collections
@@ -44,14 +52,15 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import LinAlgError, eigh_tridiagonal
+from scipy.linalg.lapack import dsterf
 
 from . import fock, model
 from .yangbaxter import IntegrableParams
 
 __all__ = ["BetheSolution", "SolveResult", "MatchReport", "bae_residual", "collective_energies",
            "check_proportional", "SOLVE_SQUARES", "check_solve_fits", "solve_bae", "bethe_energy",
-           "transfer_eigenvalue", "bethe_vector", "match_spectrum"]
+           "transfer_eigenvalue", "bethe_vector", "collective_levels", "match_spectrum"]
 
 COINCIDENT_TOL = 1e-9
 # Roots are accepted when the sup-norm equation residual reaches this.  Near
@@ -437,46 +446,114 @@ def _collective_state(v, ip):
     return amp
 
 
+def _collective_weights(sector, u, v):
+    """(k, w) of each row of the sector: k = N_b, and w its overlap with the
+    normalized collective state |N-k, k> = (A^dag)^(N-k) (B^dag)^k|0> / sqrt((N-k)! k!)
+    of the modes A = u.a and B = v.b, u and v unit vectors:
+
+        w = sqrt((N-k)! k! / prod_j n_aj! n_bj!) prod_j u_j^n_aj v_j^n_bj.
+
+    Each row lies in the one state of its k, so these d numbers are the whole
+    d x (N+1) matrix of the N+1 states."""
+    occ, n, N = sector.occ, sector.n_levels, sector.n_atoms
+    k = occ[:, n:].sum(axis=1)
+    # log i! of each exact factorial: rounded once, as accurate as a log-gamma
+    factorials = itertools.accumulate(range(1, N + 1), operator.mul, initial=1)
+    log_factorial = np.array([math.log(f) for f in factorials])
+    log_ratio = log_factorial[N - k] + log_factorial[k] - log_factorial[occ].sum(axis=1)
+    return k, np.exp(0.5 * log_ratio) * np.prod(np.concatenate([u, v]) ** occ, axis=1)
+
+
 def bethe_vector(roots, ip: IntegrableParams) -> np.ndarray:
     """Unnormalized Bethe state prod_i C(v_i)|0> in the N-atom sector, with
 
         C(v) = (v - W) A^dag + eta A^dag N_b + (zeta/eta) B^dag,
 
     A = sum_j s_j a_j, B = sum_j s_j b_j, N_b = sum_j N_bj, from the N+1 collective
-    amplitudes (`_collective_state`): a row with N_b = k has overlap w = sqrt(m! k! /
-    prod_j ka_j! kb_j!) prod_j (s_j/|s|)^(ka_j + kb_j) with the normalized |m, k> =
-    (A^dag)^m (B^dag)^k|0> / (|s|^(m+k) sqrt(m! k!)).  For N > 0 there are no
+    amplitudes (`_collective_state`) on |m, k> = (A^dag)^m (B^dag)^k|0> / (|s|^(m+k)
+    sqrt(m! k!)), each row weighted by its overlap with its |N-k, k>
+    (`_collective_weights` with s/|s| in both wells).  For N > 0 there are no
     such states unless `check_proportional` passes."""
     v = np.asarray(roots, dtype=complex).reshape(-1)
     if v.size:
         check_proportional(ip)
-    n, sector = ip.n_levels, fock.enumerate_sector(ip.n_levels, v.size)
-    occ = sector.occ
-    k = occ[:, n:].sum(axis=1)
-    # log i! of each exact factorial: rounded once, as accurate as a log-gamma
-    factorials = itertools.accumulate(range(1, sector.n_atoms + 1), operator.mul, initial=1)
-    log_factorial = np.array([math.log(f) for f in factorials])
-    log_ratio = log_factorial[sector.n_atoms - k] + log_factorial[k] - log_factorial[occ].sum(axis=1)
     s_hat = ip.s / np.linalg.norm(ip.s)
-    weight = np.exp(0.5 * log_ratio) * np.prod(s_hat ** (occ[:, :n] + occ[:, n:]), axis=1)
+    k, weight = _collective_weights(fock.enumerate_sector(ip.n_levels, v.size), s_hat, s_hat)
     return weight * _collective_state(v, ip)[k]
+
+
+def collective_levels(mp: model.ModelParams, n_atoms: int):
+    """(levels, residual): the ascending eigenvalues of T = Q^T H Q, H the
+    Hamiltonian of the couplings mp as given on the N-atom sector and Q its N+1
+    collective states, and the certificate residual = ||H Q - Q T||_F.
+
+    Q's columns are the states |N-k, k> of `_collective_weights` for the
+    leading singular pair of Omega = sigma u v^T, u in well a and v in well b,
+    orthonormal since each lives on the rows with N_b = k.  Each level lies
+    within `residual` of a distinct eigenvalue of H (the Rayleigh-Ritz
+    residual bound).  Where mp is integrable, H leaves the span of Q invariant
+    and residual is at rounding level; any deviation from the integrable
+    manifold, or a rank of Omega above 1, shows in it.
+
+    H is read as the (diag, coeffs) pair of `model.hamiltonian_terms` through
+    the sector's hop table (`fock._fill`), and no d x d or d x (N+1) array is
+    formed: a row in layer k = N_b reaches only layers k - 1, k and k + 1,
+    whose entries precede, make and follow its diagonal slot, so H Q is three
+    segment sums of each row's entries, and T, tridiagonal, sums of those over
+    each layer.  The levels are LAPACK's dsterf of T.  Raises ValueError where
+    T is not finite (an entry of H overflows float64)."""
+    N = int(n_atoms)
+    sector = fock.enumerate_sector(mp.n_levels, N)
+    diag, coeffs = model.hamiltonian_terms(mp, sector)
+    left, _, right = np.linalg.svd(mp.Omega)
+    k, w = _collective_weights(sector, left[:, 0], right[0])
+    table, hop = fock._fill(sector, diag, coeffs)
+    hop = hop[0]
+    hop *= w[table.indices]  # H_ij w_j
+    hop[table.diag] = 0.0
+    # HQ's columns k - 1, k, k + 1 of each row i: the sums of its entries
+    # before and after its diagonal slot (an empty first segment reads the
+    # zeroed slot), and H_ii w_i
+    segments = np.empty(2 * sector.dim, dtype=table.diag.dtype)
+    segments[0::2], segments[1::2] = table.indptr[:-1], table.diag
+    R = np.empty((sector.dim, 3))
+    R[:, 0::2] = np.add.reduceat(hop, segments).reshape(-1, 2)
+    R[:, 1] = diag * w
+    # T's row k, at columns k - 1, k, k + 1: sums over the rows of layer k
+    band = np.zeros((N + 1, 3))
+    band[:, 1] = np.bincount(k, w * R[:, 1], N + 1)
+    band[1:, 0] = band[:-1, 2] = np.bincount(k, w * R[:, 2], N + 1)[:-1]
+    if not np.isfinite(band).all():
+        raise ValueError("H's entries must be finite, not inf or nan")
+    R -= w[:, None] * band[k]  # HQ - QT, whose other entries are 0
+    scale = np.abs(R).max(initial=0.0)  # scaled, so that no square overflows
+    residual = scale * math.sqrt(np.square(R / scale).sum()) if scale > 0.0 else 0.0
+    if N == 0:  # f2py takes no empty off-diagonal
+        return band[:, 1], residual
+    levels, info = dsterf(band[:, 1], band[:-1, 2])
+    if info != 0:
+        raise LinAlgError(f"LAPACK dsterf failed (info = {info})")
+    return levels, residual
 
 
 @dataclass
 class MatchReport:
-    """Pairing of Bethe energies with exact-diagonalization levels: `index[i]`
-    is the level paired with solution i, or -1 where none is."""
+    """Pairing of Bethe energies with reference levels: `index[i]` is the
+    level paired with solution i, or -1 where none is."""
 
     index: list
     n_matched: int
     n_eigenvalues: int
 
 
-def match_spectrum(solutions, eigenvalues) -> MatchReport:
+def match_spectrum(solutions, eigenvalues, residual=0.0) -> MatchReport:
     """Pair each Bethe energy, in the order given (ascending for `solve_bae`),
-    with the nearest free one of `eigenvalues` if it lies within MATCH_TOL; a
-    pair consumes the level.  Coverage of the spectrum is reported, never
-    asserted, and the solutions are not modified."""
+    with the nearest free one of `eigenvalues` where that gap plus `residual`
+    is at most MATCH_TOL; a pair consumes the level.  With the levels and the
+    certificate of `collective_levels`, each pair puts its energy within
+    MATCH_TOL of a distinct eigenvalue of H; with every level of H and the
+    default residual 0, within MATCH_TOL of that level.  Coverage of the
+    spectrum is reported, never asserted, and the solutions are not modified."""
     eigenvalues = np.asarray(eigenvalues, dtype=float)
     taken = np.zeros(eigenvalues.size, dtype=bool)
     index = []
@@ -484,7 +561,7 @@ def match_spectrum(solutions, eigenvalues) -> MatchReport:
         free = np.flatnonzero(~taken)
         gaps = np.abs(eigenvalues[free] - sol.energy)
         best = -1
-        if free.size and np.min(gaps) <= MATCH_TOL:
+        if free.size and np.min(gaps) + residual <= MATCH_TOL:
             best = int(free[np.argmin(gaps)])
             taken[best] = True
         index.append(best)

@@ -20,10 +20,14 @@ Verbs:
             an error if a sector's dense matrix would exceed
             model.DENSE_BYTES_CAP, whichever path it would take
   bae       solve the rapidity equations in the gauge t = +-s, cross-check
-            against the spectrum of the couplings as given, emit CSV rows (and
-            with --out a JSON report on stdout); each state's energy is exact,
-            and its roots are kept only if they give it back; each sector is
-            also sized as spectrum sizes it, and by bethe.check_solve_fits
+            against the couplings as given, emit CSV rows (and with --out a
+            JSON report on stdout); each state's energy is exact, and its
+            roots are kept only if they give it back; the reference is
+            bethe.collective_levels, the levels of H on its N+1 collective
+            states with the certificate r, and an energy is matched only
+            within MATCH_TOL - r of a level, so within MATCH_TOL of an exact
+            eigenvalue of H; each sector is sized by fock.check_sector_fits
+            and bethe.check_solve_fits, with no dense d x d matrix
   fig2      ground-state scan E0/mu1 versus mu2/mu1 for the reference
             non-integrable parameter set, as CSV (lowest level only: one
             sparse Lanczos call per sector solves its whole grid; every sector
@@ -32,10 +36,10 @@ Verbs:
 
 Each verb parses its input, checks the size of all it will build, computes
 and prints.  spectrum and bae share one front, `_model_front`, which returns
-(kind, params, mp, atoms): the model as parsed, mp its couplings as given (what
-exact diagonalization uses) and the atom numbers.  A refusal is raised as
-`_Refused`; only `main` prints it, one `error:` line per reason, and exits 1,
-as it does for an OSError from writing the output.
+(kind, params, mp, atoms): the model as parsed, mp its couplings as given
+(what spectrum diagonalizes and bae's reference reads) and the atom numbers.
+A refusal is raised as `_Refused`; only `main` prints it, one `error:` line
+per reason, and exits 1, as it does for an OSError from writing the output.
 
 A level count, from --n or a config's model.n_levels, is refused before any
 model is built unless LEVEL_MATRICES n x n float64 matrices fit
@@ -208,12 +212,13 @@ def _atoms_from(cfg, args, errors, default=(1,)):
     return atoms
 
 
-def _model_front(args):
+def _model_front(args, dense):
     """(kind, params, mp, atoms) of spectrum and bae: the model of --config, or
     the default integrable one of --n levels (2 without --n); mp, its
     couplings as given (params, or an integrable block's identify_parameters);
-    and the atom numbers.  Refuses bad input, then every sector whose dense
-    matrix or occupation rows would not fit, before any sector is built."""
+    and the atom numbers.  Refuses bad input, then every sector whose
+    occupation rows, or where `dense` its dense matrix, would not fit, before
+    any sector is built."""
     errors = []
     if args.config:
         cfg = _load_config(args.config, errors)
@@ -223,7 +228,7 @@ def _model_front(args):
     atoms = _atoms_from(cfg, args, errors)
     _refuse_if(errors)
     kind, params = parsed
-    _refuse_if(_sector_errors([(params.n_levels, N) for N in atoms], dense=True))
+    _refuse_if(_sector_errors([(params.n_levels, N) for N in atoms], dense))
     mp = params if kind == "physical" else yangbaxter.identify_parameters(params)
     return kind, params, mp, atoms
 
@@ -396,8 +401,8 @@ SUITES = {
 
 def _sector_errors(pairs, dense=False):
     """One message per sector (n_levels, N) refused before it is enumerated: by
-    model.check_dense_fits of its dimension d where `dense` (spectrum and bae
-    form its d x d matrix), then by fock.check_sector_fits of its d rows."""
+    model.check_dense_fits of its dimension d where `dense` (spectrum forms
+    its d x d matrix), then by fock.check_sector_fits of its d rows."""
     def check(n, N):
         d = fock.dimension(n, N)
         if dense:
@@ -462,7 +467,7 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_spectrum(args) -> int:
-    _, _, mp, atoms = _model_front(args)
+    _, _, mp, atoms = _model_front(args, dense=True)
     buf = io.StringIO()
     buf.write("n_atoms,index,eigenvalue\n")
     for N in atoms:
@@ -477,7 +482,7 @@ def cmd_spectrum(args) -> int:
 # ---------------------------------------------------------------------------
 
 class _BetheState(NamedTuple):
-    """A Bethe state bae keeps, with the ED level paired with it (None if none)."""
+    """A Bethe state bae keeps, with the reference level paired with it (None if none)."""
 
     n_atoms: int
     solution_id: str
@@ -508,8 +513,8 @@ def _bae_csv(states):
 
 
 def cmd_bae(args) -> int:
-    kind, params, mp, atoms = _model_front(args)
-    # the TQ work and binomials of solve_bae, which the dense check does not count
+    kind, params, mp, atoms = _model_front(args, dense=False)
+    # the TQ work and binomials of solve_bae, which the row check does not count
     _refuse_if(_refusals((f"sector n={params.n_levels}, N={N}", bethe.check_solve_fits, N) for N in atoms))
     ip = params  # physical couplings are replaced by their integrable gauge
     if kind == "physical":
@@ -524,13 +529,16 @@ def cmd_bae(args) -> int:
         except ValueError as exc:
             raise _Refused(str(exc)) from None
 
-    states, solved = [], []  # each kept state; (SolveResult, MatchReport) of each sector
+    states, unconverged = [], 0  # each kept state; the states no sector's solve converged
     for N in atoms:
-        # the ED reference is the model as given, so each match tests the gauge
-        levels = _ed_levels(mp, N)  # first: a Hamiltonian that overflows goes no further
+        # the reference is H of the couplings as given, so each match tests the gauge
+        try:  # first: a Hamiltonian that overflows goes no further
+            levels, residual = bethe.collective_levels(mp, N)
+        except ValueError as exc:
+            raise _Refused(f"sector n={mp.n_levels}, N={N}: H overflows float64 ({exc})") from None
         result = bethe.solve_bae(ip, N)
-        match = bethe.match_spectrum(result.solutions, levels)
-        solved.append((result, match))
+        match = bethe.match_spectrum(result.solutions, levels, residual)
+        unconverged += result.rejected["unconverged"]
         states += [
             _BetheState(N, f"{N}_{sid}", sol, None if level < 0 else float(levels[level]))
             for sid, (sol, level) in enumerate(zip(result.solutions, match.index))
@@ -554,10 +562,10 @@ def cmd_bae(args) -> int:
     attempts = sum(N + 1 for N in atoms)  # every sector tries its N+1 states
     summary = {
         "attempts": attempts,
-        "converged": attempts - sum(result.rejected["unconverged"] for result, _ in solved),
+        "converged": attempts - unconverged,
         "unique": len(states),
         "matched": matched,
-        "spectrum_levels": sum(match.n_eigenvalues for _, match in solved),
+        "spectrum_levels": sum(fock.dimension(mp.n_levels, N) for N in atoms),  # every level of H
         # each maximum starts at 0.0, as for no state
         "max_bae_residual": max([0.0, *(st.sol.residual for st in states)]),
         "max_eigvec_residual": max([0.0, *(st.eigvec_residual for st in states)]),

@@ -17,7 +17,9 @@ vectorized pass over every (j, k), and keeps it: the canonical CSR pattern of
 the diagonal and of every hop term, with the term and amplitude of each
 entry.  One fill can also give a stack: from P diagonals, one
 block-diagonal matrix of the P operators.  `hop_gap` compares two such
-operators from their (diagonal, coefficients) pairs alone, with no fill.
+operators from their (diagonal, coefficients) pairs alone, with no fill, and
+`_fill` gives the entries of a fill in the table's slots without a matrix
+(`bethe.collective_levels` contracts them in place).
 The ladder operators lower one mode on all rows at once.  The occupation of
 mode c on every row is the column `occ[:, c]`.
 """
@@ -268,6 +270,28 @@ def enumerate_sector(n_levels: int, n_atoms: int) -> FockSector:
     return FockSector(n_levels=n_levels, n_atoms=n_atoms, occ=occ)
 
 
+def _fill(sector: FockSector, diag, coeffs):
+    """(table, data): the sector's hop table and, in its slots, the entries of
+    diag(diag) + sum_{jk} coeffs[j, k] (a_j^dagger b_k + b_k^dagger a_j), one row
+    of `data` per row of a (P, d) `diag` (one row for a scalar or a (d,) one)."""
+    n, d = sector.n_levels, sector.dim
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.shape != (n, n):
+        raise ValueError(f"coeffs must have shape ({n}, {n}), got {coeffs.shape}")
+    diag = np.asarray(diag)
+    if diag.ndim > 2:
+        raise ValueError(f"diag must have at most 2 axes, got shape {diag.shape}")
+    diag = np.broadcast_to(diag, (len(diag) if diag.ndim == 2 else 1, d))
+    table = sector.hops
+    nnz = table.indices.size
+    data = np.empty((len(diag), nnz), dtype=np.result_type(diag, float))
+    hop = np.ones(nnz, dtype=bool)
+    hop[table.diag] = False
+    data[:, hop] = coeffs.ravel()[table.pair] * np.sqrt(table.weight, dtype=float)
+    data[:, table.diag] = diag
+    return table, data
+
+
 def hop_operator(sector: FockSector, diag, coeffs) -> sp.csr_matrix:
     """Matrix of diag(diag) + sum_{jk} coeffs[j, k] (a_j^dagger b_k + b_k^dagger a_j),
     `diag` holding one value per row or one for all rows.
@@ -278,22 +302,8 @@ def hop_operator(sector: FockSector, diag, coeffs) -> sp.csr_matrix:
     coeffs, as one P d x P d block-diagonal matrix: one fill of the table,
     with the index offsets of each block, whose block p is bitwise the
     operator of diag[p] alone (its zeros dropped as that fill drops them)."""
-    n, d = sector.n_levels, sector.dim
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (n, n):
-        raise ValueError(f"coeffs must have shape ({n}, {n}), got {coeffs.shape}")
-    diag = np.asarray(diag)
-    if diag.ndim > 2:
-        raise ValueError(f"diag must have at most 2 axes, got shape {diag.shape}")
-    diag = np.broadcast_to(diag, (len(diag) if diag.ndim == 2 else 1, d))
-    blocks = len(diag)
-    table = sector.hops
-    nnz = table.indices.size
-    data = np.empty((blocks, nnz), dtype=np.result_type(diag, float))
-    hop = np.ones(nnz, dtype=bool)
-    hop[table.diag] = False
-    data[:, hop] = coeffs.ravel()[table.pair] * np.sqrt(table.weight, dtype=float)
-    data[:, table.diag] = diag
+    table, data = _fill(sector, diag, coeffs)
+    (blocks, nnz), d = data.shape, sector.dim
     # new index arrays, the caller's: eliminate_zeros and callers write into them
     index = np.int32 if blocks * nnz < 2**31 else np.int64
     offsets = np.arange(blocks, dtype=index)[:, None]

@@ -17,6 +17,7 @@ from twowell.bethe import (
     bethe_energy,
     bethe_vector,
     collective_energies,
+    collective_levels,
     match_spectrum,
     solve_bae,
     transfer_eigenvalue,
@@ -715,6 +716,89 @@ def test_vector_matches_occupation_arithmetic(n):
 
 
 # ---------------------------------------------------------------------------
+# the reference levels on the collective states
+# ---------------------------------------------------------------------------
+
+def _reference_sets(n):
+    """Physical couplings of four kinds: the default set, a random and a t = -c s
+    integrable set, and at n = 2 a rank-1 Omega = s t^T with s not parallel to t."""
+    rng = np.random.default_rng(70 + n)
+    s = rng.standard_normal(n)
+    ips = [
+        default_integrable_params(n),
+        IntegrableParams(n, 0.7, rng.standard_normal(n), rng.standard_normal(n), rng.standard_normal(n), alpha=1.3),
+        IntegrableParams(n, 1.2, rng.standard_normal(n), s, -0.6 * s, alpha=0.8),
+    ]
+    if n == 2:
+        ips.append(IntegrableParams(2, 1.0, [1.0, 1.0], s=[0.9, 0.3], t=[0.2, 0.8], alpha=1.0))
+    return [identify_parameters(ip) for ip in ips]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_collective_levels_are_distinct_ed_levels(n):
+    for mp in _reference_sets(n):
+        for N in range(7):
+            H = build_hamiltonian(mp, enumerate_sector(n, N))
+            ed = spectrum(H)
+            levels, residual = collective_levels(mp, N)
+            assert levels.size == N + 1 and np.all(np.diff(levels) >= 0)
+            assert residual <= 1e-12 * np.max(np.abs(H.data), initial=0.0)
+            free = np.ones(ed.size, dtype=bool)
+            for x in levels:
+                gaps = np.where(free, np.abs(ed - x), np.inf)
+                k = int(np.argmin(gaps))
+                assert gaps[k] <= 1e-12 * max(1.0, abs(ed[k]))
+                free[k] = False
+
+
+def test_collective_levels_certify_a_detuned_model_never_to_match():
+    # U_ab[0, 0] moved by 1e-6 leaves no invariant collective span: the
+    # certificate shows it, and no Bethe state of the undetuned model matches
+    ip = default_integrable_params(2)
+    mp = identify_parameters(ip)
+    detuned = dataclasses.replace(mp, U_ab=mp.U_ab + np.array([[1e-6, 0.0], [0.0, 0.0]]))
+    for N in range(2, 7):  # at N < 2 no row holds atoms in both wells
+        assert collective_levels(mp, N)[1] <= 1e-12
+        levels, residual = collective_levels(detuned, N)
+        assert residual >= 1e-7
+        report = match_spectrum(solve_bae(ip, N).solutions, levels, residual)
+        assert report.n_matched == 0 and report.n_eigenvalues == N + 1
+
+
+@pytest.mark.parametrize("n, N", [(2, 40), (3, 16), (4, 10)])
+def test_collective_levels_fit_the_row_bound(n, N):
+    # traced from before enumerate_sector, which collective_levels calls: the
+    # bound fock.check_sector_fits applies, and verify's suites keep
+    mp = identify_parameters(default_integrable_params(n))
+    tracemalloc.start()
+    try:
+        collective_levels(mp, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= fock.SECTOR_ROW_ARRAYS * 8 * 2 * n * dimension(n, N)
+
+
+def test_collective_levels_refuse_an_overflowing_hamiltonian():
+    mp = identify_parameters(dataclasses.replace(default_integrable_params(1), alpha=1e307))
+    with pytest.raises(ValueError, match="finite"):
+        collective_levels(mp, 10)  # alpha N^2 = 1e309
+
+
+def test_collective_levels_read_the_hamiltonians_fill(monkeypatch):
+    # H enters as the (diag, coeffs) pair build_hamiltonian fills, and no matrix is built
+    mp = identify_parameters(default_integrable_params(2))
+    fills = []
+    fill = fock._fill
+    monkeypatch.setattr(fock, "_fill", lambda sector, *pair: fills.append(pair) or fill(sector, *pair))
+    monkeypatch.setattr(fock, "hop_operator", lambda *a: pytest.fail("a matrix was built"))
+    collective_levels(mp, 3)
+    (diag, coeffs), = fills
+    want = model.hamiltonian_terms(mp, enumerate_sector(2, 3))
+    assert np.array_equal(diag, want[0]) and np.array_equal(coeffs, want[1])
+
+
+# ---------------------------------------------------------------------------
 # spectrum matching
 # ---------------------------------------------------------------------------
 
@@ -781,6 +865,14 @@ def test_match_near_degenerate_energies_take_distinct_levels():
     report = match_spectrum(_states(0.1 * MATCH_TOL, 0.2 * MATCH_TOL), levels)
     assert report.index == [0, -1]
     assert report.n_matched == 1
+
+
+def test_match_counts_the_residual_against_match_tol():
+    # a gap g pairs only where g + residual <= MATCH_TOL
+    levels = np.array([0.0, 1.0])
+    for residual, index in ((0.0, [0]), (0.5 * MATCH_TOL, [0]), (0.8 * MATCH_TOL, [-1])):
+        report = match_spectrum(_states(0.3 * MATCH_TOL), levels, residual)
+        assert report.index == index
 
 
 def _greedy_oracle(energies, levels):

@@ -301,6 +301,33 @@ def test_bae_report_counts_every_state(tmp_path, capsys):
     assert "seed" not in report["config_echo"] and "budget" not in report["config_echo"]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_bae_matches_every_kept_state(tmp_path, capsys, n):
+    # each kept energy is certified against H's levels on its N+1 collective
+    # states, while spectrum_levels still counts every level of each sector
+    out = tmp_path / "bae.csv"
+    atoms = range(11)
+    assert main(["bae", "--n", str(n), "--atoms", ",".join(map(str, atoms)), "--out", str(out)]) == 0
+    summary = json.loads(capsys.readouterr().out)["residual_summary"]
+    assert summary["matched"] == summary["unique"] > 0
+    assert summary["spectrum_levels"] == sum(fock.dimension(n, N) for N in atoms)
+    assert summary["max_matched_delta"] <= bethe.MATCH_TOL
+
+
+def test_bae_forms_no_dense_matrix(capsys, monkeypatch):
+    # n = 2, N = 40 (d = 12341): a dense d x d matrix of it would exceed
+    # DENSE_BYTES_CAP, and bae needs none
+    def no_dense(*args, **kwargs):
+        raise AssertionError("a dense reference was formed")
+
+    for name in ("spectrum", "check_dense_fits"):
+        monkeypatch.setattr(model, name, no_dense)
+    assert main(["bae", "--n", "2", "--atoms", "3,40"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "solutions: 4, matched: 4\n"
+    assert {line.split(",")[0].split("_")[0] for line in captured.out.splitlines()[1:]} == {"3"}
+
+
 def test_bae_report_counts_a_rejected_state(tmp_path, capsys):
     # n = 1, N = 8 keeps 8 of its 9 states: one is left unconverged, so the
     # three counts are not all equal here
@@ -1351,6 +1378,8 @@ def overflow_block(kind):
     """n = 1 couplings, every one finite, whose model overflows float64."""
     if kind == "integrable":  # W^2 in t(u), and eta W N in H
         return integrable_block() | {"omega": [1e308]}
+    if kind == "integrable-H":  # only H overflows: alpha N^2 at N = 3
+        return integrable_block() | {"alpha": 5e307}
     block = physical_block(yangbaxter.identify_parameters(default_integrable_params(1)))
     if kind == "physical":  # 2 alpha in the identification, and alpha N^2 in H
         return block | {"U_aa": [[1e308]]}
@@ -1365,6 +1394,7 @@ def overflow_block(kind):
         ["spectrum", "integrable"],
         ["bae", "integrable"],
         ["bae", "integrable", "--atoms", "0"],
+        ["bae", "integrable-H"],
         ["bae", "physical"],
         ["identify", "physical"],
         ["fig2", "--atoms", "1", "--grid", "0:1:1", "--mu1", "1e-310"],
